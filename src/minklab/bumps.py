@@ -28,7 +28,6 @@ __all__ = [
     "PSI_PLATEAU",
     "PHI_SUPPORT",
     "PHI_PLATEAU",
-    "smoothstep",
     "psi_raw_jet",
     "psi_jet",
     "psi_scaled_jet",
@@ -45,11 +44,6 @@ PHI_PLATEAU = (-0.5, 0.5)
 # 12 * (3/4 - 2/3) = 1 and 4 * (3/2 - 5/4) = 1.
 _LEFT_RAMP = 12.0
 _RIGHT_RAMP = 4.0
-
-
-def smoothstep(x) -> np.ndarray:
-    """Values of the step ``S`` (0 below 0, 1 above 1, smooth ramp between)."""
-    return smoothstep_jet(jet_var(x, 0))[0]
 
 
 def _affine_jet(x, a: float, b: float, order: int) -> np.ndarray:

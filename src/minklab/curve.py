@@ -251,9 +251,7 @@ class CurveAtlas:
             F = tpl.sm.F
             d = tpl.sm.d
             tgt = np.tan(loc[sel] - self.inst_rot[k[sel]])
-            xs = invert_monotone(
-                lambda u: F.jet(u, 1)[1], None, tgt, -d, d, bisect_iters=64
-            )
+            xs = invert_monotone(lambda u: F.jet(u, 1)[1], None, tgt, -d, d)
             jet = F.jet(xs, 2)
             val, slope, d2 = jet[0], jet[1], jet[2]
             zpts = self.inst_base[k[sel]] + np.exp(1j * self.inst_rot[k[sel]]) * (
@@ -450,7 +448,11 @@ class GaussZeroSet:
 
 
 def _sets_close(a: IntervalSet, b: IntervalSet, tol: float) -> bool:
-    """Hausdorff-style closeness of two interval sets' endpoint arrays."""
+    """Hausdorff-style closeness of two angle sets' endpoint arrays.
+
+    Both sets lie in ``[0, 2*pi]`` and distance is taken on the circle, so
+    an endpoint just below ``2*pi`` is close to an interval at 0.
+    """
     pa = np.asarray(a.as_floats(), dtype=float)
     pb = np.asarray(b.as_floats(), dtype=float)
 
@@ -461,10 +463,15 @@ def _sets_close(a: IntervalSet, b: IntervalSet, tol: float) -> bool:
         for col in (0, 1):
             x = p[:, col]
             j = np.clip(np.searchsorted(q[:, 0], x), 1, q.shape[0])
-            # distance to the nearest interval among the two neighbours
-            cand = np.minimum(
-                _point_set_distance(x, q[j - 1]),
-                _point_set_distance(x, q[np.minimum(j, q.shape[0] - 1)]),
+            # distance to the nearest interval among the two neighbours and
+            # the two wrap-around neighbours across the seam at 0 = 2*pi
+            cand = np.minimum.reduce(
+                [
+                    _point_set_distance(x, q[j - 1]),
+                    _point_set_distance(x, q[np.minimum(j, q.shape[0] - 1)]),
+                    _point_set_distance(x - TAU, q[0]),
+                    _point_set_distance(x + TAU, q[-1]),
+                ]
             )
             gaps.append(np.max(cand))
         return max(gaps)

@@ -1,9 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, violated mathematical hypotheses with 3, and failed constructions
-with 4.  Everything inherits from :class:`MinkLabError` so callers can
-catch the package's failures in one clause.
+Everything inherits from :class:`MinkLabError` so callers can catch the
+package's failures in one clause; the subclasses separate malformed
+arguments, violated mathematical hypotheses and failed constructions.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ class ArgumentError(MinkLabError, ValueError):
 
 class CapabilityError(MinkLabError):
     """The request exceeds what the object can do (order > max_order)."""
-
-
-class ConfigError(MinkLabError):
-    """A run configuration could not be parsed or is inconsistent."""
 
 
 class ValidationError(MinkLabError):

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.optimize.elementwise import find_root
 
 from . import jets
 from .errors import ArgumentError, CapabilityError, RootBracketError
@@ -361,15 +362,20 @@ def invert_monotone(
     lo,
     hi,
     *,
-    bisect_iters: int = 52,
-    newton_iters: int = 6,
     rtol: float = 0.0,
 ) -> np.ndarray:
-    """Solve ``fn(x) = y`` for increasing ``fn`` on ``[lo, hi]``, vectorized.
+    """Solve ``fn(x) = y`` for nondecreasing ``fn`` on ``[lo, hi]``, vectorized.
 
     ``lo``/``hi`` may be scalars or arrays matching ``ys`` (per-target
-    brackets).  Bisection establishes a tight bracket; optional Newton
-    steps (when ``dfn`` is supplied) polish the root without leaving it.
+    brackets).  Every target is solved by Chandrupatla's bracketed method
+    (:func:`scipy.optimize.elementwise.find_root`), which needs neither a
+    derivative nor an iteration count; ``dfn`` is accepted for call
+    compatibility and ignored.  ``fn`` is only ever called with an array
+    shaped like ``ys``.  A target outside ``[fn(lo), fn(hi)]`` by less than
+    ``1e-9 * (1 + span)`` resolves to the nearer endpoint; one further out,
+    a target the solver does not converge on, or (when ``rtol > 0``) a
+    residual ``|fn(x) - y|`` above ``rtol * (1 + |y|)`` raises
+    :class:`~minklab.errors.RootBracketError`.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     lo_a = np.broadcast_to(np.asarray(lo, dtype=float), ys.shape).copy()
@@ -383,18 +389,25 @@ def invert_monotone(
         raise RootBracketError(
             f"{bad.size} target(s) outside the bracketed range; first offending y={ys[bad[0]]!r}"
         )
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo_a + hi_a)
-        below = fn(mid) <= ys
-        lo_a = np.where(below, mid, lo_a)
-        hi_a = np.where(below, hi_a, mid)
-    x = 0.5 * (lo_a + hi_a)
-    if dfn is not None:
-        for _ in range(newton_iters):
-            fx = fn(x) - ys
-            dx = dfn(x)
-            step = np.where(np.abs(dx) > 0, fx / np.where(dx == 0, 1.0, dx), 0.0)
-            x = np.clip(x - step, lo_a, hi_a)
+    # clipped targets give every bracket a sign change (or a root at an end)
+    target = np.clip(ys, flo, fhi).ravel()
+    x_full = lo_a.copy()
+    x_flat = x_full.reshape(-1)
+
+    def gap(x, idx):
+        # the solver passes only its unconverged targets; scatter them into
+        # a full-shape argument so fn sees the same shape on every call
+        x_flat[idx] = x
+        return fn(x_full).reshape(-1)[idx] - target[idx]
+
+    res = find_root(gap, (lo_a.ravel(), hi_a.ravel()), args=(np.arange(ys.size),))
+    if not np.all(res.success):
+        bad = np.where(~res.success)[0]
+        raise RootBracketError(
+            f"root search failed for {bad.size} target(s); first offending "
+            f"y={ys.flat[bad[0]]!r} (status {int(res.status[bad[0]])})"
+        )
+    x = res.x.reshape(ys.shape)
     if rtol > 0:
         resid = np.abs(fn(x) - ys)
         if np.any(resid > rtol * (1.0 + np.abs(ys))):

@@ -63,6 +63,21 @@ __all__ = [
     "write_smoothing_json",
 ]
 
+# Quadrature points of the curvature masses and the plateau-window area.
+_QUAD_N = 4096
+# Grid intervals per piece of the integrated smoothing.
+_NODES_PER_PIECE = 2048
+# Sample count of the certificate grids.
+_CERT_GRID_N = 1025
+# Bound of the two endpoint-interpolation certificates.
+_ENDPOINT_TOL = 1e-10
+# Highest norm order the schedule caps, the cap as a multiple of the first
+# build's norms, the angle halvings allowed per level, and the norm grid.
+_R_MAX = 4
+_CAP_FACTOR = 2.0
+_MAX_HALVINGS = 40
+_NORM_GRID_N = 2049
+
 
 @dataclass(frozen=True)
 class Hinge:
@@ -205,31 +220,18 @@ def transport_series(
         x = np.asarray(x, dtype=float)
         return (x - shift) * c + f.eval(x) * s
 
-    def m_slope(x):
-        return c + f.jet(x, 1)[1] * s
-
     def transported_piece(piece: SmoothFn, slo: float, shi: float) -> SmoothFn:
         order_cap = min(piece.max_order, f.max_order - 1)
 
         def jet_fn(y, order):
-            x = invert_monotone(m_map, m_slope, y, slo, shi, rtol=1e-14)
+            x = invert_monotone(m_map, None, y, slo, shi, rtol=1e-14)
             pj = jets.derivs_to_jet(piece.jet(x, order))
             fc = jets.derivs_to_jet(f.jet(x, order + 1))
             lift = np.arange(1, order + 2).reshape((order + 1,) + (1,) * (fc.ndim - 1))
             mp = s * fc[1:] * lift
             mp[0] += c
             mp3 = jets.tmul(jets.tmul(mp, mp), mp)
-            cur = jets.tdiv(pj, mp3)
-            out = np.zeros((order + 1,) + y.shape)
-            out[0] = cur[0]
-            for k in range(1, order + 1):
-                oc = cur.shape[0] - 1
-                deriv = cur[1:] * np.arange(1, oc + 1).reshape(
-                    (oc,) + (1,) * (cur.ndim - 1)
-                )
-                cur = jets.tdiv(deriv, mp[:oc])
-                out[k] = cur[0]
-            return out
+            return jets.quotient_derivs(jets.tdiv(pj, mp3), mp)
 
         dom = (
             float(m_map(np.array([slo]))[0]),
@@ -280,15 +282,10 @@ def solve_epsilon(f: SmoothFn, gamma: float, *, rtol: float = 1e-12) -> float:
             f"tan(gamma)={tan_g!r} is not inside the slope range (0, {top!r})"
         )
 
-    def dfn(x):
+    def slope(x):
         return f.jet(x, 1)[1]
 
-    def d2fn(x):
-        return f.jet(x, 2)[2]
-
-    x4 = float(
-        invert_monotone(dfn, d2fn, np.array([tan_g]), lo, hi, rtol=rtol)[0]
-    )
+    x4 = float(invert_monotone(slope, None, np.array([tan_g]), lo, hi, rtol=rtol)[0])
     eps = x4 / 4.0
     probe = 2.0 * eps / math.cos(gamma)
     if probe <= hi and _slope(f, probe) > tan_g * (1.0 + 1e-12):
@@ -337,9 +334,7 @@ def _window_0_rows(x: np.ndarray, d: float, eps: float, order: int) -> np.ndarra
     return out
 
 
-def solve_b_eps(
-    f_u: SmoothFn, f_v: SmoothFn, eps: float, d: float, *, quad_n: int = 4096
-) -> float:
+def solve_b_eps(f_u: SmoothFn, f_v: SmoothFn, eps: float, d: float) -> float:
     """The window weight that makes the exit slope match ``f_v'(d)``.
 
     Solves the linear endpoint-slope equation by quadrature of the two
@@ -350,9 +345,9 @@ def solve_b_eps(
     if not 4.0 * eps < d:
         raise HypothesisError(f"need 4*eps < d, got eps={eps!r}, d={d!r}")
     tan_g = _slope(f_v, d)
-    mass_u = _curvature_mass_u(f_u, eps, d, quad_n)
-    mass_v = _curvature_mass_v(f_v, eps, d, quad_n)
-    window_area = _window_0_area(eps, d, quad_n)
+    mass_u = _curvature_mass_u(f_u, eps, d)
+    mass_v = _curvature_mass_v(f_v, eps, d)
+    window_area = _window_0_area(eps, d)
     b = (2.0 * tan_g - mass_u - mass_v) / window_area
     if not b > 0.0:
         raise ConstructionError(
@@ -366,20 +361,20 @@ def solve_b_eps(
     return b
 
 
-def _curvature_mass_u(f_u, eps, d, quad_n):
-    xs = np.linspace(-d, -d + 2.0 * eps, quad_n + 1)
+def _curvature_mass_u(f_u, eps, d):
+    xs = np.linspace(-d, -d + 2.0 * eps, _QUAD_N + 1)
     vals = f_u.jet(xs, 2)[2] * _window_u_rows(xs, d, eps, 0)[0]
     return float(simpson(vals, x=xs))
 
 
-def _curvature_mass_v(f_v, eps, d, quad_n):
-    xs = np.linspace(d - 2.0 * eps, d, quad_n + 1)
+def _curvature_mass_v(f_v, eps, d):
+    xs = np.linspace(d - 2.0 * eps, d, _QUAD_N + 1)
     vals = f_v.jet(xs, 2)[2] * _window_v_rows(xs, d, eps, 0)[0]
     return float(simpson(vals, x=xs))
 
 
-def _window_0_area(eps, d, quad_n):
-    xs = np.linspace(-d + eps, -d + 2.0 * eps, quad_n + 1)
+def _window_0_area(eps, d):
+    xs = np.linspace(-d + eps, -d + 2.0 * eps, _QUAD_N + 1)
     ramp = float(simpson(_window_0_rows(xs, d, eps, 0)[0], x=xs))
     return 2.0 * (d - 2.0 * eps) + 2.0 * ramp
 
@@ -400,17 +395,7 @@ def _flat_floor(f: SmoothFn, probe_n: int = 4096) -> float:
     return float(xs[first]) if first > 0 else 0.0
 
 
-def build_smoothing(
-    f: SmoothFn,
-    d: float,
-    gamma: float,
-    *,
-    quad_n: int = 4096,
-    nodes_per_piece: int = 2048,
-    cert_grid_n: int = 1025,
-    endpoint_tol: float = 1e-10,
-    max_order: int | None = None,
-) -> SmoothingResult:
+def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
     """Build the convex smoothing for half-width ``d`` and angle ``gamma``.
 
     Emits certificates for every guaranteed inequality (positivity and
@@ -429,8 +414,7 @@ def build_smoothing(
             f"gamma is not small enough for this d: 4*eps={4.0 * eps!r} >= d={d!r}"
         )
     tan_g = math.tan(gamma)
-    b_eps = solve_b_eps(f_u, f_v, eps, d, quad_n=quad_n)
-    max_order = f.max_order if max_order is None else max_order
+    b_eps = solve_b_eps(f_u, f_v, eps, d)
 
     def d2_rows(x, order):
         out = b_eps * _window_0_rows(x, d, eps, order)
@@ -460,15 +444,13 @@ def build_smoothing(
         d2_rows,
         value0=value_left,
         slope0=slope_left,
-        max_order=max_order,
-        nodes_per_piece=nodes_per_piece,
+        max_order=f.max_order,
+        nodes_per_piece=_NODES_PER_PIECE,
         name=f"hinge_smoothing[d={d:.4g}]",
     )
 
-    certs = list(_solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, quad_n))
-    certs += _function_certificates(
-        F, f_u, f_v, f, eps, d, tan_g, cert_grid_n, endpoint_tol
-    )
+    certs = list(_solve_certificates(f_u, f_v, eps, d, b_eps, tan_g))
+    certs += _function_certificates(F, f_u, f_v, f, eps, d, tan_g)
     hinge_out, side_cert = _induced_hinge(F, d, tan_g, gamma)
     certs.append(side_cert)
 
@@ -492,9 +474,9 @@ def build_smoothing(
     )
 
 
-def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, quad_n):
-    mass_u = _curvature_mass_u(f_u, eps, d, quad_n)
-    mass_v = _curvature_mass_v(f_v, eps, d, quad_n)
+def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g):
+    mass_u = _curvature_mass_u(f_u, eps, d)
+    mass_v = _curvature_mass_v(f_v, eps, d)
     yield Certificate("window_weight_positive", b_eps, 0.0, b_eps > 0.0)
     yield Certificate(
         "window_weight_upper",
@@ -516,7 +498,7 @@ def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, quad_n):
     yield Certificate("right_side_slope_positive", sv, 0.0, sv > 0.0)
 
 
-def _function_certificates(F, f_u, f_v, f, eps, d, tan_g, grid_n, endpoint_tol):
+def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
     certs = []
     tol = 1e-12 * (1.0 + tan_g)
     certs.append(
@@ -541,7 +523,7 @@ def _function_certificates(F, f_u, f_v, f, eps, d, tan_g, grid_n, endpoint_tol):
     )
     certs.append(Certificate("endpoint_curvature_zero", end_curv, 0.0, end_curv == 0.0))
 
-    xs = np.linspace(-d, d, 4 * grid_n + 1)
+    xs = np.linspace(-d, d, 4 * _CERT_GRID_N + 1)
     rows = F.jet(xs, 2)
     certs.append(
         Certificate(
@@ -560,7 +542,7 @@ def _function_certificates(F, f_u, f_v, f, eps, d, tan_g, grid_n, endpoint_tol):
         )
     )
     collar = max(4.0 * _flat_floor(f), 1e-12 * d)
-    interior = np.linspace(-d + collar, d - collar, 4 * grid_n + 1)
+    interior = np.linspace(-d + collar, d - collar, 4 * _CERT_GRID_N + 1)
     interior_min = float(F.jet(interior, 2)[2].min())
     certs.append(
         Certificate("interior_curvature_positive", interior_min, 0.0, interior_min > 0.0)
@@ -583,17 +565,20 @@ def _function_certificates(F, f_u, f_v, f, eps, d, tan_g, grid_n, endpoint_tol):
         )
     )
 
-    left = np.linspace(-d, -d + eps, grid_n)
+    left = np.linspace(-d, -d + eps, _CERT_GRID_N)
     gap_left = float(np.abs(F.eval(left) - f_u.eval(left)).max())
     certs.append(
-        Certificate("left_endpoint_match", gap_left, endpoint_tol, gap_left <= endpoint_tol)
+        Certificate("left_endpoint_match", gap_left, _ENDPOINT_TOL, gap_left <= _ENDPOINT_TOL)
     )
-    right = np.linspace(d - eps, d, grid_n)
+    right = np.linspace(d - eps, d, _CERT_GRID_N)
     diff = F.eval(right) - f_v.eval(right)
     gap_right = float(diff.max() - diff.min())
     certs.append(
         Certificate(
-            "right_endpoint_constant_gap", gap_right, endpoint_tol, gap_right <= endpoint_tol
+            "right_endpoint_constant_gap",
+            gap_right,
+            _ENDPOINT_TOL,
+            gap_right <= _ENDPOINT_TOL,
         )
     )
 
@@ -641,7 +626,7 @@ class HingeSchedule:
     """A sequence of smoothings with uniform norms and exact total turn.
 
     ``turning_sum`` equals ``sum_m 2**(m+1) * gamma_m == pi / n``; the
-    per-build C^r norms (columns ``r = 0..r_max``) all sit below ``caps``.
+    per-build C^r norms (columns ``r = 0..4``) all sit below ``caps``.
     """
 
     smoothings: list[SmoothingResult]
@@ -659,8 +644,8 @@ class HingeSchedule:
         return np.array([s.gamma for s in self.smoothings])
 
 
-def _norms_upto(F: SmoothFn, r_max: int, grid_n: int) -> np.ndarray:
-    per = cr_norm(F, r_max, grid_n=grid_n).per_order
+def _norms_upto(F: SmoothFn) -> np.ndarray:
+    per = cr_norm(F, _R_MAX, grid_n=_NORM_GRID_N).per_order
     return np.cumsum(per)
 
 
@@ -670,12 +655,6 @@ def schedule_smoothings(
     *,
     d0: float = 0.18,
     d_ratio: float = 0.35,
-    r_max: int = 4,
-    cap_factor: float = 2.0,
-    max_halvings: int = 40,
-    norm_grid_n: int = 2049,
-    quad_n: int = 4096,
-    nodes_per_piece: int = 2048,
 ) -> HingeSchedule:
     """Build smoothings for ``m = 1..m_max`` with a diagonal angle search.
 
@@ -701,20 +680,18 @@ def schedule_smoothings(
     for i, d in enumerate(ds):
         gamma = 0.5 * math.atan(_slope(f, d / 8.0))
         built = False
-        for _ in range(max_halvings + 1):
-            sr = build_smoothing(
-                f, float(d), gamma, quad_n=quad_n, nodes_per_piece=nodes_per_piece
-            )
-            norms = _norms_upto(sr.F, r_max, norm_grid_n)
+        for _ in range(_MAX_HALVINGS + 1):
+            sr = build_smoothing(f, float(d), gamma)
+            norms = _norms_upto(sr.F)
             if caps is None:
-                caps = cap_factor * norms
+                caps = _CAP_FACTOR * norms
             if np.all(norms <= caps):
                 built = True
                 break
             gamma *= 0.5
         if not built:
             raise ConstructionError(
-                f"level {i + 1}: norm cap unreachable within {max_halvings} halvings"
+                f"level {i + 1}: norm cap unreachable within {_MAX_HALVINGS} halvings"
             )
         gammas[i] = gamma
 
@@ -727,12 +704,10 @@ def schedule_smoothings(
     gammas *= lam
 
     smoothings = []
-    norm_table = np.zeros((m_max, r_max + 1))
+    norm_table = np.zeros((m_max, _R_MAX + 1))
     for i, (d, gamma) in enumerate(zip(ds, gammas)):
-        sr = build_smoothing(
-            f, float(d), float(gamma), quad_n=quad_n, nodes_per_piece=nodes_per_piece
-        )
-        norm_table[i] = _norms_upto(sr.F, r_max, norm_grid_n)
+        sr = build_smoothing(f, float(d), float(gamma))
+        norm_table[i] = _norms_upto(sr.F)
         if not np.all(norm_table[i] <= caps):
             raise ConstructionError(
                 f"level {i + 1} violates the norm cap after the angle rescale"

@@ -18,9 +18,10 @@ Given convex ``f`` and ``g`` on compact intervals, the infimal convolution
   errors ``dx^2 * max f'' / 8`` alone.
 
 Shared diagnostics: :func:`minimizer_map` inverts the stationarity
-condition by vectorized bisection, and :func:`smoothness_diag` reports
-the curvature split ``j = g''/(f'' + g'')`` together with the transferred
-curvature ``h'' = f'' * j``.
+condition with a vectorized bracketed root finder (Chandrupatla's method,
+through :func:`~minklab.fn_core.invert_monotone`), and
+:func:`smoothness_diag` reports the curvature split ``j = g''/(f'' + g'')``
+together with the transferred curvature ``h'' = f'' * j``.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def minimizer_map(f: SmoothFn, g: SmoothFn, x, *, residual_tol: float = 1e-9) ->
     """Solve ``f'(mu) = g'(x - mu)`` for each ``x``, vectorized.
 
     The slope mismatch ``y -> f'(y) - g'(x - y)`` is nondecreasing for
-    convex inputs, so bisection applies.  Raises
+    convex inputs, so a bracketed root finder (Chandrupatla's method, via
+    :func:`~minklab.fn_core.invert_monotone`) applies.  Raises
     :class:`~minklab.errors.RootBracketError` when some ``x`` has no sign
     change (minimizer pinned to the window edge) or when the residual stays
     above ``residual_tol`` relative to the matched slope scale.
@@ -158,21 +160,7 @@ def minimizer_map(f: SmoothFn, g: SmoothFn, x, *, residual_tol: float = 1e-9) ->
     def slope_gap(y):
         return f.jet(y, 1)[1] - g.jet(xs - y, 1)[1]
 
-    have_second = f.max_order >= 2 and g.max_order >= 2
-    dfn = None
-    if have_second:
-        def dfn(y):
-            return f.jet(y, 2)[2] + g.jet(xs - y, 2)[2]
-
-    mu = invert_monotone(
-        slope_gap,
-        dfn,
-        np.zeros(xs.shape),
-        ylo,
-        yhi,
-        bisect_iters=64,
-        newton_iters=4 if have_second else 0,
-    )
+    mu = invert_monotone(slope_gap, None, np.zeros(xs.shape), ylo, yhi)
     resid = np.abs(slope_gap(mu))
     scale = 1.0 + np.abs(f.jet(mu, 1)[1])
     if np.any(resid > residual_tol * scale):

@@ -30,6 +30,7 @@ __all__ = [
     "trecip",
     "texp",
     "tcompose",
+    "quotient_derivs",
     "taylor_shift",
     "poly_jet",
     "exp_neg_inv",
@@ -116,6 +117,25 @@ def tcompose(outer_coeffs: np.ndarray, inner: np.ndarray) -> np.ndarray:
     for j in range(m - 2, -1, -1):
         out = tmul(out, d)
         out[0] += outer_coeffs[j]
+    return out
+
+
+def quotient_derivs(g: np.ndarray, rp: np.ndarray) -> np.ndarray:
+    """Derivative rows of ``g o R^{-1}`` from jets in the base variable.
+
+    ``g`` is the jet (order ``m``) of a function pre-composed with ``R``,
+    ``rp`` the jet of ``R'`` (at least ``m`` rows, nonvanishing constant
+    term).  Row ``k`` of the result is the k-th derivative with respect to
+    ``u = R(x)``, by the recursion ``g_{k+1} = g_k' / R'``.
+    """
+    out = np.zeros(g.shape)
+    out[0] = g[0]
+    cur = g
+    for k in range(1, g.shape[0]):
+        oc = cur.shape[0] - 1
+        deriv = cur[1:] * np.arange(1, oc + 1).reshape((oc,) + (1,) * (cur.ndim - 1))
+        cur = tdiv(deriv, rp[:oc])
+        out[k] = cur[0]
     return out
 
 

@@ -4,9 +4,10 @@ Rotating ``{(x, f(x))}`` by the angle ``phi`` about the origin produces the
 parametric curve ``x -> (R(x), I(x))`` with ``R = x cos(phi) - f sin(phi)``
 and ``I = x sin(phi) + f cos(phi)``.  As long as ``R' = cos(phi) -
 f' sin(phi)`` stays positive the image is again a graph; its carrier here
-inverts ``R`` by bisection (polished by Newton) and obtains derivative rows
-through the quotient recursion: if ``g_k`` denotes the k-th derivative of
-the rotated function pre-composed with ``R``, then ``g_{k+1} = g_k' / R'``.
+inverts ``R`` with a bracketed root finder (Chandrupatla's method) and
+obtains derivative rows through the quotient recursion: if ``g_k`` denotes
+the k-th derivative of the rotated function pre-composed with ``R``, then
+``g_{k+1} = g_k' / R'`` (:func:`minklab.jets.quotient_derivs`).
 In particular the first two orders reduce to the closed forms
 
     first  = (sin(phi) + f' cos(phi)) / (cos(phi) - f' sin(phi)),
@@ -99,39 +100,18 @@ def rotate_graph(f: SmoothFn, phi: float, *, check_n: int = 4097) -> RotatedFn:
             f"[{u_lo!r}, {u_hi!r}]"
         )
 
-    have_first = f.max_order >= 1
-
-    def invert_r(u):
-        dfn = None
-        if have_first:
-            def dfn(x):
-                return c - f.jet(x, 1)[1] * s
-        return invert_monotone(
-            r_map, dfn, u, lo, hi, bisect_iters=64, newton_iters=6, rtol=1e-14
-        )
-
     def jet_fn(u, order):
-        x = invert_r(u)
-        out = np.zeros((order + 1,) + u.shape)
+        x = invert_monotone(r_map, None, u, lo, hi, rtol=1e-14)
         if order == 0:
-            out[0] = i_map(x)
-            return out
+            return i_map(x)[None]
         m = order
         fc = jets.derivs_to_jet(f.jet(x, m))
         xj = jets.jet_var(x, m)
         ij = xj * s + fc * c
         lift = np.arange(1, m + 1).reshape((m,) + (1,) * (fc.ndim - 1))
-        fprime = fc[1:] * lift
-        rpj = -s * fprime
+        rpj = -s * (fc[1:] * lift)
         rpj[0] += c
-        out[0] = ij[0]
-        cur = ij
-        for k in range(1, m + 1):
-            oc = cur.shape[0] - 1
-            deriv = cur[1:] * np.arange(1, oc + 1).reshape((oc,) + (1,) * (cur.ndim - 1))
-            cur = jets.tdiv(deriv, rpj[:oc])
-            out[k] = cur[0]
-        return out
+        return jets.quotient_derivs(ij, rpj)
 
     f_phi = SmoothFn.from_jet_fn(
         (u_lo, u_hi),

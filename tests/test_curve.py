@@ -147,6 +147,22 @@ def test_zero_set_rejects_broken_mirror_symmetry():
         z.validate()
 
 
+def test_zero_set_symmetry_is_measured_on_the_circle():
+    # rotating k*pi/29 by pi/29 sends the last point to 2*pi - 8.9e-16,
+    # which has to meet the point at 0 across the seam
+    n = 29
+    angles = [k * math.pi / n for k in range(2 * n)]
+    GaussZeroSet(Z=points_set(angles), E=[0.0]).validate(symmetry_order=2 * n)
+    # a point missing at the seam, or one near it without its mirror, is
+    # still an asymmetry
+    with pytest.raises(ValidationError, match="rotation"):
+        GaussZeroSet(Z=points_set(angles[1:]), E=[angles[1]]).validate(
+            symmetry_order=2 * n
+        )
+    with pytest.raises(ValidationError, match="negation"):
+        GaussZeroSet(Z=points_set([0.0, math.pi, TAU - 0.01]), E=[0.0]).validate()
+
+
 # ---------------------------------------------------------------------------
 # refinement intervals
 # ---------------------------------------------------------------------------

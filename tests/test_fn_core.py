@@ -220,6 +220,64 @@ class TestInvertMonotone:
         with pytest.raises(RootBracketError):
             invert_monotone(np.tanh, None, [2.0], -5, 5)
 
+    def test_per_target_brackets(self):
+        cube = lambda x: x**3
+        lo = np.array([1.0, 2.5, -2.0])
+        hi = np.array([2.5, 4.0, 0.0])
+        xs = invert_monotone(cube, None, [8.0, 27.0, -1.0], lo, hi)
+        np.testing.assert_allclose(xs, [2.0, 3.0, -1.0], rtol=1e-14)
+        with pytest.raises(RootBracketError):
+            invert_monotone(cube, None, [8.0, 27.0, -1.0], lo[::-1], hi[::-1])
+
+    def test_targets_at_the_bracket_values(self):
+        fn = lambda x: x**3 + x
+        xs = invert_monotone(fn, None, [fn(-1.0), fn(2.0)], -1.0, 2.0)
+        np.testing.assert_allclose(xs, [-1.0, 2.0], rtol=0, atol=1e-14)
+
+    def test_targets_within_the_slack_resolve_to_the_endpoints(self):
+        fn = lambda x: x**3 + x
+        ys = [fn(-1.0) - 1e-11, fn(2.0) + 1e-11]
+        xs = invert_monotone(fn, None, ys, -1.0, 2.0)
+        np.testing.assert_allclose(xs, [-1.0, 2.0], rtol=0, atol=1e-14)
+        with pytest.raises(RootBracketError):
+            invert_monotone(fn, None, [fn(2.0) + 1e-6], -1.0, 2.0)
+
+    def test_nondecreasing_with_a_plateau(self):
+        # x below 0, flat 0 on [0, 1], x - 1 above 1
+        fn = lambda x: np.minimum(x, 0.0) + np.maximum(x - 1.0, 0.0)
+        ys = np.array([-0.5, 0.0, 0.5])
+        xs = invert_monotone(fn, None, ys, -2.0, 3.0, rtol=1e-14)
+        np.testing.assert_allclose(fn(xs), ys, rtol=0, atol=1e-14)
+        assert xs[0] == pytest.approx(-0.5, abs=1e-14)
+        assert 0.0 <= xs[1] <= 1.0
+        assert xs[2] == pytest.approx(1.5, abs=1e-14)
+
+    def test_target_inside_a_jump(self):
+        step = lambda x: np.where(x < 0.3, 0.0, 1.0)
+        x = invert_monotone(step, None, [0.5], 0.0, 1.0)
+        assert x[0] == pytest.approx(0.3, abs=1e-12)
+        with pytest.raises(RootBracketError, match="residual"):
+            invert_monotone(step, None, [0.5], 0.0, 1.0, rtol=1e-12)
+
+    def test_solver_failure_raises(self):
+        # a NaN hole around the root: the bracket is valid, the search is not
+        holed = lambda x: np.where(np.abs(x - 0.5) < 0.1, np.nan, x)
+        with pytest.raises(RootBracketError, match="root search failed"):
+            invert_monotone(holed, None, [0.5], 0.0, 1.0)
+
+    def test_fn_sees_only_arrays_shaped_like_the_targets(self):
+        shapes = []
+
+        def fn(x):
+            shapes.append(np.shape(x))
+            return np.sinh(x)
+
+        # targets of very different difficulty converge at different steps
+        ys = np.array([[0.0, 1e-300, 0.5], [3.0, 70.0, -2.0]])
+        xs = invert_monotone(fn, None, ys, -6.0, 6.0, rtol=1e-14)
+        np.testing.assert_allclose(np.sinh(xs), ys, rtol=1e-14, atol=1e-14)
+        assert len(shapes) > 3 and set(shapes) == {ys.shape}
+
 
 def test_write_csv_table(tmp_path):
     f = SmoothFn.polynomial([0.0, 0.0, 0.5], (0, 2))
