@@ -1,11 +1,20 @@
 """Exact finite-depth arithmetic of Cantor-like interval sets.
 
 An :class:`IntervalSet` is a sorted union of disjoint closed intervals.
-When every endpoint is rational the set is carried *exactly*: endpoints
-are int64 numerators over one common denominator, so sums, translations,
-reflections, and covering verdicts involve integer comparisons only.
-Sets with irrational data fall back to floats with a relative merge
-tolerance of 1e-12.
+Its mode follows from the types of its data, never from their values:
+
+* ``int``, ``numpy.integer`` and ``Fraction`` endpoints are *exact*: they
+  are carried as int64 numerators over one common denominator, so sums,
+  translations, reflections and covering verdicts compare integers only.
+  Exact endpoints whose common lattice does not fit int64 raise
+  :class:`CapabilityError`.
+* Any float endpoint (Python ``float`` or ``numpy.floating``) makes the
+  set a *float* set, merged with a relative tolerance of 1e-12.
+
+The same rule applies to a translation, a reflection centre, a removal
+ratio and a ``wrap_mod`` period: a float argument gives a float result.
+A binary operation on two exact sets whose common lattice overflows
+int64 runs in floats.
 
 Middle-portion removal: one step with removal ratio ``r`` replaces each
 interval by its two outer parts of relative length ``s = (1 - r) / 2``.
@@ -42,15 +51,11 @@ Number = Union[int, float, Fraction]
 
 
 def _to_fraction(x: Number) -> Fraction | None:
-    """Exact Fraction for int/Fraction/float (binary-exact), None if not finite."""
+    """The Fraction of an exact-type number; None for a float (float mode)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return None
-        return Fraction(x)
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
     return None
 
 
@@ -110,33 +115,22 @@ class IntervalSet:
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Number, Number]], *, depth: int | None = None) -> "IntervalSet":
         pairs = list(pairs)
-        fracs: list[tuple[Fraction, Fraction]] | None = []
-        for a, b in pairs:
-            fa, fb = _to_fraction(a), _to_fraction(b)
-            if fa is None or fb is None:
-                fracs = None
-                break
-            if fb < fa:
-                raise ArgumentError(f"interval with hi < lo: ({a!r}, {b!r})")
-            fracs.append((fa, fb))
-        if fracs is not None:
-            den = 1
-            for fa, fb in fracs:
-                den = den * fa.denominator // math.gcd(den, fa.denominator)
-                den = den * fb.denominator // math.gcd(den, fb.denominator)
-            scale_ok = all(
-                abs(int(fa * den)) < _INT_LIMIT and abs(int(fb * den)) < _INT_LIMIT
-                for fa, fb in fracs
-            )
-            if scale_ok:
-                lo = np.array([int(fa * den) for fa, _ in fracs], dtype=np.int64)
-                hi = np.array([int(fb * den) for _, fb in fracs], dtype=np.int64)
-                lo, hi = _merge_int(lo, hi)
-                return IntervalSet(lo, hi, den, depth)
+        fracs = [(_to_fraction(a), _to_fraction(b)) for a, b in pairs]
+        if all(fa is not None and fb is not None for fa, fb in fracs):
+            for (a, b), (fa, fb) in zip(pairs, fracs):
+                if fb < fa:
+                    raise ArgumentError(f"interval with hi < lo: ({a!r}, {b!r})")
+            den = math.lcm(1, *(f.denominator for pair in fracs for f in pair))
+            lo = [int(fa * den) for fa, _ in fracs]
+            hi = [int(fb * den) for _, fb in fracs]
+            if any(abs(v) >= _INT_LIMIT for v in lo + hi):
+                raise CapabilityError("exact endpoints overflow the int64 lattice")
+            lo, hi = _merge_int(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
+            return IntervalSet(lo, hi, den, depth)
         lo = np.array([float(a) for a, _ in pairs])
         hi = np.array([float(b) for _, b in pairs])
-        if np.any(hi < lo):
-            raise ArgumentError("interval with hi < lo")
+        if not np.all(lo <= hi):
+            raise ArgumentError("interval with hi < lo or a NaN endpoint")
         lo, hi = _merge_float(lo, hi)
         return IntervalSet(lo, hi, None, depth)
 
@@ -150,10 +144,8 @@ class IntervalSet:
         return int(self.lo.size)
 
     def as_floats(self) -> list[tuple[float, float]]:
-        if self.exact:
-            d = float(self.den)
-            return [(a / d, b / d) for a, b in zip(self.lo.tolist(), self.hi.tolist())]
-        return list(zip(self.lo.tolist(), self.hi.tolist()))
+        lo, hi = _float_ends(self)
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def as_fractions(self) -> list[tuple[Fraction, Fraction]]:
         if not self.exact:
@@ -189,15 +181,14 @@ class IntervalSet:
     def translate(self, c: Number) -> "IntervalSet":
         fc = _to_fraction(c)
         if self.exact and fc is not None:
-            if self.den % fc.denominator == 0:
-                shift = int(fc * self.den)
-                return IntervalSet(self.lo + shift, self.hi + shift, self.den, self.depth)
+            shift = fc * self.den
+            room = _INT_LIMIT - max(_max_abs(self.lo), _max_abs(self.hi))
+            if shift.denominator == 1 and abs(shift) < room:
+                return IntervalSet(self.lo + int(shift), self.hi + int(shift), self.den, self.depth)
             return IntervalSet.from_pairs(
                 [(a + fc, b + fc) for a, b in self.as_fractions()], depth=self.depth
             )
-        lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-        if self.exact:
-            lo, hi = lo / self.den, hi / self.den
+        lo, hi = _float_ends(self)
         return IntervalSet(lo + float(c), hi + float(c), None, self.depth)
 
     def negate(self) -> "IntervalSet":
@@ -205,18 +196,8 @@ class IntervalSet:
         return IntervalSet(-self.hi[::-1].copy(), -self.lo[::-1].copy(), self.den, self.depth)
 
     def reflect(self, center: Number) -> "IntervalSet":
-        """Reflection through a point: ``2 * center - A`` (exact when possible)."""
+        """Reflection through a point: ``2 * center - A``."""
         fc = _to_fraction(center)
-        if self.exact and fc is not None:
-            two_c = 2 * fc
-            if two_c.denominator == 1 or self.den % two_c.denominator == 0:
-                shift = int(two_c * self.den)
-                return IntervalSet(
-                    (shift - self.hi)[::-1].copy(),
-                    (shift - self.lo)[::-1].copy(),
-                    self.den,
-                    self.depth,
-                )
         return self.negate().translate(2 * float(center) if fc is None else 2 * fc)
 
     def to_json(self) -> dict:
@@ -228,7 +209,24 @@ class IntervalSet:
         }
 
 
-# -- merging kernels ----------------------------------------------------
+# -- kernels ---------------------------------------------------------------
+
+
+def _float_ends(a: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints as float arrays; a float set's own arrays, not copies."""
+    if a.exact:
+        return np.asarray(a.lo, dtype=float) / a.den, np.asarray(a.hi, dtype=float) / a.den
+    return a.lo, a.hi
+
+
+def _meets(blo: np.ndarray, bhi: np.ndarray, lo, hi) -> np.ndarray:
+    """Per query interval ``[lo, hi]``: does it meet the non-empty union ``(blo, bhi)``?
+
+    The only candidate is the last union interval starting at or before
+    ``hi``; it meets the query iff it ends at or after ``lo``.
+    """
+    j = np.searchsorted(blo, hi, side="right") - 1
+    return (j >= 0) & (bhi[np.maximum(j, 0)] >= lo)
 
 
 def _merge_int(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,11 +277,9 @@ def _common_lattice(a: IntervalSet, b: IntervalSet) -> tuple[IntervalSet, Interv
                 IntervalSet(a.lo * fa, a.hi * fa, den, a.depth),
                 IntervalSet(b.lo * fb, b.hi * fb, den, b.depth),
             )
-    fa = a.as_floats()
-    fb = b.as_floats()
     return (
-        IntervalSet(np.array([p for p, _ in fa]), np.array([q for _, q in fa]), None, a.depth),
-        IntervalSet(np.array([p for p, _ in fb]), np.array([q for _, q in fb]), None, b.depth),
+        IntervalSet(*_float_ends(a), None, a.depth),
+        IntervalSet(*_float_ends(b), None, b.depth),
     )
 
 
@@ -317,10 +313,7 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
             new_lo, new_hi = _merge_int(new_lo, new_hi)
             current = IntervalSet(new_lo, new_hi, den, step + 1)
         else:
-            flo = np.asarray(current.lo, dtype=float)
-            fhi = np.asarray(current.hi, dtype=float)
-            if current.exact:
-                flo, fhi = flo / current.den, fhi / current.den
+            flo, fhi = _float_ends(current)
             w = (fhi - flo) * float(s)
             new_lo = np.concatenate([flo, fhi - w])
             new_hi = np.concatenate([flo + w, fhi])
@@ -383,13 +376,7 @@ def intersects(a: IntervalSet, b: IntervalSet) -> bool:
     aa, bb = _common_lattice(a, b)
     if aa.lo.size == 0 or bb.lo.size == 0:
         return False
-    # for each interval of a, the candidate b-intervals start at searchsorted
-    idx = np.searchsorted(bb.lo, aa.hi, side="right") - 1
-    ok = idx >= 0
-    if not np.any(ok):
-        return False
-    cand_hi = bb.hi[np.clip(idx, 0, None)]
-    return bool(np.any(ok & (cand_hi >= aa.lo)))
+    return bool(np.any(_meets(bb.lo, bb.hi, aa.lo, aa.hi)))
 
 
 def wrap_mod(a: IntervalSet, period: Number) -> IntervalSet:
@@ -399,41 +386,24 @@ def wrap_mod(a: IntervalSet, period: Number) -> IntervalSet:
         den = a.den * fp.denominator // math.gcd(a.den, fp.denominator)
         f = den // a.den
         if max(_max_abs(a.lo), _max_abs(a.hi)) * f < _INT_LIMIT:
-            alo, ahi = a.lo * f, a.hi * f
-            p = int(fp * den)
-            if np.any(ahi - alo >= p):
-                return IntervalSet.from_pairs([(0, fp)], depth=a.depth)
-            qlo = np.floor_divide(alo, p)
-            lo = alo - qlo * p
-            hi = ahi - qlo * p
-            plain = hi <= p
-            wrap = ~plain
-            n_wrap = int(np.sum(wrap))
-            # an interval shorter than the period wraps across the edge at most once
-            new_lo = np.concatenate(
-                [lo[plain], lo[wrap], np.zeros(n_wrap, dtype=np.int64)]
-            )
-            new_hi = np.concatenate(
-                [hi[plain], np.full(n_wrap, p, dtype=np.int64), hi[wrap] - p]
-            )
-            new_lo, new_hi = _merge_int(new_lo, new_hi)
-            return IntervalSet(new_lo, new_hi, den, a.depth)
-    flo = np.asarray(a.lo, dtype=float)
-    fhi = np.asarray(a.hi, dtype=float)
-    if a.exact:
-        flo, fhi = flo / a.den, fhi / a.den
+            lo, hi, p = a.lo * f, a.hi * f, int(fp * den)
+            return _split_at_period(lo, hi, np.floor_divide(lo, p) * p, p, den, a.depth)
+    lo, hi = _float_ends(a)
     p = float(period)
-    if np.any(fhi - flo >= p):
-        return IntervalSet.from_pairs([(0.0, p)], depth=a.depth)
-    q = np.floor(flo / p)
-    lo = flo - q * p
-    hi = fhi - q * p
-    pairs = []
-    for L, H in zip(lo, hi):
-        if H <= p:
-            pairs.append((L, H))
-        else:
-            pairs.append((L, p))
-            pairs.append((0.0, H - p))
-    out = IntervalSet.from_pairs(pairs, depth=a.depth)
-    return out
+    return _split_at_period(lo, hi, np.floor(lo / p) * p, p, None, a.depth)
+
+
+def _split_at_period(lo, hi, shift, p, den, depth) -> IntervalSet:
+    """Shift each interval so its ``lo`` lands in ``[0, p)``, split it at ``p`` and merge."""
+    if np.any(hi - lo >= p):
+        full = np.array([0, p], dtype=lo.dtype)
+        return IntervalSet(full[:1], full[1:], den, depth)
+    lo, hi = lo - shift, hi - shift
+    # an interval shorter than the period crosses p at most once
+    wrap = hi > p
+    merge = _merge_float if den is None else _merge_int
+    lo, hi = merge(
+        np.concatenate([lo, np.zeros(np.count_nonzero(wrap), dtype=lo.dtype)]),
+        np.concatenate([np.minimum(hi, p), hi[wrap] - p]),
+    )
+    return IntervalSet(lo, hi, den, depth)

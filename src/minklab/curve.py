@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantor import IntervalSet, intersects, wrap_mod
+from .cantor import IntervalSet, _float_ends, _meets, wrap_mod
 from .errors import (
     ArgumentError,
     ConstructionError,
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 TAU = 2.0 * math.pi
+# grid angles per sweep block times intervals of the rotated set: bounds the
+# sweep's temporaries to a few MB whatever the grid size
+_SWEEP_BLOCK_ELEMS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -942,19 +945,34 @@ def curvature_transfer_check(a: SupportFn, b: SupportFn, theta) -> TransferRepor
 def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
     """Grid angles whose rotation of the first zero set misses the second.
 
-    Both arguments may be :class:`GaussZeroSet` or plain interval sets; the
-    test per angle is an exact interval-set intersection after translating
-    the first set and wrapping it mod 2*pi.
+    Both arguments may be :class:`GaussZeroSet` or plain interval sets.  The
+    test runs in floats for every angle at once: the first set's endpoints
+    are translated by each grid angle, reduced mod 2*pi as :func:`wrap_mod`
+    reduces them (an interval at least 2*pi long blocks the angle), and
+    every piece is looked up in the wrapped second set.
     """
     za = z_a.Z if isinstance(z_a, GaussZeroSet) else z_a
     zb = z_b.Z if isinstance(z_b, GaussZeroSet) else z_b
-    zb = wrap_mod(zb, TAU)
-    out = []
-    for delta in np.asarray(angle_grid, dtype=float):
-        moved = wrap_mod(za.translate(float(delta)), TAU)
-        if not intersects(moved, zb):
-            out.append(float(delta))
-    return np.asarray(out, dtype=float)
+    grid = np.asarray(angle_grid, dtype=float).ravel()
+    blo, bhi = _float_ends(wrap_mod(zb, TAU))
+    alo, ahi = _float_ends(za)
+    if blo.size == 0 or alo.size == 0:
+        return grid.copy()
+    avoids = np.empty(grid.size, dtype=bool)
+    rows = max(1, _SWEEP_BLOCK_ELEMS // alo.size)
+    for start in range(0, grid.size, rows):
+        delta = grid[start : start + rows, None]
+        lo, hi = alo + delta, ahi + delta
+        blocked = np.any(hi - lo >= TAU, axis=1)
+        shift = np.floor(lo / TAU) * TAU
+        lo -= shift
+        hi -= shift
+        # a piece crossing 2*pi splits into [lo, 2*pi] and [0, hi - 2*pi]
+        wrap = hi > TAU
+        hits = _meets(blo, bhi, lo, np.minimum(hi, TAU))
+        hits[wrap] |= _meets(blo, bhi, 0.0, hi[wrap] - TAU)
+        avoids[start : start + rows] = ~(blocked | hits.any(axis=1))
+    return grid[avoids]
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,44 @@ def test_json_roundtrippable_fields():
     assert j["mode"] == "exact"
     assert j["depth"] == 2
     assert len(j["intervals"]) == 4
+
+
+class TestMode:
+    def test_near_touching_floats_merge_in_float_mode(self):
+        s = IntervalSet.from_pairs([(0.0, 1.0), (1.0 + 1e-13, 2.0)])
+        assert not s.exact
+        assert s.as_floats() == [(0.0, 2.0)]
+
+    def test_near_touching_fractions_stay_apart(self):
+        pairs = [(0.0, 1.0), (1.0 + 1e-13, 2.0)]
+        s = IntervalSet.from_pairs([(Fraction(a), Fraction(b)) for a, b in pairs])
+        assert s.exact
+        assert len(s) == 2
+
+    def test_numpy_integer_endpoints_are_exact(self):
+        s = IntervalSet.from_pairs([(np.int64(1), np.int64(3)), (np.int32(5), 7)])
+        assert s.exact
+        assert s.as_fractions() == [(Fraction(1), Fraction(3)), (Fraction(5), Fraction(7))]
+
+    def test_float_shift_gives_a_float_set(self):
+        s = build_cantor(CantorSpec.uniform((0, 1), THIRDS, 3))
+        assert s.translate(Fraction(1, 2)).exact
+        assert not s.translate(0.5).exact
+        assert not s.reflect(0.5).exact
+        assert not wrap_mod(s, 0.75).exact
+
+    def test_float_wrap_splits_and_merges(self):
+        s = IntervalSet.from_pairs([(5.5, 6.5), (-0.25, 0.5), (13.0, 13.5)])
+        w = wrap_mod(s, 6.0)
+        assert not w.exact
+        assert w.as_floats() == [(0.0, 0.5), (1.0, 1.5), (5.5, 6.0)]
+
+    def test_exact_lattice_overflow_raises(self):
+        with pytest.raises(CapabilityError):
+            IntervalSet.from_pairs([(Fraction(1, 3**40), 1)])
+
+    def test_exact_translate_past_the_lattice_raises(self):
+        s = IntervalSet.from_pairs([(0, Fraction(1, 2**60))])
+        assert s.translate(1).as_fractions() == [(Fraction(1), 1 + Fraction(1, 2**60))]
+        with pytest.raises(CapabilityError):
+            s.translate(7)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minklab.cantor import CantorSpec, IntervalSet, build_cantor
+from minklab.cantor import CantorSpec, IntervalSet, build_cantor, sum_sets, wrap_mod
 from minklab.curve import (
     ConvexCurve,
     GaussZeroSet,
@@ -20,6 +20,7 @@ from minklab.curve import (
     curvature_transfer_check,
     minkowski_sum,
     refinement_intervals,
+    _SWEEP_BLOCK_ELEMS,
     rotations_avoiding_zero_sets,
     write_curve_json,
     write_support_csv,
@@ -561,6 +562,67 @@ def test_rotations_accept_zero_set_wrappers(assembled):
     out = rotations_avoiding_zero_sets(zset, zset, grid)
     # point-like zero sets at finite depth: a generic rotation avoids
     assert out.size == 1
+
+
+def difference_set_verdicts(za, zb, grid):
+    """Oracle: rotating A by d meets B iff d lies in (B - A) mod 2*pi.
+
+    Returns the avoid verdicts and a mask of the grid angles within 1e-9 of
+    an endpoint of the difference set, where the two routes may round apart.
+    """
+    diff = np.asarray(wrap_mod(sum_sets(zb, za.negate()), TAU).as_floats())
+    lo, hi = diff[:, 0], diff[:, 1]
+    j = np.searchsorted(lo, grid, side="right") - 1
+    meets = (j >= 0) & (grid <= hi[np.maximum(j, 0)])
+    edges = np.sort(diff.ravel())
+    k = np.clip(np.searchsorted(edges, grid), 1, edges.size - 1)
+    near = np.minimum(np.abs(grid - edges[k - 1]), np.abs(grid - edges[k])) <= 1e-9
+    return ~meets, near
+
+
+def test_rotations_of_distinct_cantor_sets_match_difference_set():
+    za = build_cantor(CantorSpec((0, Fraction(22, 7)), tuple([Fraction(1, 3)] * 6)))
+    zb = build_cantor(CantorSpec((1, 4), tuple([Fraction(3, 5)] * 7)))
+    grid = np.arange(512) * (TAU / 512) + 1e-3
+    out = rotations_avoiding_zero_sets(za, zb, grid)
+    avoids, near = difference_set_verdicts(za, zb, grid)
+    assert 0 < out.size < grid.size
+    np.testing.assert_array_equal(np.isin(grid, out)[~near], avoids[~near])
+
+
+def test_rotation_splits_a_piece_straddling_two_pi():
+    za = IntervalSet.from_pairs([(5.5, 6.0)])
+    zb = points_set([0.1])
+    # +0.5 wraps the piece onto [0, 0.217], over the point; +0.3 wraps it
+    # onto [0, 0.017] and +1.0 moves it past 2*pi entirely, both missing
+    out = rotations_avoiding_zero_sets(za, zb, np.array([0.5, 1.0, 0.3]))
+    assert out.tolist() == [1.0, 0.3]
+
+
+@pytest.mark.parametrize("pair", [(0, 7), (1.0, 1.0 + TAU)])
+def test_rotation_blocked_by_a_full_turn_interval(pair):
+    za = IntervalSet.from_pairs([pair])
+    out = rotations_avoiding_zero_sets(za, points_set([2.0]), np.arange(16) * (TAU / 16))
+    assert out.size == 0
+
+
+@pytest.mark.parametrize("empty_first", [True, False])
+def test_every_rotation_avoids_an_empty_set(empty_first):
+    empty, z = IntervalSet.from_pairs([]), points_set([0.0, 1.0])
+    grid = np.arange(16) * (TAU / 16)
+    args = (empty, z) if empty_first else (z, empty)
+    out = rotations_avoiding_zero_sets(*args, grid)
+    np.testing.assert_array_equal(out, grid)
+
+
+def test_rotation_sweep_across_block_seams():
+    z = build_cantor(CantorSpec((0, Fraction(22, 7)), tuple([Fraction(3, 5)] * 10)))
+    grid = np.arange(700) * (TAU / 700) + 1e-3
+    assert grid.size * len(z) > 2 * _SWEEP_BLOCK_ELEMS  # at least three blocks
+    out = rotations_avoiding_zero_sets(z, z, grid)
+    avoids, near = difference_set_verdicts(z, z, grid)
+    assert 0 < out.size < grid.size
+    np.testing.assert_array_equal(np.isin(grid, out)[~near], avoids[~near])
 
 
 # ---------------------------------------------------------------------------
