@@ -983,7 +983,7 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
 def write_curve_json(path, curve: ConvexCurve, zero_set: GaussZeroSet | None = None) -> None:
     payload = {
         "symmetry_order": int(curve.symmetry_order),
-        "vertices": [[float(x), float(y)] for x, y in curve.boundary],
+        "vertices": np.asarray(curve.boundary, dtype=float).tolist(),
         "gauss_angle": [float(g) for g in curve.gauss_angle],
         "curvature": [float(k) for k in curve.curvature],
         "flat_marks": [int(i) for i in curve.flat_marks],
@@ -995,8 +995,7 @@ def write_curve_json(path, curve: ConvexCurve, zero_set: GaussZeroSet | None = N
             "E": [float(e) for e in zero_set.E],
         }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _cantor_spec_dict(atlas: CurveAtlas | None) -> dict | None:

@@ -23,9 +23,11 @@ The result interpolates ``f_u`` near the left endpoint, matches ``f_v``
 up to a constant near the right one, has strictly positive curvature in
 between and zero curvature at the ends, and carries quantitative
 certificates (slope and value bounds, induced-hinge side lengths) that
-are verified on every build.  :func:`schedule_smoothings` produces a
-whole sequence of such smoothings with shrinking hinges, uniformly
-bounded norms, and total turning angle exactly ``pi/n``.
+:func:`build_smoothing` verifies on every build it returns.
+:func:`schedule_smoothings` produces a whole sequence of such smoothings
+with shrinking hinges, uniformly bounded norms, and total turning angle
+exactly ``pi/n``; its angle search only integrates and norms candidates,
+and every smoothing it returns is fully certified.
 """
 
 from __future__ import annotations
@@ -342,6 +344,11 @@ def solve_b_eps(f_u: SmoothFn, f_v: SmoothFn, eps: float, d: float) -> float:
     of the result is exactly the numerical form of the curvature-mass
     inequality; failure signals the construction is inconsistent.
     """
+    return _solve_b_masses(f_u, f_v, eps, d)[0]
+
+
+def _solve_b_masses(f_u, f_v, eps, d):
+    """``(b, mass_u, mass_v)``: the window weight and the two masses it balances."""
     if not 4.0 * eps < d:
         raise HypothesisError(f"need 4*eps < d, got eps={eps!r}, d={d!r}")
     tan_g = _slope(f_v, d)
@@ -358,7 +365,7 @@ def solve_b_eps(f_u: SmoothFn, f_v: SmoothFn, eps: float, d: float) -> float:
         raise ConstructionError(
             f"window weight {b!r} exceeds tan(gamma)/(d-2eps)"
         )
-    return b
+    return b, mass_u, mass_v
 
 
 def _curvature_mass_u(f_u, eps, d):
@@ -395,6 +402,47 @@ def _flat_floor(f: SmoothFn, probe_n: int = 4096) -> float:
     return float(xs[first]) if first > 0 else 0.0
 
 
+def _integrate(f: SmoothFn, d: float, gamma: float):
+    """Place the profiles, solve ``eps`` and ``b_eps``, and integrate ``F``.
+
+    Returns ``(F, f_u, f_v, eps, b_eps, mass_u, mass_v)``.  Raises what the
+    placement and the two solves raise, but checks no certificate.
+    """
+    f_u, f_v = place_profiles(f, d, gamma)
+    eps = solve_epsilon(f, gamma)
+    if not 4.0 * eps < d:
+        raise HypothesisError(
+            f"gamma is not small enough for this d: 4*eps={4.0 * eps!r} >= d={d!r}"
+        )
+    b_eps, mass_u, mass_v = _solve_b_masses(f_u, f_v, eps, d)
+
+    def d2_rows(x, order):
+        out = b_eps * _window_0_rows(x, d, eps, order)
+        for m, prof, window_rows in (
+            (x < 2.0 * eps - d, f_u, _window_u_rows),
+            (x > d - 2.0 * eps, f_v, _window_v_rows),
+        ):
+            if m.any():
+                prod = jets.tmul(
+                    jets.derivs_to_jet(prof.jet(x[m], order + 2)[2:]),
+                    jets.derivs_to_jet(window_rows(x[m], d, eps, order)),
+                )
+                out[:, m] += jets.jet_to_derivs(prod)
+        return out
+
+    breakpoints = np.array([-d, -d + eps, -d + 2.0 * eps, d - 2.0 * eps, d - eps, d])
+    F = GridIntegratedFn(
+        breakpoints,
+        d2_rows,
+        value0=_value(f_u, -d),
+        slope0=_slope(f_u, -d),
+        max_order=f.max_order,
+        nodes_per_piece=_NODES_PER_PIECE,
+        name=f"hinge_smoothing[d={d:.4g}]",
+    )
+    return F, f_u, f_v, eps, b_eps, mass_u, mass_v
+
+
 def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
     """Build the convex smoothing for half-width ``d`` and angle ``gamma``.
 
@@ -407,49 +455,9 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
     the profile's own exactly-flat start (a truncated profile vanishes
     identically near 0, so the smoothing inherits a flat collar there).
     """
-    f_u, f_v = place_profiles(f, d, gamma)
-    eps = solve_epsilon(f, gamma)
-    if not 4.0 * eps < d:
-        raise HypothesisError(
-            f"gamma is not small enough for this d: 4*eps={4.0 * eps!r} >= d={d!r}"
-        )
+    F, f_u, f_v, eps, b_eps, mass_u, mass_v = _integrate(f, d, gamma)
     tan_g = math.tan(gamma)
-    b_eps = solve_b_eps(f_u, f_v, eps, d)
-
-    def d2_rows(x, order):
-        out = b_eps * _window_0_rows(x, d, eps, order)
-        m = x < 2.0 * eps - d
-        if m.any():
-            prod = jets.tmul(
-                jets.derivs_to_jet(f_u.jet(x[m], order + 2)[2:]),
-                jets.derivs_to_jet(_window_u_rows(x[m], d, eps, order)),
-            )
-            out[:, m] += jets.jet_to_derivs(prod)
-        m = x > d - 2.0 * eps
-        if m.any():
-            prod = jets.tmul(
-                jets.derivs_to_jet(f_v.jet(x[m], order + 2)[2:]),
-                jets.derivs_to_jet(_window_v_rows(x[m], d, eps, order)),
-            )
-            out[:, m] += jets.jet_to_derivs(prod)
-        return out
-
-    breakpoints = np.array(
-        [-d, -d + eps, -d + 2.0 * eps, d - 2.0 * eps, d - eps, d]
-    )
-    value_left = _value(f_u, -d)
-    slope_left = _slope(f_u, -d)
-    F = GridIntegratedFn(
-        breakpoints,
-        d2_rows,
-        value0=value_left,
-        slope0=slope_left,
-        max_order=f.max_order,
-        nodes_per_piece=_NODES_PER_PIECE,
-        name=f"hinge_smoothing[d={d:.4g}]",
-    )
-
-    certs = list(_solve_certificates(f_u, f_v, eps, d, b_eps, tan_g))
+    certs = _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, mass_u, mass_v)
     certs += _function_certificates(F, f_u, f_v, f, eps, d, tan_g)
     hinge_out, side_cert = _induced_hinge(F, d, tan_g, gamma)
     certs.append(side_cert)
@@ -474,114 +482,43 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
     )
 
 
-def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g):
-    mass_u = _curvature_mass_u(f_u, eps, d)
-    mass_v = _curvature_mass_v(f_v, eps, d)
-    yield Certificate("window_weight_positive", b_eps, 0.0, b_eps > 0.0)
-    yield Certificate(
-        "window_weight_upper",
-        b_eps,
-        tan_g / (d - 2.0 * eps),
-        b_eps <= tan_g / (d - 2.0 * eps),
-    )
-    yield Certificate(
-        "window_weight_coarse_upper",
-        b_eps,
-        2.0 * tan_g / d,
-        b_eps < 2.0 * tan_g / d,
-    )
-    yield Certificate("left_curvature_mass", mass_u, tan_g, mass_u < tan_g)
-    yield Certificate("right_curvature_mass", mass_v, tan_g, mass_v < tan_g)
+def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, mass_u, mass_v):
+    upper = tan_g / (d - 2.0 * eps)
+    coarse = 2.0 * tan_g / d
     su = _slope(f_u, 2.0 * eps - d)
     sv = _slope(f_v, d - 2.0 * eps)
-    yield Certificate("left_side_slope_negative", su, 0.0, su < 0.0)
-    yield Certificate("right_side_slope_positive", sv, 0.0, sv > 0.0)
+    return [
+        Certificate("window_weight_positive", b_eps, 0.0, b_eps > 0.0),
+        Certificate("window_weight_upper", b_eps, upper, b_eps <= upper),
+        Certificate("window_weight_coarse_upper", b_eps, coarse, b_eps < coarse),
+        Certificate("left_curvature_mass", mass_u, tan_g, mass_u < tan_g),
+        Certificate("right_curvature_mass", mass_v, tan_g, mass_v < tan_g),
+        Certificate("left_side_slope_negative", su, 0.0, su < 0.0),
+        Certificate("right_side_slope_positive", sv, 0.0, sv > 0.0),
+    ]
 
 
 def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
-    certs = []
     tol = 1e-12 * (1.0 + tan_g)
-    certs.append(
-        Certificate(
-            "entry_slope",
-            abs(_slope(F, -d) + tan_g),
-            tol,
-            abs(_slope(F, -d) + tan_g) <= tol,
-        )
-    )
-    certs.append(
-        Certificate(
-            "exit_slope",
-            abs(_slope(F, d) - tan_g),
-            tol,
-            abs(_slope(F, d) - tan_g) <= tol,
-        )
-    )
-
+    entry = abs(_slope(F, -d) + tan_g)
+    exit_ = abs(_slope(F, d) - tan_g)
     end_curv = abs(float(F.jet(np.array([-d]), 2)[2][0])) + abs(
         float(F.jet(np.array([d]), 2)[2][0])
     )
-    certs.append(Certificate("endpoint_curvature_zero", end_curv, 0.0, end_curv == 0.0))
-
     xs = np.linspace(-d, d, 4 * _CERT_GRID_N + 1)
     rows = F.jet(xs, 2)
-    certs.append(
-        Certificate(
-            "curvature_nonnegative",
-            float(rows[2].min()),
-            0.0,
-            bool(np.all(rows[2] >= 0.0)),
-        )
-    )
-    certs.append(
-        Certificate(
-            "midpoint_curvature",
-            float(F.jet(np.array([0.0]), 2)[2][0]),
-            0.0,
-            float(F.jet(np.array([0.0]), 2)[2][0]) > 0.0,
-        )
-    )
+    curv_min = float(rows[2].min())
+    mid = float(F.jet(np.array([0.0]), 2)[2][0])
     collar = max(4.0 * _flat_floor(f), 1e-12 * d)
     interior = np.linspace(-d + collar, d - collar, 4 * _CERT_GRID_N + 1)
     interior_min = float(F.jet(interior, 2)[2].min())
-    certs.append(
-        Certificate("interior_curvature_positive", interior_min, 0.0, interior_min > 0.0)
-    )
-
-    certs.append(
-        Certificate(
-            "slope_bound",
-            float(np.abs(rows[1]).max()),
-            7.0 * tan_g,
-            bool(np.abs(rows[1]).max() < 7.0 * tan_g),
-        )
-    )
-    certs.append(
-        Certificate(
-            "value_bound",
-            float(np.abs(rows[0]).max()),
-            3.0 * d * tan_g,
-            bool(np.abs(rows[0]).max() <= 3.0 * d * tan_g),
-        )
-    )
-
+    max_slope = float(np.abs(rows[1]).max())
+    max_value = float(np.abs(rows[0]).max())
     left = np.linspace(-d, -d + eps, _CERT_GRID_N)
     gap_left = float(np.abs(F.eval(left) - f_u.eval(left)).max())
-    certs.append(
-        Certificate("left_endpoint_match", gap_left, _ENDPOINT_TOL, gap_left <= _ENDPOINT_TOL)
-    )
     right = np.linspace(d - eps, d, _CERT_GRID_N)
     diff = F.eval(right) - f_v.eval(right)
     gap_right = float(diff.max() - diff.min())
-    certs.append(
-        Certificate(
-            "right_endpoint_constant_gap",
-            gap_right,
-            _ENDPOINT_TOL,
-            gap_right <= _ENDPOINT_TOL,
-        )
-    )
-
     window_floor = float(
         np.min(
             _window_u_rows(xs, d, eps, 0)[0]
@@ -589,10 +526,23 @@ def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
             + _window_0_rows(xs, d, eps, 0)[0]
         )
     )
-    certs.append(
-        Certificate("windows_have_no_common_zero", window_floor, 0.0, window_floor > 0.0)
-    )
-    return certs
+    return [
+        Certificate("entry_slope", entry, tol, entry <= tol),
+        Certificate("exit_slope", exit_, tol, exit_ <= tol),
+        Certificate("endpoint_curvature_zero", end_curv, 0.0, end_curv == 0.0),
+        Certificate("curvature_nonnegative", curv_min, 0.0, bool(np.all(rows[2] >= 0.0))),
+        Certificate("midpoint_curvature", mid, 0.0, mid > 0.0),
+        Certificate("interior_curvature_positive", interior_min, 0.0, interior_min > 0.0),
+        Certificate("slope_bound", max_slope, 7.0 * tan_g, bool(max_slope < 7.0 * tan_g)),
+        Certificate(
+            "value_bound", max_value, 3.0 * d * tan_g, bool(max_value <= 3.0 * d * tan_g)
+        ),
+        Certificate("left_endpoint_match", gap_left, _ENDPOINT_TOL, gap_left <= _ENDPOINT_TOL),
+        Certificate(
+            "right_endpoint_constant_gap", gap_right, _ENDPOINT_TOL, gap_right <= _ENDPOINT_TOL
+        ),
+        Certificate("windows_have_no_common_zero", window_floor, 0.0, window_floor > 0.0),
+    ]
 
 
 def _induced_hinge(F, d, tan_g, gamma):
@@ -664,7 +614,10 @@ def schedule_smoothings(
     the C^r norms fall below the cap anchored at the first build (twice
     its norms).  The angle sequence is then rescaled so the total turn
     ``sum 2**(m+1) gamma_m`` is exactly ``pi/n`` for the least integer
-    ``n >= 2``, and every smoothing is rebuilt and re-verified.
+    ``n >= 2``, and every smoothing is rebuilt.  Search candidates are
+    only integrated and normed; every returned smoothing is a full
+    :func:`build_smoothing`, so it is certified and a failed certificate
+    raises :class:`ConstructionError`.
     """
     if m_max < 1:
         raise ArgumentError("need at least one level")
@@ -681,8 +634,7 @@ def schedule_smoothings(
         gamma = 0.5 * math.atan(_slope(f, d / 8.0))
         built = False
         for _ in range(_MAX_HALVINGS + 1):
-            sr = build_smoothing(f, float(d), gamma)
-            norms = _norms_upto(sr.F)
+            norms = _norms_upto(_integrate(f, float(d), gamma)[0])
             if caps is None:
                 caps = _CAP_FACTOR * norms
             if np.all(norms <= caps):

@@ -55,6 +55,9 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny
 _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
+# scan points per column block of the direct route: bounds the scan's
+# temporaries to a few MB whatever ``scan_n * grid_n``
+_SCAN_BLOCK_ELEMS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +209,18 @@ def smoothness_diag(f: SmoothFn, g: SmoothFn, x, *, mu=None) -> SmoothnessDiag:
 def _direct_minimize(f, g, xs, scan_n, refine_iters):
     ylo, yhi = _windows(f, g, xs)
     width = yhi - ylo
-    t = np.linspace(0.0, 1.0, scan_n)[:, None]
-    grid = ylo[None, :] + t * width[None, :]
-    obj = f.eval(grid.ravel()).reshape(grid.shape)
-    obj += g.eval((xs[None, :] - grid).ravel()).reshape(grid.shape)
-    best = np.argmin(obj, axis=0)
-    cols = np.arange(xs.size)
-    a = grid[np.maximum(best - 1, 0), cols]
-    b = grid[np.minimum(best + 1, scan_n - 1), cols]
+    t = np.linspace(0.0, 1.0, scan_n)
+    best = np.empty(xs.size, dtype=np.intp)
+    step = max(1, _SCAN_BLOCK_ELEMS // scan_n)
+    for start in range(0, xs.size, step):
+        cols = slice(start, start + step)
+        grid = ylo[cols] + t[:, None] * width[cols]
+        obj = f.eval(grid.ravel()).reshape(grid.shape)
+        obj += g.eval((xs[cols] - grid).ravel()).reshape(grid.shape)
+        best[cols] = np.argmin(obj, axis=0)
+    # the bracket ends are scan points, recomputed with the scan's arithmetic
+    a = ylo + t[np.maximum(best - 1, 0)] * width
+    b = ylo + t[np.minimum(best + 1, scan_n - 1)] * width
     for _ in range(refine_iters):
         d = b - a
         c1 = b - _INVPHI * d

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minklab import hinge
 from minklab.errors import (
     ArgumentError,
     ConstructionError,
@@ -17,6 +18,8 @@ from minklab.errors import (
 from minklab.fn_core import SmoothFn
 from minklab.hinge import (
     Hinge,
+    _curvature_mass_u,
+    _curvature_mass_v,
     build_smoothing,
     place_profiles,
     schedule_smoothings,
@@ -378,6 +381,41 @@ class TestSchedule:
             schedule_smoothings(hinge_profile.f, 2, d_ratio=0.5)
         with pytest.raises(HypothesisError):
             schedule_smoothings(hinge_profile.f, 2, d0=0.6)
+
+
+class TestCertifyOnlyKeptBuilds:
+    def test_schedule_returns_fresh_builds(self, hinge_profile, hinge_schedule):
+        for sr in hinge_schedule.smoothings:
+            fresh = build_smoothing(hinge_profile.f, sr.d, sr.gamma)
+            assert fresh.epsilon == sr.epsilon
+            assert fresh.b_eps == sr.b_eps
+            xs = np.linspace(-sr.d, sr.d, 257)
+            np.testing.assert_array_equal(fresh.F.jet(xs, 3), sr.F.jet(xs, 3))
+            assert fresh.certificates == sr.certificates
+
+    def test_mass_certificates_are_the_quadratures(self, hinge_schedule):
+        for sr in hinge_schedule.smoothings:
+            eps, d = sr.epsilon, sr.d
+            left = sr.certificate("left_curvature_mass").measured
+            right = sr.certificate("right_curvature_mass").measured
+            assert left == _curvature_mass_u(sr.f_u, eps, d)
+            assert right == _curvature_mass_v(sr.f_v, eps, d)
+
+    def test_search_builds_only_the_kept_levels(self, hinge_profile, monkeypatch):
+        calls = []
+
+        def counted(f, d, gamma):
+            calls.append(gamma)
+            return build_smoothing(f, d, gamma)
+
+        monkeypatch.setattr(hinge, "build_smoothing", counted)
+        hs = schedule_smoothings(hinge_profile.f, 1)
+        assert calls == list(hs.gamma_values)
+
+    def test_final_build_certificate_failure_raises(self, hinge_profile, monkeypatch):
+        monkeypatch.setattr(hinge, "_ENDPOINT_TOL", 0.0)
+        with pytest.raises(ConstructionError, match="right_endpoint_constant_gap"):
+            schedule_smoothings(hinge_profile.f, 1)
 
 
 class TestJsonExport:

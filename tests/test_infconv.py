@@ -1,6 +1,7 @@
 """Tests for the two infimal-convolution routes and their diagnostics."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,3 +359,28 @@ class TestCsvExport:
             rows = list(csv.DictReader(fh))
         flagged = [r for r in rows if r["boundary"] == "1"]
         assert flagged and all(r["j_mu"] == "nan" for r in flagged)
+
+
+class TestDirectScanBlocks:
+    def pair(self):
+        return poly([0.0, 0.3, 0.5, 0.0, 0.25], (-1.5, 1.5)), quad(3.0, (-1, 1))
+
+    def test_block_seams_match_a_differently_blocked_subset(self):
+        # 1025 columns of a 1024-point scan span five column blocks; every
+        # third column is re-minimized in blocks with other seams
+        f, g = self.pair()
+        res = infconv_direct(f, g, grid_n=1025)
+        sub = res.x[1::3]
+        np.testing.assert_array_equal(res.h.eval(sub), res.values[1::3])
+
+    def test_scan_never_holds_a_whole_scan_grid(self):
+        f, g = self.pair()
+        infconv_direct(f, g, grid_n=65)  # first-call set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            infconv_direct(f, g, grid_n=4097)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 array of the whole 1024 x 4097 scan grid
+        assert peak < 1024 * 4097 * 8
