@@ -155,10 +155,6 @@ class IntervalSet:
             for a, b in zip(self.lo.tolist(), self.hi.tolist())
         ]
 
-    def total_length(self) -> float:
-        s = int(np.sum(self.hi - self.lo)) if self.exact else float(np.sum(self.hi - self.lo))
-        return s / self.den if self.exact else s
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
@@ -295,19 +291,16 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
     for step, s in enumerate(spec.side_ratios):
         fs = _to_fraction(s)
         if current.exact and fs is not None:
-            den = current.den * fs.denominator
-            if int(np.max(np.abs(current.hi))) * fs.denominator >= _INT_LIMIT:
+            # on the lattice refined by the ratio's denominator q every width
+            # is q times an old width, so the side width is an old width
+            # times the ratio's numerator: exact, and smaller than the width
+            q = fs.denominator
+            if max(_max_abs(current.lo), _max_abs(current.hi)) * q >= _INT_LIMIT:
                 raise CapabilityError("lattice overflow; reduce depth or simplify ratios")
-            lo = current.lo * fs.denominator
-            hi = current.hi * fs.denominator
-            w_num = (hi - lo) * fs.numerator // fs.denominator  # exact: widths divisible
-            # guard: exactness of the division above
-            if np.any((hi - lo) * fs.numerator % fs.denominator != 0):
-                # fall back to a finer lattice where the division is exact
-                den = den * fs.denominator
-                lo = lo * fs.denominator
-                hi = hi * fs.denominator
-                w_num = (hi - lo) * fs.numerator // fs.denominator
+            den = current.den * q
+            lo = current.lo * q
+            hi = current.hi * q
+            w_num = (current.hi - current.lo) * fs.numerator
             new_lo = np.concatenate([lo, hi - w_num])
             new_hi = np.concatenate([lo + w_num, hi])
             new_lo, new_hi = _merge_int(new_lo, new_hi)

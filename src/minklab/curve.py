@@ -20,8 +20,6 @@ tracked exactly through sums.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -35,6 +33,7 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
+from .export import write_csv, write_json
 from .fn_core import SmoothFn, invert_monotone
 from .hinge import HingeSchedule, SmoothingResult, _flat_floor
 
@@ -228,7 +227,9 @@ class CurveAtlas:
         Returns the complex boundary points (final frame), the curvature
         radius ``rho`` (``inf`` where the touching point is flat), and the
         flat mask; a point is flat when its template curvature falls below
-        ``flat_tol`` times the template's maximum.
+        ``flat_tol`` times the template's maximum.  Where ``flat`` is set the
+        touching set may be a segment, and the point returned is whichever
+        point of it the inversion lands on.
         """
         th = np.mod(np.asarray(theta, dtype=float), TAU)
         arc = self.arc_turn
@@ -715,7 +716,9 @@ class SupportFn:
     derivatives at the grid angles; the curvature radius of the boundary at
     normal ``theta`` is ``rho = h + d2h``, which is additive under Minkowski
     sums.  ``flat[i]`` marks angles whose touching boundary point has zero
-    curvature (``rho`` infinite); ``d2h`` holds ``inf`` there.
+    curvature (``rho`` infinite); ``d2h`` holds ``inf`` there, and ``dh``
+    belongs to whichever point of the flat piece the support inversion
+    returned: it is not a one-sided derivative of ``h``.
     """
 
     theta: np.ndarray
@@ -984,18 +987,17 @@ def write_curve_json(path, curve: ConvexCurve, zero_set: GaussZeroSet | None = N
     payload = {
         "symmetry_order": int(curve.symmetry_order),
         "vertices": np.asarray(curve.boundary, dtype=float).tolist(),
-        "gauss_angle": [float(g) for g in curve.gauss_angle],
-        "curvature": [float(k) for k in curve.curvature],
-        "flat_marks": [int(i) for i in curve.flat_marks],
+        "gauss_angle": np.asarray(curve.gauss_angle, dtype=float).tolist(),
+        "curvature": np.asarray(curve.curvature, dtype=float).tolist(),
+        "flat_marks": np.asarray(curve.flat_marks, dtype=np.int64).tolist(),
         "cantor_spec": _cantor_spec_dict(curve.atlas),
     }
     if zero_set is not None:
         payload["zero_set"] = {
             "Z": zero_set.Z.to_json(),
-            "E": [float(e) for e in zero_set.E],
+            "E": np.asarray(zero_set.E, dtype=float).tolist(),
         }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload) + "\n")
+    write_json(path, payload)
 
 
 def _cantor_spec_dict(atlas: CurveAtlas | None) -> dict | None:
@@ -1011,8 +1013,4 @@ def _cantor_spec_dict(atlas: CurveAtlas | None) -> dict | None:
 
 
 def write_support_csv(path, s: SupportFn) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "h", "dh", "d2h"])
-        for row in zip(s.theta, s.h, s.dh, s.d2h):
-            w.writerow([repr(float(v)) for v in row])
+    write_csv(path, {"theta": s.theta, "h": s.h, "dh": s.dh, "d2h": s.d2h})

@@ -29,6 +29,7 @@ from scipy.optimize.elementwise import find_root
 
 from . import jets
 from .errors import ArgumentError, CapabilityError, RootBracketError
+from .export import write_csv
 
 __all__ = [
     "SmoothFn",
@@ -419,19 +420,17 @@ def write_csv_table(
     f: SmoothFn,
     path,
     *,
-    interval: Interval | None = None,
     grid_n: int = 1001,
     orders: Sequence[int] = (0, 1, 2),
 ) -> None:
-    """Write ``x, f(x), f'(x), ...`` as CSV with 17-significant-digit floats."""
-    lo, hi = _as_interval(interval if interval is not None else f.domain)
+    """Write ``x`` and the columns ``d<o>`` (``f^(o)(x)``) on ``f.domain``.
+
+    ``orders`` must be a non-empty sequence of distinct derivative orders
+    ``>= 0``; the file format is the one of :func:`minklab.export.write_csv`.
+    """
     orders = tuple(int(o) for o in orders)
-    top = max(orders)
-    xs = np.linspace(lo, hi, grid_n)
-    rows = f.jet(xs, top)
-    header = ["x"] + [f"d{o}" for o in orders]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(grid_n):
-            vals = [xs[i]] + [rows[o][i] for o in orders]
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+    if not orders or min(orders) < 0 or len(set(orders)) < len(orders):
+        raise ArgumentError(f"orders must be distinct, non-negative and non-empty: {orders!r}")
+    xs = np.linspace(*f.domain, grid_n)
+    rows = f.jet(xs, max(orders))
+    write_csv(path, {"x": xs, **{f"d{o}": rows[o] for o in orders}})

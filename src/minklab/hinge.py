@@ -32,7 +32,6 @@ and every smoothing it returns is fully certified.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,6 +46,7 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
+from .export import write_json
 from .fn_core import GridIntegratedFn, SmoothFn, cr_norm, invert_monotone
 from .patching import PliableSeries
 from .rotated_graph import rotate_graph
@@ -79,6 +79,8 @@ _R_MAX = 4
 _CAP_FACTOR = 2.0
 _MAX_HALVINGS = 40
 _NORM_GRID_N = 2049
+# Sample count of the value/slope/curvature grid of the smoothing JSON.
+_JSON_GRID_N = 513
 
 
 @dataclass(frozen=True)
@@ -297,19 +299,11 @@ def solve_epsilon(f: SmoothFn, gamma: float, *, rtol: float = 1e-12) -> float:
     return eps
 
 
-def _window_u_rows(x: np.ndarray, d: float, eps: float, order: int) -> np.ndarray:
-    """Derivative rows of ``W_u(x) = W((d + x) / (2 eps))``."""
+def _window_end_rows(x: np.ndarray, d: float, eps: float, order: int, sign: int) -> np.ndarray:
+    """Derivative rows of ``W((d + sign x) / (2 eps))``: ``W_u`` for sign 1, ``W_v`` for -1."""
     s = 1.0 / (2.0 * eps)
-    coeff = bumps.phi_even_jet((d + x) * s, order)
-    scale = s ** np.arange(order + 1)
-    return jets.jet_to_derivs(coeff * scale[:, None])
-
-
-def _window_v_rows(x: np.ndarray, d: float, eps: float, order: int) -> np.ndarray:
-    """Derivative rows of ``W_v(x) = W((d - x) / (2 eps))``."""
-    s = 1.0 / (2.0 * eps)
-    coeff = bumps.phi_even_jet((d - x) * s, order)
-    scale = (-s) ** np.arange(order + 1)
+    coeff = bumps.phi_even_jet((d + sign * x) * s, order)
+    scale = (sign * s) ** np.arange(order + 1)
     return jets.jet_to_derivs(coeff * scale[:, None])
 
 
@@ -370,13 +364,13 @@ def _solve_b_masses(f_u, f_v, eps, d):
 
 def _curvature_mass_u(f_u, eps, d):
     xs = np.linspace(-d, -d + 2.0 * eps, _QUAD_N + 1)
-    vals = f_u.jet(xs, 2)[2] * _window_u_rows(xs, d, eps, 0)[0]
+    vals = f_u.jet(xs, 2)[2] * _window_end_rows(xs, d, eps, 0, 1)[0]
     return float(simpson(vals, x=xs))
 
 
 def _curvature_mass_v(f_v, eps, d):
     xs = np.linspace(d - 2.0 * eps, d, _QUAD_N + 1)
-    vals = f_v.jet(xs, 2)[2] * _window_v_rows(xs, d, eps, 0)[0]
+    vals = f_v.jet(xs, 2)[2] * _window_end_rows(xs, d, eps, 0, -1)[0]
     return float(simpson(vals, x=xs))
 
 
@@ -418,14 +412,14 @@ def _integrate(f: SmoothFn, d: float, gamma: float):
 
     def d2_rows(x, order):
         out = b_eps * _window_0_rows(x, d, eps, order)
-        for m, prof, window_rows in (
-            (x < 2.0 * eps - d, f_u, _window_u_rows),
-            (x > d - 2.0 * eps, f_v, _window_v_rows),
+        for m, prof, sign in (
+            (x < 2.0 * eps - d, f_u, 1),
+            (x > d - 2.0 * eps, f_v, -1),
         ):
             if m.any():
                 prod = jets.tmul(
                     jets.derivs_to_jet(prof.jet(x[m], order + 2)[2:]),
-                    jets.derivs_to_jet(window_rows(x[m], d, eps, order)),
+                    jets.derivs_to_jet(_window_end_rows(x[m], d, eps, order, sign)),
                 )
                 out[:, m] += jets.jet_to_derivs(prod)
         return out
@@ -521,8 +515,8 @@ def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
     gap_right = float(diff.max() - diff.min())
     window_floor = float(
         np.min(
-            _window_u_rows(xs, d, eps, 0)[0]
-            + _window_v_rows(xs, d, eps, 0)[0]
+            _window_end_rows(xs, d, eps, 0, 1)[0]
+            + _window_end_rows(xs, d, eps, 0, -1)[0]
             + _window_0_rows(xs, d, eps, 0)[0]
         )
     )
@@ -683,9 +677,9 @@ def schedule_smoothings(
 # ---------------------------------------------------------------------------
 
 
-def write_smoothing_json(path, sr: SmoothingResult, *, grid_n: int = 513) -> None:
-    """Dump parameters, certificates, and a value/slope/curvature grid."""
-    xs = np.linspace(-sr.d, sr.d, grid_n)
+def write_smoothing_json(path, sr: SmoothingResult) -> None:
+    """Dump parameters, certificates, and a value/slope/curvature grid on ``[-d, d]``."""
+    xs = np.linspace(-sr.d, sr.d, _JSON_GRID_N)
     rows = sr.F.jet(xs, 2)
     payload = {
         "parameters": {
@@ -716,5 +710,4 @@ def write_smoothing_json(path, sr: SmoothingResult, *, grid_n: int = 513) -> Non
             "curvature": rows[2].tolist(),
         },
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+    write_json(path, payload)

@@ -26,7 +26,6 @@ together with the transferred curvature ``h'' = f'' * j``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +39,7 @@ from .errors import (
     RootBracketError,
     ValidationError,
 )
+from .export import write_csv
 from .fn_core import SmoothFn, _as_interval, invert_monotone
 
 __all__ = [
@@ -180,25 +180,36 @@ def smoothness_diag(f: SmoothFn, g: SmoothFn, x, *, mu=None) -> SmoothnessDiag:
 
     The split ratio ``j = g''/(f'' + g'')`` is the derivative of the
     minimizer map, and ``h'' = f'' * j = g'' * (1 - j)``.  Raises
-    :class:`~minklab.errors.DegenerateHessianError` where the curvature sum
-    vanishes (the formula degenerates there).
+    :class:`~minklab.errors.DegenerateHessianError` where ``j`` is undefined:
+    the curvature sum vanishes (the formula degenerates there) or is NaN.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if mu is None:
         mus = np.atleast_1d(minimizer_map(f, g, xs))
     else:
         mus = np.atleast_1d(np.asarray(mu, dtype=float))
-    hf = f.jet(mus, 2)[2]
-    hg = g.jet(xs - mus, 2)[2]
-    total = hf + hg
-    if np.any(total < _TINY):
-        bad = np.where(total < _TINY)[0]
+    hf, hg, j, hh = _curvature_split(f, g, xs, mus)
+    if np.any(np.isnan(j)):
+        bad = np.where(np.isnan(j))[0]
         raise DegenerateHessianError(
             f"curvature sum vanishes at {bad.size} point(s); first at "
             f"x={xs[bad[0]]!r} (f''={hf[bad[0]]!r}, g''={hg[bad[0]]!r})"
         )
-    j = hg / total
-    return SmoothnessDiag(x=xs, mu=mus, hess_f=hf, hess_g=hg, hess_h=hf * j, j_mu=j)
+    return SmoothnessDiag(x=xs, mu=mus, hess_f=hf, hess_g=hg, hess_h=hh, j_mu=j)
+
+
+def _curvature_split(f: SmoothFn, g: SmoothFn, xs: np.ndarray, mus: np.ndarray):
+    """Return ``(f'', g'', j, h'')`` at the matched pairs ``(mu, x - mu)``.
+
+    ``j = g''/(f'' + g'')`` and ``h'' = f'' * j``; both are NaN wherever the
+    curvature sum is below the smallest normal float.
+    """
+    hf = f.jet(mus, 2)[2]
+    hg = g.jet(xs - mus, 2)[2]
+    total = hf + hg
+    ok = total >= _TINY
+    j = np.where(ok, hg / np.where(ok, total, 1.0), np.nan)
+    return hf, hg, j, np.where(ok, hf * j, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -485,49 +496,30 @@ def infconv_conjugate(
 # ---------------------------------------------------------------------------
 
 
-def write_infconv_csv(path, result: InfConvResult, f: SmoothFn | None = None, g: SmoothFn | None = None) -> None:
-    """Write ``x, h, mu, dh, d2h, j_mu, boundary`` rows for a result.
+def write_infconv_csv(path, result: InfConvResult, f: SmoothFn, g: SmoothFn) -> None:
+    """Write ``x, h, mu, dh, d2h, j_mu, boundary`` columns for a result.
 
-    The derivative columns are filled from the curvature identities when
-    both inputs expose second derivatives; rows whose minimizer sits on the
-    window boundary (or where the curvature sum vanishes) get NaN there.
+    ``dh = f'(mu)`` and the curvature split ``d2h``/``j_mu`` (as in
+    :func:`smoothness_diag`) fill the interior rows; rows whose minimizer
+    sits on the window boundary, or where the curvature sum vanishes, get
+    NaN there.  ``f`` and ``g`` must expose second derivatives.  The file
+    format is the one of :func:`minklab.export.write_csv`.
     """
-    n = result.x.size
-    dh = np.full(n, np.nan)
-    d2h = np.full(n, np.nan)
-    j_mu = np.full(n, np.nan)
-    can_diff = (
-        f is not None
-        and g is not None
-        and f.max_order >= 2
-        and g.max_order >= 2
+    dh, d2h, j_mu = np.full((3, result.x.size), np.nan)
+    interior = ~result.boundary
+    if np.any(interior):
+        mu_i = result.mu[interior]
+        dh[interior] = f.jet(mu_i, 1)[1]
+        _, _, j_mu[interior], d2h[interior] = _curvature_split(f, g, result.x[interior], mu_i)
+    write_csv(
+        path,
+        {
+            "x": result.x,
+            "h": result.values,
+            "mu": result.mu,
+            "dh": dh,
+            "d2h": d2h,
+            "j_mu": j_mu,
+            "boundary": result.boundary,
+        },
     )
-    if can_diff:
-        interior = ~result.boundary
-        if np.any(interior):
-            mu_i = result.mu[interior]
-            x_i = result.x[interior]
-            dh[interior] = f.jet(mu_i, 1)[1]
-            hf = f.jet(mu_i, 2)[2]
-            hg = g.jet(x_i - mu_i, 2)[2]
-            total = hf + hg
-            ok = total >= _TINY
-            safe = np.where(ok, total, 1.0)
-            j_vals = np.where(ok, hg / safe, np.nan)
-            j_mu[interior] = j_vals
-            d2h[interior] = np.where(ok, hf * j_vals, np.nan)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "h", "mu", "dh", "d2h", "j_mu", "boundary"])
-        for i in range(n):
-            writer.writerow(
-                [
-                    f"{result.x[i]:.17g}",
-                    f"{result.values[i]:.17g}",
-                    f"{result.mu[i]:.17g}",
-                    f"{dh[i]:.17g}",
-                    f"{d2h[i]:.17g}",
-                    f"{j_mu[i]:.17g}",
-                    int(bool(result.boundary[i])),
-                ]
-            )

@@ -31,7 +31,6 @@ __all__ = [
     "texp",
     "tcompose",
     "quotient_derivs",
-    "taylor_shift",
     "poly_jet",
     "exp_neg_inv",
     "smoothstep_jet",
@@ -136,21 +135,6 @@ def quotient_derivs(g: np.ndarray, rp: np.ndarray) -> np.ndarray:
         deriv = cur[1:] * np.arange(1, oc + 1).reshape((oc,) + (1,) * (cur.ndim - 1))
         cur = tdiv(deriv, rp[:oc])
         out[k] = cur[0]
-    return out
-
-
-def taylor_shift(coeffs: np.ndarray, dx) -> np.ndarray:
-    """Recenter polynomial coefficients: ``p(x) -> p(x + dx)`` (Horner)."""
-    m = coeffs.shape[0]
-    dx = np.asarray(dx, dtype=float)
-    tail = np.broadcast_shapes(coeffs.shape[1:], dx.shape)
-    out = np.zeros((m,) + tail)
-    for j in range(m - 1, -1, -1):
-        # multiply `out` (a polynomial in delta) by (delta + dx), add c_j
-        shifted = np.zeros_like(out)
-        shifted[1:] = out[:-1]
-        out = shifted + out * dx
-        out[0] += coeffs[j]
     return out
 
 

@@ -248,9 +248,6 @@ class PatchedConvex:
     def t(self) -> np.ndarray:
         return self.schedule.t
 
-    def level_range(self) -> range:
-        return range(self.K, self.k_max + 1)
-
 
 def _simpson_on(f_vals: np.ndarray, xs: np.ndarray) -> float:
     return float(simpson(f_vals, x=xs))

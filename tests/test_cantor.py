@@ -234,6 +234,12 @@ class TestMode:
         with pytest.raises(CapabilityError):
             IntervalSet.from_pairs([(Fraction(1, 3**40), 1)])
 
+    def test_exact_build_past_the_lattice_raises(self):
+        # refining the lattice by 5 takes the left endpoint -2**60 past the
+        # int64 headroom, while the right endpoint 0 stays small
+        with pytest.raises(CapabilityError):
+            build_cantor(CantorSpec((-(2**60), 0), (Fraction(1, 5),)))
+
     def test_exact_translate_past_the_lattice_raises(self):
         s = IntervalSet.from_pairs([(0, Fraction(1, 2**60))])
         assert s.translate(1).as_fractions() == [(Fraction(1), 1 + Fraction(1, 2**60))]

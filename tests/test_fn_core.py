@@ -289,3 +289,12 @@ def test_write_csv_table(tmp_path):
     assert data.shape == (11, 4)
     np.testing.assert_array_equal(data[:, 1], 0.5 * data[:, 0] ** 2)
     np.testing.assert_array_equal(data[:, 3], 1.0)
+
+
+@pytest.mark.parametrize("orders", [(), (0, -1), (1, 1)])
+def test_write_csv_table_rejects_bad_orders(tmp_path, orders):
+    f = SmoothFn.polynomial([0.0, 0.0, 0.5], (0, 2))
+    path = tmp_path / "table.csv"
+    with pytest.raises(ArgumentError):
+        write_csv_table(f, path, orders=orders)
+    assert not path.exists()

@@ -102,15 +102,6 @@ def test_tcompose_matches_polynomial_composition(co, ci, x):
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
 
 
-@given(small_coeffs, st.floats(min_value=-1.5, max_value=1.5, allow_nan=False), points)
-def test_taylor_shift(coeffs, dx, x):
-    c = np.asarray(coeffs)
-    shifted = jets.taylor_shift(np.array(c)[:, None], np.array([dx]))[:, 0]
-    val_direct = np.polynomial.polynomial.polyval(x + dx, c)
-    val_shifted = np.polynomial.polynomial.polyval(x, shifted)
-    np.testing.assert_allclose(val_shifted, val_direct, rtol=1e-9, atol=1e-9)
-
-
 def test_exp_neg_inv_positive_side():
     for x in (0.05, 0.4, 1.0, 7.0):
         got = jets.jet_to_derivs(jets.exp_neg_inv(jets.jet_var(x, ORDER)))[:, 0]
