@@ -4,8 +4,9 @@ The package constructs explicit convex functions and plane convex bodies,
 computes infimal convolutions and Minkowski sums by independent routes,
 and verifies the quantitative claims that connect them: curvature
 transfer under infimal convolution, norm control of rotated graphs,
-convex patching with prescribed slope data, hinge smoothing, Cantor-like
-Gauss-image sets, and windowed Hölder-seminorm blow-up.
+convex patching with prescribed slope data, hinge smoothing and
+Cantor-like Gauss-image sets; its windowed Hölder-seminorm estimator is
+so far tested on a synthetic function only.
 """
 
 from . import errors  # noqa: F401

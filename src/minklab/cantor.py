@@ -125,13 +125,13 @@ class IntervalSet:
             hi = [int(fb * den) for _, fb in fracs]
             if any(abs(v) >= _INT_LIMIT for v in lo + hi):
                 raise CapabilityError("exact endpoints overflow the int64 lattice")
-            lo, hi = _merge_int(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
+            lo, hi = _merge(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), True)
             return IntervalSet(lo, hi, den, depth)
         lo = np.array([float(a) for a, _ in pairs])
         hi = np.array([float(b) for _, b in pairs])
         if not np.all(lo <= hi):
             raise ArgumentError("interval with hi < lo or a NaN endpoint")
-        lo, hi = _merge_float(lo, hi)
+        lo, hi = _merge(lo, hi, False)
         return IntervalSet(lo, hi, None, depth)
 
     # -- views -----------------------------------------------------------
@@ -225,33 +225,21 @@ def _meets(blo: np.ndarray, bhi: np.ndarray, lo, hi) -> np.ndarray:
     return (j >= 0) & (bhi[np.maximum(j, 0)] >= lo)
 
 
-def _merge_int(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _merge(lo: np.ndarray, hi: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Sort and merge intervals; float ones closer than the float tolerance join."""
     if lo.size == 0:
         return lo, hi
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     run_hi = np.maximum.accumulate(hi)
-    # a new component starts where lo exceeds the running max of hi
+    # a new component starts where lo exceeds the running max of hi; an
+    # exact merge compares with no tolerance and so needs no temporary
+    reach = run_hi[:-1]
+    if not exact:
+        reach = reach + _FLOAT_TOL * max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
     starts = np.empty(lo.size, dtype=bool)
     starts[0] = True
-    starts[1:] = lo[1:] > run_hi[:-1]
-    idx = np.flatnonzero(starts)
-    out_lo = lo[idx]
-    out_hi = np.maximum.reduceat(run_hi, idx)
-    return out_lo, out_hi
-
-
-def _merge_float(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if lo.size == 0:
-        return lo, hi
-    scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    tol = _FLOAT_TOL * scale
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    run_hi = np.maximum.accumulate(hi)
-    starts = np.empty(lo.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = lo[1:] > run_hi[:-1] + tol
+    starts[1:] = lo[1:] > reach
     idx = np.flatnonzero(starts)
     return lo[idx], np.maximum.reduceat(run_hi, idx)
 
@@ -260,15 +248,17 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.max(np.abs(arr))) if arr.size else 0
 
 
+def _fits(a: IntervalSet, factor: int) -> bool:
+    """Do the exact endpoints of ``a`` times ``factor`` stay on the int64 lattice?"""
+    return max(_max_abs(a.lo), _max_abs(a.hi)) * factor < _INT_LIMIT
+
+
 def _common_lattice(a: IntervalSet, b: IntervalSet) -> tuple[IntervalSet, IntervalSet]:
     """Rescale two sets onto one lattice (or both to floats)."""
     if a.exact and b.exact:
         den = a.den * b.den // math.gcd(a.den, b.den)
         fa, fb = den // a.den, den // b.den
-        if (
-            max(_max_abs(a.lo), _max_abs(a.hi)) * fa < _INT_LIMIT
-            and max(_max_abs(b.lo), _max_abs(b.hi)) * fb < _INT_LIMIT
-        ):
+        if _fits(a, fa) and _fits(b, fb):
             return (
                 IntervalSet(a.lo * fa, a.hi * fa, den, a.depth),
                 IntervalSet(b.lo * fb, b.hi * fb, den, b.depth),
@@ -295,7 +285,7 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
             # is q times an old width, so the side width is an old width
             # times the ratio's numerator: exact, and smaller than the width
             q = fs.denominator
-            if max(_max_abs(current.lo), _max_abs(current.hi)) * q >= _INT_LIMIT:
+            if not _fits(current, q):
                 raise CapabilityError("lattice overflow; reduce depth or simplify ratios")
             den = current.den * q
             lo = current.lo * q
@@ -303,14 +293,14 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
             w_num = (current.hi - current.lo) * fs.numerator
             new_lo = np.concatenate([lo, hi - w_num])
             new_hi = np.concatenate([lo + w_num, hi])
-            new_lo, new_hi = _merge_int(new_lo, new_hi)
+            new_lo, new_hi = _merge(new_lo, new_hi, True)
             current = IntervalSet(new_lo, new_hi, den, step + 1)
         else:
             flo, fhi = _float_ends(current)
             w = (fhi - flo) * float(s)
             new_lo = np.concatenate([flo, fhi - w])
             new_hi = np.concatenate([flo + w, fhi])
-            new_lo, new_hi = _merge_float(new_lo, new_hi)
+            new_lo, new_hi = _merge(new_lo, new_hi, False)
             current = IntervalSet(new_lo, new_hi, None, step + 1)
     return current
 
@@ -320,7 +310,6 @@ def sum_sets(a: IntervalSet, b: IntervalSet, *, chunk_pairs: int = 1 << 22) -> I
     a, b = _common_lattice(a, b)
     if a.lo.size == 0 or b.lo.size == 0:
         return IntervalSet(a.lo[:0], a.hi[:0], a.den)
-    merge = _merge_int if a.exact else _merge_float
     rows_per_chunk = max(1, chunk_pairs // max(1, b.lo.size))
     acc_lo = acc_hi = None
     for start in range(0, a.lo.size, rows_per_chunk):
@@ -328,9 +317,9 @@ def sum_sets(a: IntervalSet, b: IntervalSet, *, chunk_pairs: int = 1 << 22) -> I
         lo = (a.lo[sl][:, None] + b.lo[None, :]).ravel()
         hi = (a.hi[sl][:, None] + b.hi[None, :]).ravel()
         if acc_lo is None:
-            acc_lo, acc_hi = merge(lo, hi)
+            acc_lo, acc_hi = _merge(lo, hi, a.exact)
         else:
-            acc_lo, acc_hi = merge(np.concatenate([acc_lo, lo]), np.concatenate([acc_hi, hi]))
+            acc_lo, acc_hi = _merge(np.concatenate([acc_lo, lo]), np.concatenate([acc_hi, hi]), a.exact)
     return IntervalSet(acc_lo, acc_hi, a.den)
 
 
@@ -378,7 +367,7 @@ def wrap_mod(a: IntervalSet, period: Number) -> IntervalSet:
     if a.exact and fp is not None:
         den = a.den * fp.denominator // math.gcd(a.den, fp.denominator)
         f = den // a.den
-        if max(_max_abs(a.lo), _max_abs(a.hi)) * f < _INT_LIMIT:
+        if _fits(a, f):
             lo, hi, p = a.lo * f, a.hi * f, int(fp * den)
             return _split_at_period(lo, hi, np.floor_divide(lo, p) * p, p, den, a.depth)
     lo, hi = _float_ends(a)
@@ -394,9 +383,9 @@ def _split_at_period(lo, hi, shift, p, den, depth) -> IntervalSet:
     lo, hi = lo - shift, hi - shift
     # an interval shorter than the period crosses p at most once
     wrap = hi > p
-    merge = _merge_float if den is None else _merge_int
-    lo, hi = merge(
+    lo, hi = _merge(
         np.concatenate([lo, np.zeros(np.count_nonzero(wrap), dtype=lo.dtype)]),
         np.concatenate([np.minimum(hi, p), hi[wrap] - p]),
+        den is not None,
     )
     return IntervalSet(lo, hi, den, depth)

@@ -54,6 +54,18 @@ __all__ = [
 ]
 
 TAU = 2.0 * math.pi
+# Curvature at or below this fraction of the largest template curvature
+# is zero: it sets both the curve's ``flat_marks`` and the support's ``flat``.
+_FLAT_TOL = 1e-8
+# Relative tolerance of the float invariant checks (convexity, monotone
+# normals, symmetry, closure, zero-set membership, curvature-radius sign),
+# and the allowed defect of the total turning from 2*pi.
+_VALIDATE_TOL = 1e-9
+_TURNING_TOL = 1e-6
+# Level-1 template edges (halved per level, at least 32) and the sample
+# count of the stage-monotonicity comparison.
+_BASE_EDGES = 512
+_STAGE_GRID_N = 4097
 # grid angles per sweep block times intervals of the rotated set: bounds the
 # sweep's temporaries to a few MB whatever the grid size
 _SWEEP_BLOCK_ELEMS = 1 << 18
@@ -72,7 +84,6 @@ class _Template:
     sm: SmoothingResult
     x: np.ndarray  # sample abscissas in [-d, d], endpoints included
     z: np.ndarray  # complex graph points x + 1j * F(x)
-    slope: np.ndarray
     tau: np.ndarray  # tangent angle arctan(F')
     kappa: np.ndarray  # curvature F'' / (1 + F'^2)^(3/2)
 
@@ -89,7 +100,7 @@ def _build_templates(smoothings: Sequence[SmoothingResult], base_edges: int) -> 
         jet = sm.F.jet(xs, 2)
         val, slope, d2 = jet[0], jet[1], jet[2]
         kappa = d2 / (1.0 + slope * slope) ** 1.5
-        out.append(_Template(m, sm, xs, xs + 1j * val, slope, np.arctan(slope), kappa))
+        out.append(_Template(m, sm, xs, xs + 1j * val, np.arctan(slope), kappa))
     return out
 
 
@@ -152,11 +163,7 @@ def _graph_polyline(
 
 
 def _check_stage_monotone(
-    templates: Sequence[_Template],
-    m_max: int,
-    fp: dict[int, float],
-    *,
-    grid_n: int = 4097,
+    templates: Sequence[_Template], m_max: int, fp: dict[int, float]
 ) -> None:
     """Assert the stage graphs only move up: h_k <= h_{k+1} pointwise.
 
@@ -180,7 +187,7 @@ def _check_stage_monotone(
                     "stage polyline is not a graph over the base segment"
                 )
         hi = min(a.real[-1], b.real[-1])
-        xs = np.linspace(0.0, hi, grid_n)
+        xs = np.linspace(0.0, hi, _STAGE_GRID_N)
         ya = np.interp(xs, a.real, a.imag)
         yb = np.interp(xs, b.real, b.imag)
         tol = 2.0 * sagitta + 1e-12 * (1.0 + hi)
@@ -221,13 +228,13 @@ class CurveAtlas:
     def arc_turn(self) -> float:
         return math.pi / self.n
 
-    def support_data(self, theta, *, flat_tol: float = 1e-8) -> dict[str, np.ndarray]:
+    def support_data(self, theta) -> dict[str, np.ndarray]:
         """Exact boundary point / curvature radius at outward-normal ``theta``.
 
         Returns the complex boundary points (final frame), the curvature
         radius ``rho`` (``inf`` where the touching point is flat), and the
-        flat mask; a point is flat when its template curvature falls below
-        ``flat_tol`` times the template's maximum.  Where ``flat`` is set the
+        flat mask; a point is flat when its template curvature is at most
+        ``_FLAT_TOL`` times the largest one.  Where ``flat`` is set the
         touching set may be a segment, and the point returned is whichever
         point of it the inversion lands on.
         """
@@ -247,7 +254,7 @@ class CurveAtlas:
         rho = np.empty(th.shape, dtype=float)
         flat = np.zeros(th.shape, dtype=bool)
         kappa_max = max(float(np.max(t.kappa)) for t in self.templates)
-        kappa_floor = flat_tol * kappa_max
+        kappa_floor = _FLAT_TOL * kappa_max
         for tpl in self.templates:
             sel = np.nonzero(self.inst_level[k] == tpl.level)[0]
             if sel.size == 0:
@@ -325,34 +332,25 @@ class ConvexCurve:
         rot = z * cmath.exp(1j * TAU / order)
         return float(np.max(np.abs(np.roll(z, -shift) - rot)))
 
-    def validate(
-        self,
-        *,
-        convexity_tol: float = 1e-9,
-        turning_tol: float = 1e-6,
-        monotone_tol: float = 1e-9,
-        straight_run_tol: float = 0.0,
-        normal_sweep_tol: float = 1e-9,
-        symmetry_tol: float = 1e-9,
-    ) -> None:
+    def validate(self, *, straight_run_tol: float = 0.0, normal_sweep_tol: float = 1e-9) -> None:
         e = self.edge_vectors()
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
         scale = np.linalg.norm(e, axis=1) * np.roll(np.linalg.norm(e, axis=1), -1)
-        if np.any(cross < -convexity_tol * scale):
+        if np.any(cross < -_VALIDATE_TOL * scale):
             worst = float(np.min(cross / np.maximum(scale, 1e-300)))
             raise ValidationError(f"boundary is not convex: min cross ratio {worst:.3e}")
         turn = self.total_turning()
-        if abs(turn - TAU) > turning_tol:
+        if abs(turn - TAU) > _TURNING_TOL:
             raise ValidationError(f"total turning {turn!r} is not 2*pi")
         dg = np.diff(self.gauss_angle)
-        if np.any(dg < -monotone_tol):
+        if np.any(dg < -_VALIDATE_TOL):
             raise ValidationError("gauss_angle is not non-decreasing")
         wrap = self.gauss_angle[0] + TAU - self.gauss_angle[-1]
-        if wrap < -monotone_tol:
+        if wrap < -_VALIDATE_TOL:
             raise ValidationError("gauss_angle exceeds one full revolution")
         self._check_straight_runs(straight_run_tol, normal_sweep_tol)
         diam = float(np.max(np.abs(self.boundary)))
-        if self.symmetry_gap() > symmetry_tol * max(diam, 1.0):
+        if self.symmetry_gap() > _VALIDATE_TOL * max(diam, 1.0):
             raise ValidationError(
                 f"boundary is not invariant under rotation by 2*pi/{self.symmetry_order}"
             )
@@ -432,22 +430,22 @@ class GaussZeroSet:
     Z: IntervalSet
     E: list[float]
 
-    def validate(self, *, symmetry_order: int | None = None, tol: float = 1e-9) -> None:
+    def validate(self, *, symmetry_order: int | None = None) -> None:
         ivals = np.asarray(self.Z.as_floats(), dtype=float)
         if ivals.size == 0:
             raise ValidationError("zero set is empty")
         lo, hi = ivals[:, 0], ivals[:, 1]
         for e in self.E:
-            j = np.searchsorted(lo, e + tol) - 1
-            if j < 0 or e < lo[j] - tol or e > hi[j] + tol:
+            j = np.searchsorted(lo, e + _VALIDATE_TOL) - 1
+            if j < 0 or e < lo[j] - _VALIDATE_TOL or e > hi[j] + _VALIDATE_TOL:
                 raise ValidationError(f"entry angle {e!r} lies outside the zero set")
         if symmetry_order is not None and symmetry_order > 1:
             step = TAU / symmetry_order
             rotated = wrap_mod(self.Z.translate(step), TAU)
-            if not _sets_close(rotated, self.Z, tol):
+            if not _sets_close(rotated, self.Z, _VALIDATE_TOL):
                 raise ValidationError("zero set is not rotation invariant")
         mirrored = wrap_mod(self.Z.negate(), TAU)
-        if not _sets_close(mirrored, self.Z, tol):
+        if not _sets_close(mirrored, self.Z, _VALIDATE_TOL):
             raise ValidationError("zero set is not symmetric under angle negation")
 
 
@@ -557,11 +555,6 @@ def assemble_curve(
     f: SmoothFn,
     schedule,
     m_max: int | None = None,
-    *,
-    base_edges: int = 512,
-    flat_tol: float = 1e-8,
-    closure_tol: float = 1e-9,
-    validate: bool = True,
 ) -> tuple[ConvexCurve, GaussZeroSet]:
     """Assemble the closed convex curve of a smoothing schedule.
 
@@ -589,10 +582,9 @@ def assemble_curve(
             f"(got pi/total = {n_float!r}); run the scheduler first"
         )
 
-    templates = _build_templates(sms, base_edges)
+    templates = _build_templates(sms, _BASE_EDGES)
     fp = _footprints(sms, m_max)
-    if validate:
-        _check_stage_monotone(templates, m_max, fp)
+    _check_stage_monotone(templates, m_max, fp)
 
     # --- one arc: instances, polyline, zero structure -------------------
     order = _half_order(m_max) * 2
@@ -637,7 +629,7 @@ def assemble_curve(
         shift[j] = step * shift[j - 1] + pos
     closure = step * shift[-1] + pos
     scale = float(np.max(np.abs(arc_z))) + abs(pos) * copies
-    if abs(closure) > closure_tol * max(scale, 1.0):
+    if abs(closure) > _VALIDATE_TOL * max(scale, 1.0):
         raise ConstructionError(
             f"copies fail to close: gap {abs(closure):.3e} over scale {scale:.3e}"
         )
@@ -659,7 +651,7 @@ def assemble_curve(
     boundary = np.column_stack([final.real, final.imag])
 
     kmax = float(np.max(full_k))
-    flat_marks = np.nonzero(full_k <= flat_tol * kmax)[0]
+    flat_marks = np.nonzero(full_k <= _FLAT_TOL * kmax)[0]
     atlas = CurveAtlas(
         n=n,
         m_max=m_max,
@@ -694,12 +686,11 @@ def assemble_curve(
         E=[float(a) for a in entry_angles],
     )
 
-    if validate:
-        band, band_slope = _flat_band(f, 2.0 * flat_tol * kmax)
-        run_tol = max(2.5 * band + 16.0 * _flat_floor(f), 1e-9 * max(scale, 1.0))
-        sweep_tol = max(4.0 * band_slope, 1e-9)
-        curve.validate(straight_run_tol=run_tol, normal_sweep_tol=sweep_tol)
-        zset.validate(symmetry_order=copies)
+    band, band_slope = _flat_band(f, 2.0 * _FLAT_TOL * kmax)
+    run_tol = max(2.5 * band + 16.0 * _flat_floor(f), 1e-9 * max(scale, 1.0))
+    sweep_tol = max(4.0 * band_slope, 1e-9)
+    curve.validate(straight_run_tol=run_tol, normal_sweep_tol=sweep_tol)
+    zset.validate(symmetry_order=copies)
     return curve, zset
 
 
@@ -747,11 +738,11 @@ class SupportFn:
 
     @classmethod
     def disk(cls, radius: float, center=(0.0, 0.0), *, grid_n: int = 1 << 16) -> "SupportFn":
-        if radius <= 0:
-            raise ArgumentError("radius must be positive")
+        cx, cy = float(center[0]), float(center[1])
+        if not (radius > 0 and np.all(np.isfinite([radius, cx, cy]))):
+            raise ArgumentError(f"disk needs a finite radius > 0 and center: {radius!r}, {center!r}")
         th = cls.grid(grid_n)
         c, s = np.cos(th), np.sin(th)
-        cx, cy = float(center[0]), float(center[1])
         return cls(
             theta=th,
             h=radius + cx * c + cy * s,
@@ -763,8 +754,8 @@ class SupportFn:
 
     @classmethod
     def ellipse(cls, a: float, b: float, *, grid_n: int = 1 << 16) -> "SupportFn":
-        if a <= 0 or b <= 0:
-            raise ArgumentError("semi-axes must be positive")
+        if not (a > 0 and b > 0 and np.all(np.isfinite([a, b]))):
+            raise ArgumentError(f"semi-axes must be positive and finite: {a!r}, {b!r}")
         th = cls.grid(grid_n)
         c, s = np.cos(th), np.sin(th)
         h = np.sqrt(a * a * c * c + b * b * s * s)
@@ -781,9 +772,11 @@ class SupportFn:
 
     @classmethod
     def point(cls, p=(0.0, 0.0), *, grid_n: int = 1 << 16) -> "SupportFn":
+        px, py = float(p[0]), float(p[1])
+        if not np.all(np.isfinite([px, py])):
+            raise ArgumentError(f"point must be finite: {p!r}")
         th = cls.grid(grid_n)
         c, s = np.cos(th), np.sin(th)
-        px, py = float(p[0]), float(p[1])
         h = px * c + py * s
         return cls(
             theta=th,
@@ -817,9 +810,7 @@ class SupportFn:
         )
 
     @classmethod
-    def from_curve(
-        cls, curve: ConvexCurve, *, grid_n: int = 1 << 16, flat_tol: float = 1e-8
-    ) -> "SupportFn":
+    def from_curve(cls, curve: ConvexCurve, *, grid_n: int = 1 << 16) -> "SupportFn":
         """Exact support samples of an assembled curve via its atlas."""
         if curve.atlas is None:
             raise ArgumentError(
@@ -827,7 +818,7 @@ class SupportFn:
                 "assemble_curve"
             )
         th = cls.grid(grid_n)
-        data = curve.atlas.support_data(th, flat_tol=flat_tol)
+        data = curve.atlas.support_data(th)
         w = data["point"]
         phase = np.exp(-1j * th)
         h = np.real(w * phase)
@@ -859,11 +850,11 @@ class SupportFn:
         c, s = np.cos(self.theta), np.sin(self.theta)
         return np.column_stack([self.h * c - self.dh * s, self.h * s + self.dh * c])
 
-    def validate(self, *, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         r = self.rho()
         finite = ~self.flat
         scale = float(np.max(np.abs(self.h))) + 1.0
-        if np.any(r[finite] < -tol * scale):
+        if np.any(r[finite] < -_VALIDATE_TOL * scale):
             raise ValidationError(
                 f"curvature radius h + h'' dips to {float(np.min(r[finite])):.3e}"
             )
@@ -952,11 +943,14 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
     test runs in floats for every angle at once: the first set's endpoints
     are translated by each grid angle, reduced mod 2*pi as :func:`wrap_mod`
     reduces them (an interval at least 2*pi long blocks the angle), and
-    every piece is looked up in the wrapped second set.
+    every piece is looked up in the wrapped second set.  A non-finite grid
+    angle raises :class:`ArgumentError`.
     """
     za = z_a.Z if isinstance(z_a, GaussZeroSet) else z_a
     zb = z_b.Z if isinstance(z_b, GaussZeroSet) else z_b
     grid = np.asarray(angle_grid, dtype=float).ravel()
+    if not np.all(np.isfinite(grid)):
+        raise ArgumentError("rotation angles must be finite")
     blo, bhi = _float_ends(wrap_mod(zb, TAU))
     alo, ahi = _float_ends(za)
     if blo.size == 0 or alo.size == 0:

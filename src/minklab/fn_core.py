@@ -12,10 +12,11 @@ Two kinds exist:
 * ``grid_integrated`` — the function is defined through its second
   derivative: ``f''`` is tabulated on a piecewise-uniform grid and
   integrated twice by composite Simpson quadrature (with stored
-  integration constants).  Between nodes, values of ``f`` and ``f'`` are
-  completed by a 15-point Gauss–Legendre increment from the nearest node
-  below, so no interpolation error enters; orders >= 2 are delegated to
-  the closed-form second-derivative rule.
+  integration constants).  Between nodes, ``f`` comes from quintic
+  Hermite interpolation of the bracketing nodes' ``(f, f', f'')``, with
+  error O(h^6), and ``f'`` from cubic Hermite interpolation of their
+  ``(f', f'')``, with error O(h^4); orders >= 2 are delegated to the
+  closed-form second-derivative rule.
 """
 
 from __future__ import annotations
@@ -46,14 +47,14 @@ __all__ = [
 Interval = tuple[float, float]
 
 
-def _as_interval(interval, *, allow_point: bool = False) -> Interval:
+def _as_interval(interval) -> Interval:
     try:
         lo, hi = float(interval[0]), float(interval[1])
     except (TypeError, ValueError, IndexError) as exc:
         raise ArgumentError(f"not an interval: {interval!r}") from exc
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise ArgumentError(f"interval must be finite: {interval!r}")
-    if hi < lo or (hi == lo and not allow_point):
+    if hi <= lo:
         raise ArgumentError(f"empty interval: {interval!r}")
     return lo, hi
 
@@ -92,7 +93,8 @@ class SmoothFn:
         scalar = np.ndim(x) == 0
         lo, hi = self.domain
         slack = 1e-9 * (1.0 + abs(lo) + abs(hi))
-        if arr.size and ((arr.min() < lo - slack) or (arr.max() > hi + slack)):
+        # written so that a NaN point fails the test too
+        if arr.size and not (arr.min() >= lo - slack and arr.max() <= hi + slack):
             raise ArgumentError(
                 f"evaluation point outside domain [{lo!r}, {hi!r}]: "
                 f"range [{arr.min()!r}, {arr.max()!r}]"

@@ -81,6 +81,10 @@ _MAX_HALVINGS = 40
 _NORM_GRID_N = 2049
 # Sample count of the value/slope/curvature grid of the smoothing JSON.
 _JSON_GRID_N = 513
+# Relative tolerance of the ``eps`` inversion.
+_EPS_RTOL = 1e-12
+# Probe count of the search for the profile's flat start.
+_PROBE_N = 4096
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,7 @@ def transport_series(
 # ---------------------------------------------------------------------------
 
 
-def solve_epsilon(f: SmoothFn, gamma: float, *, rtol: float = 1e-12) -> float:
+def solve_epsilon(f: SmoothFn, gamma: float) -> float:
     """The unique ``eps`` with ``f'(4 eps) = tan(gamma)``.
 
     Requires ``tan(gamma)`` inside the range of ``f'``; also verifies the
@@ -289,7 +293,7 @@ def solve_epsilon(f: SmoothFn, gamma: float, *, rtol: float = 1e-12) -> float:
     def slope(x):
         return f.jet(x, 1)[1]
 
-    x4 = float(invert_monotone(slope, None, np.array([tan_g]), lo, hi, rtol=rtol)[0])
+    x4 = float(invert_monotone(slope, None, np.array([tan_g]), lo, hi, rtol=_EPS_RTOL)[0])
     eps = x4 / 4.0
     probe = 2.0 * eps / math.cos(gamma)
     if probe <= hi and _slope(f, probe) > tan_g * (1.0 + 1e-12):
@@ -385,10 +389,10 @@ def _window_0_area(eps, d):
 # ---------------------------------------------------------------------------
 
 
-def _flat_floor(f: SmoothFn, probe_n: int = 4096) -> float:
+def _flat_floor(f: SmoothFn) -> float:
     """Largest probe point below which the profile curvature vanishes."""
     lo, hi = f.domain
-    xs = np.geomspace(max(hi, 1.0) * 1e-13, hi, probe_n)
+    xs = np.geomspace(max(hi, 1.0) * 1e-13, hi, _PROBE_N)
     pos = f.jet(xs, 2)[2] > 0.0
     if not pos.any():
         raise ValidationError("profile has no positive curvature at all")

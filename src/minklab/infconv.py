@@ -58,6 +58,12 @@ _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
 # scan points per column block of the direct route: bounds the scan's
 # temporaries to a few MB whatever ``scan_n * grid_n``
 _SCAN_BLOCK_ELEMS = 1 << 18
+# Node count and relative tolerance of the discrete convexity guard.
+_CONVEXITY_GRID_N = 2049
+_CONVEXITY_TOL = 1e-9
+# Largest stationarity residual of the minimizer map, relative to the
+# matched slope scale ``1 + |f'(mu)|``.
+_RESIDUAL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -65,22 +71,23 @@ _SCAN_BLOCK_ELEMS = 1 << 18
 # ---------------------------------------------------------------------------
 
 
-def check_convexity(fn: SmoothFn, *, grid_n: int = 2049, tol: float = 1e-9) -> None:
+def check_convexity(fn: SmoothFn) -> None:
     """Raise :class:`ValidationError` unless ``fn`` looks convex on a grid.
 
-    The test is on discrete second differences, so concavity smaller than
-    ``tol * scale / dx^2`` cannot be detected; it is a guard against passing
-    outright non-convex inputs, not a proof.
+    The test is on discrete second differences over ``_CONVEXITY_GRID_N``
+    nodes, so concavity smaller than ``_CONVEXITY_TOL * scale / dx^2``
+    cannot be detected; it is a guard against passing outright non-convex
+    inputs, not a proof.
     """
-    xs = np.linspace(fn.domain[0], fn.domain[1], grid_n)
+    xs = np.linspace(fn.domain[0], fn.domain[1], _CONVEXITY_GRID_N)
     vals = fn.eval(xs)
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     scale = 1.0 + float(np.max(np.abs(vals)))
     worst = float(np.min(second)) if second.size else 0.0
-    if worst < -tol * scale:
+    if worst < -_CONVEXITY_TOL * scale:
         raise ValidationError(
             f"{fn.name or 'input'} fails discrete convexity: min second "
-            f"difference {worst:.3e} over {grid_n} nodes on {fn.domain}"
+            f"difference {worst:.3e} over {_CONVEXITY_GRID_N} nodes on {fn.domain}"
         )
 
 
@@ -146,7 +153,7 @@ class SmoothnessDiag:
 # ---------------------------------------------------------------------------
 
 
-def minimizer_map(f: SmoothFn, g: SmoothFn, x, *, residual_tol: float = 1e-9) -> np.ndarray:
+def minimizer_map(f: SmoothFn, g: SmoothFn, x) -> np.ndarray:
     """Solve ``f'(mu) = g'(x - mu)`` for each ``x``, vectorized.
 
     The slope mismatch ``y -> f'(y) - g'(x - y)`` is nondecreasing for
@@ -154,7 +161,7 @@ def minimizer_map(f: SmoothFn, g: SmoothFn, x, *, residual_tol: float = 1e-9) ->
     :func:`~minklab.fn_core.invert_monotone`) applies.  Raises
     :class:`~minklab.errors.RootBracketError` when some ``x`` has no sign
     change (minimizer pinned to the window edge) or when the residual stays
-    above ``residual_tol`` relative to the matched slope scale.
+    above ``_RESIDUAL_TOL`` relative to the matched slope scale.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
@@ -166,11 +173,11 @@ def minimizer_map(f: SmoothFn, g: SmoothFn, x, *, residual_tol: float = 1e-9) ->
     mu = invert_monotone(slope_gap, None, np.zeros(xs.shape), ylo, yhi)
     resid = np.abs(slope_gap(mu))
     scale = 1.0 + np.abs(f.jet(mu, 1)[1])
-    if np.any(resid > residual_tol * scale):
+    if np.any(resid > _RESIDUAL_TOL * scale):
         worst = int(np.argmax(resid / scale))
         raise RootBracketError(
             f"stationarity residual {resid[worst]:.3e} at x={xs[worst]!r} "
-            f"exceeds tolerance {residual_tol:g}"
+            f"exceeds tolerance {_RESIDUAL_TOL:g}"
         )
     return float(mu[0]) if scalar else mu
 

@@ -51,6 +51,24 @@ __all__ = [
     "decay_acceleration",
 ]
 
+# Least quadratic coefficient of -log2 of decaying values that counts as
+# accelerating decay (slope schedules and series coefficients alike), the
+# largest one of log2 of the piece norms that counts as exponential growth,
+# and the cap of a pliable series' accumulation constant L.
+_DECAY_Q_MIN = 0.01
+_GROWTH_Q_MAX = 0.05
+_L_CAP = 64.0
+# Samples per support of the piece norms and of the partial-sum slices.
+_NORM_GRID_N = 2049
+# The bump's derivative order and partition-certificate samples; Simpson
+# intervals of each gluing quadrature; the built profile's derivative order
+# and grid intervals per piece.
+_BUMP_MAX_ORDER = 10
+_CERT_GRID_N = 512
+_QUAD_N = 4096
+_MAX_ORDER = 8
+_NODES_PER_PIECE = 1 << 14
+
 
 # ---------------------------------------------------------------------------
 # bump system
@@ -88,7 +106,7 @@ def dyadic_partition_residual(xs: np.ndarray) -> float:
     return worst
 
 
-def make_bump_system(*, max_order: int = 10, cert_grid_n: int = 512) -> BumpSystem:
+def make_bump_system() -> BumpSystem:
     """Build the normalized bump and record its partition certificate."""
 
     def jet_fn(x, order):
@@ -96,8 +114,8 @@ def make_bump_system(*, max_order: int = 10, cert_grid_n: int = 512) -> BumpSyst
 
     # the bump vanishes identically outside (2/3, 3/2); a generous domain
     # lets callers probe neighboring dyadic scales directly
-    psi = SmoothFn.from_jet_fn((1.0 / 64.0, 16.0), max_order, jet_fn, name="psi")
-    xs = np.geomspace(1e-3, 3.0, cert_grid_n)
+    psi = SmoothFn.from_jet_fn((1.0 / 64.0, 16.0), _BUMP_MAX_ORDER, jet_fn, name="psi")
+    xs = np.geomspace(1e-3, 3.0, _CERT_GRID_N)
     residual = dyadic_partition_residual(xs)
     return BumpSystem(
         psi=psi, integral=bumps.psi_integral(), partition_residual=residual
@@ -160,7 +178,7 @@ class SlopeSchedule:
         if np.any(np.diff(weighted) >= 0):
             raise ValidationError("2**k b_k must be strictly decreasing")
         q, _, _ = decay_acceleration(b)
-        if q <= 0.01:
+        if q <= _DECAY_Q_MIN:
             raise ValidationError(
                 f"slope decay is not accelerating (quadratic coefficient "
                 f"{q:.4g}); a faster-than-exponential schedule is required"
@@ -239,8 +257,6 @@ class PatchedConvex:
     B: np.ndarray
     D: np.ndarray
     schedule: SlopeSchedule
-    family: Callable[[int], SmoothFn]
-    family_bounds: np.ndarray
     d_quadrature_gap: float
     series: PliableSeries
 
@@ -263,16 +279,11 @@ def _even_product_rows(family_k: SmoothFn, tk: float, k: int, xs: np.ndarray, or
 def build_patched_convex(
     schedule: SlopeSchedule,
     family: Callable[[int], SmoothFn],
-    *,
-    quad_n: int = 4096,
-    nodes_per_piece: int = 1 << 14,
-    max_order: int = 8,
-    bound_order: int = 6,
 ) -> PatchedConvex:
     """Run the gluing construction for a slope schedule and profile family.
 
     Per level the three quadratures are computed by composite Simpson with
-    ``quad_n`` intervals over the exact supports; the correction weights
+    ``_QUAD_N`` intervals over the exact supports; the correction weights
 
         alpha_k = (b_{k-1} (1 - B_k) - b_k (1 + A_k)) / D_k
 
@@ -304,15 +315,15 @@ def build_patched_convex(
     d_gap = 0.0
     for k in range(1, k_max + 1):
         tk = t[k]
-        xs = np.linspace(tk, _EVEN_SUPPORT[1] * tk, quad_n + 1)
+        xs = np.linspace(tk, _EVEN_SUPPORT[1] * tk, _QUAD_N + 1)
         vals = _even_product_rows(fams[k], tk, k, xs, 0)[0]
         A[k] = _simpson_on(vals, xs)
 
-        xs = np.linspace(2.0 * _ODD_SUPPORT[0] * tk, 4.0 * tk, quad_n + 1)
+        xs = np.linspace(2.0 * _ODD_SUPPORT[0] * tk, 4.0 * tk, _QUAD_N + 1)
         vals = _even_product_rows(fams[k - 1], t[k - 1], k - 1, xs, 0)[0]
         B[k] = _simpson_on(vals, xs)
 
-        xs = np.linspace(_ODD_SUPPORT[0] * tk, _ODD_SUPPORT[1] * tk, quad_n + 1)
+        xs = np.linspace(_ODD_SUPPORT[0] * tk, _ODD_SUPPORT[1] * tk, _QUAD_N + 1)
         vals = jets.jet_to_derivs(bumps.psi_scaled_jet(xs, 2 * k - 1, 0))[0]
         D[k] = _simpson_on(vals, xs)
         d_gap = max(d_gap, abs(D[k] - 2.0 * tk * psi_int) / (2.0 * tk * psi_int))
@@ -367,19 +378,12 @@ def build_patched_convex(
         d2_jet,
         value0=0.0,
         slope0=0.0,
-        max_order=max_order,
-        nodes_per_piece=nodes_per_piece,
+        max_order=_MAX_ORDER,
+        nodes_per_piece=_NODES_PER_PIECE,
         name=f"patched[K={K}]",
     )
 
-    family_bounds = np.zeros(bound_order + 1)
-    for k in levels:
-        tk = t[k]
-        xs = np.linspace(-tk, tk, 1025)
-        rows = np.abs(fams[k].jet(xs, bound_order))
-        family_bounds = np.maximum(family_bounds, rows.max(axis=1))
-
-    series = _assemble_series(b, t, alpha, fams, levels, hi_end, max_order)
+    series = _assemble_series(b, t, alpha, fams, levels, hi_end)
 
     return PatchedConvex(
         f=f,
@@ -390,14 +394,12 @@ def build_patched_convex(
         B=B[K:],
         D=D[K:],
         schedule=schedule,
-        family=family,
-        family_bounds=family_bounds,
         d_quadrature_gap=d_gap,
         series=series,
     )
 
 
-def _assemble_series(b, t, alpha, fams, levels, hi_end, max_order) -> PliableSeries:
+def _assemble_series(b, t, alpha, fams, levels, hi_end) -> PliableSeries:
     """Split the assembled second derivative into coefficient * unit piece."""
     coeffs: list[float] = []
     pieces: list[SmoothFn] = []
@@ -421,7 +423,7 @@ def _assemble_series(b, t, alpha, fams, levels, hi_end, max_order) -> PliableSer
 
         coeffs.append(float(alpha[k]))
         pieces.append(
-            SmoothFn.from_jet_fn(interval, max_order, odd_jet, name=f"piece[{2 * k - 1}]")
+            SmoothFn.from_jet_fn(interval, _MAX_ORDER, odd_jet, name=f"piece[{2 * k - 1}]")
         )
         supports.append((lo_o, hi_o))
         indices.append(2 * k - 1)
@@ -442,7 +444,7 @@ def _assemble_series(b, t, alpha, fams, levels, hi_end, max_order) -> PliableSer
 
         coeffs.append(float(b[k]) * sup)
         pieces.append(
-            SmoothFn.from_jet_fn(interval, max_order, even_jet, name=f"piece[{2 * k}]")
+            SmoothFn.from_jet_fn(interval, _MAX_ORDER, even_jet, name=f"piece[{2 * k}]")
         )
         supports.append((lo_e, hi_e))
         indices.append(2 * k)
@@ -488,21 +490,18 @@ def check_pliable(
     ps: PliableSeries,
     r_max: int,
     eps_grid: Sequence[float],
-    *,
-    decay_q_min: float = 0.01,
-    growth_q_max: float = 0.05,
-    l_cap: float = 64.0,
-    norm_grid_n: int = 2049,
 ) -> PliabilityReport:
     """Verify the pliability conditions on a stored finite series.
 
     (i) positive coefficients whose decay accelerates (quadratic
-    coefficient of ``-log2 c`` above ``decay_q_min``); (ii) piece norms
+    coefficient of ``-log2 c`` above ``_DECAY_Q_MIN``); (ii) piece norms
     growing at most exponentially in the index for every ``r <= r_max``
-    (no significant acceleration); (iii) for each ``eps``, the pieces
-    meeting the annulus ``eps <= |x - base| <= 2 eps`` are few and deep:
-    their count and their ``-log2(eps)/index`` must share a finite bound
-    ``L``, reported and capped by ``l_cap``.
+    (quadratic coefficient of ``log2`` of the norms at most
+    ``_GROWTH_Q_MAX``); (iii) for each ``eps``, the pieces meeting the
+    annulus ``eps <= |x - base| <= 2 eps`` are few and deep: their count
+    and their ``-log2(eps)/index`` must share a finite bound ``L``,
+    reported and capped by ``_L_CAP``.  Each piece is normed on a
+    ``_NORM_GRID_N``-point grid over its support.
     """
     violations: list[str] = []
 
@@ -515,10 +514,10 @@ def check_pliable(
         q, crossings = math.inf, {}
     else:
         q, _, crossings = decay_acceleration(ps.coeffs)
-        if q <= decay_q_min:
+        if q <= _DECAY_Q_MIN:
             violations.append(
                 f"coefficient decay is not accelerating (quadratic "
-                f"coefficient {q:.4g} <= {decay_q_min})"
+                f"coefficient {q:.4g} <= {_DECAY_Q_MIN})"
             )
 
     norm_growth: dict[int, tuple[float, float]] = {}
@@ -527,7 +526,7 @@ def check_pliable(
         # sample each piece over its own support: a grid over the whole
         # interval would step right over the deep, narrow ones
         lo_s, hi_s = ps.supports[i]
-        per = cr_norm(g, r_max, (float(lo_s), float(hi_s)), grid_n=norm_grid_n).per_order
+        per = cr_norm(g, r_max, (float(lo_s), float(hi_s)), grid_n=_NORM_GRID_N).per_order
         per_piece[i] = np.cumsum(per)
     for r in range(r_max + 1):
         norms = per_piece[:, r]
@@ -542,10 +541,10 @@ def check_pliable(
         coef = np.polyfit(idx, np.log2(norms), 2)
         qg, rate = float(coef[0]), float(coef[1])
         norm_growth[r] = (rate, qg)
-        if qg > growth_q_max:
+        if qg > _GROWTH_Q_MAX:
             violations.append(
                 f"C^{r} norms of the pieces grow faster than exponentially "
-                f"(quadratic coefficient {qg:.4g} > {growth_q_max})"
+                f"(quadratic coefficient {qg:.4g} > {_GROWTH_Q_MAX})"
             )
 
     length = ps.interval[1] - ps.interval[0]
@@ -571,9 +570,9 @@ def check_pliable(
         if eps < 1.0:
             for j in ps.indices[hits]:
                 L_req = max(L_req, -math.log2(eps) / float(j))
-    if L_req > l_cap:
+    if L_req > _L_CAP:
         violations.append(
-            f"accumulation constant {L_req:.3g} exceeds the cap {l_cap}"
+            f"accumulation constant {L_req:.3g} exceeds the cap {_L_CAP}"
         )
 
     return PliabilityReport(
@@ -602,7 +601,6 @@ def partial_sum_convergence(
     *,
     depth_lo: int | None = None,
     depth_hi: int | None = None,
-    grid_n: int = 2049,
 ) -> TailNormReport:
     """C^r norm of the series slice between two truncation depths.
 
@@ -623,7 +621,7 @@ def partial_sum_convergence(
 
     xs = np.unique(
         np.concatenate(
-            [np.linspace(s_lo, s_hi, grid_n) for s_lo, s_hi in ps.supports[lo:hi]]
+            [np.linspace(s_lo, s_hi, _NORM_GRID_N) for s_lo, s_hi in ps.supports[lo:hi]]
         )
     )
     rows = np.zeros((r + 1, xs.size))

@@ -47,6 +47,10 @@ __all__ = [
     "cr_bound_check",
 ]
 
+# Sample count of the graph check of a rotation and of the norms that
+# ``cr_bound_check`` compares.
+_CHECK_N = 4097
+
 
 @dataclass(frozen=True)
 class RotatedFn:
@@ -64,11 +68,11 @@ class RotatedFn:
     f_phi: SmoothFn
 
 
-def rotate_graph(f: SmoothFn, phi: float, *, check_n: int = 4097) -> RotatedFn:
+def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
     """Rotate the graph of ``f`` by ``phi`` (radians, counterclockwise).
 
     Raises :class:`~minklab.errors.RotationTooLargeError` when
-    ``cos(phi) - f' sin(phi)`` fails to stay positive on a ``check_n``-point
+    ``cos(phi) - f' sin(phi)`` fails to stay positive on a ``_CHECK_N``-point
     grid, i.e. when the rotated set is no longer the graph of a function.
     """
     phi = float(phi)
@@ -77,7 +81,7 @@ def rotate_graph(f: SmoothFn, phi: float, *, check_n: int = 4097) -> RotatedFn:
     lo, hi = f.domain
 
     if f.max_order >= 1:
-        grid = np.linspace(lo, hi, check_n)
+        grid = np.linspace(lo, hi, _CHECK_N)
         rprime = c - f.jet(grid, 1)[1] * s
         worst = float(rprime.min())
         if worst <= 0.0:
@@ -167,8 +171,6 @@ def cr_bound_check(
     f: SmoothFn,
     phi_set: Sequence[float],
     r: int,
-    *,
-    grid_n: int = 4097,
 ) -> CrBoundReport:
     """Check the explicit ``C^r`` bound for rotated graphs at each angle.
 
@@ -189,7 +191,7 @@ def cr_bound_check(
     if r < 0:
         raise ArgumentError("r must be >= 0")
     top = max(r, 2 * r - 1) if r >= 1 else 0
-    per = cr_norm(f, top, grid_n=grid_n).per_order
+    per = cr_norm(f, top, grid_n=_CHECK_N).per_order
     norms = np.cumsum(per)
     lo, hi = f.domain
     diameter = max(hi, 0.0) - min(lo, 0.0)
@@ -210,7 +212,7 @@ def cr_bound_check(
         hypothesis_value = (s_abs / c) * norms[r] if c > 0 else math.inf
 
         rf = rotate_graph(f, phi)
-        measured = cr_norm(rf.f_phi, r, grid_n=grid_n).value
+        measured = cr_norm(rf.f_phi, r, grid_n=_CHECK_N).value
 
         bound = diameter + norms[0]
         for i in range(r):

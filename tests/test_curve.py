@@ -383,6 +383,36 @@ def test_point_summand_translates():
     assert np.allclose(s.rho(), e.rho(), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SupportFn.disk(math.nan, grid_n=64),
+        lambda: SupportFn.disk(math.inf, grid_n=64),
+        lambda: SupportFn.disk(1.0, center=(math.nan, 0.0), grid_n=64),
+        lambda: SupportFn.ellipse(math.nan, 1.0, grid_n=64),
+        lambda: SupportFn.ellipse(1.0, math.inf, grid_n=64),
+        lambda: SupportFn.point((0.0, math.nan), grid_n=64),
+        lambda: rotations_avoiding_zero_sets(
+            IntervalSet.from_pairs([(0.0, 0.1)]),
+            IntervalSet.from_pairs([(0.0, 0.1)]),
+            [0.0, math.nan, 1.0],
+        ),
+    ],
+    ids=[
+        "disk-nan",
+        "disk-inf",
+        "disk-center",
+        "ellipse-nan",
+        "ellipse-inf",
+        "point",
+        "sweep-angle",
+    ],
+)
+def test_non_finite_parameters_raise_argument_error(call):
+    with pytest.raises(ArgumentError):
+        call()
+
+
 def test_minkowski_sum_rejects_grid_mismatch():
     with pytest.raises(ArgumentError):
         minkowski_sum(SupportFn.disk(1.0, grid_n=256), SupportFn.disk(1.0, grid_n=512))

@@ -20,6 +20,7 @@ from minklab.fn_core import (
     invert_monotone,
     write_csv_table,
 )
+from minklab.infconv import minimizer_map
 
 
 def sin_fn(domain=(0.0, math.pi), max_order=8) -> SmoothFn:
@@ -103,6 +104,25 @@ class TestCrNorm:
             cr_norm(f, 3)
         with pytest.raises(ArgumentError):
             cr_norm(f, 1, (0.7, 0.2))
+
+
+_QUAD = SmoothFn.polynomial([0.0, 0.0, 1.0], (-1.0, 1.0), name="quad")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _QUAD.jet(math.nan, 2),
+        lambda: _QUAD.jet(np.array([0.1, math.nan]), 1),
+        lambda: _QUAD.eval(math.nan),
+        lambda: _QUAD.eval(np.array([math.nan, 0.5]), 1),
+        lambda: minimizer_map(_QUAD, _QUAD, math.nan),
+    ],
+    ids=["jet", "jet-array", "eval", "eval-array", "minimizer-map"],
+)
+def test_nan_point_raises_argument_error(call):
+    with pytest.raises(ArgumentError):
+        call()
 
 
 class TestHolder:
