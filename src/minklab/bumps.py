@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import jet_var, smoothstep_jet, tmul
+from .jets import jet_var, smoothstep_jet, tdiv, tmul
 
 __all__ = [
     "PSI_SUPPORT",
@@ -87,13 +87,7 @@ def psi_jet(x, order: int) -> np.ndarray:
     inside = raw[0] > 0.0
     norm = _normalizer_jet(x, order)
     norm[0] = np.where(inside, norm[0], 1.0)
-    out = np.zeros_like(raw)
-    for k in range(order + 1):
-        acc = np.array(raw[k], copy=True)
-        for j in range(1, k + 1):
-            acc -= norm[j] * out[k - j]
-        out[k] = np.where(inside, acc / norm[0], 0.0)
-    return out
+    return np.where(inside, tdiv(raw, norm), 0.0)
 
 
 def psi_scaled_jet(x, scale_log2: int, order: int) -> np.ndarray:

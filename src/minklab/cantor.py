@@ -184,6 +184,8 @@ class IntervalSet:
             return IntervalSet.from_pairs(
                 [(a + fc, b + fc) for a, b in self.as_fractions()], depth=self.depth
             )
+        if fc is None and math.isnan(float(c)):
+            raise ArgumentError("shift is NaN")
         lo, hi = _float_ends(self)
         return IntervalSet(lo + float(c), hi + float(c), None, self.depth)
 

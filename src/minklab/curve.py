@@ -435,10 +435,13 @@ class GaussZeroSet:
         if ivals.size == 0:
             raise ValidationError("zero set is empty")
         lo, hi = ivals[:, 0], ivals[:, 1]
-        for e in self.E:
-            j = np.searchsorted(lo, e + _VALIDATE_TOL) - 1
-            if j < 0 or e < lo[j] - _VALIDATE_TOL or e > hi[j] + _VALIDATE_TOL:
-                raise ValidationError(f"entry angle {e!r} lies outside the zero set")
+        e = np.asarray(self.E, dtype=float)
+        j = np.searchsorted(lo, e + _VALIDATE_TOL) - 1
+        jc = np.maximum(j, 0)
+        inside = (j >= 0) & (e >= lo[jc] - _VALIDATE_TOL) & (e <= hi[jc] + _VALIDATE_TOL)
+        if not np.all(inside):
+            bad = float(e[np.argmin(inside)])
+            raise ValidationError(f"entry angle {bad!r} lies outside the zero set")
         if symmetry_order is not None and symmetry_order > 1:
             step = TAU / symmetry_order
             rotated = wrap_mod(self.Z.translate(step), TAU)
@@ -674,16 +677,11 @@ def assemble_curve(
     )
 
     # --- zero-curvature angle structure ---------------------------------
-    arc_marks = inst_gauss  # junction angles of one arc, [0, pi/n]
-    zero_angles = np.concatenate(
-        [arc_marks[:-1] + j * arc for j in range(copies)]
-    )
-    entry_angles = np.concatenate(
-        [inst_gauss[:-1] + j * arc for j in range(copies)]
-    )
+    # every junction is both a zero-curvature angle and an entry angle
+    junctions = np.concatenate([inst_gauss[:-1] + j * arc for j in range(copies)])
     zset = GaussZeroSet(
-        Z=IntervalSet.from_pairs([(a, a) for a in np.sort(zero_angles)]),
-        E=[float(a) for a in entry_angles],
+        Z=IntervalSet.from_pairs([(a, a) for a in np.sort(junctions)]),
+        E=[float(a) for a in junctions],
     )
 
     band, band_slope = _flat_band(f, 2.0 * _FLAT_TOL * kmax)
@@ -793,6 +791,8 @@ class SupportFn:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ArgumentError("polygon needs an (N, 2) vertex array")
+        if not np.all(np.isfinite(v)):
+            raise ArgumentError("polygon vertices must be finite")
         th = cls.grid(grid_n)
         u = np.column_stack([np.cos(th), np.sin(th)])
         prods = u @ v.T

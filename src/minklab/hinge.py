@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import simpson
@@ -48,7 +47,6 @@ from .errors import (
 )
 from .export import write_json
 from .fn_core import GridIntegratedFn, SmoothFn, cr_norm, invert_monotone
-from .patching import PliableSeries
 from .rotated_graph import rotate_graph
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "SmoothingResult",
     "HingeSchedule",
     "place_profiles",
-    "transport_series",
     "solve_epsilon",
     "solve_b_eps",
     "build_smoothing",
@@ -196,76 +193,6 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
         (-f_u.domain[1], -f_u.domain[0]), f_u.max_order, mirror_jet, name="f_v"
     )
     return f_u, f_v
-
-
-def transport_series(
-    ps: PliableSeries, f: SmoothFn, d: float, gamma: float
-) -> PliableSeries:
-    """Transport a curvature series through the left-profile placement.
-
-    :func:`place_profiles` sends a base abscissa ``x`` to
-
-        m(x) = (x - d/cos(gamma)) * cos(gamma) + f(x) * sin(gamma),
-
-    the abscissa of the translated-then-rotated graph point, so a series
-    representing ``f''`` that accumulates at 0 becomes a series for
-    ``f_u''`` accumulating exactly at ``-d``.  Each transported piece is
-    ``(p / m'**3) o m^{-1}`` — the chain factor of second derivatives
-    under the graph rotation — so the coefficient-weighted sum of the
-    transported pieces reproduces ``f_u''`` identically on the transported
-    supports, while coefficients, indices, and the accumulation structure
-    survive unchanged.
-    """
-    if d <= 0.0:
-        raise ArgumentError("half-width d must be positive")
-    if not 0.0 < gamma < math.pi / 3.0:
-        raise ArgumentError("gamma must lie in (0, pi/3)")
-    c = math.cos(gamma)
-    s = math.sin(gamma)
-    shift = d / c
-
-    def m_map(x):
-        x = np.asarray(x, dtype=float)
-        return (x - shift) * c + f.eval(x) * s
-
-    def transported_piece(piece: SmoothFn, slo: float, shi: float) -> SmoothFn:
-        order_cap = min(piece.max_order, f.max_order - 1)
-
-        def jet_fn(y, order):
-            x = invert_monotone(m_map, None, y, slo, shi, rtol=1e-14)
-            pj = jets.derivs_to_jet(piece.jet(x, order))
-            fc = jets.derivs_to_jet(f.jet(x, order + 1))
-            lift = np.arange(1, order + 2).reshape((order + 1,) + (1,) * (fc.ndim - 1))
-            mp = s * fc[1:] * lift
-            mp[0] += c
-            mp3 = jets.tmul(jets.tmul(mp, mp), mp)
-            return jets.quotient_derivs(jets.tdiv(pj, mp3), mp)
-
-        dom = (
-            float(m_map(np.array([slo]))[0]),
-            float(m_map(np.array([shi]))[0]),
-        )
-        return SmoothFn.from_jet_fn(
-            dom, order_cap, jet_fn, name=f"placed[{piece.name or 'piece'}]"
-        )
-
-    supports = m_map(ps.supports.ravel()).reshape(ps.supports.shape)
-    pieces = [
-        transported_piece(p, float(slo), float(shi))
-        for p, (slo, shi) in zip(ps.pieces, ps.supports)
-    ]
-    lo_i, hi_i = ps.interval
-    return PliableSeries(
-        coeffs=ps.coeffs.copy(),
-        pieces=pieces,
-        supports=supports,
-        indices=ps.indices.copy(),
-        base_point=float(m_map(np.array([ps.base_point]))[0]),
-        interval=(
-            float(m_map(np.array([lo_i]))[0]),
-            float(m_map(np.array([hi_i]))[0]),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

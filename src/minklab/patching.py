@@ -13,13 +13,6 @@ correction weights ``alpha_k`` are solved in closed form from three
 quadratures per level so that integrating twice from 0 yields
 ``f'(t_k) = b_k`` exactly; the construction fails if no starting level
 makes every ``alpha_k`` positive.
-
-The same series, with its coefficients split off and its pieces
-normalized, is exported as a :class:`PliableSeries` — a series whose
-coefficients decay super-exponentially while the pieces' supports march
-into the base point in a controlled way.  :func:`check_pliable` verifies
-those conditions numerically and :func:`partial_sum_convergence` measures
-tail norms.
 """
 
 from __future__ import annotations
@@ -33,33 +26,22 @@ from scipy.integrate import simpson
 
 from . import bumps, jets
 from .errors import ArgumentError, ConstructionError, ValidationError
-from .fn_core import GridIntegratedFn, SmoothFn, cr_norm
+from .fn_core import GridIntegratedFn, SmoothFn
 
 __all__ = [
     "BumpSystem",
     "SlopeSchedule",
     "PatchedConvex",
-    "PliableSeries",
-    "PliabilityReport",
-    "TailNormReport",
     "make_bump_system",
     "quadratic_profile_family",
     "quartic_profile_family",
     "build_patched_convex",
-    "check_pliable",
-    "partial_sum_convergence",
     "decay_acceleration",
 ]
 
-# Least quadratic coefficient of -log2 of decaying values that counts as
-# accelerating decay (slope schedules and series coefficients alike), the
-# largest one of log2 of the piece norms that counts as exponential growth,
-# and the cap of a pliable series' accumulation constant L.
+# Least quadratic coefficient of -log2 of the slopes that counts as
+# accelerating decay.
 _DECAY_Q_MIN = 0.01
-_GROWTH_Q_MAX = 0.05
-_L_CAP = 64.0
-# Samples per support of the piece norms and of the partial-sum slices.
-_NORM_GRID_N = 2049
 # The bump's derivative order and partition-certificate samples; Simpson
 # intervals of each gluing quadrature; the built profile's derivative order
 # and grid intervals per piece.
@@ -229,23 +211,6 @@ _ODD_SUPPORT = (2.0 * bumps.PSI_SUPPORT[0], 2.0 * bumps.PSI_SUPPORT[1])  # times
 
 
 @dataclass(frozen=True)
-class PliableSeries:
-    """A coefficient/piece split of a locally finite series on ``J``.
-
-    ``coeffs[i]`` weights ``pieces[i]`` (normalized to unit sup), whose
-    support is ``supports[i]``; ``indices[i]`` is the dyadic index used in
-    the accumulation condition ``2**(-index * L) <= eps``.
-    """
-
-    coeffs: np.ndarray
-    pieces: list[SmoothFn]
-    supports: np.ndarray
-    indices: np.ndarray
-    base_point: float
-    interval: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class PatchedConvex:
     """Result of the slope-gluing construction on ``[0, 3 t_K]``."""
 
@@ -258,7 +223,6 @@ class PatchedConvex:
     D: np.ndarray
     schedule: SlopeSchedule
     d_quadrature_gap: float
-    series: PliableSeries
 
     @property
     def t(self) -> np.ndarray:
@@ -383,8 +347,6 @@ def build_patched_convex(
         name=f"patched[K={K}]",
     )
 
-    series = _assemble_series(b, t, alpha, fams, levels, hi_end)
-
     return PatchedConvex(
         f=f,
         K=K,
@@ -395,243 +357,5 @@ def build_patched_convex(
         D=D[K:],
         schedule=schedule,
         d_quadrature_gap=d_gap,
-        series=series,
     )
 
-
-def _assemble_series(b, t, alpha, fams, levels, hi_end) -> PliableSeries:
-    """Split the assembled second derivative into coefficient * unit piece."""
-    coeffs: list[float] = []
-    pieces: list[SmoothFn] = []
-    supports: list[tuple[float, float]] = []
-    indices: list[int] = []
-    interval = (0.0, hi_end)
-    for k in levels:
-        tk = t[k]
-
-        # odd piece: the bare bump, already unit sup (its plateau hits 1)
-        lo_o, hi_o = _ODD_SUPPORT[0] * tk, _ODD_SUPPORT[1] * tk
-
-        def odd_jet(x, order, k=k, lo=lo_o, hi=hi_o):
-            out = np.zeros((order + 1,) + x.shape)
-            m = (x > lo) & (x < hi)
-            if m.any():
-                out[:, m] = jets.jet_to_derivs(
-                    bumps.psi_scaled_jet(x[m], 2 * k - 1, order)
-                )
-            return out
-
-        coeffs.append(float(alpha[k]))
-        pieces.append(
-            SmoothFn.from_jet_fn(interval, _MAX_ORDER, odd_jet, name=f"piece[{2 * k - 1}]")
-        )
-        supports.append((lo_o, hi_o))
-        indices.append(2 * k - 1)
-
-        # even piece: profile curvature times bump, normalized to unit sup
-        lo_e, hi_e = _EVEN_SUPPORT[0] * tk, _EVEN_SUPPORT[1] * tk
-        grid = np.linspace(lo_e, hi_e, 4097)
-        sup = float(np.max(_even_product_rows(fams[k], tk, k, grid, 0)[0]))
-        if sup <= 0:
-            raise ConstructionError(f"level {k} produces a vanishing even piece")
-
-        def even_jet(x, order, k=k, tk=tk, sup=sup, lo=lo_e, hi=hi_e):
-            out = np.zeros((order + 1,) + x.shape)
-            m = (x > lo) & (x < hi)
-            if m.any():
-                out[:, m] = _even_product_rows(fams[k], tk, k, x[m], order) / sup
-            return out
-
-        coeffs.append(float(b[k]) * sup)
-        pieces.append(
-            SmoothFn.from_jet_fn(interval, _MAX_ORDER, even_jet, name=f"piece[{2 * k}]")
-        )
-        supports.append((lo_e, hi_e))
-        indices.append(2 * k)
-
-    order = np.argsort(indices)
-    return PliableSeries(
-        coeffs=np.asarray(coeffs)[order],
-        pieces=[pieces[i] for i in order],
-        supports=np.asarray(supports)[order],
-        indices=np.asarray(indices)[order],
-        base_point=0.0,
-        interval=interval,
-    )
-
-
-# ---------------------------------------------------------------------------
-# pliability checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PliabilityReport:
-    """Numerical verdicts on the three pliability conditions.
-
-    ``violations`` collects human-readable failures; the series counts as
-    numerically pliable when it is empty.
-    """
-
-    coefficients_positive: bool
-    decay_quadratic: float
-    decay_crossings: dict[int, float]
-    norm_growth: dict[int, tuple[float, float]]  # r -> (rate, quadratic coeff)
-    accumulation_constant: float
-    eps_counts: dict[float, int]
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_pliable(
-    ps: PliableSeries,
-    r_max: int,
-    eps_grid: Sequence[float],
-) -> PliabilityReport:
-    """Verify the pliability conditions on a stored finite series.
-
-    (i) positive coefficients whose decay accelerates (quadratic
-    coefficient of ``-log2 c`` above ``_DECAY_Q_MIN``); (ii) piece norms
-    growing at most exponentially in the index for every ``r <= r_max``
-    (quadratic coefficient of ``log2`` of the norms at most
-    ``_GROWTH_Q_MAX``); (iii) for each ``eps``, the pieces meeting the
-    annulus ``eps <= |x - base| <= 2 eps`` are few and deep: their count
-    and their ``-log2(eps)/index`` must share a finite bound ``L``,
-    reported and capped by ``_L_CAP``.  Each piece is normed on a
-    ``_NORM_GRID_N``-point grid over its support.
-    """
-    violations: list[str] = []
-
-    positive = bool(np.all(ps.coeffs > 0))
-    if not positive:
-        violations.append("coefficients are not all positive")
-    few = len(ps.pieces) < 3
-    if few:
-        # a finite family satisfies every asymptotic condition vacuously
-        q, crossings = math.inf, {}
-    else:
-        q, _, crossings = decay_acceleration(ps.coeffs)
-        if q <= _DECAY_Q_MIN:
-            violations.append(
-                f"coefficient decay is not accelerating (quadratic "
-                f"coefficient {q:.4g} <= {_DECAY_Q_MIN})"
-            )
-
-    norm_growth: dict[int, tuple[float, float]] = {}
-    per_piece = np.zeros((len(ps.pieces), r_max + 1))
-    for i, g in enumerate(ps.pieces):
-        # sample each piece over its own support: a grid over the whole
-        # interval would step right over the deep, narrow ones
-        lo_s, hi_s = ps.supports[i]
-        per = cr_norm(g, r_max, (float(lo_s), float(hi_s)), grid_n=_NORM_GRID_N).per_order
-        per_piece[i] = np.cumsum(per)
-    for r in range(r_max + 1):
-        norms = per_piece[:, r]
-        if np.any(norms <= 0):
-            violations.append(f"some pieces have zero C^{r} norm")
-            norm_growth[r] = (math.nan, math.nan)
-            continue
-        if few:
-            norm_growth[r] = (0.0, 0.0)
-            continue
-        idx = ps.indices.astype(float)
-        coef = np.polyfit(idx, np.log2(norms), 2)
-        qg, rate = float(coef[0]), float(coef[1])
-        norm_growth[r] = (rate, qg)
-        if qg > _GROWTH_Q_MAX:
-            violations.append(
-                f"C^{r} norms of the pieces grow faster than exponentially "
-                f"(quadratic coefficient {qg:.4g} > {_GROWTH_Q_MAX})"
-            )
-
-    length = ps.interval[1] - ps.interval[0]
-    lo_d = np.minimum(
-        np.abs(ps.supports[:, 0] - ps.base_point),
-        np.abs(ps.supports[:, 1] - ps.base_point),
-    )
-    hi_d = np.maximum(
-        np.abs(ps.supports[:, 0] - ps.base_point),
-        np.abs(ps.supports[:, 1] - ps.base_point),
-    )
-    L_req = 0.0
-    eps_counts: dict[float, int] = {}
-    for eps in eps_grid:
-        eps = float(eps)
-        if not 0.0 < 2.0 * eps < length:
-            violations.append(f"eps={eps!r} outside the admissible range")
-            continue
-        hits = (lo_d <= 2.0 * eps) & (hi_d >= eps)
-        count = int(np.count_nonzero(hits))
-        eps_counts[eps] = count
-        L_req = max(L_req, float(count))
-        if eps < 1.0:
-            for j in ps.indices[hits]:
-                L_req = max(L_req, -math.log2(eps) / float(j))
-    if L_req > _L_CAP:
-        violations.append(
-            f"accumulation constant {L_req:.3g} exceeds the cap {_L_CAP}"
-        )
-
-    return PliabilityReport(
-        coefficients_positive=positive,
-        decay_quadratic=q,
-        decay_crossings=crossings,
-        norm_growth=norm_growth,
-        accumulation_constant=L_req,
-        eps_counts=eps_counts,
-        violations=violations,
-    )
-
-
-@dataclass(frozen=True)
-class TailNormReport:
-    r: int
-    depth_lo: int
-    depth_hi: int
-    value: float
-    per_order: np.ndarray
-
-
-def partial_sum_convergence(
-    ps: PliableSeries,
-    r: int,
-    *,
-    depth_lo: int | None = None,
-    depth_hi: int | None = None,
-) -> TailNormReport:
-    """C^r norm of the series slice between two truncation depths.
-
-    Depths count terms from the start; the default compares dropping the
-    last term against keeping it.  The slice is sampled on the union of
-    per-support grids so pieces at every scale are resolved.  Depth
-    difference zero reports exactly 0.
-    """
-    n = len(ps.pieces)
-    hi = n if depth_hi is None else depth_hi
-    lo = hi - 1 if depth_lo is None else depth_lo
-    if not 0 <= lo <= hi <= n:
-        raise ArgumentError(f"bad depths {lo}, {hi} for a series of {n} terms")
-    if lo == hi:
-        return TailNormReport(
-            r=r, depth_lo=lo, depth_hi=hi, value=0.0, per_order=np.zeros(r + 1)
-        )
-
-    xs = np.unique(
-        np.concatenate(
-            [np.linspace(s_lo, s_hi, _NORM_GRID_N) for s_lo, s_hi in ps.supports[lo:hi]]
-        )
-    )
-    rows = np.zeros((r + 1, xs.size))
-    for i in range(lo, hi):
-        rows += ps.coeffs[i] * ps.pieces[i].jet(xs, r)
-    per_order = np.abs(rows).max(axis=1)
-    return TailNormReport(
-        r=r,
-        depth_lo=lo,
-        depth_hi=hi,
-        value=float(per_order.sum()),
-        per_order=per_order,
-    )

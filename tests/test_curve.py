@@ -397,6 +397,11 @@ def test_point_summand_translates():
             IntervalSet.from_pairs([(0.0, 0.1)]),
             [0.0, math.nan, 1.0],
         ),
+        lambda: SupportFn.from_polygon(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]]), grid_n=64
+        ),
+        lambda: IntervalSet.from_pairs([(0.0, 0.1)]).translate(math.nan),
+        lambda: IntervalSet.from_pairs([(0.0, 0.1)]).reflect(math.nan),
     ],
     ids=[
         "disk-nan",
@@ -406,6 +411,9 @@ def test_point_summand_translates():
         "ellipse-inf",
         "point",
         "sweep-angle",
+        "polygon-vertex",
+        "translate-shift",
+        "reflect-center",
     ],
 )
 def test_non_finite_parameters_raise_argument_error(call):

@@ -25,10 +25,8 @@ from minklab.hinge import (
     schedule_smoothings,
     solve_b_eps,
     solve_epsilon,
-    transport_series,
     write_smoothing_json,
 )
-from minklab.patching import check_pliable
 
 EXPECTED_CERTIFICATES = {
     "window_weight_positive",
@@ -269,63 +267,6 @@ class TestGluedProfileBuild:
     def test_apex_angle_relation(self, profile_sr):
         expected = math.pi - 2.0 * profile_sr.gamma
         assert profile_sr.hinge_out.alpha == pytest.approx(expected, abs=1e-9)
-
-
-class TestTransportSeries:
-    def test_base_point_lands_on_left_endpoint(self, hinge_profile):
-        d, gamma = 0.02205, 9.5e-6
-        ts = transport_series(hinge_profile.series, hinge_profile.f, d, gamma)
-        assert ts.base_point == pytest.approx(-d, abs=1e-15)
-
-    def test_structure_survives(self, hinge_profile):
-        d, gamma = 0.02205, 9.5e-6
-        ps = hinge_profile.series
-        ts = transport_series(ps, hinge_profile.f, d, gamma)
-        np.testing.assert_array_equal(ts.coeffs, ps.coeffs)
-        np.testing.assert_array_equal(ts.indices, ps.indices)
-        assert ts.supports.shape == ps.supports.shape
-        assert np.all(ts.supports > ts.base_point)
-        # same support ordering as the original (the placement map is increasing)
-        np.testing.assert_array_equal(
-            np.sign(np.diff(ts.supports[:, 0])), np.sign(np.diff(ps.supports[:, 0]))
-        )
-
-    def test_weighted_sum_reproduces_rotated_curvature(self, hinge_profile):
-        d, gamma = 0.02205, 9.5e-6
-        ts = transport_series(hinge_profile.series, hinge_profile.f, d, gamma)
-        f_u, _ = place_profiles(hinge_profile.f, d, gamma)
-        for j in (0, 4, len(ts.pieces) - 1):
-            slo, shi = ts.supports[j]
-            ys = np.linspace(slo, shi, 37)[1:-1]
-            total = np.zeros_like(ys)
-            for c, p, (plo, phi) in zip(ts.coeffs, ts.pieces, ts.supports):
-                m = (ys > plo) & (ys < phi)
-                if m.any():
-                    total[m] += c * p.jet(ys[m], 0)[0]
-            ref = f_u.jet(ys, 2)[2]
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(total - ref)) <= 1e-8 * scale
-
-    def test_transported_series_is_pliable(self, hinge_profile):
-        d, gamma = 0.02205, 9.5e-6
-        ts = transport_series(hinge_profile.series, hinge_profile.f, d, gamma)
-        report = check_pliable(ts, 2, np.array([1e-4, 1e-6, 1e-9]))
-        assert report.ok
-        assert report.violations == []
-
-    def test_pliability_statistics_unchanged(self, hinge_profile):
-        d, gamma = 0.02205, 9.5e-6
-        ps = hinge_profile.series
-        ts = transport_series(ps, hinge_profile.f, d, gamma)
-        eps_grid = np.array([1e-4, 1e-6, 1e-9])
-        before = check_pliable(ps, 2, eps_grid)
-        after = check_pliable(ts, 2, eps_grid)
-        assert after.decay_quadratic == before.decay_quadratic
-        assert after.accumulation_constant == before.accumulation_constant
-
-    def test_degenerate_angle_rejected(self, hinge_profile):
-        with pytest.raises(ArgumentError):
-            transport_series(hinge_profile.series, hinge_profile.f, 0.02, 0.0)
 
 
 class TestSchedule:

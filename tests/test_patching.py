@@ -1,4 +1,4 @@
-"""Tests for the slope-gluing construction and pliable-series checks."""
+"""Tests for the slope-gluing construction."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,10 @@ from minklab import bumps
 from minklab.errors import ArgumentError, ConstructionError, ValidationError
 from minklab.fn_core import SmoothFn
 from minklab.patching import (
-    PliableSeries,
     SlopeSchedule,
     build_patched_convex,
-    check_pliable,
     decay_acceleration,
     make_bump_system,
-    partial_sum_convergence,
     quadratic_profile_family,
     quartic_profile_family,
 )
@@ -203,28 +200,6 @@ class TestQuadraticBuild:
     def test_d_quadrature_matches_scaled_bump_integral(self, quad_build):
         assert quad_build.d_quadrature_gap < 1e-12
 
-    def test_series_structure(self, quad_build):
-        ser = quad_build.series
-        K, k_max = quad_build.K, quad_build.k_max
-        np.testing.assert_array_equal(
-            ser.indices, np.arange(2 * K - 1, 2 * k_max + 1)
-        )
-        assert np.all(ser.coeffs > 0)
-        odd = ser.indices % 2 == 1
-        np.testing.assert_allclose(ser.coeffs[odd], quad_build.alpha, rtol=0)
-        # supports of a given parity are pairwise disjoint, deepest first
-        for parity in (0, 1):
-            sup = ser.supports[ser.indices % 2 == parity]
-            order = np.argsort(sup[:, 0])
-            sup = sup[order]
-            assert np.all(sup[1:, 0] > sup[:-1, 1])
-
-    def test_pieces_have_unit_sup(self, quad_build):
-        ser = quad_build.series
-        for piece, (lo, hi) in zip(ser.pieces, ser.supports):
-            xs = np.linspace(lo, hi, 4097)
-            assert np.max(piece.eval(xs)) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestQuarticBuild:
     def test_builds_with_isolated_curvature_zeros_at_anchors(self, quartic_build):
@@ -274,106 +249,6 @@ class TestConstructionFailures:
 
         with pytest.raises(ValidationError, match="vanish to first order"):
             build_patched_convex(sched, family)
-
-
-class TestPliability:
-    EPS_GRID = [2.0**-m for m in range(3, 12)]
-
-    def test_blowup_series_is_pliable(self, quad_build):
-        rep = check_pliable(quad_build.series, 4, self.EPS_GRID)
-        assert rep.ok
-        assert rep.violations == []
-        assert rep.coefficients_positive
-        assert rep.decay_quadratic > 0.5
-        assert rep.accumulation_constant <= 8.0
-        assert max(rep.eps_counts.values()) <= 4
-
-    def test_piece_norms_grow_like_their_dyadic_scale(self, quad_build):
-        rep = check_pliable(quad_build.series, 4, self.EPS_GRID)
-        for r, (rate, q) in rep.norm_growth.items():
-            assert abs(rate - r) < 0.2
-            assert abs(q) <= 0.01
-
-    def test_decay_rate_crossings_are_finite_and_ordered(self, quad_build):
-        rep = check_pliable(quad_build.series, 4, self.EPS_GRID)
-        xs = [rep.decay_crossings[g] for g in (1, 2, 4, 8)]
-        assert all(np.isfinite(xs))
-        assert xs == sorted(xs)
-
-    def test_single_far_bump_is_trivially_pliable(self):
-        def jet_fn(x, order):
-            import minklab.jets as jets
-
-            return jets.jet_to_derivs(bumps.psi_jet(x, order))
-
-        piece = SmoothFn.from_jet_fn((0.0, 2.0), 8, jet_fn, name="lone bump")
-        ser = PliableSeries(
-            coeffs=np.array([1.0]),
-            pieces=[piece],
-            supports=np.array([[2.0 / 3.0, 1.5]]),
-            indices=np.array([1]),
-            base_point=0.0,
-            interval=(0.0, 2.0),
-        )
-        rep = check_pliable(ser, 3, [0.125, 0.25])
-        assert rep.ok
-        assert rep.accumulation_constant <= 3.0
-
-    def test_geometric_series_fails_decay_condition(self):
-        pieces, supports, indices = [], [], []
-        for j in range(1, 11):
-
-            def jet_fn(x, order, j=j):
-                import minklab.jets as jets
-
-                return jets.jet_to_derivs(bumps.psi_scaled_jet(x, j, order))
-
-            pieces.append(SmoothFn.from_jet_fn((0.0, 2.0), 8, jet_fn))
-            supports.append((2.0 / 3.0 * 2.0**-j, 1.5 * 2.0**-j))
-            indices.append(j)
-        ser = PliableSeries(
-            coeffs=2.0 ** -np.arange(1, 11),
-            pieces=pieces,
-            supports=np.array(supports),
-            indices=np.array(indices),
-            base_point=0.0,
-            interval=(0.0, 2.0),
-        )
-        rep = check_pliable(ser, 2, [0.0625, 0.125])
-        assert not rep.ok
-        assert any("not accelerating" in v for v in rep.violations)
-
-    def test_out_of_range_eps_reported(self, quad_build):
-        rep = check_pliable(quad_build.series, 1, [10.0])
-        assert any("admissible range" in v for v in rep.violations)
-
-
-class TestPartialSums:
-    def test_final_piece_tail_is_tiny_in_c4(self, quad_build):
-        tail = partial_sum_convergence(quad_build.series, 4)
-        assert tail.value < 1e-6
-
-    def test_tail_norm_monotone_in_r(self, quad_build):
-        t0 = partial_sum_convergence(quad_build.series, 0)
-        t4 = partial_sum_convergence(quad_build.series, 4)
-        assert t0.value <= t4.value
-
-    def test_zero_depth_difference_is_exactly_zero(self, quad_build):
-        tail = partial_sum_convergence(quad_build.series, 2, depth_lo=5, depth_hi=5)
-        assert tail.value == 0.0
-
-    def test_level_scale_tails_blow_up_in_c4(self, quad_build):
-        # the raw curvature series does NOT converge in C^4 near the base
-        # point at reachable depths: correction pieces carry 2^(4j) norms
-        n = len(quad_build.series.pieces)
-        tail = partial_sum_convergence(quad_build.series, 4, depth_lo=n - 4, depth_hi=n)
-        assert tail.value > 1.0
-
-    def test_bad_depths_rejected(self, quad_build):
-        with pytest.raises(ArgumentError):
-            partial_sum_convergence(quad_build.series, 2, depth_lo=3, depth_hi=1)
-        with pytest.raises(ArgumentError):
-            partial_sum_convergence(quad_build.series, 2, depth_lo=0, depth_hi=99)
 
 
 class TestScheduleProperty:
