@@ -364,7 +364,12 @@ def intersects(a: IntervalSet, b: IntervalSet) -> bool:
 
 
 def wrap_mod(a: IntervalSet, period: Number) -> IntervalSet:
-    """Reduce a union of intervals into the fundamental domain [0, period]."""
+    """Reduce a union of intervals into the fundamental domain [0, period].
+
+    The period must be finite and positive, else :class:`ArgumentError`.
+    """
+    if not 0.0 < float(period) < math.inf:
+        raise ArgumentError(f"wrap period must be finite and positive: {period!r}")
     fp = _to_fraction(period)
     if a.exact and fp is not None:
         den = a.den * fp.denominator // math.gcd(a.den, fp.denominator)

@@ -119,73 +119,61 @@ def _half_order(m_max: int) -> list[int]:
     return seq
 
 
-def _footprints(smoothings: Sequence[SmoothingResult], m_max: int) -> dict[int, float]:
-    """Base-segment length consumed by the subtree rooted at each level."""
-    fp = {m_max + 1: 0.0}
-    for m in range(m_max, 0, -1):
-        h = smoothings[m - 1].hinge_out
-        fp[m] = (h.l + h.r) + 2.0 * fp[m + 1]
-    return fp
+def _walk(templates: Sequence[_Template], order: Sequence[int], built: int):
+    """Lay the instances of ``order`` down along one arc, stage ``built``.
 
-
-def _graph_polyline(
-    templates: Sequence[_Template], m_max: int, built: int, fp: dict[int, float]
-) -> np.ndarray:
-    """Complex polyline of the stage-``built`` graph (deeper levels straight).
-
-    The turtle starts at the origin heading along +x; every smoothing of
-    level <= ``built`` is placed tangent to the incoming direction, levels
-    beyond that contribute the straight footprint of their subtree.
+    The turtle starts at the origin heading along +x.  An instance of level
+    <= ``built`` is placed tangent to the current heading and turns it by
+    ``2*gamma``; a deeper one is a straight step along its induced hinge.
+    Returns the complex polyline, its end point, and per instance the
+    template-frame rotation it is (or would be) placed with, its left
+    endpoint and the heading there, plus the final heading; with
+    ``built = m_max`` this is the assembled arc and its atlas table.
     """
-    pts: list[complex] = [0j]
+    inst_rot = np.empty(len(order))
+    inst_base = np.empty(len(order), dtype=complex)
+    inst_gauss = np.empty(len(order) + 1)
+    pts: list[np.ndarray] = [np.array([0j])]
+    pos = 0j
     psi = 0.0
-
-    def rec(m: int) -> None:
-        nonlocal psi
-        if m > m_max:
-            return
-        if m > built:
-            length = fp[m]
-            if length > 0.0:
-                pts.append(pts[-1] + length * cmath.exp(1j * psi))
-            return
-        rec(m + 1)
+    for i, m in enumerate(order):
         t = templates[m - 1]
         rot = psi + t.sm.gamma
-        seg = pts[-1] + np.exp(1j * rot) * (t.z[1:] - t.z[0])
-        pts.extend(seg.tolist())
-        psi += t.turn
-        rec(m + 1)
+        inst_rot[i], inst_base[i], inst_gauss[i] = rot, pos, psi
+        if m <= built:
+            ph = cmath.exp(1j * rot)
+            pts.append(pos + ph * (t.z[1:] - t.z[0]))
+            pos = pos + ph * (t.z[-1] - t.z[0])
+            psi += t.turn
+        else:
+            pos = pos + (t.sm.hinge_out.l + t.sm.hinge_out.r) * cmath.exp(1j * psi)
+            pts.append(np.array([pos]))
+    inst_gauss[-1] = psi
+    return np.concatenate(pts), pos, inst_rot, inst_base, inst_gauss
 
-    rec(1)
-    rec(1)
-    return np.asarray(pts, dtype=complex)
 
-
-def _check_stage_monotone(
-    templates: Sequence[_Template], m_max: int, fp: dict[int, float]
-) -> None:
+def _check_stage_monotone(templates: Sequence[_Template], m_max: int) -> None:
     """Assert the stage graphs only move up: h_k <= h_{k+1} pointwise.
 
-    Each bend rotates the tail upward and each smoothing lies above its
-    hinge's tangent lines, so later stages dominate earlier ones; a failure
-    means the placement itself is wrong.
+    Stage ``k`` is ``_walk(templates, order, k)``; the final stage
+    ``m_max`` is the assembled arc itself.  Each bend rotates the tail
+    upward and each smoothing lies above its hinge's tangent lines, so
+    later stages dominate earlier ones; a failure means the placement
+    itself is wrong.
     """
-    polys = [_graph_polyline(templates, m_max, k, fp) for k in range(m_max + 1)]
-    # straight footprints carry no interpolation error; only the sampled
+    order = _half_order(m_max) * 2
+    polys = [_walk(templates, order, k)[0] for k in range(m_max + 1)]
+    # straight steps carry no interpolation error; only the sampled
     # smoothing pieces cut below their true graphs, by at most the local
     # chord sagitta max(|dz|)^2 * kappa / 8 of each template
     sagitta = max(
         float(np.max(np.abs(np.diff(t.z))) ** 2 * np.max(t.kappa)) / 8.0
         for t in templates
     )
+    if any(np.any(np.diff(p.real) <= 0.0) for p in polys):
+        raise ConstructionError("stage polyline is not a graph over the base segment")
     for k in range(m_max):
         a, b = polys[k], polys[k + 1]
-        for poly in (a, b):
-            if np.any(np.diff(poly.real) <= 0.0):
-                raise ConstructionError(
-                    "stage polyline is not a graph over the base segment"
-                )
         hi = min(a.real[-1], b.real[-1])
         xs = np.linspace(0.0, hi, _STAGE_GRID_N)
         ya = np.interp(xs, a.real, a.imag)
@@ -236,9 +224,13 @@ class CurveAtlas:
         flat mask; a point is flat when its template curvature is at most
         ``_FLAT_TOL`` times the largest one.  Where ``flat`` is set the
         touching set may be a segment, and the point returned is whichever
-        point of it the inversion lands on.
+        point of it the inversion lands on.  A non-finite angle raises
+        :class:`ArgumentError`.
         """
-        th = np.mod(np.asarray(theta, dtype=float), TAU)
+        th = np.asarray(theta, dtype=float)
+        if not np.all(np.isfinite(th)):
+            raise ArgumentError("normal angles must be finite")
+        th = np.mod(th, TAU)
         arc = self.arc_turn
         copies = 2 * self.n
         j = np.minimum((th / arc).astype(int), copies - 1)
@@ -586,42 +578,21 @@ def assemble_curve(
         )
 
     templates = _build_templates(sms, _BASE_EDGES)
-    fp = _footprints(sms, m_max)
-    _check_stage_monotone(templates, m_max, fp)
+    _check_stage_monotone(templates, m_max)
 
     # --- one arc: instances, polyline, zero structure -------------------
     order = _half_order(m_max) * 2
     inst_level = np.array(order, dtype=int)
-    inst_rot = np.empty(len(order))
-    inst_base = np.empty(len(order), dtype=complex)
-    inst_gauss = np.empty(len(order) + 1)
-    arc_pts: list[np.ndarray] = [np.array([0j])]
-    arc_gauss: list[np.ndarray] = [np.array([0.0])]
-    arc_curv: list[np.ndarray] = [np.array([0.0])]
-    pos = 0j
-    psi = 0.0
-    for i, m in enumerate(order):
-        t = templates[m - 1]
-        rot = psi + t.sm.gamma
-        inst_rot[i] = rot
-        inst_base[i] = pos
-        inst_gauss[i] = psi
-        ph = cmath.exp(1j * rot)
-        arc_pts.append(pos + ph * (t.z[1:] - t.z[0]))
-        arc_gauss.append(rot + t.tau[1:])
-        arc_curv.append(t.kappa[1:])
-        pos = pos + ph * (t.z[-1] - t.z[0])
-        psi += t.turn
-    inst_gauss[-1] = psi
+    arc_z, pos, inst_rot, inst_base, inst_gauss = _walk(templates, order, m_max)
     arc = math.pi / n
-    if abs(psi - arc) > 1e-9:
+    if abs(inst_gauss[-1] - arc) > 1e-9:
         raise ConstructionError(
-            f"arc sweeps {psi!r} instead of pi/n = {arc!r}; schedule and "
-            f"placement disagree"
+            f"arc sweeps {float(inst_gauss[-1])!r} instead of pi/n = {arc!r}; "
+            f"schedule and placement disagree"
         )
-    arc_z = np.concatenate(arc_pts)
-    arc_g = np.concatenate(arc_gauss)
-    arc_k = np.concatenate(arc_curv)
+    tpls = [templates[m - 1] for m in order]
+    arc_g = np.concatenate([[0.0]] + [r + t.tau[1:] for r, t in zip(inst_rot, tpls)])
+    arc_k = np.concatenate([[0.0]] + [t.kappa[1:] for t in tpls])
 
     # --- close with 2n rotated copies -----------------------------------
     copies = 2 * n
@@ -895,12 +866,15 @@ def curvature_transfer_check(a: SupportFn, b: SupportFn, theta) -> TransferRepor
 
     Requires ``a`` to have strictly positive curvature at every requested
     angle; under that hypothesis the sum's curvature vanishes exactly where
-    ``b``'s does.  Angles snap to the common grid.  ``additive_gap`` is the
-    worst defect of ``rho_a + rho_b == rho_sum`` over the finite entries,
-    and ``discrete_gap`` cross-checks the stored second derivatives of the
-    sum against central differences of its support values.
+    ``b``'s does.  Angles snap to the common grid; a non-finite one raises
+    :class:`ArgumentError`.  ``additive_gap`` is the worst defect of
+    ``rho_a + rho_b == rho_sum`` over the finite entries, and
+    ``discrete_gap`` cross-checks the stored second derivatives of the sum
+    against central differences of its support values.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.all(np.isfinite(th)):
+        raise ArgumentError("normal angles must be finite")
     n = a.theta.size
     stepw = TAU / n
     idx = np.mod(np.round(th / stepw).astype(int), n)

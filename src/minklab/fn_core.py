@@ -294,6 +294,8 @@ def cr_norm(f: SmoothFn, r: int, interval: Interval | None = None, *, grid_n: in
     """Sum of per-order maxima of ``|f^(i)|``, ``i = 0..r``, over a grid."""
     if r > f.max_order:
         raise CapabilityError(f"r={r} exceeds max_order={f.max_order}")
+    if grid_n < 2:
+        raise ArgumentError(f"grid_n must be at least 2, got {grid_n!r}")
     lo, hi = _as_interval(interval if interval is not None else f.domain)
     dlo, dhi = f.domain
     if lo < dlo - 1e-12 * (1 + abs(dlo)) or hi > dhi + 1e-12 * (1 + abs(dhi)):
@@ -317,9 +319,9 @@ def holder_seminorm(
         raise CapabilityError(f"k={k} exceeds max_order={f.max_order}")
     if not (0.0 < alpha <= 1.0):
         raise ArgumentError(f"alpha must lie in (0, 1], got {alpha}")
+    if grid_n < 2:
+        raise ArgumentError(f"grid_n must be at least 2, got {grid_n!r}")
     lo, hi = _as_interval(window)
-    if hi - lo <= 0.0:
-        raise ArgumentError("window must have positive length")
     xs = np.linspace(lo, hi, grid_n)
     d = f.eval(xs, k)
     num = np.abs(d[:, None] - d[None, :])

@@ -314,6 +314,8 @@ def infconv_direct(
     stationarity condition and therefore require an interior minimizer with
     positive curvature sum.
     """
+    if scan_n < 2:
+        raise ArgumentError(f"scan_n must be at least 2, got {scan_n!r}")
     if validate:
         check_convexity(f)
         check_convexity(g)

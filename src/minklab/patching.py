@@ -73,19 +73,25 @@ class BumpSystem:
 
 
 def dyadic_partition_residual(xs: np.ndarray) -> float:
-    """Max deviation of ``sum_m psi(2**m x)`` from 1 over positive ``xs``."""
-    worst = 0.0
+    """Max deviation of ``sum_m psi(2**m x)`` from 1 over positive ``xs``.
+
+    The translates are summed over the whole array, one shift ``m`` at a
+    time, across every shift that can reach the support at some point.
+    """
+    x = np.asarray(xs, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ArgumentError("partition points must be finite")
+    if np.any(x <= 0):
+        raise ArgumentError("partition identity holds for positive x only")
+    if x.size == 0:
+        return 0.0
     lo, hi = bumps.PSI_SUPPORT
-    for x in np.asarray(xs, dtype=float):
-        if x <= 0:
-            raise ArgumentError("partition identity holds for positive x only")
-        m_lo = math.floor(math.log2(lo / x))
-        m_hi = math.ceil(math.log2(hi / x))
-        total = 0.0
-        for m in range(m_lo, m_hi + 1):
-            total += float(bumps.psi_jet(np.ldexp(x, m), 0)[0][0])
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    total = np.zeros_like(x)
+    m_lo = math.floor(math.log2(lo / x.max()))
+    m_hi = math.ceil(math.log2(hi / x.min()))
+    for m in range(m_lo, m_hi + 1):
+        total += bumps.psi_jet(np.ldexp(x, m), 0)[0]
+    return float(np.max(np.abs(total - 1.0)))
 
 
 def make_bump_system() -> BumpSystem:

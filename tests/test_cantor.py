@@ -182,6 +182,15 @@ class TestTransforms:
         w = wrap_mod(s, 3)
         assert w.as_fractions() == [(Fraction(0), Fraction(3))]
 
+    @pytest.mark.parametrize(
+        "period",
+        [-1, 0, 0.0, float("nan"), float("inf")],
+        ids=["negative", "zero", "zero-float", "nan", "inf"],
+    )
+    def test_wrap_mod_rejects_bad_period(self, period):
+        with pytest.raises(ArgumentError, match="period"):
+            wrap_mod(IntervalSet.from_pairs([(0, 1)]), period)
+
 
 @given(
     st.integers(min_value=0, max_value=6),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from minklab.cantor import CantorSpec, IntervalSet, build_cantor, sum_sets, wrap_mod
 from minklab.curve import (
     ConvexCurve,
+    CurveAtlas,
     GaussZeroSet,
     SupportFn,
     angular_resolution_arc,
@@ -46,6 +47,23 @@ def circle_curve(n=64, radius=1.0, order=None, offset=0.0):
         curvature=np.full(n, 1.0 / radius),
         flat_marks=np.array([], dtype=int),
         symmetry_order=order if order is not None else n,
+    )
+
+
+def bare_atlas():
+    """A one-instance atlas without templates: enough to reach argument checks."""
+    zero = np.zeros(1)
+    return CurveAtlas(
+        n=1,
+        m_max=1,
+        templates=[],
+        inst_level=np.ones(1, dtype=int),
+        inst_rot=zero,
+        inst_base=zero.astype(complex),
+        inst_gauss=np.zeros(2),
+        copy_shift=np.zeros(2, dtype=complex),
+        center=0j,
+        gammas=zero,
     )
 
 
@@ -273,19 +291,34 @@ def test_norms_stay_capped_across_levels(assembled, hinge_schedule):
 
 
 def test_stage_graphs_increase_pointwise(hinge_schedule):
-    from minklab.curve import _build_templates, _check_stage_monotone, _footprints
+    from minklab.curve import _build_templates, _check_stage_monotone
 
     sms = hinge_schedule.smoothings[:3]
     templates = _build_templates(sms, 512)
-    fp = _footprints(sms, 3)
-    _check_stage_monotone(templates, 3, fp)
+    _check_stage_monotone(templates, 3)
     # a smoothing sagging below its hinge interior must be caught
     bad = list(templates)
     t = bad[1]
     sag = 1e-3 * (1.0 - (t.x / t.sm.d) ** 2)
     bad[1] = dataclasses.replace(t, z=t.z - 1j * sag)
     with pytest.raises(ConstructionError, match="dips below"):
-        _check_stage_monotone(bad, 3, fp)
+        _check_stage_monotone(bad, 3)
+
+
+def test_last_stage_is_the_assembled_arc(assembled):
+    """The stage check's final walk lays the arc down as assembly does."""
+    from minklab.curve import _half_order, _walk
+
+    curve, _ = assembled
+    atlas = curve.atlas
+    order = _half_order(atlas.m_max) * 2
+    poly, _, rot, base, gauss = _walk(atlas.templates, order, atlas.m_max)
+    assert np.array_equal(rot, atlas.inst_rot)
+    assert np.array_equal(base, atlas.inst_base)
+    assert np.array_equal(gauss, atlas.inst_gauss)
+    final = 1j * (poly - atlas.center)
+    first_arc = curve.boundary[: poly.size]
+    assert np.array_equal(np.column_stack([final.real, final.imag]), first_arc)
 
 
 def test_assemble_rejects_bad_arguments(hinge_profile, hinge_schedule):
@@ -402,6 +435,13 @@ def test_point_summand_translates():
         ),
         lambda: IntervalSet.from_pairs([(0.0, 0.1)]).translate(math.nan),
         lambda: IntervalSet.from_pairs([(0.0, 0.1)]).reflect(math.nan),
+        lambda: curvature_transfer_check(
+            SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.disk(1.0, grid_n=64), [math.nan]
+        ),
+        lambda: curvature_transfer_check(
+            SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.disk(1.0, grid_n=64), [math.inf]
+        ),
+        lambda: bare_atlas().support_data([math.nan, 0.3]),
     ],
     ids=[
         "disk-nan",
@@ -414,6 +454,9 @@ def test_point_summand_translates():
         "polygon-vertex",
         "translate-shift",
         "reflect-center",
+        "transfer-nan",
+        "transfer-inf",
+        "support-data-nan",
     ],
 )
 def test_non_finite_parameters_raise_argument_error(call):

@@ -125,6 +125,20 @@ def test_nan_point_raises_argument_error(call):
         call()
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: cr_norm(_QUAD, 1, grid_n=n),
+        lambda n: holder_seminorm(_QUAD, 1, 0.5, (-1.0, 1.0), grid_n=n),
+    ],
+    ids=["cr-norm", "holder"],
+)
+def test_sample_count_below_two_raises_argument_error(call, n):
+    with pytest.raises(ArgumentError, match="grid_n"):
+        call(n)
+
+
 class TestHolder:
     def test_quartic_is_flat_at_order_four(self):
         f = SmoothFn.polynomial([0, 0, 0, 0, 1.0], (-1, 1))

@@ -58,6 +58,12 @@ class TestValidation:
         with pytest.raises(ArgumentError):
             infconv_conjugate(f, g, interval=(-2, 2.5))
 
+    @pytest.mark.parametrize("scan_n", [0, 1])
+    def test_scan_count_below_two(self, scan_n):
+        f = quad(1.0, (-1, 1))
+        with pytest.raises(ArgumentError, match="scan_n"):
+            infconv_direct(f, f, scan_n=scan_n)
+
 
 class TestQuadraticLaw:
     """Parabola pairs have a closed form: curvatures combine harmonically."""

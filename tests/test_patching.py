@@ -1,5 +1,7 @@
 """Tests for the slope-gluing construction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from minklab.patching import (
     SlopeSchedule,
     build_patched_convex,
     decay_acceleration,
+    dyadic_partition_residual,
     make_bump_system,
     quadratic_profile_family,
     quartic_profile_family,
@@ -49,6 +52,11 @@ class TestBumpSystem:
                 float(bs.psi.eval(np.ldexp(x, m))) for m in (-2, -1, 0, 1, 2)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_partition_residual_rejects_bad_points(self, bad):
+        with pytest.raises(ArgumentError):
+            dyadic_partition_residual(np.array([0.5, bad, 2.0]))
 
     def test_support_and_plateau_are_exact(self):
         bs = make_bump_system()
