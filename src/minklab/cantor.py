@@ -366,19 +366,25 @@ def intersects(a: IntervalSet, b: IntervalSet) -> bool:
 def wrap_mod(a: IntervalSet, period: Number) -> IntervalSet:
     """Reduce a union of intervals into the fundamental domain [0, period].
 
-    The period must be finite and positive, else :class:`ArgumentError`.
+    The period must be positive, and finite if it is a float, else
+    :class:`ArgumentError`.  An exact period reduces an exact set on their
+    common lattice while that fits int64; otherwise the reduction runs in
+    floats, and a period with no positive finite float raises
+    :class:`CapabilityError`.
     """
-    if not 0.0 < float(period) < math.inf:
-        raise ArgumentError(f"wrap period must be finite and positive: {period!r}")
     fp = _to_fraction(period)
+    if not (fp > 0 if fp is not None else 0.0 < float(period) < math.inf):
+        raise ArgumentError(f"wrap period must be finite and positive: {period!r}")
     if a.exact and fp is not None:
         den = a.den * fp.denominator // math.gcd(a.den, fp.denominator)
-        f = den // a.den
-        if _fits(a, f):
-            lo, hi, p = a.lo * f, a.hi * f, int(fp * den)
+        f, p = den // a.den, int(fp * den)
+        if max(f, p) < _INT_LIMIT and _fits(a, f):
+            lo, hi = a.lo * f, a.hi * f
             return _split_at_period(lo, hi, np.floor_divide(lo, p) * p, p, den, a.depth)
+    p = float(period) if fp is None or fp <= np.finfo(float).max else math.inf
+    if not 0.0 < p < math.inf:
+        raise CapabilityError(f"wrap period {period!r} fits neither the int64 lattice nor a float")
     lo, hi = _float_ends(a)
-    p = float(period)
     return _split_at_period(lo, hi, np.floor(lo / p) * p, p, None, a.depth)
 
 

@@ -877,7 +877,8 @@ def curvature_transfer_check(a: SupportFn, b: SupportFn, theta) -> TransferRepor
         raise ArgumentError("normal angles must be finite")
     n = a.theta.size
     stepw = TAU / n
-    idx = np.mod(np.round(th / stepw).astype(int), n)
+    # reduce before the cast: a huge angle overflows the integer index
+    idx = np.mod(np.round(np.mod(th, TAU) / stepw).astype(int), n)
     snapped = a.theta[idx]
     ka = a.kappa()[idx]
     if np.any(a.flat[idx]) or np.any(ka <= 0.0):

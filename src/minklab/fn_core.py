@@ -6,7 +6,7 @@ up to ``max_order`` can be evaluated in batch: ``f.jet(x, m)`` returns an
 values, *not* Taylor coefficients — conversion helpers live in
 :mod:`minklab.jets`).
 
-Two kinds exist:
+Two kinds exist, named by the class attribute ``kind``:
 
 * ``closed_form`` — derivatives come from an explicit rule;
 * ``grid_integrated`` — the function is defined through its second
@@ -71,19 +71,16 @@ class SmoothFn:
     jet_fn : callable
         ``jet_fn(x, order) -> (order + 1, N)`` array of derivative values
         for a 1-D float array ``x`` already validated to lie in `domain`.
-    kind : str
-        ``"closed_form"`` or ``"grid_integrated"``.
     """
 
-    def __init__(self, domain: Interval, max_order: int, jet_fn, *, kind: str = "closed_form", name: str = ""):
+    kind = "closed_form"
+
+    def __init__(self, domain: Interval, max_order: int, jet_fn, *, name: str = ""):
         self.domain = _as_interval(domain)
         if max_order < 0:
             raise ArgumentError("max_order must be >= 0")
         self.max_order = int(max_order)
         self._jet_fn = jet_fn
-        if kind not in ("closed_form", "grid_integrated"):
-            raise ArgumentError(f"unknown kind {kind!r}")
-        self.kind = kind
         self.name = name
 
     # -- evaluation ----------------------------------------------------
@@ -142,12 +139,12 @@ class SmoothFn:
         def jet_fn(x, order):
             return jets.jet_to_derivs(jets.poly_jet(c, x, order))
 
-        return SmoothFn(domain, max_order, jet_fn, kind="closed_form", name=name or "poly")
+        return SmoothFn(domain, max_order, jet_fn, name=name or "poly")
 
     @staticmethod
     def from_jet_fn(domain: Interval, max_order: int, jet_fn, *, name: str = "") -> "SmoothFn":
         """Wrap a raw derivative-rows callable."""
-        return SmoothFn(domain, max_order, jet_fn, kind="closed_form", name=name)
+        return SmoothFn(domain, max_order, jet_fn, name=name)
 
 
 class GridIntegratedFn(SmoothFn):
@@ -167,6 +164,8 @@ class GridIntegratedFn(SmoothFn):
         Number of *intervals* per piece (so each piece stores that many
         plus one nodes).  Must be even for Simpson weights.
     """
+
+    kind = "grid_integrated"
 
     def __init__(
         self,
@@ -212,7 +211,6 @@ class GridIntegratedFn(SmoothFn):
             (float(bp[0]), float(bp[-1])),
             max_order,
             self._jet_impl,
-            kind="grid_integrated",
             name=name,
         )
 
@@ -355,7 +353,6 @@ def derivative_fn(f: SmoothFn, order: int) -> SmoothFn:
         f.domain,
         f.max_order - order,
         jet_fn,
-        kind=f.kind,
         name=f"{f.name or 'f'}^({order})",
     )
 

@@ -4,12 +4,13 @@ Given convex ``f`` and ``g`` on compact intervals, the infimal convolution
 ``h(x) = inf_y f(y) + g(x - y)`` is computed by two independent routes:
 
 * :func:`infconv_direct` minimizes the split objective per output point
-  (coarse scan plus golden-section refinement).  The result carries an
-  on-demand :class:`~minklab.fn_core.SmoothFn` whose higher derivatives
-  come from a truncated-Taylor solve of the stationarity condition
-  ``f'(mu(x)) = g'(x - mu(x))``, so the smoothness of ``h`` can be probed
-  wherever the minimizer is interior and the matched curvature sum is
-  positive.
+  by solving the stationarity condition ``f'(mu(x)) = g'(x - mu(x))`` on
+  the feasible window, clamped to a window end where the slope gap has no
+  sign change; it needs convex inputs with first derivatives.  The result
+  carries an on-demand :class:`~minklab.fn_core.SmoothFn` whose higher
+  derivatives come from a truncated-Taylor solve of the same condition,
+  so the smoothness of ``h`` can be probed wherever the minimizer is
+  interior and the matched curvature sum is positive.
 * :func:`infconv_conjugate` forms the *exact* Legendre transforms of the
   piecewise-linear interpolants of ``f`` and ``g`` (breakpoints at the
   chord slopes — no slope grid), adds them, and transforms back.  Up to
@@ -17,16 +18,15 @@ Given convex ``f`` and ``g`` on compact intervals, the infimal convolution
   so the distance from the true ``h`` is controlled by the interpolation
   errors ``dx^2 * max f'' / 8`` alone.
 
-Shared diagnostics: :func:`minimizer_map` inverts the stationarity
-condition with a vectorized bracketed root finder (Chandrupatla's method,
-through :func:`~minklab.fn_core.invert_monotone`), and
+Shared diagnostics: :func:`minimizer_map` is the direct route's
+stationarity solve (Chandrupatla's method, through
+:func:`~minklab.fn_core.invert_monotone`) restricted to interior points, and
 :func:`smoothness_diag` reports the curvature split ``j = g''/(f'' + g'')``
 together with the transferred curvature ``h'' = f'' * j``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +54,6 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
-_INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
-# scan points per column block of the direct route: bounds the scan's
-# temporaries to a few MB whatever ``scan_n * grid_n``
-_SCAN_BLOCK_ELEMS = 1 << 18
 # Node count and relative tolerance of the discrete convexity guard.
 _CONVEXITY_GRID_N = 2049
 _CONVEXITY_TOL = 1e-9
@@ -122,9 +118,9 @@ def _windows(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np.n
 class InfConvResult:
     """Sampled infimal convolution plus a function-object view of it.
 
-    ``boundary[i]`` is True where the minimizer was (numerically) pinned to
-    an end of its feasible window, i.e. where the unconstrained optimality
-    condition need not hold.
+    ``boundary[i]`` is True where the minimizer is pinned to an end of its
+    feasible window, i.e. where the unconstrained optimality condition need
+    not hold.
     """
 
     route: str
@@ -153,25 +149,51 @@ class SmoothnessDiag:
 # ---------------------------------------------------------------------------
 
 
+def _slope_gap(f: SmoothFn, g: SmoothFn, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Derivative ``f'(y) - g'(x - y)`` of the split objective in ``y``."""
+    return f.jet(y, 1)[1] - g.jet(xs - y, 1)[1]
+
+
+def _minimizer(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer of ``y -> f(y) + g(x - y)`` on each feasible window.
+
+    The slope gap is nondecreasing for convex inputs.  Where it changes
+    sign on the window its root, found by Chandrupatla's method through
+    :func:`~minklab.fn_core.invert_monotone`, is the minimizer; elsewhere
+    the minimizer is the window end the gap points to, and ``pinned`` is
+    True there.
+    """
+    ylo, yhi = _windows(f, g, xs)
+    glo = _slope_gap(f, g, xs, ylo)
+    root = (glo < 0.0) & (_slope_gap(f, g, xs, yhi) > 0.0)
+    mu = np.where(glo >= 0.0, ylo, yhi)
+    if np.any(root):
+        xr = xs[root]
+        mu[root] = invert_monotone(
+            lambda y: _slope_gap(f, g, xr, y), None, np.zeros(xr.size), ylo[root], yhi[root]
+        )
+    return mu, ~root
+
+
 def minimizer_map(f: SmoothFn, g: SmoothFn, x) -> np.ndarray:
     """Solve ``f'(mu) = g'(x - mu)`` for each ``x``, vectorized.
 
-    The slope mismatch ``y -> f'(y) - g'(x - y)`` is nondecreasing for
-    convex inputs, so a bracketed root finder (Chandrupatla's method, via
-    :func:`~minklab.fn_core.invert_monotone`) applies.  Raises
+    The solve is the one of :func:`infconv_direct`.  Raises
     :class:`~minklab.errors.RootBracketError` when some ``x`` has no sign
-    change (minimizer pinned to the window edge) or when the residual stays
-    above ``_RESIDUAL_TOL`` relative to the matched slope scale.
+    change of the slope gap on its window (minimizer pinned to the window
+    edge) or when the residual stays above ``_RESIDUAL_TOL`` relative to
+    the matched slope scale.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
-    ylo, yhi = _windows(f, g, xs)
-
-    def slope_gap(y):
-        return f.jet(y, 1)[1] - g.jet(xs - y, 1)[1]
-
-    mu = invert_monotone(slope_gap, None, np.zeros(xs.shape), ylo, yhi)
-    resid = np.abs(slope_gap(mu))
+    mu, pinned = _minimizer(f, g, xs)
+    if np.any(pinned):
+        first = int(np.argmax(pinned))
+        raise RootBracketError(
+            f"slope gap has no sign change at {int(pinned.sum())} point(s); "
+            f"first at x={xs[first]!r} (minimizer pinned to its window end)"
+        )
+    resid = np.abs(_slope_gap(f, g, xs, mu))
     scale = 1.0 + np.abs(f.jet(mu, 1)[1])
     if np.any(resid > _RESIDUAL_TOL * scale):
         worst = int(np.argmax(resid / scale))
@@ -224,37 +246,6 @@ def _curvature_split(f: SmoothFn, g: SmoothFn, xs: np.ndarray, mus: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _direct_minimize(f, g, xs, scan_n, refine_iters):
-    ylo, yhi = _windows(f, g, xs)
-    width = yhi - ylo
-    t = np.linspace(0.0, 1.0, scan_n)
-    best = np.empty(xs.size, dtype=np.intp)
-    step = max(1, _SCAN_BLOCK_ELEMS // scan_n)
-    for start in range(0, xs.size, step):
-        cols = slice(start, start + step)
-        grid = ylo[cols] + t[:, None] * width[cols]
-        obj = f.eval(grid.ravel()).reshape(grid.shape)
-        obj += g.eval((xs[cols] - grid).ravel()).reshape(grid.shape)
-        best[cols] = np.argmin(obj, axis=0)
-    # the bracket ends are scan points, recomputed with the scan's arithmetic
-    a = ylo + t[np.maximum(best - 1, 0)] * width
-    b = ylo + t[np.minimum(best + 1, scan_n - 1)] * width
-    for _ in range(refine_iters):
-        d = b - a
-        c1 = b - _INVPHI * d
-        c2 = a + _INVPHI * d
-        v1 = f.eval(c1) + g.eval(xs - c1)
-        v2 = f.eval(c2) + g.eval(xs - c2)
-        take = v1 < v2
-        b = np.where(take, c2, b)
-        a = np.where(take, a, c1)
-    mu = 0.5 * (a + b)
-    vals = f.eval(mu) + g.eval(xs - mu)
-    edge = 1e-7 * width + _TINY
-    boundary = (mu - ylo <= edge) | (yhi - mu <= edge)
-    return vals, mu, boundary
-
-
 def _mu_taylor(xs, mu0, f_derivs, g_derivs, order):
     """Taylor rows of the minimizer map about each ``x``.
 
@@ -300,22 +291,20 @@ def infconv_direct(
     *,
     interval=None,
     grid_n: int = 1025,
-    scan_n: int = 1024,
-    refine_iters: int = 70,
     validate: bool = True,
 ) -> InfConvResult:
     """Infimal convolution by per-point minimization of the split objective.
 
-    Each requested point gets a ``scan_n``-point coarse scan of its feasible
-    window followed by golden-section refinement, which pins the minimizer
-    to a relative width of about ``0.62**refine_iters``.  The returned
-    function object re-minimizes on demand; its derivative rows (orders up
-    to ``min(max orders) - 1``) come from the truncated-Taylor solve of the
-    stationarity condition and therefore require an interior minimizer with
-    positive curvature sum.
+    Needs convex ``f`` and ``g`` with first derivatives.  Each requested
+    point's minimizer solves the stationarity condition
+    ``f'(mu) = g'(x - mu)`` on its feasible window, clamped to the window
+    end the slope gap points to where the gap has no sign change there
+    (those points are flagged in ``boundary``).  The returned function
+    object re-minimizes on demand; its derivative rows (orders up to
+    ``min(max orders) - 1``) come from the truncated-Taylor solve of the
+    stationarity condition and therefore require an interior minimizer
+    with positive curvature sum.
     """
-    if scan_n < 2:
-        raise ArgumentError(f"scan_n must be at least 2, got {scan_n!r}")
     if validate:
         check_convexity(f)
         check_convexity(g)
@@ -323,14 +312,15 @@ def infconv_direct(
     hi_sum = f.domain[1] + g.domain[1]
     span = _as_interval(interval) if interval is not None else (lo_sum, hi_sum)
     xs = np.linspace(span[0], span[1], grid_n)
-    vals, mu, boundary = _direct_minimize(f, g, xs, scan_n, refine_iters)
+    mu, boundary = _minimizer(f, g, xs)
+    vals = f.eval(mu) + g.eval(xs - mu)
 
     jet_order = max(0, min(f.max_order, g.max_order) - 1)
 
     def h_jet(xq, order):
         if order == 0:
-            v, _, _ = _direct_minimize(f, g, xq, scan_n, refine_iters)
-            return v[None, :]
+            mu_q, _ = _minimizer(f, g, xq)
+            return (f.eval(mu_q) + g.eval(xq - mu_q))[None, :]
         return _direct_jet(f, g, xq, order)
 
     h = SmoothFn.from_jet_fn(

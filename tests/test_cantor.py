@@ -191,6 +191,23 @@ class TestTransforms:
         with pytest.raises(ArgumentError, match="period"):
             wrap_mod(IntervalSet.from_pairs([(0, 1)]), period)
 
+    @pytest.mark.parametrize(
+        "pairs, period, expected",
+        [([(0, 1)], 10**30, [(0.0, 1.0)]), ([(0, 0)], Fraction(1, 10**30), [(0.0, 0.0)])],
+        ids=["huge", "fine-on-a-point"],
+    )
+    def test_wrap_mod_period_off_the_lattice_runs_in_floats(self, pairs, period, expected):
+        w = wrap_mod(IntervalSet.from_pairs(pairs), period)
+        assert not w.exact
+        assert w.as_floats() == expected
+
+    @pytest.mark.parametrize(
+        "period", [10**400, Fraction(1, 10**400)], ids=["beyond-float", "below-float"]
+    )
+    def test_wrap_mod_period_without_a_float_is_a_capability_error(self, period):
+        with pytest.raises(CapabilityError, match="period"):
+            wrap_mod(IntervalSet.from_pairs([(0, 1)]), period)
+
 
 @given(
     st.integers(min_value=0, max_value=6),

@@ -464,6 +464,14 @@ def test_non_finite_parameters_raise_argument_error(call):
         call()
 
 
+@pytest.mark.parametrize("th", [1e19, 1e300])
+def test_huge_transfer_angle_snaps_to_its_reduced_grid_angle(th):
+    a = SupportFn.ellipse(2.0, 1.0, grid_n=64)
+    rep = curvature_transfer_check(a, SupportFn.disk(1.0, grid_n=64), [th])
+    circular = np.abs(np.angle(np.exp(1j * (a.theta - np.mod(th, 2.0 * math.pi)))))
+    assert rep.theta[0] == a.theta[np.argmin(circular)]
+
+
 def test_minkowski_sum_rejects_grid_mismatch():
     with pytest.raises(ArgumentError):
         minkowski_sum(SupportFn.disk(1.0, grid_n=256), SupportFn.disk(1.0, grid_n=512))

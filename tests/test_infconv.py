@@ -58,12 +58,6 @@ class TestValidation:
         with pytest.raises(ArgumentError):
             infconv_conjugate(f, g, interval=(-2, 2.5))
 
-    @pytest.mark.parametrize("scan_n", [0, 1])
-    def test_scan_count_below_two(self, scan_n):
-        f = quad(1.0, (-1, 1))
-        with pytest.raises(ArgumentError, match="scan_n"):
-            infconv_direct(f, f, scan_n=scan_n)
-
 
 class TestQuadraticLaw:
     """Parabola pairs have a closed form: curvatures combine harmonically."""
@@ -95,9 +89,7 @@ class TestQuadraticLaw:
     def test_random_parabolas_direct(self, a, b):
         f = quad(a, (-2, 2))
         g = quad(b, (-2, 2))
-        res = infconv_direct(
-            f, g, interval=(-1, 1), grid_n=65, scan_n=128, refine_iters=60
-        )
+        res = infconv_direct(f, g, interval=(-1, 1), grid_n=65)
         self.check(res, a, b, atol=1e-12)
         np.testing.assert_allclose(res.mu, b / (a + b) * res.x, atol=1e-9)
 
@@ -255,10 +247,13 @@ class TestDirectJets:
 
 
 class TestBoundary:
-    def test_window_pinned_split(self):
+    def pinned_pair(self):
         f = quad(2.0, (-1, 1), name="x^2")
         g = poly([0.0, 0.0, 2.0], (-0.25, 0.25), name="2x^2")
-        res = infconv_direct(f, g, grid_n=501)
+        return f, g, infconv_direct(f, g, grid_n=501)
+
+    def test_window_pinned_split(self):
+        f, g, res = self.pinned_pair()
         inner = np.abs(res.x) < 0.5
         outer = np.abs(res.x) > 1.1
         assert not res.boundary[inner].any()
@@ -267,6 +262,18 @@ class TestBoundary:
         assert res.x[at] == pytest.approx(1.0, abs=1e-9)
         assert res.values[at] == pytest.approx(0.75**2 + 2 * 0.25**2, abs=1e-10)
         assert res.mu[at] == pytest.approx(0.75, abs=1e-6)
+
+    def test_interior_values_share_the_minimizer_map(self):
+        f, g, res = self.pinned_pair()
+        inner = ~res.boundary
+        np.testing.assert_array_equal(minimizer_map(f, g, res.x[inner]), res.mu[inner])
+
+    def test_flagged_points_sit_on_a_window_end(self):
+        f, g, res = self.pinned_pair()
+        x, mu = res.x[res.boundary], res.mu[res.boundary]
+        ylo = np.maximum(f.domain[0], x - g.domain[1])
+        yhi = np.minimum(f.domain[1], x - g.domain[0])
+        assert np.all((mu == ylo) | (mu == yhi))
 
     def test_conjugate_flags_same_region(self):
         f = quad(2.0, (-1, 1))
