@@ -163,6 +163,13 @@ class TestMinimizerMap:
         with pytest.raises(RootBracketError):
             minimizer_map(f, g, 1.2)
 
+    def test_stationary_window_end_is_returned(self):
+        # at x = 2 the window of f = x^2 with itself is the point 1, where the
+        # slope gap is exactly zero: pinned, yet stationary
+        f = quad(2.0, (-1, 1))
+        assert minimizer_map(f, f, 2.0) == 1.0
+        np.testing.assert_array_equal(infconv_direct(f, f).h.jet(2.0, 1)[:, 0], [2.0, 2.0])
+
     def test_split_ratio_matches_finite_differences(self):
         f = poly([0.0, 0.0, 0.5, 0.0, 0.25], (-2, 2))
         g = quad(1.0, (-3, 3))
