@@ -502,8 +502,7 @@ def _flat_band(f: SmoothFn, thresh: float) -> tuple[float, float]:
         x_last = float(xs[0])
     else:
         x_last = float(xs[int(np.nonzero(under)[0][-1])])
-    slope = float(f.jet(np.array([x_last]), 1)[1][0])
-    return x_last, slope
+    return x_last, f.eval(x_last, 1)
 
 
 def _normalize_schedule(schedule) -> list[SmoothingResult]:
@@ -679,6 +678,10 @@ class SupportFn:
     curvature (``rho`` infinite); ``d2h`` holds ``inf`` there, and ``dh``
     belongs to whichever point of the flat piece the support inversion
     returned: it is not a one-sided derivative of ``h``.
+
+    Every constructor maps the grid angles to the boundary points they
+    touch and the curvature radii there, and hands both to one builder,
+    :meth:`_from_points`; :meth:`grid` is the one sample-count check.
     """
 
     theta: np.ndarray
@@ -690,10 +693,7 @@ class SupportFn:
 
     def __post_init__(self):
         n = self.theta.size
-        if n < 8:
-            raise ArgumentError("angular grid needs at least 8 samples")
-        step = TAU / n
-        if np.max(np.abs(self.theta - np.arange(n) * step)) > 1e-12:
+        if np.max(np.abs(self.theta - self.grid(n))) > 1e-12:
             raise ArgumentError("theta must be the uniform grid k * 2*pi / N")
         for arr in (self.h, self.dh, self.d2h, self.flat):
             if arr.shape != (n,):
@@ -703,7 +703,32 @@ class SupportFn:
 
     @staticmethod
     def grid(grid_n: int) -> np.ndarray:
+        if grid_n < 8:
+            raise ArgumentError("angular grid needs at least 8 samples")
         return np.arange(grid_n) * (TAU / grid_n)
+
+    @classmethod
+    def _from_points(cls, theta, points, rho, flat, body) -> "SupportFn":
+        """Support data from the boundary point touched at each grid normal.
+
+        ``points`` are complex boundary points and ``rho`` the curvature
+        radii there (arrays or scalars broadcast over ``theta``).  In the
+        frame of the normal, ``w = point * e^{-i theta}`` has ``h = Re w``
+        and ``h' = Im w``; then ``h'' = rho - h``.
+        """
+        phase = np.exp(-1j * theta)
+        w = points * phase
+        h = np.real(w)
+        with np.errstate(invalid="ignore"):
+            d2h = rho - h
+        return cls(
+            theta=theta,
+            h=h,
+            dh=np.imag(w),
+            d2h=d2h,
+            flat=np.broadcast_to(flat, theta.shape).copy(),
+            body=body,
+        )
 
     @classmethod
     def disk(cls, radius: float, center=(0.0, 0.0), *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -711,15 +736,8 @@ class SupportFn:
         if not (radius > 0 and np.all(np.isfinite([radius, cx, cy]))):
             raise ArgumentError(f"disk needs a finite radius > 0 and center: {radius!r}, {center!r}")
         th = cls.grid(grid_n)
-        c, s = np.cos(th), np.sin(th)
-        return cls(
-            theta=th,
-            h=radius + cx * c + cy * s,
-            dh=-cx * s + cy * c,
-            d2h=-(cx * c + cy * s),
-            flat=np.zeros(grid_n, dtype=bool),
-            body=f"disk(r={radius})",
-        )
+        pts = complex(cx, cy) + radius * np.exp(1j * th)
+        return cls._from_points(th, pts, radius, False, f"disk(r={radius})")
 
     @classmethod
     def ellipse(cls, a: float, b: float, *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -727,17 +745,9 @@ class SupportFn:
             raise ArgumentError(f"semi-axes must be positive and finite: {a!r}, {b!r}")
         th = cls.grid(grid_n)
         c, s = np.cos(th), np.sin(th)
-        h = np.sqrt(a * a * c * c + b * b * s * s)
-        dh = (b * b - a * a) * c * s / h
-        rho = (a * b) ** 2 / h**3
-        return cls(
-            theta=th,
-            h=h,
-            dh=dh,
-            d2h=rho - h,
-            flat=np.zeros(grid_n, dtype=bool),
-            body=f"ellipse({a},{b})",
-        )
+        he = np.sqrt(a * a * c * c + b * b * s * s)
+        pts = (a * a * c + 1j * (b * b * s)) / he
+        return cls._from_points(th, pts, (a * b) ** 2 / he**3, False, f"ellipse({a},{b})")
 
     @classmethod
     def point(cls, p=(0.0, 0.0), *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -745,16 +755,7 @@ class SupportFn:
         if not np.all(np.isfinite([px, py])):
             raise ArgumentError(f"point must be finite: {p!r}")
         th = cls.grid(grid_n)
-        c, s = np.cos(th), np.sin(th)
-        h = px * c + py * s
-        return cls(
-            theta=th,
-            h=h,
-            dh=-px * s + py * c,
-            d2h=-h,
-            flat=np.zeros(grid_n, dtype=bool),
-            body=f"point({px},{py})",
-        )
+        return cls._from_points(th, complex(px, py), 0.0, False, f"point({px},{py})")
 
     @classmethod
     def from_polygon(cls, vertices: np.ndarray, *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -765,20 +766,9 @@ class SupportFn:
         if not np.all(np.isfinite(v)):
             raise ArgumentError("polygon vertices must be finite")
         th = cls.grid(grid_n)
-        u = np.column_stack([np.cos(th), np.sin(th)])
-        prods = u @ v.T
-        best = np.argmax(prods, axis=1)
-        pts = v[best]
-        h = prods[np.arange(grid_n), best]
-        dh = -pts[:, 0] * np.sin(th) + pts[:, 1] * np.cos(th)
-        return cls(
-            theta=th,
-            h=h,
-            dh=dh,
-            d2h=-h,
-            flat=np.zeros(grid_n, dtype=bool),
-            body="polygon",
-        )
+        best = np.argmax(np.column_stack([np.cos(th), np.sin(th)]) @ v.T, axis=1)
+        pts = v[best, 0] + 1j * v[best, 1]
+        return cls._from_points(th, pts, 0.0, False, "polygon")
 
     @classmethod
     def from_curve(cls, curve: ConvexCurve, *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -790,20 +780,7 @@ class SupportFn:
             )
         th = cls.grid(grid_n)
         data = curve.atlas.support_data(th)
-        w = data["point"]
-        phase = np.exp(-1j * th)
-        h = np.real(w * phase)
-        dh = np.imag(w * phase)
-        with np.errstate(invalid="ignore"):
-            d2h = data["rho"] - h
-        return cls(
-            theta=th,
-            h=h,
-            dh=dh,
-            d2h=d2h,
-            flat=data["flat"],
-            body="assembled-curve",
-        )
+        return cls._from_points(th, data["point"], data["rho"], data["flat"], "assembled-curve")
 
     # -- calculus ----------------------------------------------------------
 

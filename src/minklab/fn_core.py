@@ -59,6 +59,11 @@ def _as_interval(interval) -> Interval:
     return lo, hi
 
 
+def _check_grid_n(grid_n: int) -> None:
+    if grid_n < 2:
+        raise ArgumentError(f"grid_n must be at least 2, got {grid_n!r}")
+
+
 class SmoothFn:
     """A function with batched derivative evaluation on a compact interval.
 
@@ -98,23 +103,23 @@ class SmoothFn:
             )
         return np.clip(arr, lo, hi), scalar
 
-    def jet(self, x, order: int) -> np.ndarray:
-        """Derivative rows ``f(x), f'(x), ..., f^(order)(x)``."""
+    def _check_order(self, order: int) -> None:
         if order > self.max_order:
             raise CapabilityError(
                 f"order {order} exceeds max_order {self.max_order} of {self.name or 'SmoothFn'}"
             )
         if order < 0:
             raise ArgumentError("order must be >= 0")
+
+    def jet(self, x, order: int) -> np.ndarray:
+        """Derivative rows ``f(x), f'(x), ..., f^(order)(x)``."""
+        self._check_order(order)
         arr, _ = self._coerce_x(x)
         return self._jet_fn(arr, order)
 
     def eval(self, x, order: int = 0):
         """Value of the ``order``-th derivative at ``x`` (scalar in, scalar out)."""
-        if order > self.max_order:
-            raise CapabilityError(
-                f"order {order} exceeds max_order {self.max_order} of {self.name or 'SmoothFn'}"
-            )
+        self._check_order(order)
         arr, scalar = self._coerce_x(x)
         out = self._jet_fn(arr, order)[order]
         return float(out[0]) if scalar else out
@@ -292,8 +297,7 @@ def cr_norm(f: SmoothFn, r: int, interval: Interval | None = None, *, grid_n: in
     """Sum of per-order maxima of ``|f^(i)|``, ``i = 0..r``, over a grid."""
     if r > f.max_order:
         raise CapabilityError(f"r={r} exceeds max_order={f.max_order}")
-    if grid_n < 2:
-        raise ArgumentError(f"grid_n must be at least 2, got {grid_n!r}")
+    _check_grid_n(grid_n)
     lo, hi = _as_interval(interval if interval is not None else f.domain)
     dlo, dhi = f.domain
     if lo < dlo - 1e-12 * (1 + abs(dlo)) or hi > dhi + 1e-12 * (1 + abs(dhi)):
@@ -317,8 +321,7 @@ def holder_seminorm(
         raise CapabilityError(f"k={k} exceeds max_order={f.max_order}")
     if not (0.0 < alpha <= 1.0):
         raise ArgumentError(f"alpha must lie in (0, 1], got {alpha}")
-    if grid_n < 2:
-        raise ArgumentError(f"grid_n must be at least 2, got {grid_n!r}")
+    _check_grid_n(grid_n)
     lo, hi = _as_interval(window)
     xs = np.linspace(lo, hi, grid_n)
     d = f.eval(xs, k)
@@ -339,10 +342,7 @@ def holder_seminorm(
 
 def derivative_fn(f: SmoothFn, order: int) -> SmoothFn:
     """The ``order``-th derivative of ``f`` as a SmoothFn of its own."""
-    if order > f.max_order:
-        raise CapabilityError(f"order={order} exceeds max_order={f.max_order}")
-    if order < 0:
-        raise ArgumentError("order must be >= 0")
+    f._check_order(order)
     if order == 0:
         return f
 
@@ -429,6 +429,7 @@ def write_csv_table(
     ``orders`` must be a non-empty sequence of distinct derivative orders
     ``>= 0``; the file format is the one of :func:`minklab.export.write_csv`.
     """
+    _check_grid_n(grid_n)
     orders = tuple(int(o) for o in orders)
     if not orders or min(orders) < 0 or len(set(orders)) < len(orders):
         raise ArgumentError(f"orders must be distinct, non-negative and non-empty: {orders!r}")

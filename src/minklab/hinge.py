@@ -135,14 +135,6 @@ class SmoothingResult:
         raise ArgumentError(f"no certificate named {name!r}")
 
 
-def _slope(f: SmoothFn, x: float) -> float:
-    return float(f.jet(np.array([float(x)]), 1)[1][0])
-
-
-def _value(f: SmoothFn, x: float) -> float:
-    return float(f.eval(np.array([float(x)]))[0])
-
-
 # ---------------------------------------------------------------------------
 # profile placement
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ def solve_epsilon(f: SmoothFn, gamma: float) -> float:
         raise ArgumentError("gamma must be positive")
     tan_g = math.tan(gamma)
     lo, hi = f.domain
-    top = _slope(f, hi)
+    top = f.eval(hi, 1)
     if not tan_g < top:
         raise HypothesisError(
             f"tan(gamma)={tan_g!r} is not inside the slope range (0, {top!r})"
@@ -223,7 +215,7 @@ def solve_epsilon(f: SmoothFn, gamma: float) -> float:
     x4 = float(invert_monotone(slope, None, np.array([tan_g]), lo, hi, rtol=_EPS_RTOL)[0])
     eps = x4 / 4.0
     probe = 2.0 * eps / math.cos(gamma)
-    if probe <= hi and _slope(f, probe) > tan_g * (1.0 + 1e-12):
+    if probe <= hi and f.eval(probe, 1) > tan_g * (1.0 + 1e-12):
         raise HypothesisError(
             "gamma is not small enough: slope at 2eps/cos(gamma) exceeds tan(gamma)"
         )
@@ -276,7 +268,7 @@ def _solve_b_masses(f_u, f_v, eps, d):
     """``(b, mass_u, mass_v)``: the window weight and the two masses it balances."""
     if not 4.0 * eps < d:
         raise HypothesisError(f"need 4*eps < d, got eps={eps!r}, d={d!r}")
-    tan_g = _slope(f_v, d)
+    tan_g = f_v.eval(d, 1)
     mass_u = _curvature_mass_u(f_u, eps, d)
     mass_v = _curvature_mass_v(f_v, eps, d)
     window_area = _window_0_area(eps, d)
@@ -359,8 +351,8 @@ def _integrate(f: SmoothFn, d: float, gamma: float):
     F = GridIntegratedFn(
         breakpoints,
         d2_rows,
-        value0=_value(f_u, -d),
-        slope0=_slope(f_u, -d),
+        value0=f_u.eval(-d),
+        slope0=f_u.eval(-d, 1),
         max_order=f.max_order,
         nodes_per_piece=_NODES_PER_PIECE,
         name=f"hinge_smoothing[d={d:.4g}]",
@@ -410,8 +402,8 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
 def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, mass_u, mass_v):
     upper = tan_g / (d - 2.0 * eps)
     coarse = 2.0 * tan_g / d
-    su = _slope(f_u, 2.0 * eps - d)
-    sv = _slope(f_v, d - 2.0 * eps)
+    su = f_u.eval(2.0 * eps - d, 1)
+    sv = f_v.eval(d - 2.0 * eps, 1)
     return [
         Certificate("window_weight_positive", b_eps, 0.0, b_eps > 0.0),
         Certificate("window_weight_upper", b_eps, upper, b_eps <= upper),
@@ -425,15 +417,13 @@ def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, mass_u, mass_v):
 
 def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
     tol = 1e-12 * (1.0 + tan_g)
-    entry = abs(_slope(F, -d) + tan_g)
-    exit_ = abs(_slope(F, d) - tan_g)
-    end_curv = abs(float(F.jet(np.array([-d]), 2)[2][0])) + abs(
-        float(F.jet(np.array([d]), 2)[2][0])
-    )
+    entry = abs(F.eval(-d, 1) + tan_g)
+    exit_ = abs(F.eval(d, 1) - tan_g)
+    end_curv = abs(F.eval(-d, 2)) + abs(F.eval(d, 2))
     xs = np.linspace(-d, d, 4 * _CERT_GRID_N + 1)
     rows = F.jet(xs, 2)
     curv_min = float(rows[2].min())
-    mid = float(F.jet(np.array([0.0]), 2)[2][0])
+    mid = F.eval(0.0, 2)
     collar = max(4.0 * _flat_floor(f), 1e-12 * d)
     interior = np.linspace(-d + collar, d - collar, 4 * _CERT_GRID_N + 1)
     interior_min = float(F.jet(interior, 2)[2].min())
@@ -471,10 +461,10 @@ def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
 
 
 def _induced_hinge(F, d, tan_g, gamma):
-    value_l = _value(F, -d)
-    value_r = _value(F, d)
-    slope_l = _slope(F, -d)
-    slope_r = _slope(F, d)
+    value_l = F.eval(-d)
+    value_r = F.eval(d)
+    slope_l = F.eval(-d, 1)
+    slope_r = F.eval(d, 1)
     x_apex = (value_r - value_l - d * (slope_l + slope_r)) / (slope_l - slope_r)
     y_apex = value_l + slope_l * (x_apex + d)
     apex = complex(x_apex, y_apex)
@@ -556,7 +546,7 @@ def schedule_smoothings(
     gammas = np.zeros(m_max)
     caps = None
     for i, d in enumerate(ds):
-        gamma = 0.5 * math.atan(_slope(f, d / 8.0))
+        gamma = 0.5 * math.atan(f.eval(d / 8.0, 1))
         built = False
         for _ in range(_MAX_HALVINGS + 1):
             norms = _norms_upto(_integrate(f, float(d), gamma)[0])

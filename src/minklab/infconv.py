@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .export import write_csv
-from .fn_core import SmoothFn, _as_interval, invert_monotone
+from .fn_core import SmoothFn, _as_interval, _check_grid_n, invert_monotone
 
 __all__ = [
     "InfConvResult",
@@ -298,6 +298,7 @@ def infconv_direct(
     stationarity condition and therefore require an interior minimizer
     with positive curvature sum.
     """
+    _check_grid_n(grid_n)
     if validate:
         check_convexity(f)
         check_convexity(g)
@@ -404,6 +405,7 @@ def infconv_conjugate(
     inputs expose second derivatives — a sup-norm bound on the distance to
     the true infimal convolution.
     """
+    _check_grid_n(grid_n)
     if validate:
         check_convexity(f)
         check_convexity(g)

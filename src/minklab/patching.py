@@ -127,8 +127,8 @@ def decay_acceleration(values: Sequence[float]) -> tuple[float, float, dict[int,
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 3:
         raise ArgumentError("need at least three positive values")
-    if np.any(v <= 0):
-        raise ArgumentError("values must be positive")
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ArgumentError("values must be positive and finite")
     idx = np.arange(v.size, dtype=float)
     d = -np.log2(v)
     coef = np.polyfit(idx, d, 2)
@@ -146,10 +146,10 @@ def decay_acceleration(values: Sequence[float]) -> tuple[float, float, dict[int,
 class SlopeSchedule:
     """Target slopes ``b_k`` at the anchors ``t_k = 4**-k``.
 
-    Validated on construction: all ``b_k > 0``, ``2**k b_k`` strictly
-    decreasing, and the decay visibly accelerating (positive quadratic
-    coefficient of ``-log2 b_k``), the finite stand-in for decay faster
-    than every exponential.
+    Validated on construction: every ``b_k`` finite and positive,
+    ``2**k b_k`` strictly decreasing, and the decay visibly accelerating
+    (positive quadratic coefficient of ``-log2 b_k``), the finite stand-in
+    for decay faster than every exponential.
     """
 
     b: np.ndarray
@@ -160,8 +160,8 @@ class SlopeSchedule:
         object.__setattr__(self, "b", b)
         if b.ndim != 1 or b.size < 4:
             raise ValidationError("schedule needs at least four levels")
-        if np.any(b <= 0):
-            raise ValidationError("slopes must be positive")
+        if not np.all(np.isfinite(b) & (b > 0)):
+            raise ValidationError("slopes must be positive and finite")
         weighted = np.ldexp(b, np.arange(b.size))
         if np.any(np.diff(weighted) >= 0):
             raise ValidationError("2**k b_k must be strictly decreasing")

@@ -464,6 +464,25 @@ def test_non_finite_parameters_raise_argument_error(call):
         call()
 
 
+@pytest.mark.parametrize("grid_n", [0, -3])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n, curve: SupportFn.disk(1.0, grid_n=n),
+        lambda n, curve: SupportFn.ellipse(2.0, 1.0, grid_n=n),
+        lambda n, curve: SupportFn.point((0.3, -0.2), grid_n=n),
+        lambda n, curve: SupportFn.from_polygon(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), grid_n=n
+        ),
+        lambda n, curve: SupportFn.from_curve(curve, grid_n=n),
+    ],
+    ids=["disk", "ellipse", "point", "polygon", "curve"],
+)
+def test_grid_below_eight_samples_raises_argument_error(build, grid_n, assembled):
+    with pytest.raises(ArgumentError, match="at least 8 samples"):
+        build(grid_n, assembled[0])
+
+
 @pytest.mark.parametrize("th", [1e19, 1e300])
 def test_huge_transfer_angle_snaps_to_its_reduced_grid_angle(th):
     a = SupportFn.ellipse(2.0, 1.0, grid_n=64)

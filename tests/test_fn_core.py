@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from minklab.fn_core import (
     invert_monotone,
     write_csv_table,
 )
-from minklab.infconv import minimizer_map
+from minklab.infconv import infconv_conjugate, infconv_direct, minimizer_map
 
 
 def sin_fn(domain=(0.0, math.pi), max_order=8) -> SmoothFn:
@@ -131,12 +132,30 @@ def test_nan_point_raises_argument_error(call):
     [
         lambda n: cr_norm(_QUAD, 1, grid_n=n),
         lambda n: holder_seminorm(_QUAD, 1, 0.5, (-1.0, 1.0), grid_n=n),
+        lambda n: infconv_direct(_QUAD, _QUAD, grid_n=n),
+        lambda n: infconv_conjugate(_QUAD, _QUAD, grid_n=n),
+        lambda n: write_csv_table(_QUAD, os.devnull, grid_n=n),
     ],
-    ids=["cr-norm", "holder"],
+    ids=["cr-norm", "holder", "infconv-direct", "infconv-conjugate", "csv-table"],
 )
 def test_sample_count_below_two_raises_argument_error(call, n):
     with pytest.raises(ArgumentError, match="grid_n"):
         call(n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _QUAD.jet(0.5, -1),
+        lambda: _QUAD.eval(0.5, -1),
+        lambda: _QUAD.eval(np.array([0.5]), -1),
+        lambda: derivative_fn(_QUAD, -1),
+    ],
+    ids=["jet", "eval", "eval-array", "derivative-fn"],
+)
+def test_negative_order_raises_argument_error(call):
+    with pytest.raises(ArgumentError, match="order"):
+        call()
 
 
 class TestHolder:

@@ -381,19 +381,19 @@ class TestCsvExport:
         assert flagged and all(r["j_mu"] == "nan" for r in flagged)
 
 
-class TestDirectScanBlocks:
+class TestDirectRoute:
     def pair(self):
         return poly([0.0, 0.3, 0.5, 0.0, 0.25], (-1.5, 1.5)), quad(3.0, (-1, 1))
 
-    def test_block_seams_match_a_differently_blocked_subset(self):
-        # 1025 columns of a 1024-point scan span five column blocks; every
-        # third column is re-minimized in blocks with other seams
+    def test_on_demand_eval_equals_values(self):
+        # every third grid point is re-minimized by h.eval in a call of its
+        # own; the stationarity solve must land on the stored values exactly
         f, g = self.pair()
         res = infconv_direct(f, g, grid_n=1025)
         sub = res.x[1::3]
         np.testing.assert_array_equal(res.h.eval(sub), res.values[1::3])
 
-    def test_scan_never_holds_a_whole_scan_grid(self):
+    def test_peak_memory_below_one_1024_by_4097_array(self):
         f, g = self.pair()
         infconv_direct(f, g, grid_n=65)  # first-call set-up stays out of the peak
         tracemalloc.start()
@@ -402,5 +402,6 @@ class TestDirectScanBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one float64 array of the whole 1024 x 4097 scan grid
+        # one 1024 x 4097 float64 array (about 32 MB); the per-point
+        # stationarity solve holds O(grid_n) data
         assert peak < 1024 * 4097 * 8

@@ -95,6 +95,8 @@ class TestDecayAcceleration:
             decay_acceleration([1.0, 0.5])
         with pytest.raises(ArgumentError):
             decay_acceleration([1.0, -0.5, 0.25, 0.1])
+        with pytest.raises(ArgumentError, match="positive"):
+            decay_acceleration([1.0, math.nan, 0.1, 0.01])
 
 
 class TestSlopeSchedule:
@@ -115,6 +117,14 @@ class TestSlopeSchedule:
     def test_positivity_and_length_enforced(self):
         with pytest.raises(ValidationError, match="positive"):
             SlopeSchedule(np.array([1.0, -0.25, 0.01, 1e-4]))
+        nan_at_5 = blowup_slopes()
+        nan_at_5[5] = math.nan
+        with pytest.raises(ValidationError, match="positive"):
+            SlopeSchedule(nan_at_5)
+        leading_inf = blowup_slopes()
+        leading_inf[0] = math.inf
+        with pytest.raises(ValidationError, match="positive"):
+            SlopeSchedule(leading_inf)
         with pytest.raises(ValidationError, match="four levels"):
             SlopeSchedule(np.array([1.0, 0.25, 0.01]))
 
