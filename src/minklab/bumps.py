@@ -69,25 +69,53 @@ def _normalizer_jet(x, order: int) -> np.ndarray:
     Only the three central dyadic translates can be positive on the
     support of ``psi_raw``, and ``T(2x) = T(x)`` there, so dividing by
     ``T`` yields an exact partition of unity along dyadic scales.
+    :func:`psi_jet` adds the same three terms, each only where it can be
+    nonzero.
     """
     out = np.zeros((order + 1,) + np.shape(np.atleast_1d(x)))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     for m in (-1, 0, 1):
-        term = psi_raw_jet(np.ldexp(x, m), order)
-        for j in range(order + 1):
-            term[j] = np.ldexp(term[j], m * j)
-        out += term
+        out += _translate_jet(x, m, order)
     return out
 
 
+def _translate_jet(x: np.ndarray, m: int, order: int) -> np.ndarray:
+    """Jet of ``psi_raw(2**m x)`` in the variable ``x``."""
+    term = psi_raw_jet(np.ldexp(x, m), order)
+    for j in range(order + 1):
+        term[j] = np.ldexp(term[j], m * j)
+    return term
+
+
 def psi_jet(x, order: int) -> np.ndarray:
-    """Jet of the normalized partition bump ``psi = psi_raw / T``."""
+    """Jet of the normalized partition bump ``psi = psi_raw / T``.
+
+    On the plateau, where both ramp arguments are at least 1, the jet is
+    ``[1, 0, ...]`` and is written directly; the ramps compute ``psi_raw``
+    once and each outer translate of ``T`` only where it can be nonzero
+    (``psi_raw(x/2)`` needs ``x > 4/3``, ``psi_raw(2x)`` needs ``x < 3/4``).
+    The result equals the unmasked ``psi_raw / T`` bit for bit.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    raw = psi_raw_jet(x, order)
+    out = np.zeros((order + 1,) + x.shape)
+    # the constant rows of the two _affine_jet ramps in psi_raw_jet
+    left = _LEFT_RAMP * x - _LEFT_RAMP * PSI_SUPPORT[0]
+    right = -_RIGHT_RAMP * x + _RIGHT_RAMP * PSI_SUPPORT[1]
+    plateau = (left >= 1.0) & (right >= 1.0)
+    out[0][plateau] = 1.0
+    ramp = ~plateau & (left > 0.0) & (right > 0.0)
+    if not ramp.any():
+        return out
+    xr = x[ramp]
+    raw = psi_raw_jet(xr, order)
+    norm = raw.copy()
+    for m, near in ((-1, xr > 2.0 * PSI_SUPPORT[0]), (1, xr < PSI_SUPPORT[1] / 2.0)):
+        if near.any():
+            norm[:, near] += _translate_jet(xr[near], m, order)
     inside = raw[0] > 0.0
-    norm = _normalizer_jet(x, order)
     norm[0] = np.where(inside, norm[0], 1.0)
-    return np.where(inside, tdiv(raw, norm), 0.0)
+    out[:, ramp] = np.where(inside, tdiv(raw, norm), 0.0)
+    return out
 
 
 def psi_scaled_jet(x, scale_log2: int, order: int) -> np.ndarray:

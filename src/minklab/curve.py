@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .export import write_csv, write_json
-from .fn_core import SmoothFn, invert_monotone
+from .fn_core import SmoothFn, invert_monotone, newton_pair
 from .hinge import HingeSchedule, SmoothingResult, _flat_floor
 
 __all__ = [
@@ -254,7 +254,7 @@ class CurveAtlas:
             F = tpl.sm.F
             d = tpl.sm.d
             tgt = np.tan(loc[sel] - self.inst_rot[k[sel]])
-            xs = invert_monotone(lambda u: F.jet(u, 1)[1], None, tgt, -d, d)
+            xs = invert_monotone(*newton_pair(F.slope_rows), tgt, -d, d)
             jet = F.jet(xs, 2)
             val, slope, d2 = jet[0], jet[1], jet[2]
             zpts = self.inst_base[k[sel]] + np.exp(1j * self.inst_rot[k[sel]]) * (
@@ -692,6 +692,8 @@ class SupportFn:
     body: str | None = None
 
     def __post_init__(self):
+        if np.ndim(self.theta) != 1:
+            raise ArgumentError(f"theta must be a 1-D grid, got shape {np.shape(self.theta)}")
         n = self.theta.size
         if np.max(np.abs(self.theta - self.grid(n))) > 1e-12:
             raise ArgumentError("theta must be the uniform grid k * 2*pi / N")
@@ -703,6 +705,8 @@ class SupportFn:
 
     @staticmethod
     def grid(grid_n: int) -> np.ndarray:
+        if not isinstance(grid_n, (int, np.integer)):
+            raise ArgumentError(f"grid_n must be an integer, got {grid_n!r}")
         if grid_n < 8:
             raise ArgumentError("angular grid needs at least 8 samples")
         return np.arange(grid_n) * (TAU / grid_n)
@@ -745,9 +749,11 @@ class SupportFn:
             raise ArgumentError(f"semi-axes must be positive and finite: {a!r}, {b!r}")
         th = cls.grid(grid_n)
         c, s = np.cos(th), np.sin(th)
-        he = np.sqrt(a * a * c * c + b * b * s * s)
-        pts = (a * a * c + 1j * (b * b * s)) / he
-        return cls._from_points(th, pts, (a * b) ** 2 / he**3, False, f"ellipse({a},{b})")
+        # no squared axis: they overflow past about 1e154 and underflow below 1e-154
+        he = np.hypot(a * c, b * s)
+        pts = a * (a * c / he) + 1j * (b * (b * s / he))
+        rho = (a / he) * (b / he) * (a * (b / he))
+        return cls._from_points(th, pts, rho, False, f"ellipse({a},{b})")
 
     @classmethod
     def point(cls, p=(0.0, 0.0), *, grid_n: int = 1 << 16) -> "SupportFn":

@@ -17,6 +17,12 @@ Two kinds exist, named by the class attribute ``kind``:
   error O(h^6), and ``f'`` from cubic Hermite interpolation of their
   ``(f', f'')``, with error O(h^4); orders >= 2 are delegated to the
   closed-form second-derivative rule.
+
+:func:`invert_monotone` is the package's one bracketed root finder.  It
+takes Newton steps where the caller passes a derivative (built with
+:func:`newton_pair` when one call yields value and derivative, as
+:meth:`SmoothFn.slope_rows` does for ``f'``) and Chandrupatla's steps
+otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.optimize.elementwise import find_root
 
 from . import jets
 from .errors import ArgumentError, CapabilityError, RootBracketError
@@ -41,10 +46,15 @@ __all__ = [
     "holder_seminorm",
     "derivative_fn",
     "invert_monotone",
+    "newton_pair",
     "write_csv_table",
 ]
 
 Interval = tuple[float, float]
+
+# Step limit of invert_monotone: the number of halvings from the largest
+# float down to the smallest normal one.
+_MAXITER = 2046
 
 
 def _as_interval(interval) -> Interval:
@@ -76,6 +86,7 @@ class SmoothFn:
     jet_fn : callable
         ``jet_fn(x, order) -> (order + 1, N)`` array of derivative values
         for a 1-D float array ``x`` already validated to lie in `domain`.
+        ``None`` in a subclass that defines ``_jet_fn`` as a method.
     """
 
     kind = "closed_form"
@@ -85,7 +96,8 @@ class SmoothFn:
         if max_order < 0:
             raise ArgumentError("max_order must be >= 0")
         self.max_order = int(max_order)
-        self._jet_fn = jet_fn
+        if jet_fn is not None:
+            self._jet_fn = jet_fn
         self.name = name
 
     # -- evaluation ----------------------------------------------------
@@ -126,6 +138,18 @@ class SmoothFn:
 
     def __call__(self, x):
         return self.eval(x, 0)
+
+    def slope_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``f'`` at the points ``x`` and its derivative, for a Newton inversion of ``f'``.
+
+        Below ``max_order`` 2 the derivative is NaN, so the Newton steps of
+        :func:`invert_monotone` fall back to bisection.
+        """
+        if self.max_order < 2:
+            slope = self.jet(x, 1)[1]
+            return slope, np.full(slope.shape, np.nan)
+        rows = self.jet(x, 2)
+        return rows[1], rows[2]
 
     def __repr__(self):  # pragma: no cover - cosmetic
         lo, hi = self.domain
@@ -212,12 +236,18 @@ class GridIntegratedFn(SmoothFn):
         self._d1_tab = np.concatenate(d1_tabs)
         self._f_tab = np.concatenate(f_tabs)
 
-        super().__init__(
-            (float(bp[0]), float(bp[-1])),
-            max_order,
-            self._jet_impl,
-            name=name,
-        )
+        # no bound method stored on the instance: that would be a reference
+        # cycle, and the tables would wait for the cyclic collector
+        super().__init__((float(bp[0]), float(bp[-1])), max_order, None, name=name)
+
+    def _cell(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Table index of the node left of each point, the step, and the offset in steps."""
+        piece = np.clip(np.searchsorted(self._bp, x, side="right") - 1, 0, self._bp.size - 2)
+        h = self._steps[piece]
+        lo = self._bp[piece]
+        idx = np.clip(np.floor((x - lo) / h).astype(int), 0, self._n - 1)
+        node = lo + idx * h
+        return piece * (self._n + 1) + idx, h, (x - node) / h
 
     def _table01(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f, f') at arbitrary points: Hermite interpolation between nodes.
@@ -229,14 +259,7 @@ class GridIntegratedFn(SmoothFn):
         error passes through unamplified, and evaluation stays free of
         further ``d2_jet_fn`` calls.
         """
-        piece = np.clip(np.searchsorted(self._bp, x, side="right") - 1, 0, self._bp.size - 2)
-        h = self._steps[piece]
-        lo = self._bp[piece]
-        idx = np.clip(np.floor((x - lo) / h).astype(int), 0, self._n - 1)
-        node = lo + idx * h
-        t = (x - node) / h
-
-        flat = piece * (self._n + 1) + idx
+        flat, h, t = self._cell(x)
         f0, f1 = self._f_tab[flat], self._f_tab[flat + 1]
         d0, d1 = self._d1_tab[flat], self._d1_tab[flat + 1]
         s0, s1 = self._d2_tab[flat], self._d2_tab[flat + 1]
@@ -253,15 +276,38 @@ class GridIntegratedFn(SmoothFn):
             + h * h * s0 * 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)
             + h * h * s1 * 0.5 * (t3 - 2.0 * t4 + t5)
         )
-        df = (
+        return f, self._cubic_slope(d0, d1, s0, s1, h, t, t2, t3)
+
+    @staticmethod
+    def _cubic_slope(d0, d1, s0, s1, h, t, t2, t3) -> np.ndarray:
+        """The cubic Hermite ``f'`` of a table cell from its end data."""
+        return (
             d0 * (1.0 - 3.0 * t2 + 2.0 * t3)
             + d1 * (3.0 * t2 - 2.0 * t3)
             + h * s0 * (t - 2.0 * t2 + t3)
             + h * s1 * (t3 - t2)
         )
-        return f, df
 
-    def _jet_impl(self, x: np.ndarray, order: int) -> np.ndarray:
+    def slope_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The cubic Hermite ``f'`` of :meth:`_table01` and its own derivative.
+
+        The derivative is exact for the interpolant that ``jet`` reports as
+        ``f'`` and costs no ``d2_jet_fn`` call.
+        """
+        x, _ = self._coerce_x(x)
+        flat, h, t = self._cell(x)
+        t2 = t * t
+        t3 = t2 * t
+        d0, d1 = self._d1_tab[flat], self._d1_tab[flat + 1]
+        s0, s1 = self._d2_tab[flat], self._d2_tab[flat + 1]
+        curv = (
+            (d1 - d0) * (6.0 * t - 6.0 * t2) / h
+            + s0 * (1.0 - 4.0 * t + 3.0 * t2)
+            + s1 * (3.0 * t2 - 2.0 * t)
+        )
+        return self._cubic_slope(d0, d1, s0, s1, h, t, t2, t3), curv
+
+    def _jet_fn(self, x: np.ndarray, order: int) -> np.ndarray:
         out = np.zeros((order + 1,) + x.shape)
         f, d1 = self._table01(x)
         out[0] = f
@@ -357,6 +403,25 @@ def derivative_fn(f: SmoothFn, order: int) -> SmoothFn:
     )
 
 
+def newton_pair(rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]):
+    """``(fn, dfn)`` for :func:`invert_monotone` from one call giving both.
+
+    ``rows(x)`` returns the value and the derivative at ``x``; ``fn`` keeps
+    the derivative for the ``dfn`` call that follows it on the same array.
+    """
+    last = [None, None]
+
+    def fn(x):
+        value, last[1] = rows(x)
+        last[0] = x
+        return value
+
+    def dfn(x):
+        return last[1] if last[0] is x else rows(x)[1]
+
+    return fn, dfn
+
+
 def invert_monotone(
     fn: Callable[[np.ndarray], np.ndarray],
     dfn: Callable[[np.ndarray], np.ndarray] | None,
@@ -369,21 +434,37 @@ def invert_monotone(
     """Solve ``fn(x) = y`` for nondecreasing ``fn`` on ``[lo, hi]``, vectorized.
 
     ``lo``/``hi`` may be scalars or arrays matching ``ys`` (per-target
-    brackets).  Every target is solved by Chandrupatla's bracketed method
-    (:func:`scipy.optimize.elementwise.find_root`), which needs neither a
-    derivative nor an iteration count; ``dfn`` is accepted for call
-    compatibility and ignored.  ``fn`` is only ever called with an array
-    shaped like ``ys``.  A target outside ``[fn(lo), fn(hi)]`` by less than
-    ``1e-9 * (1 + span)`` resolves to the nearer endpoint; one further out,
-    a target the solver does not converge on, or (when ``rtol > 0``) a
-    residual ``|fn(x) - y|`` above ``rtol * (1 + |y|)`` raises
-    :class:`~minklab.errors.RootBracketError`.
+    brackets).  Every target keeps a bracket with a sign change and is
+    solved in one loop.  Without ``dfn`` each step is Chandrupatla's:
+    inverse quadratic interpolation where the last three points make it
+    safe, bisection otherwise.  With ``dfn`` (the derivative of ``fn``)
+    the first step is regula falsi and every later one a Newton step from
+    the latest point.  A Newton step that leaves the bracket (as any zero,
+    NaN, infinite or negative derivative makes it do), or that is longer
+    than half the step before last (a Newton cycle), falls back to
+    bisection.  ``dfn`` is called
+    right after ``fn`` with the same array, so it may return a derivative
+    computed alongside the value.  Every step stays at least half a
+    tolerance inside the bracket, and a target stops once its bracket is
+    narrower than ``4 eps |x| + 4 tiny`` (about 4 ulp) or ``|fn(x) - y|`` is
+    at most ``tiny``; the bracket end with the smaller residual is returned.
+    Without ``dfn`` the steps, and so the roots, are those of Chandrupatla's
+    method with these tolerances, bit for bit.
+
+    ``fn`` is only ever called with an array shaped like ``ys``.  A target
+    outside ``[fn(lo), fn(hi)]`` by less than ``1e-9 * (1 + span)``
+    resolves to the nearer endpoint; one further out, a non-finite value,
+    a target not converged within the float range's bisection count, or
+    (when ``rtol > 0``) a residual ``|fn(x) - y|`` above
+    ``rtol * (1 + |y|)`` raises :class:`~minklab.errors.RootBracketError`.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     lo_a = np.broadcast_to(np.asarray(lo, dtype=float), ys.shape).copy()
     hi_a = np.broadcast_to(np.asarray(hi, dtype=float), ys.shape).copy()
     flo = fn(lo_a)
     fhi = fn(hi_a)
+    if not all(np.isfinite(v).all() for v in (lo_a, hi_a, flo, fhi, ys)):
+        raise RootBracketError("root search failed: non-finite bracket, bracket value or target")
     span = float(np.max(np.abs(fhi - flo))) if ys.size else 0.0
     slack = 1e-9 * (1.0 + span)
     if np.any(flo > ys + slack) or np.any(fhi < ys - slack):
@@ -392,24 +473,75 @@ def invert_monotone(
             f"{bad.size} target(s) outside the bracketed range; first offending y={ys[bad[0]]!r}"
         )
     # clipped targets give every bracket a sign change (or a root at an end)
-    target = np.clip(ys, flo, fhi).ravel()
-    x_full = lo_a.copy()
-    x_flat = x_full.reshape(-1)
-
-    def gap(x, idx):
-        # the solver passes only its unconverged targets; scatter them into
-        # a full-shape argument so fn sees the same shape on every call
-        x_flat[idx] = x
-        return fn(x_full).reshape(-1)[idx] - target[idx]
-
-    res = find_root(gap, (lo_a.ravel(), hi_a.ravel()), args=(np.arange(ys.size),))
-    if not np.all(res.success):
-        bad = np.where(~res.success)[0]
-        raise RootBracketError(
-            f"root search failed for {bad.size} target(s); first offending "
-            f"y={ys.flat[bad[0]]!r} (status {int(res.status[bad[0]])})"
-        )
-    x = res.x.reshape(ys.shape)
+    tgt = np.clip(ys, flo, fhi).reshape(-1)
+    # Chandrupatla's state: x1 the latest point, x2 the bracket end across
+    # the root, x3 the point dropped last; f* are the gaps fn(x*) - y
+    x1, x2 = lo_a.reshape(-1), hi_a.reshape(-1)
+    f1, f2 = np.reshape(flo, -1) - tgt, np.reshape(fhi, -1) - tgt
+    x3, f3, d1 = x2, f2, None
+    # the last two step lengths: a Newton step must halve the older one
+    step1 = step2 = np.abs(x2 - x1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.full(x1.shape, 0.5) if dfn is None else f1 / (f1 - f2)
+    out = np.empty(x1.shape)
+    arg = lo_a.copy()
+    arg_flat = arg.reshape(-1)
+    idx = np.arange(x1.size)
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    for it in range(_MAXITER + 1):
+        small = np.abs(f1) < np.abs(f2)
+        xmin = np.where(small, x1, x2)
+        dx = np.abs(x2 - x1)
+        tol = 4.0 * eps * np.abs(xmin) + 4.0 * tiny
+        stop = (np.abs(np.where(small, f1, f2)) <= tiny) | (dx < tol)
+        if stop.any():
+            out[idx[stop]] = arg_flat[idx[stop]] = xmin[stop]
+            keep = ~stop
+            idx, tgt, x1, f1, x2, f2, x3, f3, t, dx, tol, step1, step2 = (
+                v[keep] for v in (idx, tgt, x1, f1, x2, f2, x3, f3, t, dx, tol, step1, step2)
+            )
+            d1 = None if d1 is None else d1[keep]
+        if not idx.size:
+            break
+        if it == _MAXITER:
+            raise RootBracketError(
+                f"root search failed for {idx.size} target(s): no convergence in "
+                f"{_MAXITER} steps; first offending y={ys.flat[idx[0]]!r}"
+            )
+        if it:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if d1 is None:
+                    xi1 = (x1 - x2) / (x3 - x2)
+                    phi1 = (f1 - f2) / (f3 - f2)
+                    alpha = (x3 - x1) / (x2 - x1)
+                    iqi = ((1.0 - np.sqrt(1.0 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                    t = np.where(
+                        iqi,
+                        f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                        0.5,
+                    )
+                else:
+                    newton = -f1 / d1
+                    t = newton / (x2 - x1)
+                    t[~((t > 0.0) & (t < 1.0) & (np.abs(newton) <= 0.5 * step2))] = 0.5
+        tl = 0.5 * tol / dx
+        x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        step2, step1 = step1, np.abs(x - x1)
+        arg_flat[idx] = x
+        f = np.reshape(fn(arg), -1)[idx] - tgt
+        if dfn is not None:
+            d1 = np.reshape(dfn(arg), -1)[idx]
+        if not np.isfinite(f).all():
+            bad = idx[~np.isfinite(f)]
+            raise RootBracketError(
+                f"root search failed for {bad.size} target(s): non-finite value; "
+                f"first offending y={ys.flat[bad[0]]!r}"
+            )
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+    x = out.reshape(ys.shape)
     if rtol > 0:
         resid = np.abs(fn(x) - ys)
         if np.any(resid > rtol * (1.0 + np.abs(ys))):

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .export import write_json
-from .fn_core import GridIntegratedFn, SmoothFn, cr_norm, invert_monotone
+from .fn_core import GridIntegratedFn, SmoothFn, cr_norm, invert_monotone, newton_pair
 from .rotated_graph import rotate_graph
 
 __all__ = [
@@ -209,10 +209,8 @@ def solve_epsilon(f: SmoothFn, gamma: float) -> float:
             f"tan(gamma)={tan_g!r} is not inside the slope range (0, {top!r})"
         )
 
-    def slope(x):
-        return f.jet(x, 1)[1]
-
-    x4 = float(invert_monotone(slope, None, np.array([tan_g]), lo, hi, rtol=_EPS_RTOL)[0])
+    slope, curvature = newton_pair(f.slope_rows)
+    x4 = float(invert_monotone(slope, curvature, np.array([tan_g]), lo, hi, rtol=_EPS_RTOL)[0])
     eps = x4 / 4.0
     probe = 2.0 * eps / math.cos(gamma)
     if probe <= hi and f.eval(probe, 1) > tan_g * (1.0 + 1e-12):

@@ -19,7 +19,7 @@ Given convex ``f`` and ``g`` on compact intervals, the infimal convolution
   errors ``dx^2 * max f'' / 8`` alone.
 
 Shared diagnostics: :func:`minimizer_map` is the direct route's
-stationarity solve (Chandrupatla's method, through
+stationarity solve (bracketed Newton steps on the slope gap, through
 :func:`~minklab.fn_core.invert_monotone`) restricted to stationary points, and
 :func:`smoothness_diag` reports the curvature split ``j = g''/(f'' + g'')``
 together with the transferred curvature ``h'' = f'' * j``.
@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .export import write_csv
-from .fn_core import SmoothFn, _as_interval, _check_grid_n, invert_monotone
+from .fn_core import SmoothFn, _as_interval, _check_grid_n, invert_monotone, newton_pair
 
 __all__ = [
     "InfConvResult",
@@ -158,8 +158,9 @@ def _minimizer(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np
     """Minimizer of ``y -> f(y) + g(x - y)`` on each feasible window.
 
     The slope gap is nondecreasing for convex inputs.  Where it changes
-    sign on the window its root, found by Chandrupatla's method through
-    :func:`~minklab.fn_core.invert_monotone`, is the minimizer; elsewhere
+    sign on the window its root, found by bracketed Newton steps through
+    :func:`~minklab.fn_core.invert_monotone` with the curvature sum
+    ``f''(y) + g''(x - y)`` as derivative, is the minimizer; elsewhere
     the minimizer is the window end the gap points to, and ``pinned`` is
     True there.
     """
@@ -169,9 +170,13 @@ def _minimizer(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np
     mu = np.where(glo >= 0.0, ylo, yhi)
     if np.any(root):
         xr = xs[root]
-        mu[root] = invert_monotone(
-            lambda y: _slope_gap(f, g, xr, y), None, np.zeros(xr.size), ylo[root], yhi[root]
-        )
+
+        def gap_rows(y):
+            fs, fc = f.slope_rows(y)
+            gs, gc = g.slope_rows(xr - y)
+            return fs - gs, fc + gc
+
+        mu[root] = invert_monotone(*newton_pair(gap_rows), np.zeros(xr.size), ylo[root], yhi[root])
     return mu, ~root
 
 

@@ -4,7 +4,8 @@ Rotating ``{(x, f(x))}`` by the angle ``phi`` about the origin produces the
 parametric curve ``x -> (R(x), I(x))`` with ``R = x cos(phi) - f sin(phi)``
 and ``I = x sin(phi) + f cos(phi)``.  As long as ``R' = cos(phi) -
 f' sin(phi)`` stays positive the image is again a graph; its carrier here
-inverts ``R`` with a bracketed root finder (Chandrupatla's method) and
+inverts ``R`` with bracketed Newton steps, taking ``R`` and ``R'`` from one
+jet of ``f`` per step (:func:`minklab.fn_core.invert_monotone`), and
 obtains derivative rows through the quotient recursion: if ``g_k`` denotes
 the k-th derivative of the rotated function pre-composed with ``R``, then
 ``g_{k+1} = g_k' / R'`` (:func:`minklab.jets.quotient_derivs`).
@@ -36,7 +37,7 @@ from .errors import (
     RotationTooLargeError,
     ValidationError,
 )
-from .fn_core import SmoothFn, cr_norm, invert_monotone
+from .fn_core import SmoothFn, cr_norm, invert_monotone, newton_pair
 
 __all__ = [
     "RotatedFn",
@@ -104,8 +105,14 @@ def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
             f"[{u_lo!r}, {u_hi!r}]"
         )
 
+    def r_rows(x):
+        rows = f.jet(x, 1)
+        return x * c - rows[0] * s, c - rows[1] * s
+
     def jet_fn(u, order):
-        x = invert_monotone(r_map, None, u, lo, hi, rtol=1e-14)
+        # one jet of f per step gives R and R' to the Newton steps
+        solver = newton_pair(r_rows) if f.max_order >= 1 else (r_map, None)
+        x = invert_monotone(*solver, u, lo, hi, rtol=1e-14)
         if order == 0:
             return i_map(x)[None]
         m = order

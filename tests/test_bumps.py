@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minklab import bumps
-from minklab.jets import jet_var
+from minklab.jets import jet_var, tdiv
 
 
 def richardson_fd(fn, x: float, order: int, h: float) -> float:
@@ -58,6 +58,21 @@ def test_psi_support_and_plateau_exact():
     rows = bumps.psi_jet(plateau, 4)
     np.testing.assert_array_equal(rows[0], 1.0)
     np.testing.assert_array_equal(rows[1:], 0.0)
+
+
+def test_psi_jet_equals_the_unmasked_quotient():
+    # the plateau, ramp and translate masks must not move a single bit
+    edges = [2.0 / 3.0, 0.75, 1.25, 4.0 / 3.0, 1.5, 1.0, 0.375, 3.0]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    near += [np.nextafter(v, d) for v, d in zip(near, [-np.inf, np.inf] * len(edges))]
+    x = np.concatenate([edges, near, np.linspace(0.5, 1.7, 24001), [0.0, -1.0, 1e-300]])
+    for order in range(9):
+        raw = bumps.psi_raw_jet(x, order)
+        inside = raw[0] > 0.0
+        norm = bumps._normalizer_jet(x, order)
+        norm[0] = np.where(inside, norm[0], 1.0)
+        expected = np.where(inside, tdiv(raw, norm), 0.0)
+        assert np.array_equal(bumps.psi_jet(x, order), expected), order
 
 
 def test_psi_range_and_positivity():

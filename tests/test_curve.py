@@ -483,6 +483,32 @@ def test_grid_below_eight_samples_raises_argument_error(build, grid_n, assembled
         build(grid_n, assembled[0])
 
 
+@pytest.mark.parametrize("a", [1e200, 1e-200])
+def test_ellipse_with_extreme_equal_axes_is_the_circle(a):
+    s = SupportFn.ellipse(a, a, grid_n=64)
+    np.testing.assert_allclose(s.h, a, rtol=4e-16, atol=0)
+    np.testing.assert_allclose(s.dh / a, 0.0, atol=4e-16)
+    np.testing.assert_allclose(s.rho(), a, rtol=2e-15, atol=0)
+
+
+def test_non_integer_grid_n_raises_argument_error():
+    with pytest.raises(ArgumentError, match="grid_n"):
+        SupportFn.grid(64.5)
+    with pytest.raises(ArgumentError, match="grid_n"):
+        SupportFn.disk(1.0, grid_n=64.5)
+
+
+def test_support_fn_with_a_two_dimensional_theta_raises_argument_error():
+    with pytest.raises(ArgumentError, match="theta"):
+        SupportFn(
+            theta=np.zeros((8, 8)),
+            h=np.zeros(8),
+            dh=np.zeros(8),
+            d2h=np.zeros(8),
+            flat=np.zeros(8, dtype=bool),
+        )
+
+
 @pytest.mark.parametrize("th", [1e19, 1e300])
 def test_huge_transfer_angle_snaps_to_its_reduced_grid_angle(th):
     a = SupportFn.ellipse(2.0, 1.0, grid_n=64)

@@ -19,6 +19,7 @@ from minklab.fn_core import (
     derivative_fn,
     holder_seminorm,
     invert_monotone,
+    newton_pair,
     write_csv_table,
 )
 from minklab.infconv import infconv_conjugate, infconv_direct, minimizer_map
@@ -330,6 +331,80 @@ class TestInvertMonotone:
         xs = invert_monotone(fn, None, ys, -6.0, 6.0, rtol=1e-14)
         np.testing.assert_allclose(np.sinh(xs), ys, rtol=1e-14, atol=1e-14)
         assert len(shapes) > 3 and set(shapes) == {ys.shape}
+
+
+class TestInvertMonotoneNewton:
+    def test_derivative_saves_evaluations(self):
+        calls = {None: 0, "newton": 0}
+        ys = np.linspace(-8, 8, 41)
+        roots = {}
+        for key, dfn in ((None, None), ("newton", lambda x: 3 * x**2 + 1)):
+
+            def fn(x, key=key):
+                calls[key] += 1
+                return x**3 + x
+
+            roots[key] = invert_monotone(fn, dfn, ys, -2.5, 2.5)
+        assert calls["newton"] < calls[None]
+        np.testing.assert_allclose(roots["newton"], roots[None], rtol=0, atol=4 * np.spacing(2.5))
+
+    def test_derivative_shares_the_value_call(self):
+        calls = []
+
+        def rows(x):
+            calls.append(x)
+            return np.sinh(x), np.cosh(x)
+
+        ys = np.array([[0.0, 1e-300, 0.5], [3.0, 70.0, -2.0]])
+        xs = invert_monotone(*newton_pair(rows), ys, -6.0, 6.0, rtol=1e-14)
+        np.testing.assert_allclose(np.sinh(xs), ys, rtol=1e-14, atol=1e-14)
+        # bracket ends, steps and the residual check: one rows call each
+        assert all(np.shape(x) == ys.shape for x in calls) and len(calls) < 20
+
+    @pytest.mark.parametrize(
+        "dfn",
+        [
+            lambda x: np.where(np.abs(x - 0.3) < 0.2, 0.0, 3 * x**2 + 1),
+            lambda x: np.full(np.shape(x), np.nan),
+            lambda x: -(3 * x**2 + 1),
+            lambda x: np.full(np.shape(x), np.inf),
+        ],
+        ids=["zero-plateau", "nan", "wrong-sign", "inf"],
+    )
+    def test_bad_derivative_falls_back_inside_the_bracket(self, dfn):
+        fn = lambda x: x**3 + x
+        seen = []
+
+        def watched(x):
+            seen.append(np.array(x, copy=True))
+            return fn(x)
+
+        ys = np.linspace(-2.0, 10.0, 25)
+        xs = invert_monotone(watched, dfn, ys, -1.0, 2.0, rtol=1e-14)
+        np.testing.assert_allclose(fn(xs), ys, rtol=1e-14, atol=1e-14)
+        assert all(np.all((x >= -1.0) & (x <= 2.0)) for x in seen)
+
+    def test_oscillating_newton_steps_give_way_to_bisection(self):
+        # Newton on sign(u)|u|^0.55 maps u to -0.82 u: an oscillation inside
+        # the bracket that shrinks too slowly unless the step test bisects
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.sign(x - 0.3) * np.abs(x - 0.3) ** 0.55
+
+        dfn = lambda x: 0.55 * np.abs(x - 0.3) ** -0.45
+        xs = invert_monotone(fn, dfn, [0.0], -1.0, 1.0)
+        assert xs[0] == pytest.approx(0.3, rel=4e-16)
+        assert len(calls) < 60
+
+    def test_no_targets(self):
+        xs = invert_monotone(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, np.zeros((0, 3)), -1.0, 1.0)
+        assert xs.shape == (0, 3)
+
+    def test_non_finite_bracket_value_raises(self):
+        with pytest.raises(RootBracketError, match="non-finite"):
+            invert_monotone(lambda x: np.where(x > 0.9, np.nan, x), None, [0.5], 0.0, 1.0)
 
 
 def test_write_csv_table(tmp_path):
