@@ -26,8 +26,9 @@ certificates (slope and value bounds, induced-hinge side lengths) that
 :func:`build_smoothing` verifies on every build it returns.
 :func:`schedule_smoothings` produces a whole sequence of such smoothings
 with shrinking hinges, uniformly bounded norms, and total turning angle
-exactly ``pi/n``; its angle search only integrates and norms candidates,
-and every smoothing it returns is fully certified.
+exactly ``pi/n``; its angle search rejects most candidates by an exact
+lower bound on their norms, integrates and norms only the rest, and every
+smoothing it returns is fully certified.
 """
 
 from __future__ import annotations
@@ -317,33 +318,43 @@ def _flat_floor(f: SmoothFn) -> float:
     return float(xs[first]) if first > 0 else 0.0
 
 
-def _integrate(f: SmoothFn, d: float, gamma: float):
-    """Place the profiles, solve ``eps`` and ``b_eps``, and integrate ``F``.
-
-    Returns ``(F, f_u, f_v, eps, b_eps, mass_u, mass_v)``.  Raises what the
-    placement and the two solves raise, but checks no certificate.
-    """
+def _place(f: SmoothFn, d: float, gamma: float):
+    """``(f_u, f_v, eps)``: the placed profiles and ``eps``; raises what those solves raise."""
     f_u, f_v = place_profiles(f, d, gamma)
     eps = solve_epsilon(f, gamma)
     if not 4.0 * eps < d:
         raise HypothesisError(
             f"gamma is not small enough for this d: 4*eps={4.0 * eps!r} >= d={d!r}"
         )
+    return f_u, f_v, eps
+
+
+def _end_rows(x, d, eps, f_u, f_v, order):
+    """Derivative rows of ``f_u'' W_u + f_v'' W_v``, the end terms of ``F''``."""
+    out = np.zeros((order + 1,) + x.shape)
+    for m, prof, sign in (
+        (x < 2.0 * eps - d, f_u, 1),
+        (x > d - 2.0 * eps, f_v, -1),
+    ):
+        if m.any():
+            prod = jets.tmul(
+                jets.derivs_to_jet(prof.jet(x[m], order + 2)[2:]),
+                jets.derivs_to_jet(_window_end_rows(x[m], d, eps, order, sign)),
+            )
+            out[:, m] += jets.jet_to_derivs(prod)
+    return out
+
+
+def _integrate(f: SmoothFn, d: float, f_u: SmoothFn, f_v: SmoothFn, eps: float):
+    """Solve ``b_eps`` for a placement from :func:`_place` and integrate ``F``.
+
+    Returns ``(F, b_eps, mass_u, mass_v)``.  Raises what the ``b_eps``
+    solve raises, but checks no certificate.
+    """
     b_eps, mass_u, mass_v = _solve_b_masses(f_u, f_v, eps, d)
 
     def d2_rows(x, order):
-        out = b_eps * _window_0_rows(x, d, eps, order)
-        for m, prof, sign in (
-            (x < 2.0 * eps - d, f_u, 1),
-            (x > d - 2.0 * eps, f_v, -1),
-        ):
-            if m.any():
-                prod = jets.tmul(
-                    jets.derivs_to_jet(prof.jet(x[m], order + 2)[2:]),
-                    jets.derivs_to_jet(_window_end_rows(x[m], d, eps, order, sign)),
-                )
-                out[:, m] += jets.jet_to_derivs(prod)
-        return out
+        return b_eps * _window_0_rows(x, d, eps, order) + _end_rows(x, d, eps, f_u, f_v, order)
 
     breakpoints = np.array([-d, -d + eps, -d + 2.0 * eps, d - 2.0 * eps, d - eps, d])
     F = GridIntegratedFn(
@@ -355,7 +366,7 @@ def _integrate(f: SmoothFn, d: float, gamma: float):
         nodes_per_piece=_NODES_PER_PIECE,
         name=f"hinge_smoothing[d={d:.4g}]",
     )
-    return F, f_u, f_v, eps, b_eps, mass_u, mass_v
+    return F, b_eps, mass_u, mass_v
 
 
 def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
@@ -370,7 +381,8 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
     the profile's own exactly-flat start (a truncated profile vanishes
     identically near 0, so the smoothing inherits a flat collar there).
     """
-    F, f_u, f_v, eps, b_eps, mass_u, mass_v = _integrate(f, d, gamma)
+    f_u, f_v, eps = _place(f, d, gamma)
+    F, b_eps, mass_u, mass_v = _integrate(f, d, f_u, f_v, eps)
     tan_g = math.tan(gamma)
     certs = _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, mass_u, mass_v)
     certs += _function_certificates(F, f_u, f_v, f, eps, d, tan_g)
@@ -512,6 +524,19 @@ def _norms_upto(F: SmoothFn) -> np.ndarray:
     return np.cumsum(per)
 
 
+def _norm_floor(f_u, f_v, eps, d) -> np.ndarray:
+    """A lower bound on ``_norms_upto(F)`` in every column, with no ``b_eps`` and no table.
+
+    ``W_0`` vanishes on ``|x| >= d - eps``, so at those points of the norm
+    grid ``F''``, ``F'''`` and ``F''''`` are the end rows bit for bit; their
+    partial sums cannot exceed the whole grid's, as rounded addition is
+    monotone.
+    """
+    xs = np.linspace(-d, d, _NORM_GRID_N)
+    rows = _end_rows(xs[np.abs(xs) >= d - eps], d, eps, f_u, f_v, _R_MAX - 2)
+    return np.cumsum([0.0, 0.0, *np.abs(rows).max(axis=1)])
+
+
 def schedule_smoothings(
     f: SmoothFn,
     m_max: int,
@@ -527,10 +552,14 @@ def schedule_smoothings(
     the C^r norms fall below the cap anchored at the first build (twice
     its norms).  The angle sequence is then rescaled so the total turn
     ``sum 2**(m+1) gamma_m`` is exactly ``pi/n`` for the least integer
-    ``n >= 2``, and every smoothing is rebuilt.  Search candidates are
-    only integrated and normed; every returned smoothing is a full
-    :func:`build_smoothing`, so it is certified and a failed certificate
-    raises :class:`ConstructionError`.
+    ``n >= 2``, and every smoothing is rebuilt.  A search candidate is
+    placed and its ``eps`` solved; where ``W_0`` vanishes, the norm grid's
+    ``F''`` rows need no mass solve and no table, and when their norms
+    already break the cap the candidate is rejected unintegrated, so a
+    :class:`ConstructionError` of its mass solve no longer stops the
+    search.  The other candidates are integrated and normed, uncertified.
+    Every returned smoothing is a full :func:`build_smoothing`, so it is
+    certified and a failed certificate raises :class:`ConstructionError`.
     """
     if m_max < 1:
         raise ArgumentError("need at least one level")
@@ -543,16 +572,18 @@ def schedule_smoothings(
 
     gammas = np.zeros(m_max)
     caps = None
-    for i, d in enumerate(ds):
+    for i, d in enumerate(ds.tolist()):
         gamma = 0.5 * math.atan(f.eval(d / 8.0, 1))
         built = False
         for _ in range(_MAX_HALVINGS + 1):
-            norms = _norms_upto(_integrate(f, float(d), gamma)[0])
-            if caps is None:
-                caps = _CAP_FACTOR * norms
-            if np.all(norms <= caps):
-                built = True
-                break
+            f_u, f_v, eps = _place(f, d, gamma)
+            if caps is None or np.all(_norm_floor(f_u, f_v, eps, d) <= caps):
+                norms = _norms_upto(_integrate(f, d, f_u, f_v, eps)[0])
+                if caps is None:
+                    caps = _CAP_FACTOR * norms
+                if np.all(norms <= caps):
+                    built = True
+                    break
             gamma *= 0.5
         if not built:
             raise ConstructionError(

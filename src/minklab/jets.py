@@ -74,8 +74,8 @@ def tdiv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.zeros((m,) + tail)
     out[0] = u[0] / v[0]
     for k in range(1, m):
-        acc = np.array(u[k], dtype=float, copy=True)
-        acc = np.broadcast_to(acc, tail).copy()
+        acc = np.empty(tail)
+        acc[...] = u[k]
         for j in range(1, k + 1):
             acc -= v[j] * out[k - j]
         out[k] = acc / v[0]

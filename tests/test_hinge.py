@@ -359,6 +359,63 @@ class TestCertifyOnlyKeptBuilds:
             schedule_smoothings(hinge_profile.f, 1)
 
 
+@pytest.fixture(scope="module")
+def recorded_search(hinge_profile):
+    """The five-level schedule with every placement and integration recorded."""
+    placements, integrated = [], []
+    place, integrate = hinge._place, hinge._integrate
+
+    def recorded_place(f, d, gamma):
+        placements.append((d, gamma) + place(f, d, gamma))
+        return placements[-1][2:]
+
+    def counted_integrate(*args):
+        integrated.append(args[1])
+        return integrate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hinge, "_place", recorded_place)
+        mp.setattr(hinge, "_integrate", counted_integrate)
+        hs = schedule_smoothings(hinge_profile.f, 5)
+    return hs, placements, integrated
+
+
+class TestNormFloorSearch:
+    def test_integrates_eleven_times(self, recorded_search):
+        # 6 search candidates and 5 certified builds; 26 before the norm floor
+        hs, placements, integrated = recorded_search
+        assert len(integrated) == 11
+        assert len(placements) == 26
+
+    def test_floor_rows_are_the_norm_rows(self, hinge_profile, recorded_search):
+        hs, placements, _ = recorded_search
+        rejected = kept = 0
+        for d, gamma, f_u, f_v, eps in placements:
+            if d not in hs.d_values[:3]:
+                continue
+            F = hinge._integrate(hinge_profile.f, d, f_u, f_v, eps)[0]
+            xs = np.linspace(-d, d, hinge._NORM_GRID_N)
+            ends = np.abs(xs) >= d - eps
+            rows = hinge._end_rows(xs[ends], d, eps, f_u, f_v, 2)
+            np.testing.assert_array_equal(rows, F.jet(xs, 4)[2:, ends])
+            floor = hinge._norm_floor(f_u, f_v, eps, d)
+            assert np.all(floor <= hinge._norms_upto(F))
+            if np.all(floor <= hs.caps):
+                kept += 1
+            else:
+                rejected += 1
+        # both sides of the floor's verdict are checked
+        assert rejected >= 5 and kept >= 3
+
+    def test_never_rejecting_floor_gives_the_same_schedule(self, hinge_profile, monkeypatch):
+        bounded = schedule_smoothings(hinge_profile.f, 3)
+        monkeypatch.setattr(hinge, "_norm_floor", lambda *args: np.zeros(hinge._R_MAX + 1))
+        full = schedule_smoothings(hinge_profile.f, 3)
+        np.testing.assert_array_equal(bounded.gamma_values, full.gamma_values)
+        np.testing.assert_array_equal(bounded.caps, full.caps)
+        np.testing.assert_array_equal(bounded.norm_table, full.norm_table)
+
+
 class TestJsonExport:
     def test_round_trip(self, quartic_sr, tmp_path):
         path = tmp_path / "smoothing.json"
