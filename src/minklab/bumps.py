@@ -81,20 +81,24 @@ def _normalizer_jet(x, order: int) -> np.ndarray:
 
 def _translate_jet(x: np.ndarray, m: int, order: int) -> np.ndarray:
     """Jet of ``psi_raw(2**m x)`` in the variable ``x``."""
-    term = psi_raw_jet(np.ldexp(x, m), order)
-    for j in range(order + 1):
-        term[j] = np.ldexp(term[j], m * j)
-    return term
+    return _scale_rows(psi_raw_jet(np.ldexp(x, m), order), m)
+
+
+def _scale_rows(rows: np.ndarray, s) -> np.ndarray:
+    """Jet of ``g(2**s x)`` from the jet of ``g`` at ``2**s x``: row ``j`` times ``2**(s j)``, in place."""
+    for j in range(rows.shape[0]):
+        rows[j] = np.ldexp(rows[j], s * j)
+    return rows
 
 
 def psi_jet(x, order: int) -> np.ndarray:
     """Jet of the normalized partition bump ``psi = psi_raw / T``.
 
     On the plateau, where both ramp arguments are at least 1, the jet is
-    ``[1, 0, ...]`` and is written directly; the ramps compute ``psi_raw``
-    once and each outer translate of ``T`` only where it can be nonzero
-    (``psi_raw(x/2)`` needs ``x > 4/3``, ``psi_raw(2x)`` needs ``x < 3/4``).
-    The result equals the unmasked ``psi_raw / T`` bit for bit.
+    ``[1, 0, ...]``; on the ramps one :func:`psi_raw_jet` call gives ``psi_raw``
+    and each outer translate of ``T`` where it can be nonzero (``psi_raw(x/2)``
+    needs ``x > 4/3``, ``psi_raw(2x)`` needs ``x < 3/4``).  The result equals
+    the unmasked ``psi_raw / T`` bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros((order + 1,) + x.shape)
@@ -107,24 +111,26 @@ def psi_jet(x, order: int) -> np.ndarray:
     if not ramp.any():
         return out
     xr = x[ramp]
-    raw = psi_raw_jet(xr, order)
+    near_lo, near_hi = xr > 2.0 * PSI_SUPPORT[0], xr < PSI_SUPPORT[1] / 2.0
+    n, n_lo = xr.size, np.count_nonzero(near_lo)
+    rows = psi_raw_jet(np.concatenate([xr, np.ldexp(xr[near_lo], -1), np.ldexp(xr[near_hi], 1)]), order)
+    raw = rows[:, :n]
     norm = raw.copy()
-    for m, near in ((-1, xr > 2.0 * PSI_SUPPORT[0]), (1, xr < PSI_SUPPORT[1] / 2.0)):
-        if near.any():
-            norm[:, near] += _translate_jet(xr[near], m, order)
+    norm[:, near_lo] += _scale_rows(rows[:, n : n + n_lo], -1)
+    norm[:, near_hi] += _scale_rows(rows[:, n + n_lo :], 1)
     inside = raw[0] > 0.0
     norm[0] = np.where(inside, norm[0], 1.0)
     out[:, ramp] = np.where(inside, tdiv(raw, norm), 0.0)
     return out
 
 
-def psi_scaled_jet(x, scale_log2: int, order: int) -> np.ndarray:
-    """Jet of ``psi(2**scale_log2 * x)`` (exact dyadic argument scaling)."""
+def psi_scaled_jet(x, scale_log2, order: int) -> np.ndarray:
+    """Jet of ``psi(2**scale_log2 * x)`` (exact dyadic argument scaling).
+
+    ``scale_log2`` is an int or an integer array that broadcasts against ``x``.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = psi_jet(np.ldexp(x, scale_log2), order)
-    for j in range(order + 1):
-        out[j] = np.ldexp(out[j], scale_log2 * j)
-    return out
+    return _scale_rows(psi_jet(np.ldexp(x, scale_log2), order), scale_log2)
 
 
 def phi_even_jet(x, order: int) -> np.ndarray:

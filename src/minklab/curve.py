@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .export import write_csv, write_json
-from .fn_core import SmoothFn, invert_monotone, newton_pair
+from .fn_core import SmoothFn, _check_grid_n, invert_monotone, newton_pair
 from .hinge import HingeSchedule, SmoothingResult, _flat_floor
 
 __all__ = [
@@ -705,10 +705,7 @@ class SupportFn:
 
     @staticmethod
     def grid(grid_n: int) -> np.ndarray:
-        if not isinstance(grid_n, (int, np.integer)):
-            raise ArgumentError(f"grid_n must be an integer, got {grid_n!r}")
-        if grid_n < 8:
-            raise ArgumentError("angular grid needs at least 8 samples")
+        _check_grid_n(grid_n, 8)
         return np.arange(grid_n) * (TAU / grid_n)
 
     @classmethod

@@ -69,9 +69,11 @@ def _as_interval(interval) -> Interval:
     return lo, hi
 
 
-def _check_grid_n(grid_n: int) -> None:
-    if grid_n < 2:
-        raise ArgumentError(f"grid_n must be at least 2, got {grid_n!r}")
+def _check_grid_n(grid_n: int, least: int = 2) -> None:
+    if not isinstance(grid_n, (int, np.integer)):
+        raise ArgumentError(f"grid_n must be an integer, got {grid_n!r}")
+    if grid_n < least:
+        raise ArgumentError(f"grid_n must be at least {least} samples, got {grid_n!r}")
 
 
 class SmoothFn:

@@ -176,16 +176,18 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
             "rotated profile does not reach the right endpoint; shrink d or gamma"
         )
 
-    signs = (-1.0) ** np.arange(f_u.max_order + 1)
-
     def mirror_jet(x, order):
-        rows = f_u.jet(-x, order)
-        return rows * signs[: order + 1, None]
+        return _mirror(f_u.jet(-x, order))
 
     f_v = SmoothFn.from_jet_fn(
         (-f_u.domain[1], -f_u.domain[0]), f_u.max_order, mirror_jet, name="f_v"
     )
     return f_u, f_v
+
+
+def _mirror(rows: np.ndarray) -> np.ndarray:
+    """Derivative rows of ``g(-x)`` from those of ``g`` at ``-x``: row ``j`` times ``(-1)**j``."""
+    return rows * ((-1.0) ** np.arange(rows.shape[0]))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +332,20 @@ def _place(f: SmoothFn, d: float, gamma: float):
 
 
 def _end_rows(x, d, eps, f_u, f_v, order):
-    """Derivative rows of ``f_u'' W_u + f_v'' W_v``, the end terms of ``F''``."""
+    """Derivative rows of ``f_u'' W_u + f_v'' W_v``, the end terms of ``F''``.
+
+    One ``f_u`` jet serves both ends; ``f_v``'s rows are :func:`_mirror` of ``f_u``'s at ``-x``.
+    """
     out = np.zeros((order + 1,) + x.shape)
-    for m, prof, sign in (
-        (x < 2.0 * eps - d, f_u, 1),
-        (x > d - 2.0 * eps, f_v, -1),
-    ):
+    m_u, m_v = x < 2.0 * eps - d, x > d - 2.0 * eps
+    if not (m_u.any() or m_v.any()):
+        return out
+    n_u = np.count_nonzero(m_u)
+    prof = f_u.jet(np.concatenate([x[m_u], -x[m_v]]), order + 2)
+    for m, rows, sign in ((m_u, prof[:, :n_u], 1), (m_v, _mirror(prof[:, n_u:]), -1)):
         if m.any():
             prod = jets.tmul(
-                jets.derivs_to_jet(prof.jet(x[m], order + 2)[2:]),
+                jets.derivs_to_jet(rows[2:]),
                 jets.derivs_to_jet(_window_end_rows(x[m], d, eps, order, sign)),
             )
             out[:, m] += jets.jet_to_derivs(prod)

@@ -170,7 +170,7 @@ def exp_neg_inv(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     ok = _guarded_positive(np.asarray(u[0]))
-    safe = np.array(np.broadcast_to(u, u.shape), dtype=float, copy=True)
+    safe = u.copy()
     safe[0] = np.where(ok, u[0], 1.0)
     w = texp(-trecip(safe))
     w *= ok  # zero out the flat side, all rows at once

@@ -239,10 +239,9 @@ def _simpson_on(f_vals: np.ndarray, xs: np.ndarray) -> float:
     return float(simpson(f_vals, x=xs))
 
 
-def _even_product_rows(family_k: SmoothFn, tk: float, k: int, xs: np.ndarray, order: int) -> np.ndarray:
-    """Derivative rows of ``F_k''(x - t_k) * Psi(4**k x)`` on ``xs``."""
-    prof = jets.derivs_to_jet(family_k.jet(xs - tk, order + 2)[2:])
-    bump = bumps.psi_scaled_jet(xs, 2 * k, order)
+def _even_product_rows(family_k: SmoothFn, tk: float, xs: np.ndarray, bump: np.ndarray) -> np.ndarray:
+    """Derivative rows of ``F_k''(x - t_k) * Psi(4**k x)`` on ``xs``; ``bump`` is ``Psi(4**k x)``'s jet."""
+    prof = jets.derivs_to_jet(family_k.jet(xs - tk, bump.shape[0] + 1)[2:])
     return jets.jet_to_derivs(jets.tmul(prof, bump))
 
 
@@ -286,11 +285,11 @@ def build_patched_convex(
     for k in range(1, k_max + 1):
         tk = t[k]
         xs = np.linspace(tk, _EVEN_SUPPORT[1] * tk, _QUAD_N + 1)
-        vals = _even_product_rows(fams[k], tk, k, xs, 0)[0]
+        vals = _even_product_rows(fams[k], tk, xs, bumps.psi_scaled_jet(xs, 2 * k, 0))[0]
         A[k] = _simpson_on(vals, xs)
 
         xs = np.linspace(2.0 * _ODD_SUPPORT[0] * tk, 4.0 * tk, _QUAD_N + 1)
-        vals = _even_product_rows(fams[k - 1], t[k - 1], k - 1, xs, 0)[0]
+        vals = _even_product_rows(fams[k - 1], t[k - 1], xs, bumps.psi_scaled_jet(xs, 2 * k - 2, 0))[0]
         B[k] = _simpson_on(vals, xs)
 
         xs = np.linspace(_ODD_SUPPORT[0] * tk, _ODD_SUPPORT[1] * tk, _QUAD_N + 1)
@@ -317,16 +316,27 @@ def build_patched_convex(
     levels = list(range(K, k_max + 1))
 
     def d2_jet(x, order):
+        # the support of every (level, scale) term, with one bump call for all
+        terms = [
+            (k, s, (x > lo * t[k]) & (x < hi * t[k]))
+            for k in levels
+            for s, (lo, hi) in ((2 * k, _EVEN_SUPPORT), (2 * k - 1, _ODD_SUPPORT))
+        ]
+        counts = [np.count_nonzero(m) for _, _, m in terms]
+        bump = bumps.psi_scaled_jet(
+            np.concatenate([x[m] for _, _, m in terms]),
+            # int32: numpy's ldexp loop for int64 exponents is about 20x slower
+            np.repeat(np.int32([s for _, s, _ in terms]), counts),
+            order,
+        )
         out = np.zeros((order + 1,) + x.shape)
-        for k in levels:
-            tk = t[k]
-            m = (x > _EVEN_SUPPORT[0] * tk) & (x < _EVEN_SUPPORT[1] * tk)
-            if m.any():
-                out[:, m] += b[k] * _even_product_rows(fams[k], tk, k, x[m], order)
-            m = (x > _ODD_SUPPORT[0] * tk) & (x < _ODD_SUPPORT[1] * tk)
-            if m.any():
-                rows = jets.jet_to_derivs(bumps.psi_scaled_jet(x[m], 2 * k - 1, order))
-                out[:, m] += alpha[k] * rows
+        for (k, s, m), rows in zip(terms, np.split(bump, np.cumsum(counts)[:-1], axis=1)):
+            if not rows.shape[1]:
+                continue
+            if s == 2 * k:
+                out[:, m] += b[k] * _even_product_rows(fams[k], t[k], x[m], rows)
+            else:
+                out[:, m] += alpha[k] * jets.jet_to_derivs(rows)
         return out
 
     hi_end = 3.0 * t[K]

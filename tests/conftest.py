@@ -6,6 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+# Hypothesis draws examples from the literal constants of the non-test
+# modules loaded so far, so every module is loaded up front: a test file
+# run alone then draws the same examples as the full suite.
+from minklab import (  # noqa: F401
+    bumps,
+    cantor,
+    curve,
+    errors,
+    export,
+    fn_core,
+    hinge,
+    infconv,
+    jets,
+    patching,
+    rotated_graph,
+)
+
 settings.register_profile(
     "det",
     derandomize=True,

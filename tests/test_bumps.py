@@ -102,6 +102,21 @@ def test_psi_scaled_jet_consistency():
         np.testing.assert_allclose(scaled[j], base[j] * 16.0**j, rtol=1e-13)
 
 
+@pytest.mark.parametrize("order", range(9))
+def test_psi_scaled_jet_with_an_exponent_array_equals_one_call_per_exponent(order):
+    # points across each scaled support, plateau, ramps and translates,
+    # with the scales interleaved
+    scales = np.arange(-3, 9)
+    s = np.repeat(scales, 600)
+    x = np.ldexp(np.tile(np.linspace(0.6, 1.6, 600), scales.size), -s)
+    perm = np.random.default_rng(7).permutation(x.size)
+    x, s = x[perm], s[perm]
+    batched = bumps.psi_scaled_jet(x, s, order)
+    for e in scales:
+        m = s == e
+        np.testing.assert_array_equal(batched[:, m], bumps.psi_scaled_jet(x[m], int(e), order))
+
+
 def test_psi_scaled_supports_are_dyadic():
     # psi(2^(2k) x) lives on [2/3, 3/2] * 4^-k, psi(2^(2k-1) x) on [4/3, 3] * 4^-k
     k = 3

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minklab import jets
+from minklab.curve import SupportFn
 from minklab.errors import ArgumentError, CapabilityError, RootBracketError
 from minklab.fn_core import (
     GridIntegratedFn,
@@ -140,6 +141,24 @@ def test_nan_point_raises_argument_error(call):
     ids=["cr-norm", "holder", "infconv-direct", "infconv-conjugate", "csv-table"],
 )
 def test_sample_count_below_two_raises_argument_error(call, n):
+    with pytest.raises(ArgumentError, match="grid_n"):
+        call(n)
+
+
+@pytest.mark.parametrize("n", [64.5, 64.0, np.float64(64.0), "64", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: cr_norm(_QUAD, 1, grid_n=n),
+        lambda n: holder_seminorm(_QUAD, 1, 0.5, (-1.0, 1.0), grid_n=n),
+        lambda n: write_csv_table(_QUAD, os.devnull, grid_n=n),
+        lambda n: infconv_direct(_QUAD, _QUAD, grid_n=n),
+        lambda n: infconv_conjugate(_QUAD, _QUAD, grid_n=n),
+        lambda n: SupportFn.grid(n),
+    ],
+    ids=["cr-norm", "holder", "csv-table", "infconv-direct", "infconv-conjugate", "support-grid"],
+)
+def test_non_integer_sample_count_raises_argument_error(call, n):
     with pytest.raises(ArgumentError, match="grid_n"):
         call(n)
 

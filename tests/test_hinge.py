@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minklab import hinge
+from minklab import bumps, hinge, jets
 from minklab.errors import (
     ArgumentError,
     ConstructionError,
@@ -414,6 +414,70 @@ class TestNormFloorSearch:
         np.testing.assert_array_equal(bounded.gamma_values, full.gamma_values)
         np.testing.assert_array_equal(bounded.caps, full.caps)
         np.testing.assert_array_equal(bounded.norm_table, full.norm_table)
+
+
+def two_call_end_rows(x, d, eps, f_u, f_v, order):
+    """The end rows with one jet call per profile, ``f_v``'s through ``f_v.jet``."""
+    out = np.zeros((order + 1,) + x.shape)
+    for m, prof, sign in ((x < 2.0 * eps - d, f_u, 1), (x > d - 2.0 * eps, f_v, -1)):
+        if m.any():
+            prod = jets.tmul(
+                jets.derivs_to_jet(prof.jet(x[m], order + 2)[2:]),
+                jets.derivs_to_jet(hinge._window_end_rows(x[m], d, eps, order, sign)),
+            )
+            out[:, m] += jets.jet_to_derivs(prod)
+    return out
+
+
+class TestBatchedJets:
+    def test_end_rows_equal_the_two_call_route(self, recorded_search):
+        hs, placements, _ = recorded_search
+        for d, gamma, f_u, f_v, eps in placements[::4]:
+            edges = np.array([-d, 2.0 * eps - d, d - 2.0 * eps, d])
+            xs = np.concatenate([np.linspace(-d, d, 1025), edges, np.nextafter(edges, 0.0)])
+            for order in (0, 2, 6):
+                np.testing.assert_array_equal(
+                    hinge._end_rows(xs, d, eps, f_u, f_v, order),
+                    two_call_end_rows(xs, d, eps, f_u, f_v, order),
+                )
+
+    def test_one_kernel_call_per_jet_request(self, hinge_profile):
+        # each d2_jet call makes one psi_scaled_jet call, each _end_rows
+        # call at most one f_u.jet call
+        f = hinge_profile.f
+        d2, psi, end_rows = f._d2, bumps.psi_scaled_jet, hinge._end_rows
+        psi_calls, per_d2, per_end = [], [], []
+
+        def counted_psi(*args):
+            psi_calls.append(1)
+            return psi(*args)
+
+        def counted_d2(x, order):
+            before = len(psi_calls)
+            out = d2(x, order)
+            per_d2.append(len(psi_calls) - before)
+            return out
+
+        def counted_end_rows(x, d, eps, f_u, f_v, order):
+            jets_of_f_u = []
+
+            def counted_jet(*args):
+                jets_of_f_u.append(1)
+                return type(f_u).jet(f_u, *args)
+
+            with pytest.MonkeyPatch.context() as inner:
+                inner.setattr(f_u, "jet", counted_jet, raising=False)
+                out = end_rows(x, d, eps, f_u, f_v, order)
+            per_end.append(len(jets_of_f_u))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bumps, "psi_scaled_jet", counted_psi)
+            mp.setattr(f, "_d2", counted_d2)
+            mp.setattr(hinge, "_end_rows", counted_end_rows)
+            schedule_smoothings(f, 3)
+        assert len(per_d2) > 50 and set(per_d2) == {1}
+        assert len(per_end) > 10 and max(per_end) == 1
 
 
 class TestJsonExport:

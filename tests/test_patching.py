@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minklab import bumps
+from minklab import bumps, jets
 from minklab.errors import ArgumentError, ConstructionError, ValidationError
 from minklab.fn_core import SmoothFn
 from minklab.patching import (
@@ -217,6 +217,38 @@ class TestQuadraticBuild:
 
     def test_d_quadrature_matches_scaled_bump_integral(self, quad_build):
         assert quad_build.d_quadrature_gap < 1e-12
+
+
+def per_level_d2(p, family, x, order):
+    """Rows of ``f''`` with one bump call per level and scale, level by level."""
+    b, t = p.schedule.b, p.t
+    lo, hi = bumps.PSI_SUPPORT
+    out = np.zeros((order + 1,) + x.shape)
+    for i, k in enumerate(range(p.K, p.k_max + 1)):
+        tk = t[k]
+        m = (x > lo * tk) & (x < hi * tk)
+        if m.any():
+            prof = jets.derivs_to_jet(family(k).jet(x[m] - tk, order + 2)[2:])
+            bump = bumps.psi_scaled_jet(x[m], 2 * k, order)
+            out[:, m] += b[k] * jets.jet_to_derivs(jets.tmul(prof, bump))
+        m = (x > 2.0 * lo * tk) & (x < 2.0 * hi * tk)
+        if m.any():
+            rows = jets.jet_to_derivs(bumps.psi_scaled_jet(x[m], 2 * k - 1, order))
+            out[:, m] += p.alpha[i] * rows
+    return out
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_batched_d2_jet_equals_the_per_level_loop(hinge_profile, order):
+    p = hinge_profile
+    t = p.t[p.K : p.k_max + 1]
+    lo, hi = bumps.PSI_SUPPORT
+    edges = np.concatenate([lo * t, hi * t, 2.0 * lo * t, 2.0 * hi * t])
+    near = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    x = np.concatenate([np.geomspace(0.5 * t[-1], 3.0 * t[0], 20001), edges, near])
+    x = x[x <= p.f.domain[1]]
+    family = quadratic_profile_family(2.0 ** -np.arange(11))
+    np.testing.assert_array_equal(p.f.jet(x, 2 + order)[2:], per_level_d2(p, family, x, order))
 
 
 class TestQuarticBuild:
