@@ -30,6 +30,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import ArgumentError, CapabilityError
+from .fn_core import _check_int
 
 __all__ = [
     "MAX_DEPTH",
@@ -93,6 +94,7 @@ class CantorSpec:
 
     @staticmethod
     def uniform(base: tuple[Number, Number], ratio: Number, depth: int) -> "CantorSpec":
+        _check_int(depth, "depth")
         if depth < 0:
             raise ArgumentError("depth must be >= 0")
         return CantorSpec(tuple(base), (ratio,) * depth)

@@ -22,7 +22,8 @@ Two kinds exist, named by the class attribute ``kind``:
 takes Newton steps where the caller passes a derivative (built with
 :func:`newton_pair` when one call yields value and derivative, as
 :meth:`SmoothFn.slope_rows` does for ``f'``) and Chandrupatla's steps
-otherwise.
+otherwise.  With scalar brackets it evaluates both ends in one call and
+then only the points of the targets still unsolved.
 """
 
 from __future__ import annotations
@@ -69,9 +70,13 @@ def _as_interval(interval) -> Interval:
     return lo, hi
 
 
+def _check_int(value, name: str) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_grid_n(grid_n: int, least: int = 2) -> None:
-    if not isinstance(grid_n, (int, np.integer)):
-        raise ArgumentError(f"grid_n must be an integer, got {grid_n!r}")
+    _check_int(grid_n, "grid_n")
     if grid_n < least:
         raise ArgumentError(f"grid_n must be at least {least} samples, got {grid_n!r}")
 
@@ -95,6 +100,7 @@ class SmoothFn:
 
     def __init__(self, domain: Interval, max_order: int, jet_fn, *, name: str = ""):
         self.domain = _as_interval(domain)
+        _check_int(max_order, "max_order")
         if max_order < 0:
             raise ArgumentError("max_order must be >= 0")
         self.max_order = int(max_order)
@@ -117,13 +123,14 @@ class SmoothFn:
             )
         return np.clip(arr, lo, hi), scalar
 
-    def _check_order(self, order: int) -> None:
+    def _check_order(self, order: int, name: str = "order") -> None:
+        _check_int(order, name)
         if order > self.max_order:
             raise CapabilityError(
-                f"order {order} exceeds max_order {self.max_order} of {self.name or 'SmoothFn'}"
+                f"{name} {order} exceeds max_order {self.max_order} of {self.name or 'SmoothFn'}"
             )
         if order < 0:
-            raise ArgumentError("order must be >= 0")
+            raise ArgumentError(f"{name} must be >= 0")
 
     def jet(self, x, order: int) -> np.ndarray:
         """Derivative rows ``f(x), f'(x), ..., f^(order)(x)``."""
@@ -343,8 +350,7 @@ class HolderReport:
 
 def cr_norm(f: SmoothFn, r: int, interval: Interval | None = None, *, grid_n: int = 4097) -> NormReport:
     """Sum of per-order maxima of ``|f^(i)|``, ``i = 0..r``, over a grid."""
-    if r > f.max_order:
-        raise CapabilityError(f"r={r} exceeds max_order={f.max_order}")
+    f._check_order(r, "r")
     _check_grid_n(grid_n)
     lo, hi = _as_interval(interval if interval is not None else f.domain)
     dlo, dhi = f.domain
@@ -365,8 +371,7 @@ def holder_seminorm(
     grid_n: int = 512,
 ) -> HolderReport:
     """Discrete ``sup |f^(k)(x) - f^(k)(y)| / |x - y|^alpha`` over a pair grid."""
-    if k > f.max_order:
-        raise CapabilityError(f"k={k} exceeds max_order={f.max_order}")
+    f._check_order(k, "k")
     if not (0.0 < alpha <= 1.0):
         raise ArgumentError(f"alpha must lie in (0, 1], got {alpha}")
     _check_grid_n(grid_n)
@@ -435,59 +440,69 @@ def invert_monotone(
 ) -> np.ndarray:
     """Solve ``fn(x) = y`` for nondecreasing ``fn`` on ``[lo, hi]``, vectorized.
 
-    ``lo``/``hi`` may be scalars or arrays matching ``ys`` (per-target
-    brackets).  Every target keeps a bracket with a sign change and is
-    solved in one loop.  Without ``dfn`` each step is Chandrupatla's:
-    inverse quadratic interpolation where the last three points make it
-    safe, bisection otherwise.  With ``dfn`` (the derivative of ``fn``)
-    the first step is regula falsi and every later one a Newton step from
-    the latest point.  A Newton step that leaves the bracket (as any zero,
-    NaN, infinite or negative derivative makes it do), or that is longer
-    than half the step before last (a Newton cycle), falls back to
-    bisection.  ``dfn`` is called
-    right after ``fn`` with the same array, so it may return a derivative
-    computed alongside the value.  Every step stays at least half a
-    tolerance inside the bracket, and a target stops once its bracket is
-    narrower than ``4 eps |x| + 4 tiny`` (about 4 ulp) or ``|fn(x) - y|`` is
-    at most ``tiny``; the bracket end with the smaller residual is returned.
-    Without ``dfn`` the steps, and so the roots, are those of Chandrupatla's
-    method with these tolerances, bit for bit.
+    Every target keeps a bracket with a sign change and is solved in one
+    loop.  Without ``dfn`` each step is Chandrupatla's: inverse quadratic
+    interpolation where the last three points make it safe, bisection
+    otherwise.  With ``dfn`` (the derivative of ``fn``) the first step is
+    regula falsi and every later one a Newton step from the latest point.
+    A Newton step that leaves the bracket (as any zero, NaN, infinite or
+    negative derivative makes it do), or that is longer than half the step
+    before last (a Newton cycle), falls back to bisection.  Every step
+    stays at least half a tolerance inside the bracket, and a target stops
+    once its bracket is narrower than ``4 eps |x| + 4 tiny`` (about 4 ulp)
+    or ``|fn(x) - y|`` is at most ``tiny``; the bracket end with the
+    smaller residual is returned.  Without ``dfn`` the steps, and so the
+    roots, are those of Chandrupatla's method with these tolerances, bit
+    for bit.
 
-    ``fn`` is only ever called with an array shaped like ``ys``.  A target
-    outside ``[fn(lo), fn(hi)]`` by less than ``1e-9 * (1 + span)``
+    ``fn`` takes one argument, an array of points.  Scalar ``lo`` and
+    ``hi`` mean every target inverts the same function, and ``fn`` must
+    then be pointwise (``fn(x)[k]`` depends on ``x[k]`` only): one call on
+    ``[lo, hi]`` gives both bracket values, and each step passes only the
+    unsolved targets' points, as a 1-D array.  Per-target brackets, arrays
+    matching ``ys``, keep every call shaped like ``ys``.  ``dfn`` is called
+    right after ``fn`` on the same array object, so it may return a
+    derivative computed alongside the value.  No targets, no call.
+
+    A target outside ``[fn(lo), fn(hi)]`` by less than ``1e-9 * (1 + span)``
     resolves to the nearer endpoint; one further out, a non-finite value,
     a target not converged within the float range's bisection count, or
     (when ``rtol > 0``) a residual ``|fn(x) - y|`` above
     ``rtol * (1 + |y|)`` raises :class:`~minklab.errors.RootBracketError`.
+    The residual reads the value ``fn`` gave at the returned bracket end.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if not ys.size:
+        return np.empty(ys.shape)
     lo_a = np.broadcast_to(np.asarray(lo, dtype=float), ys.shape).copy()
     hi_a = np.broadcast_to(np.asarray(hi, dtype=float), ys.shape).copy()
-    flo = fn(lo_a)
-    fhi = fn(hi_a)
+    shared = np.ndim(lo) == np.ndim(hi) == 0
+    if shared:
+        flo, fhi = np.reshape(fn(np.array([lo, hi], dtype=float)), -1)
+    else:
+        flo, fhi = fn(lo_a), fn(hi_a)
     if not all(np.isfinite(v).all() for v in (lo_a, hi_a, flo, fhi, ys)):
         raise RootBracketError("root search failed: non-finite bracket, bracket value or target")
-    span = float(np.max(np.abs(fhi - flo))) if ys.size else 0.0
-    slack = 1e-9 * (1.0 + span)
+    slack = 1e-9 * (1.0 + float(np.max(np.abs(fhi - flo))))
     if np.any(flo > ys + slack) or np.any(fhi < ys - slack):
-        bad = np.where((flo > ys + slack) | (fhi < ys - slack))[0]
+        bad = np.flatnonzero((flo > ys + slack) | (fhi < ys - slack))
         raise RootBracketError(
-            f"{bad.size} target(s) outside the bracketed range; first offending y={ys[bad[0]]!r}"
+            f"{bad.size} target(s) outside the bracketed range; first offending y={ys.flat[bad[0]]!r}"
         )
     # clipped targets give every bracket a sign change (or a root at an end)
     tgt = np.clip(ys, flo, fhi).reshape(-1)
     # Chandrupatla's state: x1 the latest point, x2 the bracket end across
-    # the root, x3 the point dropped last; f* are the gaps fn(x*) - y
+    # the root, x3 the point dropped last; v* the values fn(x*), f* the gaps v* - y
     x1, x2 = lo_a.reshape(-1), hi_a.reshape(-1)
-    f1, f2 = np.reshape(flo, -1) - tgt, np.reshape(fhi, -1) - tgt
+    v1, v2 = (np.broadcast_to(np.reshape(v, -1), tgt.shape) for v in (flo, fhi))
+    f1, f2 = v1 - tgt, v2 - tgt
     x3, f3, d1 = x2, f2, None
     # the last two step lengths: a Newton step must halve the older one
     step1 = step2 = np.abs(x2 - x1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.full(x1.shape, 0.5) if dfn is None else f1 / (f1 - f2)
-    out = np.empty(x1.shape)
-    arg = lo_a.copy()
-    arg_flat = arg.reshape(-1)
+    out, out_v = np.empty(x1.shape), np.empty(x1.shape)
+    arg = None if shared else lo_a.reshape(-1).copy()
     idx = np.arange(x1.size)
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
     for it in range(_MAXITER + 1):
@@ -497,10 +512,11 @@ def invert_monotone(
         tol = 4.0 * eps * np.abs(xmin) + 4.0 * tiny
         stop = (np.abs(np.where(small, f1, f2)) <= tiny) | (dx < tol)
         if stop.any():
-            out[idx[stop]] = arg_flat[idx[stop]] = xmin[stop]
-            keep = ~stop
-            idx, tgt, x1, f1, x2, f2, x3, f3, t, dx, tol, step1, step2 = (
-                v[keep] for v in (idx, tgt, x1, f1, x2, f2, x3, f3, t, dx, tol, step1, step2)
+            done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)  # faster than masks
+            out[idx[done]] = xmin[done]
+            out_v[idx[done]] = np.where(small, v1, v2)[done]
+            idx, tgt, x1, f1, v1, x2, f2, v2, x3, f3, t, dx, tol, step1, step2 = (
+                a[keep] for a in (idx, tgt, x1, f1, v1, x2, f2, v2, x3, f3, t, dx, tol, step1, step2)
             )
             d1 = None if d1 is None else d1[keep]
         if not idx.size:
@@ -529,10 +545,15 @@ def invert_monotone(
         tl = 0.5 * tol / dx
         x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
         step2, step1 = step1, np.abs(x - x1)
-        arg_flat[idx] = x
-        f = np.reshape(fn(arg), -1)[idx] - tgt
+        if shared:
+            pts, sel = x, slice(None)
+        else:
+            arg[idx] = x
+            pts, sel = arg.reshape(ys.shape), idx
+        v = np.reshape(fn(pts), -1)[sel]
+        f = v - tgt
         if dfn is not None:
-            d1 = np.reshape(dfn(arg), -1)[idx]
+            d1 = np.reshape(dfn(pts), -1)[sel]
         if not np.isfinite(f).all():
             bad = idx[~np.isfinite(f)]
             raise RootBracketError(
@@ -541,14 +562,11 @@ def invert_monotone(
             )
         same = np.sign(f) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, f
-    x = out.reshape(ys.shape)
-    if rtol > 0:
-        resid = np.abs(fn(x) - ys)
-        if np.any(resid > rtol * (1.0 + np.abs(ys))):
-            raise RootBracketError("inversion residual above tolerance")
-    return x
+        x2, f2, v2 = np.where(same, x2, x1), np.where(same, f2, f1), np.where(same, v2, v1)
+        x1, f1, v1 = x, f, v
+    if rtol > 0 and np.any(np.abs(out_v.reshape(ys.shape) - ys) > rtol * (1.0 + np.abs(ys))):
+        raise RootBracketError("inversion residual above tolerance")
+    return out.reshape(ys.shape)
 
 
 def write_csv_table(

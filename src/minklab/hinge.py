@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .export import write_json
-from .fn_core import GridIntegratedFn, SmoothFn, cr_norm, invert_monotone, newton_pair
+from .fn_core import GridIntegratedFn, SmoothFn, _check_int, cr_norm, invert_monotone, newton_pair
 from .rotated_graph import rotate_graph
 
 __all__ = [
@@ -331,7 +331,7 @@ def _place(f: SmoothFn, d: float, gamma: float):
     return f_u, f_v, eps
 
 
-def _end_rows(x, d, eps, f_u, f_v, order):
+def _end_rows(x, d, eps, f_u, order):
     """Derivative rows of ``f_u'' W_u + f_v'' W_v``, the end terms of ``F''``.
 
     One ``f_u`` jet serves both ends; ``f_v``'s rows are :func:`_mirror` of ``f_u``'s at ``-x``.
@@ -361,7 +361,7 @@ def _integrate(f: SmoothFn, d: float, f_u: SmoothFn, f_v: SmoothFn, eps: float):
     b_eps, mass_u, mass_v = _solve_b_masses(f_u, f_v, eps, d)
 
     def d2_rows(x, order):
-        return b_eps * _window_0_rows(x, d, eps, order) + _end_rows(x, d, eps, f_u, f_v, order)
+        return b_eps * _window_0_rows(x, d, eps, order) + _end_rows(x, d, eps, f_u, order)
 
     breakpoints = np.array([-d, -d + eps, -d + 2.0 * eps, d - 2.0 * eps, d - eps, d])
     F = GridIntegratedFn(
@@ -531,7 +531,7 @@ def _norms_upto(F: SmoothFn) -> np.ndarray:
     return np.cumsum(per)
 
 
-def _norm_floor(f_u, f_v, eps, d) -> np.ndarray:
+def _norm_floor(f_u, eps, d) -> np.ndarray:
     """A lower bound on ``_norms_upto(F)`` in every column, with no ``b_eps`` and no table.
 
     ``W_0`` vanishes on ``|x| >= d - eps``, so at those points of the norm
@@ -540,7 +540,7 @@ def _norm_floor(f_u, f_v, eps, d) -> np.ndarray:
     monotone.
     """
     xs = np.linspace(-d, d, _NORM_GRID_N)
-    rows = _end_rows(xs[np.abs(xs) >= d - eps], d, eps, f_u, f_v, _R_MAX - 2)
+    rows = _end_rows(xs[np.abs(xs) >= d - eps], d, eps, f_u, _R_MAX - 2)
     return np.cumsum([0.0, 0.0, *np.abs(rows).max(axis=1)])
 
 
@@ -568,6 +568,7 @@ def schedule_smoothings(
     Every returned smoothing is a full :func:`build_smoothing`, so it is
     certified and a failed certificate raises :class:`ConstructionError`.
     """
+    _check_int(m_max, "m_max")
     if m_max < 1:
         raise ArgumentError("need at least one level")
     if not 0.0 < 2.0 * d_ratio < 1.0:
@@ -584,7 +585,7 @@ def schedule_smoothings(
         built = False
         for _ in range(_MAX_HALVINGS + 1):
             f_u, f_v, eps = _place(f, d, gamma)
-            if caps is None or np.all(_norm_floor(f_u, f_v, eps, d) <= caps):
+            if caps is None or np.all(_norm_floor(f_u, eps, d) <= caps):
                 norms = _norms_upto(_integrate(f, d, f_u, f_v, eps)[0])
                 if caps is None:
                     caps = _CAP_FACTOR * norms

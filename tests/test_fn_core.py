@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minklab import jets
+from minklab.cantor import CantorSpec
 from minklab.curve import SupportFn
 from minklab.errors import ArgumentError, CapabilityError, RootBracketError
 from minklab.fn_core import (
@@ -23,6 +24,7 @@ from minklab.fn_core import (
     newton_pair,
     write_csv_table,
 )
+from minklab.hinge import schedule_smoothings
 from minklab.infconv import infconv_conjugate, infconv_direct, minimizer_map
 
 
@@ -170,12 +172,40 @@ def test_non_integer_sample_count_raises_argument_error(call, n):
         lambda: _QUAD.eval(0.5, -1),
         lambda: _QUAD.eval(np.array([0.5]), -1),
         lambda: derivative_fn(_QUAD, -1),
+        lambda: _QUAD.jet(0.5, 2.5),
+        lambda: _QUAD.eval(0.5, 1.0),
+        lambda: _QUAD.eval(np.array([0.5]), np.float64(1.0)),
+        lambda: derivative_fn(_QUAD, 1.5),
+        lambda: SmoothFn((0.0, 1.0), 2.5, None),
     ],
-    ids=["jet", "eval", "eval-array", "derivative-fn"],
+    ids=[
+        "jet", "eval", "eval-array", "derivative-fn",
+        "jet-float", "eval-float", "eval-np-float", "derivative-fn-float", "max-order-float",
+    ],
 )
 def test_negative_order_raises_argument_error(call):
     with pytest.raises(ArgumentError, match="order"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: cr_norm(_QUAD, 2.5), "r"),
+        (lambda: holder_seminorm(_QUAD, 1.5, 0.5, (-1.0, 1.0)), "k"),
+        (lambda: schedule_smoothings(_QUAD, 2.5), "m_max"),
+        (lambda: CantorSpec.uniform((0, 1), 0.5, 2.5), "depth"),
+    ],
+    ids=["cr-norm", "holder", "schedule", "cantor-uniform"],
+)
+def test_non_integer_order_raises_argument_error(call, name):
+    with pytest.raises(ArgumentError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_integer_orders_of_numpy_type_are_accepted():
+    assert derivative_fn(_QUAD, np.int64(1)).max_order == _QUAD.max_order - 1
+    assert cr_norm(_QUAD, np.int32(2), grid_n=5).r == 2
 
 
 class TestHolder:
@@ -349,7 +379,66 @@ class TestInvertMonotone:
         ys = np.array([[0.0, 1e-300, 0.5], [3.0, 70.0, -2.0]])
         xs = invert_monotone(fn, None, ys, -6.0, 6.0, rtol=1e-14)
         np.testing.assert_allclose(np.sinh(xs), ys, rtol=1e-14, atol=1e-14)
-        assert len(shapes) > 3 and set(shapes) == {ys.shape}
+        assert len(shapes) > 3 and shapes[0] == (2,)
+        assert all(len(b) == 1 and b[0] <= a[0] for a, b in zip(shapes[1:], shapes[2:]))
+
+
+class TestInvertMonotoneWork:
+    # targets of very different difficulty converge at different steps
+    ys = np.array([[0.0, 1e-300, 0.5], [3.0, 70.0, -2.0]])
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["chandrupatla", "newton"])
+    def test_batched_roots_equal_lone_roots_and_cost_their_steps(self, newton):
+        def solve(ys):
+            sizes = []
+
+            def rows(x):
+                sizes.append(np.size(x))
+                return np.sinh(x), np.cosh(x)
+
+            solver = newton_pair(rows) if newton else (lambda x: rows(x)[0], None)
+            return invert_monotone(*solver, ys, -6.0, 6.0, rtol=1e-14), sizes
+
+        xs, sizes = solve(self.ys)
+        lone = [solve([y]) for y in self.ys.flat]
+        np.testing.assert_array_equal(xs.reshape(-1), [x[0] for x, _ in lone])
+        # one call on [lo, hi], then one point per step of an unsolved target
+        assert all(s[0] == 2 and set(s[1:]) == {1} for _, s in lone)
+        assert sum(sizes) == 2 + sum(len(s) - 1 for _, s in lone)
+
+    def test_shared_brackets_give_shrinking_calls(self):
+        seen = []
+
+        def fn(x):
+            seen.append(np.array(x, copy=True))
+            return np.sinh(x)
+
+        invert_monotone(fn, None, self.ys, -6.0, 6.0)
+        np.testing.assert_array_equal(seen[0], [-6.0, 6.0])
+        assert all(x.ndim == 1 for x in seen)
+        assert all(b.size <= a.size for a, b in zip(seen[1:], seen[2:]))
+        assert seen[1].size == self.ys.size
+
+    def test_per_target_brackets_keep_the_targets_shape(self):
+        shapes = []
+
+        def fn(x):
+            shapes.append(np.shape(x))
+            return np.sinh(x)
+
+        lo = np.full(self.ys.shape, -6.0)
+        hi = np.array([[1.0, 1.0, 1.0], [6.0, 6.0, 0.0]])
+        xs = invert_monotone(fn, None, self.ys, lo, hi, rtol=1e-14)
+        np.testing.assert_allclose(np.sinh(xs), self.ys, rtol=1e-14, atol=1e-14)
+        assert len(shapes) > 3 and set(shapes) == {self.ys.shape}
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (np.zeros((0, 3)) - 1.0, np.zeros((0, 3)) + 1.0)])
+    def test_no_targets_no_call(self, lo, hi):
+        def fn(x):
+            raise AssertionError("fn called with no targets")
+
+        xs = invert_monotone(fn, fn, np.zeros((0, 3)), lo, hi, rtol=1e-14)
+        assert xs.shape == (0, 3)
 
 
 class TestInvertMonotoneNewton:
@@ -377,8 +466,9 @@ class TestInvertMonotoneNewton:
         ys = np.array([[0.0, 1e-300, 0.5], [3.0, 70.0, -2.0]])
         xs = invert_monotone(*newton_pair(rows), ys, -6.0, 6.0, rtol=1e-14)
         np.testing.assert_allclose(np.sinh(xs), ys, rtol=1e-14, atol=1e-14)
-        # bracket ends, steps and the residual check: one rows call each
-        assert all(np.shape(x) == ys.shape for x in calls) and len(calls) < 20
+        # the bracket ends together, then the steps: one rows call each
+        assert np.shape(calls[0]) == (2,) and len(calls) < 20
+        assert all(y.ndim == 1 and y.size <= x.size for x, y in zip(calls[1:], calls[2:]))
 
     @pytest.mark.parametrize(
         "dfn",

@@ -396,9 +396,9 @@ class TestNormFloorSearch:
             F = hinge._integrate(hinge_profile.f, d, f_u, f_v, eps)[0]
             xs = np.linspace(-d, d, hinge._NORM_GRID_N)
             ends = np.abs(xs) >= d - eps
-            rows = hinge._end_rows(xs[ends], d, eps, f_u, f_v, 2)
+            rows = hinge._end_rows(xs[ends], d, eps, f_u, 2)
             np.testing.assert_array_equal(rows, F.jet(xs, 4)[2:, ends])
-            floor = hinge._norm_floor(f_u, f_v, eps, d)
+            floor = hinge._norm_floor(f_u, eps, d)
             assert np.all(floor <= hinge._norms_upto(F))
             if np.all(floor <= hs.caps):
                 kept += 1
@@ -437,7 +437,7 @@ class TestBatchedJets:
             xs = np.concatenate([np.linspace(-d, d, 1025), edges, np.nextafter(edges, 0.0)])
             for order in (0, 2, 6):
                 np.testing.assert_array_equal(
-                    hinge._end_rows(xs, d, eps, f_u, f_v, order),
+                    hinge._end_rows(xs, d, eps, f_u, order),
                     two_call_end_rows(xs, d, eps, f_u, f_v, order),
                 )
 
@@ -458,7 +458,7 @@ class TestBatchedJets:
             per_d2.append(len(psi_calls) - before)
             return out
 
-        def counted_end_rows(x, d, eps, f_u, f_v, order):
+        def counted_end_rows(x, d, eps, f_u, order):
             jets_of_f_u = []
 
             def counted_jet(*args):
@@ -467,7 +467,7 @@ class TestBatchedJets:
 
             with pytest.MonkeyPatch.context() as inner:
                 inner.setattr(f_u, "jet", counted_jet, raising=False)
-                out = end_rows(x, d, eps, f_u, f_v, order)
+                out = end_rows(x, d, eps, f_u, order)
             per_end.append(len(jets_of_f_u))
             return out
 
