@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fn_core import _simpson
 from .jets import jet_var, smoothstep_jet, tdiv, tmul
 
 __all__ = [
@@ -150,8 +151,6 @@ def phi_even_jet(x, order: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def psi_integral(n: int = 1 << 13) -> float:
     """The integral of the normalized bump ``psi`` over its support."""
-    from scipy.integrate import simpson
-
     lo, hi = PSI_SUPPORT
     xs = np.linspace(lo, hi, n + 1)
-    return float(simpson(psi_jet(xs, 0)[0], x=xs))
+    return _simpson(psi_jet(xs, 0)[0], xs)

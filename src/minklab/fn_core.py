@@ -18,6 +18,10 @@ Two kinds exist, named by the class attribute ``kind``:
   ``(f', f'')``, with error O(h^4); orders >= 2 are delegated to the
   closed-form second-derivative rule.
 
+The package's two Simpson rules, :func:`_simpson` and
+:func:`_cumulative_simpson`, are its own: they repeat SciPy's formulas in
+the same operations and order, so the package needs no SciPy at run time.
+
 :func:`invert_monotone` is the package's one bracketed root finder.  It
 takes Newton steps where the caller passes a derivative (built with
 :func:`newton_pair` when one call yields value and derivative, as
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import jets
 from .errors import ArgumentError, CapabilityError, RootBracketError
@@ -81,6 +84,31 @@ def _check_grid_n(grid_n: int, least: int = 2) -> None:
         raise ArgumentError(f"grid_n must be at least {least} samples, got {grid_n!r}")
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Simpson integral of samples ``y`` at increasing points ``x``: ``scipy.integrate.simpson`` for odd counts."""
+    if len(y) < 3 or len(y) % 2 == 0 or len(x) != len(y):
+        raise ArgumentError(f"Simpson's rule needs an odd count >= 3 of points, got {len(y)} values at {len(x)}")
+    h = np.diff(x)
+    h0, h1 = h[:-1:2], h[1::2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    return float(np.sum(hsum / 6.0 * (
+        y[:-2:2] * (2.0 - 1.0 / h0divh1) + y[1:-1:2] * (hsum * (hsum / hprod)) + y[2::2] * (2.0 - h0divh1)
+    )))
+
+
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """``scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0)`` for at least 3 samples.
+
+    Steps 0, 2, 4, ... integrate the parabola through their nodes and the
+    next one; the other steps, and the last, the one through the node before.
+    """
+    fwd = h / 3 * (5 * y[:-2] / 4 + 2 * y[1:-1] - y[2:] / 4)
+    bwd = h / 3 * (5 * y[2:] / 4 + 2 * y[1:-1] - y[:-2] / 4)
+    out = np.zeros(len(y))
+    out[1:-1:2], out[2::2], out[-1] = fwd[::2], bwd[::2], bwd[-1]
+    return np.cumsum(out, out=out)
+
+
 class SmoothFn:
     """A function with batched derivative evaluation on a compact interval.
 
@@ -115,13 +143,16 @@ class SmoothFn:
         scalar = np.ndim(x) == 0
         lo, hi = self.domain
         slack = 1e-9 * (1.0 + abs(lo) + abs(hi))
-        # written so that a NaN point fails the test too
-        if arr.size and not (arr.min() >= lo - slack and arr.max() <= hi + slack):
-            raise ArgumentError(
-                f"evaluation point outside domain [{lo!r}, {hi!r}]: "
-                f"range [{arr.min()!r}, {arr.max()!r}]"
-            )
-        return np.clip(arr, lo, hi), scalar
+        if arr.size:
+            mn, mx = arr.min(), arr.max()
+            # written so that a NaN point fails the test too
+            if not (mn >= lo - slack and mx <= hi + slack):
+                raise ArgumentError(
+                    f"evaluation point outside domain [{lo!r}, {hi!r}]: range [{mn!r}, {mx!r}]"
+                )
+            if mn < lo or mx > hi:
+                arr = np.clip(arr, lo, hi)
+        return arr, scalar
 
     def _check_order(self, order: int, name: str = "order") -> None:
         _check_int(order, name)
@@ -233,8 +264,8 @@ class GridIntegratedFn(SmoothFn):
             nodes = np.linspace(lo, hi, self._n + 1)
             d2 = d2_jet_fn(nodes, 0)[0]
             h = self._steps[i]
-            i2 = cumulative_simpson(d2, dx=h, initial=0.0)
-            i2x = cumulative_simpson(nodes * d2, dx=h, initial=0.0)
+            i2 = _cumulative_simpson(d2, h)
+            i2x = _cumulative_simpson(nodes * d2, h)
             d1 = d1_acc + i2
             f = f_acc + d1_acc * (nodes - lo) + nodes * i2 - i2x
             d2_tabs.append(d2)

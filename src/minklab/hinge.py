@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import bumps, jets
 from .errors import (
@@ -47,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .export import write_json
-from .fn_core import GridIntegratedFn, SmoothFn, _check_int, cr_norm, invert_monotone, newton_pair
+from .fn_core import GridIntegratedFn, SmoothFn, _check_int, _simpson, cr_norm, invert_monotone, newton_pair
 from .rotated_graph import rotate_graph
 
 __all__ = [
@@ -289,18 +288,18 @@ def _solve_b_masses(f_u, f_v, eps, d):
 def _curvature_mass_u(f_u, eps, d):
     xs = np.linspace(-d, -d + 2.0 * eps, _QUAD_N + 1)
     vals = f_u.jet(xs, 2)[2] * _window_end_rows(xs, d, eps, 0, 1)[0]
-    return float(simpson(vals, x=xs))
+    return _simpson(vals, xs)
 
 
 def _curvature_mass_v(f_v, eps, d):
     xs = np.linspace(d - 2.0 * eps, d, _QUAD_N + 1)
     vals = f_v.jet(xs, 2)[2] * _window_end_rows(xs, d, eps, 0, -1)[0]
-    return float(simpson(vals, x=xs))
+    return _simpson(vals, xs)
 
 
 def _window_0_area(eps, d):
     xs = np.linspace(-d + eps, -d + 2.0 * eps, _QUAD_N + 1)
-    ramp = float(simpson(_window_0_rows(xs, d, eps, 0)[0], x=xs))
+    ramp = _simpson(_window_0_rows(xs, d, eps, 0)[0], xs)
     return 2.0 * (d - 2.0 * eps) + 2.0 * ramp
 
 

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import bumps, jets
 from .errors import ArgumentError, ConstructionError, ValidationError
-from .fn_core import GridIntegratedFn, SmoothFn
+from .fn_core import GridIntegratedFn, SmoothFn, _simpson
 
 __all__ = [
     "BumpSystem",
@@ -235,10 +234,6 @@ class PatchedConvex:
         return self.schedule.t
 
 
-def _simpson_on(f_vals: np.ndarray, xs: np.ndarray) -> float:
-    return float(simpson(f_vals, x=xs))
-
-
 def _even_product_rows(family_k: SmoothFn, tk: float, xs: np.ndarray, bump: np.ndarray) -> np.ndarray:
     """Derivative rows of ``F_k''(x - t_k) * Psi(4**k x)`` on ``xs``; ``bump`` is ``Psi(4**k x)``'s jet."""
     prof = jets.derivs_to_jet(family_k.jet(xs - tk, bump.shape[0] + 1)[2:])
@@ -286,15 +281,15 @@ def build_patched_convex(
         tk = t[k]
         xs = np.linspace(tk, _EVEN_SUPPORT[1] * tk, _QUAD_N + 1)
         vals = _even_product_rows(fams[k], tk, xs, bumps.psi_scaled_jet(xs, 2 * k, 0))[0]
-        A[k] = _simpson_on(vals, xs)
+        A[k] = _simpson(vals, xs)
 
         xs = np.linspace(2.0 * _ODD_SUPPORT[0] * tk, 4.0 * tk, _QUAD_N + 1)
         vals = _even_product_rows(fams[k - 1], t[k - 1], xs, bumps.psi_scaled_jet(xs, 2 * k - 2, 0))[0]
-        B[k] = _simpson_on(vals, xs)
+        B[k] = _simpson(vals, xs)
 
         xs = np.linspace(_ODD_SUPPORT[0] * tk, _ODD_SUPPORT[1] * tk, _QUAD_N + 1)
         vals = jets.jet_to_derivs(bumps.psi_scaled_jet(xs, 2 * k - 1, 0))[0]
-        D[k] = _simpson_on(vals, xs)
+        D[k] = _simpson(vals, xs)
         d_gap = max(d_gap, abs(D[k] - 2.0 * tk * psi_int) / (2.0 * tk * psi_int))
 
         alpha[k] = (b[k - 1] * (1.0 - B[k]) - b[k] * (1.0 + A[k])) / D[k]

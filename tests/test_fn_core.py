@@ -17,6 +17,8 @@ from minklab.errors import ArgumentError, CapabilityError, RootBracketError
 from minklab.fn_core import (
     GridIntegratedFn,
     SmoothFn,
+    _cumulative_simpson,
+    _simpson,
     cr_norm,
     derivative_fn,
     holder_seminorm,
@@ -26,6 +28,7 @@ from minklab.fn_core import (
 )
 from minklab.hinge import schedule_smoothings
 from minklab.infconv import infconv_conjugate, infconv_direct, minimizer_map
+from minklab.rotated_graph import rotate_graph
 
 
 def sin_fn(domain=(0.0, math.pi), max_order=8) -> SmoothFn:
@@ -78,6 +81,43 @@ class TestSmoothFn:
         assert isinstance(f(0.25), float)
         out = f(np.array([0.25, 0.5]))
         np.testing.assert_allclose(out, [0.5, 1.0])
+
+    def test_points_within_the_slack_are_clipped_and_further_out_raise(self):
+        seen = []
+
+        def jet_fn(x, order):
+            seen.append(x.copy())
+            return x[None].copy()
+
+        f = SmoothFn.from_jet_fn((0.0, 1.0), 0, jet_fn)  # slack 2e-9
+        assert f(np.array([-1e-10, 0.5, 1.0 + 1e-10])).tolist() == [0.0, 0.5, 1.0]
+        assert seen[-1].tolist() == [0.0, 0.5, 1.0]
+        for x in (-1e-8, 1.0 + 1e-8):
+            with pytest.raises(ArgumentError, match="outside domain"):
+                f(np.array([0.5, x]))
+
+
+def _tabulated_line():
+    return GridIntegratedFn([0.0, 1.0, 2.0], lambda x, o: jets.jet_to_derivs(jets.poly_jet([1.0, 0.5], x, o)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SmoothFn.polynomial([1.0, -2.0, 0.5, 0.25], (0.0, 2.0)),
+        _tabulated_line,
+        lambda: rotate_graph(_tabulated_line(), 0.3).f_phi,
+    ],
+    ids=["polynomial", "grid_integrated", "rotated"],
+)
+def test_jet_leaves_the_points_unchanged(make):
+    f = make()
+    lo, hi = f.domain
+    x = np.linspace(lo, hi, 33)
+    before = x.copy()
+    f.jet(x, 3)
+    f.eval(x, 2)
+    np.testing.assert_array_equal(x, before)
 
 
 class TestCrNorm:
@@ -514,6 +554,39 @@ class TestInvertMonotoneNewton:
     def test_non_finite_bracket_value_raises(self):
         with pytest.raises(RootBracketError, match="non-finite"):
             invert_monotone(lambda x: np.where(x > 0.9, np.nan, x), None, [0.5], 0.0, 1.0)
+
+
+_SIMPSON_COUNTS = [3, 5, 2049, 4097, 16385]
+
+
+@pytest.mark.parametrize("n", _SIMPSON_COUNTS)
+def test_simpson_rules_equal_scipy_bit_for_bit(n):
+    from scipy.integrate import cumulative_simpson, simpson
+
+    rng = np.random.default_rng([n, 16])
+    y = rng.standard_normal(n)
+    x = np.cumsum(rng.uniform(0.1, 2.0, n))  # strictly increasing, unequal steps
+    h = float(rng.uniform(1e-3, 1.0))
+    assert _simpson(y, x) == float(simpson(y, x=x))
+    assert np.array_equal(_cumulative_simpson(y, h), cumulative_simpson(y, dx=h, initial=0.0))
+
+
+# 16385 nodes is left out: there the running sum's own rounding reaches 1.3e-14
+@pytest.mark.parametrize("n", [3, 5, 65, 2049, 4097])
+def test_simpson_rules_are_exact_on_a_cubic(n):
+    x = np.linspace(-1.0, 2.0, n)
+    y = 1.0 - 2.0 * x + 3.0 * x**2 + 4.0 * x**3  # positive on [-1, 2]
+    integral = (x - x**2 + x**3 + x**4) + 2.0  # the antiderivative, zero at -1
+    assert _simpson(y, x) == pytest.approx(integral[-1], rel=1e-14)
+    # the steps pair into Simpson panels, so the even nodes are exact
+    cum = _cumulative_simpson(y, 3.0 / (n - 1))
+    np.testing.assert_allclose(cum[::2], integral[::2], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n_y, n_x", [(2, 2), (1, 1), (4, 4), (6, 6), (5, 7)])
+def test_simpson_rejects_a_count_it_does_not_implement(n_y, n_x):
+    with pytest.raises(ArgumentError, match=f"got {n_y} values at {n_x}"):
+        _simpson(np.ones(n_y), np.arange(float(n_x)))
 
 
 def test_write_csv_table(tmp_path):

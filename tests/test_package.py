@@ -1,7 +1,10 @@
-"""Package-level checks: every declared export resolves."""
+"""Package-level checks: every declared export resolves, and no module loads SciPy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -16,3 +19,13 @@ def test_every_listed_export_exists(name):
     exported = getattr(module, "__all__", ())
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == [], f"minklab.{name}.__all__ lists undefined names {missing}"
+
+
+def test_importing_every_module_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(minklab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, " + ", ".join(f"minklab.{m}" for m in MODULES) + (
+        "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
