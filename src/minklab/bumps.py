@@ -131,6 +131,8 @@ def psi_scaled_jet(x, scale_log2, order: int) -> np.ndarray:
     ``scale_log2`` is an int or an integer array that broadcasts against ``x``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    # int32: numpy's ldexp loop for int64 exponents is over 10x slower
+    scale_log2 = np.asarray(scale_log2).astype(np.int32, casting="same_kind")
     return _scale_rows(psi_jet(np.ldexp(x, scale_log2), order), scale_log2)
 
 

@@ -13,6 +13,11 @@ correction weights ``alpha_k`` are solved in closed form from three
 quadratures per level so that integrating twice from 0 yields
 ``f'(t_k) = b_k`` exactly; the construction fails if no starting level
 makes every ``alpha_k`` positive.
+
+The pieces are exactly self-similar (breakpoints ``{2/3, 3/4, 4/3, 3/2} *
+4**-k``, and power-of-two scaling is exact), so a build evaluates ``Psi``
+once per distinct argument array and rescales the rows where it recurs;
+arrays are compared whole, so a reuse can miss but never approximates.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ _CERT_GRID_N = 512
 _QUAD_N = 4096
 _MAX_ORDER = 8
 _NODES_PER_PIECE = 1 << 14
+# psi arguments a build keeps: one period, four pieces of at most two terms
+_REUSE_SLOTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +247,23 @@ def _even_product_rows(family_k: SmoothFn, tk: float, xs: np.ndarray, bump: np.n
     return jets.jet_to_derivs(jets.tmul(prof, bump))
 
 
+def _reused_psi_rows(seen: list, x: np.ndarray, s: int, order: int) -> np.ndarray:
+    """``bumps.psi_scaled_jet(x, s, order)``, reusing the rows of an argument ``2**s x`` in ``seen``.
+
+    ``seen`` holds the last ``_REUSE_SLOTS`` arguments and their ``psi_jet`` rows.
+    """
+    arg = np.ldexp(x, s)
+    for i, (prev, rows) in enumerate(seen):
+        if prev.shape == arg.shape and rows.shape[0] == order + 1 and np.array_equal(prev, arg):
+            seen.append(seen.pop(i))
+            break
+    else:
+        rows = bumps.psi_jet(arg, order)
+        seen.append((arg, rows))
+        del seen[:-_REUSE_SLOTS]
+    return bumps._scale_rows(rows.copy(), s)
+
+
 def build_patched_convex(
     schedule: SlopeSchedule,
     family: Callable[[int], SmoothFn],
@@ -255,6 +279,10 @@ def build_patched_convex(
     construction fails.  The result integrates the series twice from 0
     (both integration constants zero) on a piecewise grid whose pieces are
     the support edges, so every scale is resolved.
+
+    Pieces and quadrature grids of different levels are exact ``4**-k``
+    rescalings, so ``Psi`` rows are evaluated once per distinct argument array
+    and reused bit-identically; the returned ``f`` makes one bump call per request.
     """
     b = schedule.b
     t = schedule.t
@@ -272,6 +300,7 @@ def build_patched_convex(
             )
 
     psi_int = bumps.psi_integral()
+    seen = []  # psi rows by argument, for this build only
     A = np.zeros(k_max + 1)
     B = np.zeros(k_max + 1)
     D = np.zeros(k_max + 1)
@@ -280,15 +309,15 @@ def build_patched_convex(
     for k in range(1, k_max + 1):
         tk = t[k]
         xs = np.linspace(tk, _EVEN_SUPPORT[1] * tk, _QUAD_N + 1)
-        vals = _even_product_rows(fams[k], tk, xs, bumps.psi_scaled_jet(xs, 2 * k, 0))[0]
+        vals = _even_product_rows(fams[k], tk, xs, _reused_psi_rows(seen, xs, 2 * k, 0))[0]
         A[k] = _simpson(vals, xs)
 
         xs = np.linspace(2.0 * _ODD_SUPPORT[0] * tk, 4.0 * tk, _QUAD_N + 1)
-        vals = _even_product_rows(fams[k - 1], t[k - 1], xs, bumps.psi_scaled_jet(xs, 2 * k - 2, 0))[0]
+        vals = _even_product_rows(fams[k - 1], t[k - 1], xs, _reused_psi_rows(seen, xs, 2 * k - 2, 0))[0]
         B[k] = _simpson(vals, xs)
 
         xs = np.linspace(_ODD_SUPPORT[0] * tk, _ODD_SUPPORT[1] * tk, _QUAD_N + 1)
-        vals = jets.jet_to_derivs(bumps.psi_scaled_jet(xs, 2 * k - 1, 0))[0]
+        vals = jets.jet_to_derivs(_reused_psi_rows(seen, xs, 2 * k - 1, 0))[0]
         D[k] = _simpson(vals, xs)
         d_gap = max(d_gap, abs(D[k] - 2.0 * tk * psi_int) / (2.0 * tk * psi_int))
 
@@ -311,21 +340,27 @@ def build_patched_convex(
     levels = list(range(K, k_max + 1))
 
     def d2_jet(x, order):
-        # the support of every (level, scale) term, with one bump call for all
+        # the (level, scale) terms whose support meets the points' range
+        x_lo, x_hi = np.min(x, initial=np.inf), np.max(x, initial=-np.inf)
         terms = [
             (k, s, (x > lo * t[k]) & (x < hi * t[k]))
             for k in levels
             for s, (lo, hi) in ((2 * k, _EVEN_SUPPORT), (2 * k - 1, _ODD_SUPPORT))
+            if lo * t[k] < x_hi and hi * t[k] > x_lo
         ]
-        counts = [np.count_nonzero(m) for _, _, m in terms]
-        bump = bumps.psi_scaled_jet(
-            np.concatenate([x[m] for _, _, m in terms]),
-            # int32: numpy's ldexp loop for int64 exponents is about 20x slower
-            np.repeat(np.int32([s for _, s, _ in terms]), counts),
-            order,
-        )
+        if seen is not None:
+            parts = [_reused_psi_rows(seen, x[m], s, order) for _, s, m in terms]
+        else:
+            # after the build: one bump call for all terms, on no points if none is reached
+            counts = [np.count_nonzero(m) for _, _, m in terms]
+            bump = bumps.psi_scaled_jet(
+                np.concatenate([x[m] for _, _, m in terms] + [np.empty(0)]),
+                np.repeat(np.array([s for _, s, _ in terms], dtype=int), counts),
+                order,
+            )
+            parts = np.split(bump, np.cumsum(counts)[:-1], axis=1)
         out = np.zeros((order + 1,) + x.shape)
-        for (k, s, m), rows in zip(terms, np.split(bump, np.cumsum(counts)[:-1], axis=1)):
+        for (k, s, m), rows in zip(terms, parts):
             if not rows.shape[1]:
                 continue
             if s == 2 * k:
@@ -357,6 +392,7 @@ def build_patched_convex(
         nodes_per_piece=_NODES_PER_PIECE,
         name=f"patched[K={K}]",
     )
+    seen = None
 
     return PatchedConvex(
         f=f,

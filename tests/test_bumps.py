@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_jets import mp_derivs
 
-from minklab import bumps
+from minklab import bumps, jets
 from minklab.jets import jet_var, tdiv
 
 
@@ -160,3 +162,36 @@ def test_psi_integral_grid_stable():
     bumps.psi_integral.cache_clear()
     b = bumps.psi_integral(1 << 14)
     assert abs(a - b) < 1e-12 * abs(b)
+
+
+def mp_psi(x):
+    """``psi = P / T`` from the module's definitions, at mpmath precision."""
+
+    def step(t):
+        e0 = mp.exp(-1 / t) if t > 0 else 0
+        e1 = mp.exp(-1 / (1 - t)) if t < 1 else 0
+        return e0 / (e0 + e1)
+
+    def raw(y):
+        return step(12 * (y - mp.mpf(2) / 3)) * step(4 * (mp.mpf(3) / 2 - y))
+
+    return raw(x) / (raw(x / 2) + raw(x) + raw(2 * x))
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0 / 3.0, 0.75), (1.25, 1.5)])
+def test_psi_jet_matches_mpmath(lo, hi):
+    # equal steps across the ramp, and steps shrinking toward both ends
+    near = (hi - lo) * np.geomspace(1e-3, 1e-2, 3)
+    xs = np.concatenate([np.linspace(lo, hi, 34)[1:-1], lo + near, hi - near])
+    got = jets.jet_to_derivs(bumps.psi_jet(xs, 2))
+    ref = np.array([mp_derivs(mp_psi, float(x), 2) for x in xs]).T
+    # the left ramp argument t of x (of x/2 on the right ramp) is rounded,
+    # and exp(-1/t) turns an error e in t into a relative error e/t**2, as
+    # exp(-1/(1-t)) does near t = 1; rows that pass through 0 get an
+    # absolute floor at the scale of the row
+    eps = np.finfo(float).eps
+    t = np.where(xs < 1.0, 12.0 * xs - 8.0, 6.0 * xs - 8.0)
+    edge = np.minimum(t, 1.0 - t)
+    rtol = 1e-13 + 16.0 * eps / np.where(edge > 0.0, edge, 1.0) ** 2
+    atol = 64.0 * eps * np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref) + atol)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minklab import bumps, jets
+from minklab import bumps, jets, patching
 from minklab.errors import ArgumentError, ConstructionError, ValidationError
-from minklab.fn_core import SmoothFn
+from minklab.fn_core import SmoothFn, _simpson
 from minklab.patching import (
     SlopeSchedule,
     build_patched_convex,
@@ -316,3 +316,65 @@ class TestScheduleProperty:
         assert np.max(np.abs(slopes - sched.b[ks])) < 1e-8
         xs = np.linspace(*pc.f.domain, 2001)
         assert np.all(pc.f.jet(xs, 2)[2] >= 0.0)
+
+
+CONFTEST_AMPLITUDES = 2.0 ** -np.arange(11)
+# profile fixture -> its profile family
+REUSE_BUILDS = {
+    "hinge_profile": lambda: quadratic_profile_family(CONFTEST_AMPLITUDES),
+    "second_profile": lambda: quadratic_profile_family(CONFTEST_AMPLITUDES),
+    "quartic_build": quartic_profile_family,
+}
+
+
+def direct_quadratures(p, family):
+    """``A``, ``B`` and ``D`` of a build, each integrand from its own bump call."""
+    lo, hi = bumps.PSI_SUPPORT
+    n = patching._QUAD_N
+    t = p.t
+    out = []
+    for k in range(p.K, p.k_max + 1):
+        tk = t[k]
+        xs = np.linspace(tk, hi * tk, n + 1)
+        A = _simpson(family(k).jet(xs - tk, 2)[2] * bumps.psi_scaled_jet(xs, 2 * k, 0)[0], xs)
+        xs = np.linspace(2.0 * (2.0 * lo) * tk, 4.0 * tk, n + 1)
+        vals = family(k - 1).jet(xs - t[k - 1], 2)[2] * bumps.psi_scaled_jet(xs, 2 * k - 2, 0)[0]
+        B = _simpson(vals, xs)
+        xs = np.linspace(2.0 * lo * tk, 2.0 * hi * tk, n + 1)
+        D = _simpson(bumps.psi_scaled_jet(xs, 2 * k - 1, 0)[0], xs)
+        out.append((A, B, D))
+    return np.array(out).T
+
+
+class TestPsiReuse:
+    """A build evaluates psi once per distinct argument and rescales the rows it reuses."""
+
+    @pytest.mark.parametrize("name", REUSE_BUILDS)
+    def test_table_equals_the_batched_d2_jet(self, request, name):
+        f = request.getfixturevalue(name).f
+        bp, n = f._bp, f._n
+        rows = [f._d2(np.linspace(bp[i], bp[i + 1], n + 1), 0)[0] for i in range(bp.size - 1)]
+        np.testing.assert_array_equal(f._d2_tab, np.concatenate(rows))
+
+    @pytest.mark.parametrize("name", REUSE_BUILDS)
+    def test_quadratures_equal_the_direct_integrands(self, request, name):
+        p = request.getfixturevalue(name)
+        A, B, D = direct_quadratures(p, REUSE_BUILDS[name]())
+        np.testing.assert_array_equal(p.A, A)
+        np.testing.assert_array_equal(p.B, B)
+        np.testing.assert_array_equal(p.D, D)
+
+    def test_a_build_evaluates_psi_once_per_distinct_argument(self, hinge_profile, monkeypatch):
+        sizes = []
+        psi_jet = bumps.psi_jet
+
+        def counted(x, order):
+            sizes.append(np.size(x))
+            return psi_jet(x, order)
+
+        monkeypatch.setattr(bumps, "psi_jet", counted)
+        p = build_patched_convex(hinge_profile.schedule, quadratic_profile_family(CONFTEST_AMPLITUDES))
+        # 71 calls on 1,081,393 points without reuse: the 40 pieces reach 5
+        # distinct arguments, and the 30 quadratures 3
+        assert len(sizes) <= 10
+        np.testing.assert_array_equal(p.f._d2_tab, hinge_profile.f._d2_tab)
