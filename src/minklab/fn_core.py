@@ -25,9 +25,9 @@ the same operations and order, so the package needs no SciPy at run time.
 :func:`invert_monotone` is the package's one bracketed root finder.  It
 takes Newton steps where the caller passes a derivative (built with
 :func:`newton_pair` when one call yields value and derivative, as
-:meth:`SmoothFn.slope_rows` does for ``f'``) and Chandrupatla's steps
-otherwise.  With scalar brackets it evaluates both ends in one call and
-then only the points of the targets still unsolved.
+:meth:`SmoothFn.slope_rows` does for ``f'``) and bisects otherwise.  With
+scalar brackets it evaluates both ends in one call and then only the
+points of the targets still unsolved.
 """
 
 from __future__ import annotations
@@ -472,19 +472,16 @@ def invert_monotone(
     """Solve ``fn(x) = y`` for nondecreasing ``fn`` on ``[lo, hi]``, vectorized.
 
     Every target keeps a bracket with a sign change and is solved in one
-    loop.  Without ``dfn`` each step is Chandrupatla's: inverse quadratic
-    interpolation where the last three points make it safe, bisection
-    otherwise.  With ``dfn`` (the derivative of ``fn``) the first step is
-    regula falsi and every later one a Newton step from the latest point.
-    A Newton step that leaves the bracket (as any zero, NaN, infinite or
-    negative derivative makes it do), or that is longer than half the step
-    before last (a Newton cycle), falls back to bisection.  Every step
-    stays at least half a tolerance inside the bracket, and a target stops
-    once its bracket is narrower than ``4 eps |x| + 4 tiny`` (about 4 ulp)
-    or ``|fn(x) - y|`` is at most ``tiny``; the bracket end with the
-    smaller residual is returned.  Without ``dfn`` the steps, and so the
-    roots, are those of Chandrupatla's method with these tolerances, bit
-    for bit.
+    loop.  Without ``dfn`` every step bisects the bracket.  With ``dfn``
+    (the derivative of ``fn``) the first step is regula falsi and every
+    later one a Newton step from the latest point.  A Newton step that
+    leaves the bracket (as any zero, NaN, infinite or negative derivative
+    makes it do), or that is longer than half the step before last (a
+    Newton cycle), falls back to bisection.  Every step stays at least
+    half a tolerance inside the bracket, and a target stops once its
+    bracket is narrower than ``4 eps |x| + 4 tiny`` (about 4 ulp) or
+    ``|fn(x) - y|`` is at most ``tiny``; the bracket end with the smaller
+    residual is returned.
 
     ``fn`` takes one argument, an array of points.  Scalar ``lo`` and
     ``hi`` mean every target inverts the same function, and ``fn`` must
@@ -522,32 +519,31 @@ def invert_monotone(
         )
     # clipped targets give every bracket a sign change (or a root at an end)
     tgt = np.clip(ys, flo, fhi).reshape(-1)
-    # Chandrupatla's state: x1 the latest point, x2 the bracket end across
-    # the root, x3 the point dropped last; v* the values fn(x*), f* the gaps v* - y
+    # x1 the latest point, x2 the bracket end across the root; v* the values
+    # fn(x*), f* the gaps v* - y, d1 the derivative at x1
     x1, x2 = lo_a.reshape(-1), hi_a.reshape(-1)
     v1, v2 = (np.broadcast_to(np.reshape(v, -1), tgt.shape) for v in (flo, fhi))
     f1, f2 = v1 - tgt, v2 - tgt
-    x3, f3, d1 = x2, f2, None
+    d1 = None
     # the last two step lengths: a Newton step must halve the older one
     step1 = step2 = np.abs(x2 - x1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.full(x1.shape, 0.5) if dfn is None else f1 / (f1 - f2)
     out, out_v = np.empty(x1.shape), np.empty(x1.shape)
     arg = None if shared else lo_a.reshape(-1).copy()
     idx = np.arange(x1.size)
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
     for it in range(_MAXITER + 1):
-        small = np.abs(f1) < np.abs(f2)
+        a1, a2 = np.abs(f1), np.abs(f2)
+        small = a1 < a2
         xmin = np.where(small, x1, x2)
-        dx = np.abs(x2 - x1)
+        span = x2 - x1
         tol = 4.0 * eps * np.abs(xmin) + 4.0 * tiny
-        stop = (np.abs(np.where(small, f1, f2)) <= tiny) | (dx < tol)
+        stop = (np.minimum(a1, a2) <= tiny) | (np.abs(span) < tol)
         if stop.any():
             done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)  # faster than masks
             out[idx[done]] = xmin[done]
             out_v[idx[done]] = np.where(small, v1, v2)[done]
-            idx, tgt, x1, f1, v1, x2, f2, v2, x3, f3, t, dx, tol, step1, step2 = (
-                a[keep] for a in (idx, tgt, x1, f1, v1, x2, f2, v2, x3, f3, t, dx, tol, step1, step2)
+            idx, tgt, x1, f1, v1, x2, f2, v2, span, tol, step1, step2 = (
+                a[keep] for a in (idx, tgt, x1, f1, v1, x2, f2, v2, span, tol, step1, step2)
             )
             d1 = None if d1 is None else d1[keep]
         if not idx.size:
@@ -557,24 +553,17 @@ def invert_monotone(
                 f"root search failed for {idx.size} target(s): no convergence in "
                 f"{_MAXITER} steps; first offending y={ys.flat[idx[0]]!r}"
             )
-        if it:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if d1 is None:
-                    xi1 = (x1 - x2) / (x3 - x2)
-                    phi1 = (f1 - f2) / (f3 - f2)
-                    alpha = (x3 - x1) / (x2 - x1)
-                    iqi = ((1.0 - np.sqrt(1.0 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-                    t = np.where(
-                        iqi,
-                        f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
-                        0.5,
-                    )
-                else:
-                    newton = -f1 / d1
-                    t = newton / (x2 - x1)
-                    t[~((t > 0.0) & (t < 1.0) & (np.abs(newton) <= 0.5 * step2))] = 0.5
-        tl = 0.5 * tol / dx
-        x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if dfn is None:
+                t = 0.5
+            elif d1 is None:  # the first step: regula falsi
+                t = f1 / (f1 - f2)
+            else:
+                newton = -f1 / d1
+                t = newton / span
+                t[~((t > 0.0) & (t < 1.0) & (np.abs(newton) <= 0.5 * step2))] = 0.5
+        tl = 0.5 * tol / np.abs(span)
+        x = x1 + np.clip(t, tl, 1.0 - tl) * span
         step2, step1 = step1, np.abs(x - x1)
         if shared:
             pts, sel = x, slice(None)
@@ -592,7 +581,6 @@ def invert_monotone(
                 f"first offending y={ys.flat[bad[0]]!r}"
             )
         same = np.sign(f) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2, v2 = np.where(same, x2, x1), np.where(same, f2, f1), np.where(same, v2, v1)
         x1, f1, v1 = x, f, v
     if rtol > 0 and np.any(np.abs(out_v.reshape(ys.shape) - ys) > rtol * (1.0 + np.abs(ys))):

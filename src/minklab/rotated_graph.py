@@ -74,22 +74,23 @@ def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
 
     Raises :class:`~minklab.errors.RotationTooLargeError` when
     ``cos(phi) - f' sin(phi)`` fails to stay positive on a ``_CHECK_N``-point
-    grid, i.e. when the rotated set is no longer the graph of a function.
+    grid, i.e. when the rotated set is no longer the graph of a function,
+    and :class:`~minklab.errors.CapabilityError` when ``f`` has no first
+    derivative to check that with (``max_order`` 0).
     """
     phi = float(phi)
     c = math.cos(phi)
     s = math.sin(phi)
     lo, hi = f.domain
 
-    if f.max_order >= 1:
-        grid = np.linspace(lo, hi, _CHECK_N)
-        rprime = c - f.jet(grid, 1)[1] * s
-        worst = float(rprime.min())
-        if worst <= 0.0:
-            raise RotationTooLargeError(
-                f"rotation by phi={phi!r} produces a non-graph: "
-                f"min slope of the abscissa map is {worst:.3e}"
-            )
+    grid = np.linspace(lo, hi, _CHECK_N)
+    rprime = c - f.jet(grid, 1)[1] * s
+    worst = float(rprime.min())
+    if worst <= 0.0:
+        raise RotationTooLargeError(
+            f"rotation by phi={phi!r} produces a non-graph: "
+            f"min slope of the abscissa map is {worst:.3e}"
+        )
 
     def r_map(x):
         return np.asarray(x, dtype=float) * c - f.eval(x) * s
@@ -111,8 +112,7 @@ def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
 
     def jet_fn(u, order):
         # one jet of f per step gives R and R' to the Newton steps
-        solver = newton_pair(r_rows) if f.max_order >= 1 else (r_map, None)
-        x = invert_monotone(*solver, u, lo, hi, rtol=1e-14)
+        x = invert_monotone(*newton_pair(r_rows), u, lo, hi, rtol=1e-14)
         if order == 0:
             return i_map(x)[None]
         m = order

@@ -359,6 +359,26 @@ class TestInvertMonotone:
         xs = invert_monotone(np.tanh, None, [0.5], -5, 5)
         np.testing.assert_allclose(np.tanh(xs), 0.5, atol=1e-12)
 
+    @pytest.mark.parametrize("y", [0.5, -0.9, 0.999])
+    def test_without_derivative_every_step_bisects(self, y):
+        seen = []
+
+        def fn(x):
+            seen.append(np.array(x, copy=True))
+            return np.tanh(x)
+
+        lo, hi = -5.0, 5.0
+        (x,) = invert_monotone(fn, None, [y], lo, hi)
+        assert np.tanh(x) == pytest.approx(y, rel=0, abs=1e-15)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        a, b = lo, hi
+        for (p,) in seen[1:]:
+            # the midpoint, up to the half tolerance that keeps steps inside
+            assert abs(p - 0.5 * (a + b)) <= 2.0 * eps * max(abs(a), abs(b)) + 2.0 * tiny
+            a, b = (p, b) if np.tanh(p) < y else (a, p)
+        # no more steps than halvings from the bracket down to the stop width
+        assert len(seen) <= 1 + math.ceil(math.log2((hi - lo) / (4.0 * eps * abs(x) + 4.0 * tiny)))
+
     def test_unbracketed(self):
         with pytest.raises(RootBracketError):
             invert_monotone(np.tanh, None, [2.0], -5, 5)
@@ -427,7 +447,7 @@ class TestInvertMonotoneWork:
     # targets of very different difficulty converge at different steps
     ys = np.array([[0.0, 1e-300, 0.5], [3.0, 70.0, -2.0]])
 
-    @pytest.mark.parametrize("newton", [False, True], ids=["chandrupatla", "newton"])
+    @pytest.mark.parametrize("newton", [False, True], ids=["bisection", "newton"])
     def test_batched_roots_equal_lone_roots_and_cost_their_steps(self, newton):
         def solve(ys):
             sizes = []

@@ -61,3 +61,18 @@ def test_traced_inversions_match_untraced_and_restore_every_binding(tracing, hin
     spans = [s for s in tracer.spans if s[0] == "fn_core.invert_monotone"]
     assert len(spans) >= 2
     assert all(s[4] == 1 and s[5]["fn_evals"] > 0 for s in spans)
+
+
+def test_traced_fn_evals_are_the_calls_of_fn(tracing):
+    calls = []
+
+    def cube(v):
+        calls.append(np.size(v))
+        return v**3
+
+    tracer = tracing.Tracer()
+    with tracer.recording(1):
+        x = fn_core.invert_monotone(cube, None, np.array([8.0, 27.0]), 0.0, 4.0)
+    np.testing.assert_allclose(x, [2.0, 3.0], rtol=1e-15)
+    (span,) = [s for s in tracer.spans if s[0] == "fn_core.invert_monotone"]
+    assert span[5]["targets"] == 2 and span[5]["fn_evals"] == len(calls)

@@ -8,7 +8,7 @@ from helpers import central_fd, flat_center_fn
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minklab.errors import HypothesisError, RotationTooLargeError
+from minklab.errors import CapabilityError, HypothesisError, RotationTooLargeError
 from minklab.fn_core import SmoothFn, cr_norm
 from minklab.rotated_graph import (
     cr_bound_check,
@@ -152,6 +152,13 @@ class TestErrors:
         f = poly([0.0, 2.0], (0, 1))
         with pytest.raises(RotationTooLargeError):
             rotate_graph(f, math.pi / 4)
+
+    def test_function_without_a_slope_is_rejected_when_rotated(self):
+        # the graph check needs f'; without it R could not be checked monotone
+        p = poly([0.0, 0.0, 0.5], (-1, 1))
+        f = SmoothFn.from_jet_fn(p.domain, 0, lambda x, m: p.jet(x, m), name="values only")
+        with pytest.raises(CapabilityError):
+            rotate_graph(f, 0.1)
 
     def test_rotated_derivatives_scalar_and_vector(self):
         f = poly([0.0, 0.0, 0.5], (-1, 1))
