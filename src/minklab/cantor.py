@@ -230,22 +230,27 @@ def _meets(blo: np.ndarray, bhi: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _merge(lo: np.ndarray, hi: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Sort and merge intervals; float ones closer than the float tolerance join."""
+    """Sort and merge intervals; float ones closer than the float tolerance join.
+
+    With ``L = sort(lo)`` and ``H = sort(hi)`` (stable for floats), a
+    component starts at ``i`` iff ``L[i] > H[i-1]`` (plus the tolerance) and
+    ends at ``H[next start - 1]``.  That is the running-max rule on the
+    intervals sorted by ``lo``, bit for bit and with the same rounding of
+    ``reach + tol``: ``H[i-1]`` is at most the running max of the first
+    ``i`` ends, and when ``L[i]`` exceeds it the ``i`` smallest ``hi`` lie
+    below ``L[i]``, so they belong to the first ``i`` intervals (each
+    ``lo <= hi``) and the two reaches are equal.
+    """
     if lo.size == 0:
         return lo, hi
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    run_hi = np.maximum.accumulate(hi)
-    # a new component starts where lo exceeds the running max of hi; an
-    # exact merge compares with no tolerance and so needs no temporary
-    reach = run_hi[:-1]
+    kind = None if exact else "stable"
+    lo, hi = np.sort(lo, kind=kind), np.sort(hi, kind=kind)
+    # an exact merge compares with no tolerance and so needs no temporary
+    reach = hi[:-1]
     if not exact:
         reach = reach + _FLOAT_TOL * max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    starts = np.empty(lo.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = lo[1:] > reach
-    idx = np.flatnonzero(starts)
-    return lo[idx], np.maximum.reduceat(run_hi, idx)
+    ends = np.flatnonzero(lo[1:] > reach)
+    return np.concatenate([lo[:1], lo[ends + 1]]), np.concatenate([hi[ends], hi[-1:]])
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -280,32 +285,21 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
     """Exact recursive middle-portion removal; 2**depth intervals."""
     if spec.depth > MAX_DEPTH:
         raise CapabilityError(f"depth {spec.depth} exceeds {MAX_DEPTH}")
-    base = IntervalSet.from_pairs([spec.base], depth=0)
-    current = base
+    current = IntervalSet.from_pairs([spec.base], depth=0)
     for step, s in enumerate(spec.side_ratios):
         fs = _to_fraction(s)
-        if current.exact and fs is not None:
-            # on the lattice refined by the ratio's denominator q every width
-            # is q times an old width, so the side width is an old width
-            # times the ratio's numerator: exact, and smaller than the width
-            q = fs.denominator
-            if not _fits(current, q):
+        exact = current.exact and fs is not None
+        lo, hi = (current.lo, current.hi) if exact else _float_ends(current)
+        # on the lattice refined by the ratio's denominator q every width is
+        # q times an old width, so the side width is an old width times the
+        # ratio's numerator: exact, and smaller than the width
+        w = (hi - lo) * (fs.numerator if exact else float(s))
+        if exact:
+            if not _fits(current, fs.denominator):
                 raise CapabilityError("lattice overflow; reduce depth or simplify ratios")
-            den = current.den * q
-            lo = current.lo * q
-            hi = current.hi * q
-            w_num = (current.hi - current.lo) * fs.numerator
-            new_lo = np.concatenate([lo, hi - w_num])
-            new_hi = np.concatenate([lo + w_num, hi])
-            new_lo, new_hi = _merge(new_lo, new_hi, True)
-            current = IntervalSet(new_lo, new_hi, den, step + 1)
-        else:
-            flo, fhi = _float_ends(current)
-            w = (fhi - flo) * float(s)
-            new_lo = np.concatenate([flo, fhi - w])
-            new_hi = np.concatenate([flo + w, fhi])
-            new_lo, new_hi = _merge(new_lo, new_hi, False)
-            current = IntervalSet(new_lo, new_hi, None, step + 1)
+            lo, hi = lo * fs.denominator, hi * fs.denominator
+        lo, hi = _merge(np.concatenate([lo, hi - w]), np.concatenate([lo + w, hi]), exact)
+        current = IntervalSet(lo, hi, current.den * fs.denominator if exact else None, step + 1)
     return current
 
 
@@ -334,27 +328,37 @@ class CoverReport:
 
 
 def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
-    """Exact containment check of a closed target interval, with gap list."""
+    """Exact containment check of a closed target interval, with gap list.
+
+    Each gap is a pair of Python floats: the end of the covered part before
+    it (or the target's start) and the next interval's start (or the
+    target's end).  Float sets ignore gaps within the float tolerance.  A
+    zero-length target ``(t, t)`` is covered iff ``t`` lies in an interval
+    (for a float set, within the tolerance of one); otherwise its one gap
+    is ``(t, t)``.  The gap ends are lattice integers divided by the
+    denominator in one float division: correctly rounded while both are
+    below 2**53 in magnitude, and off by up to an ulp or two above that.
+    Cost: two ``searchsorted`` calls (three for a zero-length target) and
+    one pass over the intervals that reach into the target.
+    """
     t = IntervalSet.from_pairs([target])
     aa, tt = _common_lattice(a, t)
-    tlo, thi = tt.lo[0], tt.hi[0]
+    lo, hi, tlo, thi = aa.lo, aa.hi, tt.lo[0], tt.hi[0]
     tol = 0 if aa.exact else _FLOAT_TOL * max(1.0, abs(float(tlo)), abs(float(thi)))
-    gaps: list[tuple[float, float]] = []
-    cursor = tlo
-    den = aa.den if aa.exact else 1
-    for lo, hi in zip(aa.lo.tolist(), aa.hi.tolist()):
-        if hi < cursor or lo > thi:
-            if lo > thi:
-                break
-            continue
-        if lo > cursor + tol:
-            gaps.append((cursor / den, min(lo, thi) / den))
-        cursor = max(cursor, hi)
-        if cursor >= thi:
-            break
-    if cursor < thi - tol:
-        gaps.append((cursor / den, thi / den))
-    return CoverReport(covered=not gaps, gaps=tuple(gaps))
+    # reached: from the first interval ending at or after tlo up to the first
+    # ending at or after thi, short of the first starting after thi
+    first, last = np.searchsorted(hi, (tlo, thi))
+    stop = min(np.searchsorted(lo, thi, side="right"), last + 1)
+    # hi increases, so the cursor before a reached interval is the previous
+    # one's end (tlo before the first); the last entry is the final cursor
+    cursor = np.concatenate([tt.lo, hi[first:stop]])
+    gap = lo[first:stop] > cursor[:-1] + tol
+    start, end = cursor[:-1][gap], lo[first:stop][gap]
+    point_gap = tlo == thi and not (lo.size and _meets(lo, hi, tlo - tol, thi + tol))
+    if cursor[-1] < thi - tol or point_gap:
+        start, end = np.append(start, cursor[-1]), np.append(end, thi)
+    gaps = np.stack([start, end]) / (aa.den or 1)
+    return CoverReport(covered=not gaps.size, gaps=tuple(zip(*gaps.tolist())))
 
 
 def intersects(a: IntervalSet, b: IntervalSet) -> bool:

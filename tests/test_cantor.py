@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from minklab.cantor import (
     CantorSpec,
+    CoverReport,
     IntervalSet,
+    _merge,
     build_cantor,
     covers,
     intersects,
@@ -19,6 +21,8 @@ from minklab.cantor import (
     wrap_mod,
 )
 from minklab.errors import ArgumentError, CapabilityError
+
+from helpers import covers_by_walk, merge_by_running_max
 
 THIRDS = Fraction(1, 3)
 
@@ -271,3 +275,124 @@ class TestMode:
         assert s.translate(1).as_fractions() == [(Fraction(1), 1 + Fraction(1, 2**60))]
         with pytest.raises(CapabilityError):
             s.translate(7)
+
+
+def _merge_cases(exact: bool, rng: np.random.Generator) -> dict:
+    """Named interval lists for the merge oracle; float lists get tolerance-scale gaps."""
+    cases = {
+        "duplicates": [(0, 3), (5, 9), (5, 9), (0, 3), (2, 4)],
+        "points": [(1, 1), (1, 1), (4, 4), (0, 2), (2, 2), (7, 7)],
+        "nested": [(0, 10), (2, 3), (4, 8), (5, 6), (12, 20), (13, 13)],
+        "touching": [(2, 3), (0, 1), (1, 2), (5, 6), (4, 5), (3, 3)],
+        "single": [(3, 7)],
+        "empty": [],
+    }
+    ends = np.sort(rng.integers(-60, 60, size=(40, 2)), axis=1)
+    cases["random"] = [tuple(p) for p in ends.tolist()]
+    if not exact:
+        cases = {name: [(a / 8, b / 8) for a, b in pairs] for name, pairs in cases.items()}
+        for scale in (1.0, 1e3):
+            # the largest endpoint is ``scale``, so the tolerance is ``tol``:
+            # gaps of 0.5 and 0.999 of it join, gaps of 1.001 and 2 do not
+            tol = 1e-12 * scale
+            lo = np.array([0.0, 0.2, 0.4, 0.6, 0.8]) * scale
+            hi = np.append(lo[1:], scale)
+            lo[1:] += np.array([0.5, 0.999, 1.001, 2.0])[rng.permutation(4)] * tol
+            order = rng.permutation(5)
+            cases[f"tolerance x{scale:g}"] = list(zip(lo[order].tolist(), hi[order].tolist()))
+    return cases
+
+
+class TestMergeOracle:
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_merge_matches_the_running_max_merge(self, exact):
+        rng = np.random.default_rng(19)
+        dtype = np.int64 if exact else float
+        for _ in range(25):
+            for name, pairs in _merge_cases(exact, rng).items():
+                order = rng.permutation(len(pairs))
+                lo = np.array([pairs[i][0] for i in order], dtype=dtype)
+                hi = np.array([pairs[i][1] for i in order], dtype=dtype)
+                got = _merge(lo.copy(), hi.copy(), exact)
+                want = merge_by_running_max(lo, hi, exact)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype == dtype, name
+                    assert np.array_equal(g, w), name
+
+    def test_float_join_follows_the_tolerance(self):
+        # the tolerance is 1e-12 times the largest endpoint, here 3
+        lo = np.array([0.0, 1.0 + 0.999 * 3e-12, 2.0 + 1.001 * 3e-12])
+        hi = np.array([1.0, 2.0, 3.0])
+        got_lo, got_hi = _merge(lo, hi, False)
+        assert got_lo.tolist() == [0.0, lo[2]]
+        assert got_hi.tolist() == [2.0, 3.0]
+
+
+def _cover_points(s: IntervalSet, extra) -> list:
+    """Target ends at, inside and around every interval and gap of ``s``."""
+    pairs = s.as_fractions() if s.exact else s.as_floats()
+    points = set(extra)
+    for a, b in pairs:
+        points.update([a, b, (a + b) / 2])
+    for (_, b), (a, _) in zip(pairs, pairs[1:]):
+        points.add((a + b) / 2)
+    if pairs:
+        points.update([pairs[0][0] - 1, pairs[-1][1] + 1])
+    return sorted(points)
+
+
+class TestCoversOracle:
+    COVER_SETS = {
+        "exact den 27": build_cantor(CantorSpec.uniform((0, 1), THIRDS, 3)),
+        "exact den 1": IntervalSet.from_pairs([(-3, -1), (0, 2), (4, 4), (6, 9)]),
+        # gaps of 1.5e-12 and 3e-12 survive the merge; a target reaching past
+        # |2| has a tolerance of more than 2e-12, one inside [-1, 1] of 1e-12
+        "float near tol": IntervalSet.from_pairs(
+            [(0.0, 0.25), (0.25 + 1.5e-12, 0.5), (0.5 + 3e-12, 0.75), (0.875, 1.0)]
+        ),
+        "float": IntervalSet.from_pairs([(-0.5, 0.125), (0.3, 0.3), (0.6, 1.5)]),
+        "empty": IntervalSet.from_pairs([]),
+    }
+
+    @pytest.mark.parametrize("name", list(COVER_SETS))
+    def test_covers_matches_the_walk_on_every_target(self, name):
+        s = self.COVER_SETS[name]
+        extra = [Fraction(-5, 2), Fraction(5, 2)] if s.exact else [-2.5, -1.0, 2.0, 2.5]
+        points = _cover_points(s, extra)
+        assert s.exact == (name.startswith("exact") or name == "empty")
+        for i, t0 in enumerate(points):
+            for t1 in points[i + 1 :]:
+                got, want = covers(s, (t0, t1)), covers_by_walk(s, (t0, t1))
+                assert got.covered is want.covered, (t0, t1)
+                assert got.gaps == want.gaps, (t0, t1)
+                assert all(type(v) is float for gap in got.gaps for v in gap)
+
+    def test_hull_is_covered_and_gaps_are_floats(self):
+        s = self.COVER_SETS["exact den 27"]
+        assert covers(IntervalSet.from_pairs(s.as_fractions()[:1]), s.as_fractions()[0]).covered
+        rep = covers(s, (0, 1))
+        assert len(rep.gaps) == 7
+        assert rep.gaps[0] == (1 / 27, 2 / 27)
+        assert all(type(v) is float for gap in rep.gaps for v in gap)
+
+
+class TestCoversPoint:
+    def test_exact_point_is_covered_iff_it_lies_in_an_interval(self):
+        s = IntervalSet.from_pairs([(1, 2), (Fraction(5, 2), 3)])
+        for t in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
+            assert covers(s, (t, t)) == CoverReport(True, ())
+        for t in (0, Fraction(9, 4), 5):
+            assert covers(s, (t, t)) == CoverReport(False, ((float(t), float(t)),))
+
+    def test_float_point_is_covered_within_the_tolerance(self):
+        s = IntervalSet.from_pairs([(0.0, 1.0), (2.0, 3.0)])
+        for t in (0.5, 1.0 + 0.5e-12, 2.0 - 0.5e-12, 3.0):
+            assert covers(s, (t, t)) == CoverReport(True, ())
+        for t in (1.0 + 1e-9, 1.5, 2.0 - 1e-9, -1.0):
+            assert covers(s, (t, t)) == CoverReport(False, ((t, t),))
+
+    @pytest.mark.parametrize("t", [3, 0.5, Fraction(1, 3)])
+    def test_empty_set_covers_no_point(self, t):
+        rep = covers(IntervalSet.from_pairs([]), (t, t))
+        assert rep == CoverReport(False, ((float(t), float(t)),))
+        assert all(type(v) is float for v in rep.gaps[0])
