@@ -333,12 +333,13 @@ def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
     Each gap is a pair of Python floats: the end of the covered part before
     it (or the target's start) and the next interval's start (or the
     target's end).  Float sets ignore gaps within the float tolerance.  A
-    zero-length target ``(t, t)`` is covered iff ``t`` lies in an interval
-    (for a float set, within the tolerance of one); otherwise its one gap
-    is ``(t, t)``.  The gap ends are lattice integers divided by the
-    denominator in one float division: correctly rounded while both are
-    below 2**53 in magnitude, and off by up to an ulp or two above that.
-    Cost: two ``searchsorted`` calls (three for a zero-length target) and
+    target no longer than that tolerance (for an exact set, a zero-length
+    target ``(t, t)``) is covered iff it meets an interval within the
+    tolerance; otherwise its one gap is the target itself.  The gap ends
+    are lattice integers divided by the denominator in one float division:
+    correctly rounded while both are below 2**53 in magnitude, and off by
+    up to an ulp or two above that.
+    Cost: two ``searchsorted`` calls (three for a target that short) and
     one pass over the intervals that reach into the target.
     """
     t = IntervalSet.from_pairs([target])
@@ -354,7 +355,9 @@ def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
     cursor = np.concatenate([tt.lo, hi[first:stop]])
     gap = lo[first:stop] > cursor[:-1] + tol
     start, end = cursor[:-1][gap], lo[first:stop][gap]
-    point_gap = tlo == thi and not (lo.size and _meets(lo, hi, tlo - tol, thi + tol))
+    # a target no longer than tol has no gap but itself
+    short = thi - tlo <= tol
+    point_gap = short and not (lo.size and _meets(lo, hi, tlo - tol, thi + tol))
     if cursor[-1] < thi - tol or point_gap:
         start, end = np.append(start, cursor[-1]), np.append(end, thi)
     gaps = np.stack([start, end]) / (aa.den or 1)

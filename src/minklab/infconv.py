@@ -60,6 +60,8 @@ _CONVEXITY_TOL = 1e-9
 # Largest stationarity residual of the minimizer map, relative to the
 # matched slope scale ``1 + |f'(mu)|``.
 _RESIDUAL_TOL = 1e-9
+# Array passes of the lower hull before the monotone chain takes over.
+_HULL_PASSES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,8 @@ def _minimizer(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np
     :func:`~minklab.fn_core.invert_monotone` with the curvature sum
     ``f''(y) + g''(x - y)`` as derivative, is the minimizer; elsewhere
     the minimizer is the window end the gap points to, and ``pinned`` is
-    True there.
+    True there.  Each step evaluates the slope rows of the targets whose
+    point moved and reuses the stored rows of the others.
     """
     ylo, yhi = _windows(f, g, xs)
     glo = _slope_gap(f, g, xs, ylo)
@@ -170,11 +173,19 @@ def _minimizer(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np
     mu = np.where(glo >= 0.0, ylo, yhi)
     if np.any(root):
         xr = xs[root]
+        # the point and the slope rows f', f'', g', g'' last evaluated per target
+        at = np.full(xr.size, np.nan)
+        rows = np.empty((4, xr.size))
 
         def gap_rows(y):
-            fs, fc = f.slope_rows(y)
-            gs, gc = g.slope_rows(xr - y)
-            return fs - gs, fc + gc
+            # every call gets all targets' points, and only the unsolved
+            # ones move; slope_rows is pointwise, so the rest are reused
+            moved = np.flatnonzero(y != at)
+            ym = y[moved]
+            at[moved] = ym
+            rows[0, moved], rows[1, moved] = f.slope_rows(ym)
+            rows[2, moved], rows[3, moved] = g.slope_rows(xr[moved] - ym)
+            return rows[0] - rows[2], rows[1] + rows[3]
 
         mu[root] = invert_monotone(*newton_pair(gap_rows), np.zeros(xr.size), ylo[root], yhi[root])
     return mu, ~root
@@ -348,9 +359,35 @@ def infconv_direct(
 def _lower_hull(xs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of the lower convex hull of the graph points, in order.
 
-    Collinear interior points are dropped, so consecutive chord slopes are
-    strictly increasing.
+    Input rule: ``xs`` is nondecreasing, and of points with equal abscissa
+    only the lowest can be a vertex, so each such run is first collapsed to
+    its lowest point.  Collinear interior points are dropped, so consecutive
+    chord slopes are strictly increasing.  Each array pass drops every
+    point on or above the chord of its current neighbours (no such point
+    is a vertex, so one pass may drop them all), until a pass drops none.
+    A bridge over a long concave stretch loses only one point per side and
+    pass, so after ``_HULL_PASSES`` passes the monotone chain finishes on
+    the survivors.
     """
+    repeat = xs[1:] == xs[:-1]
+    if repeat.any():
+        starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        xs, vs = xs[starts], np.minimum.reduceat(vs, starts)
+    for _ in range(_HULL_PASSES):
+        if xs.size < 3:
+            return xs, vs
+        x0, v0 = xs[:-2], vs[:-2]
+        cross = (xs[1:-1] - x0) * (vs[2:] - v0) - (vs[1:-1] - v0) * (xs[2:] - x0)
+        keep = ~(cross <= 0.0)
+        if keep.all():
+            return xs, vs
+        keep = np.concatenate(([True], keep, [True]))
+        xs, vs = xs[keep], vs[keep]
+    return _chain_hull(xs, vs)
+
+
+def _chain_hull(xs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Andrew's monotone chain over points of increasing abscissa, one point at a time."""
     x_list = xs.tolist()
     v_list = vs.tolist()
     keep: list[int] = []
@@ -369,6 +406,19 @@ def _lower_hull(xs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         keep.append(i)
     idx = np.asarray(keep, dtype=np.intp)
     return xs[idx], vs[idx]
+
+
+def _samples(fn: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """Values of ``fn`` at ``xs`` and ``max fn''`` there, from one ``jet`` call.
+
+    The maximum is None, and the values come from ``eval``, when ``fn``
+    has no second derivative.
+    """
+    try:
+        rows = fn.jet(xs, 2)
+    except CapabilityError:
+        return fn.eval(xs), None
+    return rows[0], float(np.max(rows[2]))
 
 
 def _conjugate_vertices(xs, vs):
@@ -418,8 +468,8 @@ def infconv_conjugate(
         raise ArgumentError("sample_n must be at least 3")
     xf = np.linspace(f.domain[0], f.domain[1], sample_n)
     xg = np.linspace(g.domain[0], g.domain[1], sample_n)
-    vf = f.eval(xf)
-    vg = g.eval(xg)
+    vf, max_hf = _samples(f, xf)
+    vg, max_hg = _samples(g, xg)
     hxf, hvf, sf = _conjugate_vertices(xf, vf)
     hxg, hvg, sg = _conjugate_vertices(xg, vg)
 
@@ -472,14 +522,10 @@ def infconv_conjugate(
     )
 
     error_bound = None
-    try:
-        max_hf = float(np.max(f.jet(xf, 2)[2]))
-        max_hg = float(np.max(g.jet(xg, 2)[2]))
+    if max_hf is not None and max_hg is not None:
         dxf = (f.domain[1] - f.domain[0]) / (sample_n - 1)
         dxg = (g.domain[1] - g.domain[0]) / (sample_n - 1)
         error_bound = (dxf**2 * max_hf + dxg**2 * max_hg) / 8.0
-    except CapabilityError:
-        pass
 
     return InfConvResult(
         route="conjugate",

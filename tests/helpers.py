@@ -3,7 +3,19 @@
 import numpy as np
 
 from minklab.cantor import _FLOAT_TOL, CoverReport, IntervalSet, _common_lattice
-from minklab.fn_core import SmoothFn
+from minklab.fn_core import SmoothFn, invert_monotone, newton_pair
+from minklab.infconv import _slope_gap, _windows
+from minklab.patching import SlopeSchedule, build_patched_convex, quadratic_profile_family
+
+# The slope schedules of the ``hinge_profile`` and ``second_profile`` fixtures.
+SLOPES_1 = np.array([2.0, 0.8, 0.3, 0.1, 0.02, 1e-3, 1e-5, 1e-8, 1e-12, 1e-17, 1e-23])
+SLOPES_2 = np.array([1.6, 0.7, 0.28, 0.09, 0.018, 9e-4, 9e-6, 9e-9, 9e-13, 9e-18, 9e-24])
+
+
+def blended_profile(w):
+    """The glued profile of the slope schedule ``SLOPES_1**(1 - w) * SLOPES_2**w``, as perfbench builds it."""
+    b = SLOPES_1 ** (1.0 - w) * SLOPES_2**w
+    return build_patched_convex(SlopeSchedule(b), quadratic_profile_family(2.0 ** -np.arange(11)))
 
 
 def flat_center_fn(domain=(-1, 1), half_width=0.1):
@@ -59,6 +71,50 @@ def merge_by_running_max(lo, hi, exact):
     starts[1:] = lo[1:] > reach
     idx = np.flatnonzero(starts)
     return lo[idx], np.maximum.reduceat(run_hi, idx)
+
+
+def lower_hull_by_chain(xs, vs):
+    """Oracle for ``infconv._lower_hull``: Andrew's monotone chain, one point at a time.
+
+    Points with equal abscissa are not collapsed first, so where an end
+    abscissa repeats the hull keeps a vertical first or last edge.
+    """
+    x_list = xs.tolist()
+    v_list = vs.tolist()
+    keep = []
+    for i in range(len(x_list)):
+        xi, vi = x_list[i], v_list[i]
+        while len(keep) >= 2:
+            i1 = keep[-1]
+            i0 = keep[-2]
+            cross = (x_list[i1] - x_list[i0]) * (vi - v_list[i0]) - (
+                v_list[i1] - v_list[i0]
+            ) * (xi - x_list[i0])
+            if cross <= 0.0:
+                keep.pop()
+            else:
+                break
+        keep.append(i)
+    idx = np.asarray(keep, dtype=np.intp)
+    return xs[idx], vs[idx]
+
+
+def minimizer_with_plain_gap(f, g, xs):
+    """Oracle for ``infconv._minimizer``: its gap function evaluates every target on every call."""
+    ylo, yhi = _windows(f, g, xs)
+    glo = _slope_gap(f, g, xs, ylo)
+    root = (glo < 0.0) & (_slope_gap(f, g, xs, yhi) > 0.0)
+    mu = np.where(glo >= 0.0, ylo, yhi)
+    if np.any(root):
+        xr = xs[root]
+
+        def gap_rows(y):
+            fs, fc = f.slope_rows(y)
+            gs, gc = g.slope_rows(xr - y)
+            return fs - gs, fc + gc
+
+        mu[root] = invert_monotone(*newton_pair(gap_rows), np.zeros(xr.size), ylo[root], yhi[root])
+    return mu, ~root
 
 
 def covers_by_walk(a, target):

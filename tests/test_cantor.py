@@ -390,6 +390,13 @@ class TestCoversPoint:
         for t in (1.0 + 1e-9, 1.5, 2.0 - 1e-9, -1.0):
             assert covers(s, (t, t)) == CoverReport(False, ((t, t),))
 
+    def test_float_target_shorter_than_the_tolerance_is_a_point(self):
+        s = IntervalSet.from_pairs([(0.0, 1.0)])
+        far = (5.0, 5.0 + 1e-13)
+        assert covers(s, far) == CoverReport(False, (far,))
+        for target in ((0.5, 0.5 + 1e-13), (1.0 + 0.5e-12, 1.0 + 0.6e-12)):
+            assert covers(s, target) == CoverReport(True, ())
+
     @pytest.mark.parametrize("t", [3, 0.5, Fraction(1, 3)])
     def test_empty_set_covers_no_point(self, t):
         rep = covers(IntervalSet.from_pairs([]), (t, t))

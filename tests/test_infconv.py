@@ -5,7 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import flat_center_fn
+from helpers import (
+    blended_profile,
+    flat_center_fn,
+    lower_hull_by_chain,
+    minimizer_with_plain_gap,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,10 +21,14 @@ from minklab.errors import (
     RootBracketError,
     ValidationError,
 )
+from minklab import infconv
 from minklab.fn_core import SmoothFn
 from minklab.infconv import (
     InfConvResult,
+    _conjugate_eval,
+    _conjugate_vertices,
     _lower_hull,
+    _minimizer,
     check_convexity,
     infconv_conjugate,
     infconv_direct,
@@ -337,7 +346,7 @@ class TestEpigraphSums:
         sx = (xf[:, None] + xg[None, :]).ravel()
         sv = (vf[:, None] + vg[None, :]).ravel()
         order = np.argsort(sx, kind="stable")
-        hx, hv = _lower_hull(sx[order], sv[order])
+        hx, hv = lower_hull_by_chain(sx[order], sv[order])
         res = infconv_conjugate(f, g, sample_n=n, grid_n=1001)
         expected = np.interp(res.x, hx, hv)
         np.testing.assert_allclose(res.values, expected, atol=1e-12)
@@ -349,6 +358,102 @@ class TestEpigraphSums:
         with pytest.raises(CapabilityError):
             res.h.jet(0.0, 1)
         np.testing.assert_allclose(res.h.eval(res.x), res.values, atol=0)
+
+
+@pytest.fixture(scope="module")
+def seed7_pair():
+    """The pair that perfbench's infconv workload draws for seed 7."""
+    f = blended_profile(0.277970282193581).f
+    r = 0.24995553264831386
+    g = poly([0.0, -0.02193875041298038, 1.9006076085248886, 0.0, 0.6828411581325566], (-r, r), "g")
+    return f, g
+
+
+def assert_same_hull(xs, vs):
+    got, want = _lower_hull(xs, vs), lower_hull_by_chain(xs, vs)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    return got
+
+
+class TestLowerHull:
+    def test_samples_and_summed_conjugate_match_the_chain(self, seed7_pair):
+        f, g = seed7_pair
+        n = (1 << 14) + 1
+        xf, xg = np.linspace(*f.domain, n), np.linspace(*g.domain, n)
+        assert_same_hull(xf, f.eval(xf))
+        assert_same_hull(xg, g.eval(xg))
+        hxf, hvf, sf = _conjugate_vertices(xf, f.eval(xf))
+        hxg, hvg, sg = _conjugate_vertices(xg, g.eval(xg))
+        p_all = np.unique(np.concatenate([sf, sg]))
+        conj_sum = _conjugate_eval(hxf, hvf, sf, p_all)[0] + _conjugate_eval(hxg, hvg, sg, p_all)[0]
+        assert_same_hull(p_all, conj_sum)
+
+    def test_double_well_is_finished_by_the_chain(self, monkeypatch):
+        # the bridge between the wells loses one point per side and pass,
+        # so the passes run out long before the hull is reached
+        chained = []
+        chain = infconv._chain_hull
+        monkeypatch.setattr(infconv, "_chain_hull", lambda xs, vs: chained.append(xs.size) or chain(xs, vs))
+        xs = np.linspace(-1.5, 1.5, (1 << 14) + 1)
+        hx, _ = assert_same_hull(xs, xs**4 - xs**2)
+        assert len(chained) == 1 and hx.size < chained[0] < xs.size
+        assert not np.any((hx > -0.7) & (hx < 0.7))
+
+    def test_random_clouds_with_repeated_interior_abscissae(self):
+        rng = np.random.default_rng(20)
+        for size in (3, 10, 200, 2000):
+            xs = np.sort(rng.integers(-size // 4, size // 4 + 1, size)).astype(float)
+            # unique ends: the chain keeps a vertical edge at a repeated one
+            xs[0], xs[-1] = xs[1] - 1.0, xs[-2] + 1.0
+            for vs in (rng.normal(size=size), 0.01 * xs**2 + rng.normal(size=size)):
+                assert_same_hull(xs, vs)
+
+    def test_concave_input_keeps_its_end_points(self):
+        xs = np.linspace(-1.0, 2.0, 1001)
+        hx, hv = assert_same_hull(xs, -(xs**2))
+        np.testing.assert_array_equal(hx, [-1.0, 2.0])
+        np.testing.assert_array_equal(hv, [-1.0, -4.0])
+
+    def test_collinear_points_are_dropped(self):
+        xs = np.arange(11.0)
+        hx, hv = assert_same_hull(xs, np.abs(xs - 4.0))
+        np.testing.assert_array_equal(hx, [0.0, 4.0, 10.0])
+
+    def test_repeated_abscissae_collapse_to_their_lowest_point(self):
+        xs = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+        vs = np.array([3.0, 1.0, 0.5, -1.0, 2.0, 5.0, 4.0])
+        hx, hv = _lower_hull(xs, vs)
+        np.testing.assert_array_equal(hx, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(hv, [1.0, -1.0, 4.0])
+
+
+class CountingFn:
+    """A function whose ``slope_rows`` counts its calls and the points they pass."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.points = fn, 0, 0
+
+    def __getattr__(self, name):
+        return getattr(self.fn, name)
+
+    def slope_rows(self, x):
+        self.calls += 1
+        self.points += np.size(x)
+        return self.fn.slope_rows(x)
+
+
+class TestMinimizerSteps:
+    def test_only_moved_targets_are_evaluated(self, seed7_pair):
+        f, g = (CountingFn(fn) for fn in seed7_pair)
+        xs = np.linspace(f.domain[0] + g.domain[0], f.domain[1] + g.domain[1], 4097)
+        mu, pinned = _minimizer(f, g, xs)
+        targets = int(np.count_nonzero(~pinned))
+        assert targets > 0 and f.calls > 2
+        assert f.points == g.points < f.calls * targets
+        want_mu, want_pinned = minimizer_with_plain_gap(*seed7_pair, xs)
+        np.testing.assert_array_equal(mu, want_mu)
+        np.testing.assert_array_equal(pinned, want_pinned)
 
 
 class TestCsvExport:
