@@ -305,11 +305,7 @@ class ConvexCurve:
 
     def total_turning(self) -> float:
         """Winding of the edge directions, 2*pi for a convex positive loop."""
-        e = self.edge_vectors()
-        ang = np.arctan2(e[:, 1], e[:, 0])
-        d = np.diff(ang, append=ang[:1])
-        d = np.mod(d + math.pi, TAU) - math.pi
-        return float(np.sum(d))
+        return _turning(self.edge_vectors())
 
     def symmetry_gap(self) -> float:
         """Mismatch of the boundary against its own 2*pi/order rotation."""
@@ -327,11 +323,12 @@ class ConvexCurve:
     def validate(self, *, straight_run_tol: float = 0.0, normal_sweep_tol: float = 1e-9) -> None:
         e = self.edge_vectors()
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        scale = np.linalg.norm(e, axis=1) * np.roll(np.linalg.norm(e, axis=1), -1)
+        length = np.linalg.norm(e, axis=1)
+        scale = length * np.roll(length, -1)
         if np.any(cross < -_VALIDATE_TOL * scale):
             worst = float(np.min(cross / np.maximum(scale, 1e-300)))
             raise ValidationError(f"boundary is not convex: min cross ratio {worst:.3e}")
-        turn = self.total_turning()
+        turn = _turning(e)
         if abs(turn - TAU) > _TURNING_TOL:
             raise ValidationError(f"total turning {turn!r} is not 2*pi")
         dg = np.diff(self.gauss_angle)
@@ -385,6 +382,14 @@ class ConvexCurve:
                     f"(> {sweep_tol:.3e}); flat vertices must cluster around "
                     f"a single junction direction"
                 )
+
+
+def _turning(e: np.ndarray) -> float:
+    """Sum of the turns between consecutive edge vectors ``e``, each in ``[-pi, pi)``."""
+    ang = np.arctan2(e[:, 1], e[:, 0])
+    d = np.diff(ang, append=ang[:1])
+    d = np.mod(d + math.pi, TAU) - math.pi
+    return float(np.sum(d))
 
 
 def angular_resolution_arc(curve: ConvexCurve, grid_n: int) -> float:

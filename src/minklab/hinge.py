@@ -28,12 +28,16 @@ certificates (slope and value bounds, induced-hinge side lengths) that
 with shrinking hinges, uniformly bounded norms, and total turning angle
 exactly ``pi/n``; its angle search rejects most candidates by an exact
 lower bound on their norms, integrates and norms only the rest, and every
-smoothing it returns is fully certified.
+smoothing it returns is fully certified.  A placement's ``f_u`` solves
+each point it is asked once, and ``f_v`` reads it at mirrored points, so a
+build inverts the rotation only where no earlier request of that
+placement asked.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +84,10 @@ _NORM_GRID_N = 2049
 _JSON_GRID_N = 513
 # Relative tolerance of the ``eps`` inversion.
 _EPS_RTOL = 1e-12
-# Probe count of the search for the profile's flat start.
+# Probe count of the search for the profile's flat start, and the start of
+# each live profile, computed on first use.
 _PROBE_N = 4096
+_FLOORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,14 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
     ``f_u`` is the translate-then-rotate-clockwise copy; ``f_v`` its
     mirror, so ``f_u(t) = f_v(-t)`` identically.  Both contain ``[-d, d]``
     in their domains and ``-f_u'(-d) = tan(gamma) = f_v'(d)``.
+
+    Each point of ``f_u`` costs an inversion of the rotation, so ``f_u``
+    remembers the rows of every point it was asked, per order
+    (:func:`_remembered`), and solves each point once: the masses, the
+    table of ``F``, the certificates and the norm floor ask largely the
+    same points, and ``f_v`` asks ``f_u`` at ``-t``, so the right end hits
+    the points the left end solved.  The rows are those of the plain
+    rotated graph, bit for bit.
     """
     if d <= 0.0:
         raise ArgumentError("half-width d must be positive")
@@ -169,7 +183,7 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
     h = SmoothFn.from_jet_fn(
         (lo - shift, hi - shift), f.max_order, shifted_jet, name="shifted profile"
     )
-    f_u = rotate_graph(h, -gamma).f_phi
+    f_u = _remembered(rotate_graph(h, -gamma).f_phi)
     if f_u.domain[1] < d:
         raise HypothesisError(
             "rotated profile does not reach the right endpoint; shrink d or gamma"
@@ -182,6 +196,35 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
         (-f_u.domain[1], -f_u.domain[0]), f_u.max_order, mirror_jet, name="f_v"
     )
     return f_u, f_v
+
+
+def _remembered(g: SmoothFn) -> SmoothFn:
+    """``g`` with a point memo: each point is solved once per order asked.
+
+    For each order the memo keeps the points solved so far, as sorted
+    integer views of their bits, and their rows.  A call finds its points
+    bit for bit (so ``-0.0`` and ``0.0`` are two points), solves the
+    misses in one call of ``g`` on their distinct values and merges them
+    in.  ``g``'s rows must depend on their point only, not on the other
+    points of the call, so the rows are those ``g`` itself returns.
+    """
+    memo = {}
+
+    def jet_fn(x, order):
+        keys, rows = memo.get(order, (np.empty(0, np.int64), np.empty((order + 1, 0))))
+        bits = np.ascontiguousarray(x, dtype=float).reshape(-1).view(np.int64)
+        at = np.minimum(np.searchsorted(keys, bits), keys.size - 1)
+        miss = bits[keys[at] != bits] if keys.size else bits
+        if miss.size:
+            new = np.unique(miss)
+            slot = np.searchsorted(keys, new)
+            keys = np.insert(keys, slot, new)
+            rows = np.insert(rows, slot, g.jet(new.view(float), order), axis=1)
+            memo[order] = keys, rows
+            at = np.searchsorted(keys, bits)
+        return rows[:, at].reshape((order + 1,) + x.shape)
+
+    return SmoothFn.from_jet_fn(g.domain, g.max_order, jet_fn, name=g.name)
 
 
 def _mirror(rows: np.ndarray) -> np.ndarray:
@@ -309,7 +352,17 @@ def _window_0_area(eps, d):
 
 
 def _flat_floor(f: SmoothFn) -> float:
-    """Largest probe point below which the profile curvature vanishes."""
+    """Largest probe point below which the profile curvature vanishes.
+
+    Computed once per profile object: a schedule's builds and the curve
+    assembled from it share one probe scan.
+    """
+    if f not in _FLOORS:
+        _FLOORS[f] = _probe_flat_floor(f)
+    return _FLOORS[f]
+
+
+def _probe_flat_floor(f: SmoothFn) -> float:
     lo, hi = f.domain
     xs = np.geomspace(max(hi, 1.0) * 1e-13, hi, _PROBE_N)
     pos = f.jet(xs, 2)[2] > 0.0

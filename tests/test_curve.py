@@ -798,3 +798,26 @@ def test_write_support_csv_columns(tmp_path):
     assert len(lines) == 17
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 1.0, 0.0, 0.0]
+
+
+def test_validate_takes_the_edge_vectors_once(monkeypatch):
+    c = circle_curve(64, radius=2.0)
+    calls = []
+    edges = ConvexCurve.edge_vectors
+
+    def counted(self):
+        calls.append(1)
+        return edges(self)
+
+    monkeypatch.setattr(ConvexCurve, "edge_vectors", counted)
+    c.validate()
+    assert len(calls) == 1
+    # a convex loop walked twice turns 4*pi: the turning check sees the same edges
+    th = np.arange(64) * (2.0 * TAU / 64)
+    twice = ConvexCurve(
+        2.0 * np.column_stack([np.cos(th), np.sin(th)]), np.sort(np.mod(th, TAU)),
+        np.full(64, 0.5), np.array([], dtype=int), 1,
+    )
+    with pytest.raises(ValidationError, match="total turning .* is not 2\\*pi"):
+        twice.validate()
+    assert twice.total_turning() == pytest.approx(2.0 * TAU)

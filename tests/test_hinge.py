@@ -509,3 +509,107 @@ class TestBuildProperty:
         assert all(c.passed for c in sr.certificates)
         tan_g = math.tan(gamma)
         assert abs(slope_at(sr.F, d) - tan_g) <= 1e-12 * (1.0 + tan_g)
+
+
+def plain_rotated_profile(f, d, gamma):
+    """``f_u`` as :func:`place_profiles` places it, with no point memo."""
+    from minklab.rotated_graph import rotate_graph
+
+    shift = d / math.cos(gamma)
+    lo, hi = f.domain
+    h = SmoothFn.from_jet_fn((lo - shift, hi - shift), f.max_order, lambda x, k: f.jet(x + shift, k))
+    return rotate_graph(h, -gamma).f_phi
+
+
+class TestRememberedProfile:
+    D, GAMMA = 0.02205, 9.5e-6
+
+    @pytest.fixture()
+    def placed(self, hinge_profile):
+        f = hinge_profile.f
+        f_u, f_v = place_profiles(f, self.D, self.GAMMA)
+        return f_u, f_v, plain_rotated_profile(f, self.D, self.GAMMA), solve_epsilon(f, self.GAMMA)
+
+    def test_rows_equal_the_plain_rotated_graph(self, placed):
+        f_u, f_v, plain, eps = placed
+        d = self.D
+        ends = np.linspace(-d, -d + 2.0 * eps, 257)
+        overlap = np.linspace(-d + eps, -d + 3.0 * eps, 192)
+        grids = [ends, ends, overlap, ends[::-1], np.concatenate([ends[:5], ends[:5]]), overlap.reshape(3, -1)]
+        for order in (0, 2, 4, 6):
+            for xs in grids:
+                np.testing.assert_array_equal(f_u.jet(xs, order), plain.jet(xs, order))
+            # the mirror asks f_u at -x, the points the left end asked
+            np.testing.assert_array_equal(f_v.jet(-ends, order), hinge._mirror(plain.jet(ends, order)))
+            np.testing.assert_array_equal(f_u.eval(-d, order), plain.eval(-d, order))
+
+    def test_misses_are_solved_once_and_signed_zeros_are_two_points(self):
+        asked = []
+
+        def jet_fn(x, order):
+            asked.append(x.copy())
+            return np.vstack([np.copysign(1.0, x)] + [x] * order)
+
+        g = hinge._remembered(SmoothFn.from_jet_fn((-1.0, 1.0), 2, jet_fn))
+        xs = np.array([0.5, 0.0, -0.0, 0.5, -0.25, 0.0])
+        np.testing.assert_array_equal(g.jet(xs, 1), jet_fn(xs, 1))
+        assert len(asked) == 2 and sorted(asked[0].tolist()) == [-0.25, 0.0, 0.0, 0.5]
+        np.testing.assert_array_equal(g.jet(-xs, 1)[0], np.copysign(1.0, -xs))
+        assert sorted(asked[2].tolist()) == [-0.5, 0.25]
+
+    def test_a_repeated_request_makes_no_inversion(self, hinge_profile, monkeypatch):
+        from minklab import rotated_graph
+
+        targets = []
+        invert = rotated_graph.invert_monotone
+
+        def counted(fn, dfn, ys, *args, **kwargs):
+            targets.append(np.size(ys))
+            return invert(fn, dfn, ys, *args, **kwargs)
+
+        monkeypatch.setattr(rotated_graph, "invert_monotone", counted)
+        f_u, _ = place_profiles(hinge_profile.f, self.D, self.GAMMA)
+        xs = np.linspace(-self.D, -self.D / 2.0, 101)
+        first = f_u.jet(xs, 2)
+        assert targets == [101]
+        np.testing.assert_array_equal(f_u.jet(xs, 2), first)
+        np.testing.assert_array_equal(f_u.jet(xs[::-1], 2), first[:, ::-1])
+        np.testing.assert_array_equal(f_u.jet(np.repeat(xs[:7], 3), 2), np.repeat(first[:, :7], 3, axis=1))
+        assert targets == [101]
+        # one new point and repeats of it: one inversion of one target
+        f_u.jet(np.concatenate([xs, [self.D / 3.0] * 4]), 2)
+        assert targets == [101, 1]
+
+    def test_a_point_asked_at_two_orders(self, placed):
+        f_u, _, plain, eps = placed
+        xs = np.linspace(-self.D, -self.D + 2.0 * eps, 65)
+        low = f_u.jet(xs, 2)
+        high = f_u.jet(xs, 4)
+        np.testing.assert_array_equal(low, plain.jet(xs, 2))
+        np.testing.assert_array_equal(high, plain.jet(xs, 4))
+        np.testing.assert_array_equal(high[:3], low)
+        np.testing.assert_array_equal(f_u.jet(xs[::2], 2), low[:, ::2])
+
+
+class TestFlatFloor:
+    def test_one_probe_scan_per_profile(self, monkeypatch):
+        probe = hinge._probe_flat_floor
+        scans = []
+
+        def counted(f):
+            scans.append(f)
+            return probe(f)
+
+        monkeypatch.setattr(hinge, "_probe_flat_floor", counted)
+        quartic = SmoothFn.polynomial([0.0, 0.0, 0.0, 0.0, 0.25], (0.0, 1.0), max_order=8)
+        first = build_smoothing(quartic, 0.2, 1e-3)
+        again = build_smoothing(quartic, 0.19, 1e-3)
+        assert scans == [quartic]
+        other = SmoothFn.polynomial([0.0, 0.0, 0.0, 0.0, 0.25], (0.0, 1.0), max_order=8)
+        fresh = build_smoothing(other, 0.2, 1e-3)
+        assert scans == [quartic, other]
+        assert fresh.certificates == first.certificates
+        assert again.certificate("interior_curvature_positive").passed
+
+    def test_the_floor_is_the_probe_scan(self, hinge_profile):
+        assert hinge._flat_floor(hinge_profile.f) == hinge._probe_flat_floor(hinge_profile.f)
