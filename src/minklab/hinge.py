@@ -29,9 +29,7 @@ with shrinking hinges, uniformly bounded norms, and total turning angle
 exactly ``pi/n``; its angle search rejects most candidates by an exact
 lower bound on their norms, integrates and norms only the rest, and every
 smoothing it returns is fully certified.  A placement's ``f_u`` solves
-each point it is asked once, and ``f_v`` reads it at mirrored points, so a
-build inverts the rotation only where no earlier request of that
-placement asked.
+each point once, and ``f_v`` reads it at mirrored points.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ _NORM_GRID_N = 2049
 _JSON_GRID_N = 513
 # Relative tolerance of the ``eps`` inversion.
 _EPS_RTOL = 1e-12
-# Probe count of the search for the profile's flat start, and the start of
+# Probe count of the search for the profile's flat start; the start of
 # each live profile, computed on first use.
 _PROBE_N = 4096
 _FLOORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -151,15 +149,10 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
 
     ``f_u`` is the translate-then-rotate-clockwise copy; ``f_v`` its
     mirror, so ``f_u(t) = f_v(-t)`` identically.  Both contain ``[-d, d]``
-    in their domains and ``-f_u'(-d) = tan(gamma) = f_v'(d)``.
-
-    Each point of ``f_u`` costs an inversion of the rotation, so ``f_u``
-    remembers the rows of every point it was asked, per order
-    (:func:`_remembered`), and solves each point once: the masses, the
-    table of ``F``, the certificates and the norm floor ask largely the
-    same points, and ``f_v`` asks ``f_u`` at ``-t``, so the right end hits
-    the points the left end solved.  The rows are those of the plain
-    rotated graph, bit for bit.
+    in their domains and ``-f_u'(-d) = tan(gamma) = f_v'(d)``.  ``f_u``
+    remembers the rows of each point it was asked (:func:`_remembered`),
+    so the masses, the table of ``F``, the certificates and ``f_v`` solve
+    each point once; the rows are the plain rotated graph's, bit for bit.
     """
     if d <= 0.0:
         raise ArgumentError("half-width d must be positive")

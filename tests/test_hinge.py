@@ -610,6 +610,3 @@ class TestFlatFloor:
         assert scans == [quartic, other]
         assert fresh.certificates == first.certificates
         assert again.certificate("interior_curvature_positive").passed
-
-    def test_the_floor_is_the_probe_scan(self, hinge_profile):
-        assert hinge._flat_floor(hinge_profile.f) == hinge._probe_flat_floor(hinge_profile.f)
