@@ -10,6 +10,6 @@ so far tested on a synthetic function only.
 """
 
 from . import errors  # noqa: F401
-from .fn_core import SmoothFn, NormReport, HolderReport, cr_norm, holder_seminorm, derivative_fn  # noqa: F401
+from .fn_core import SmoothFn, NormReport, HolderReport, cr_norm, holder_seminorm  # noqa: F401
 
 __version__ = "0.1.0"

@@ -26,9 +26,6 @@ from .jets import jet_var, smoothstep_jet, tdiv, tmul
 
 __all__ = [
     "PSI_SUPPORT",
-    "PSI_PLATEAU",
-    "PHI_SUPPORT",
-    "PHI_PLATEAU",
     "psi_raw_jet",
     "psi_jet",
     "psi_scaled_jet",
@@ -37,9 +34,6 @@ __all__ = [
 ]
 
 PSI_SUPPORT = (2.0 / 3.0, 1.5)
-PSI_PLATEAU = (0.75, 1.25)
-PHI_SUPPORT = (-1.0, 1.0)
-PHI_PLATEAU = (-0.5, 0.5)
 
 # Ramp slopes chosen so the plateau edges land exactly on S's flat ends:
 # 12 * (3/4 - 2/3) = 1 and 4 * (3/2 - 5/4) = 1.

@@ -33,7 +33,6 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
-from .export import write_csv, write_json
 from .fn_core import SmoothFn, _check_grid_n, invert_monotone, newton_pair
 from .hinge import HingeSchedule, SmoothingResult, _flat_floor
 
@@ -49,8 +48,6 @@ __all__ = [
     "minkowski_sum",
     "refinement_intervals",
     "rotations_avoiding_zero_sets",
-    "write_curve_json",
-    "write_support_csv",
 ]
 
 TAU = 2.0 * math.pi
@@ -337,51 +334,51 @@ class ConvexCurve:
         wrap = self.gauss_angle[0] + TAU - self.gauss_angle[-1]
         if wrap < -_VALIDATE_TOL:
             raise ValidationError("gauss_angle exceeds one full revolution")
-        self._check_straight_runs(straight_run_tol, normal_sweep_tol)
+        self._check_straight_runs(length, straight_run_tol, normal_sweep_tol)
         diam = float(np.max(np.abs(self.boundary)))
         if self.symmetry_gap() > _VALIDATE_TOL * max(diam, 1.0):
             raise ValidationError(
                 f"boundary is not invariant under rotation by 2*pi/{self.symmetry_order}"
             )
 
-    def _check_straight_runs(self, tol: float, sweep_tol: float) -> None:
+    def _check_straight_runs(self, length: np.ndarray, tol: float, sweep_tol: float) -> None:
         """Bound the length and normal sweep of zero-curvature runs.
 
         Flat vertices cluster around junctions within the profile's
         below-threshold curvature band; a run longer than ``tol`` or turning
         through more than ``sweep_tol`` of normal directions signals a
         failed or missing smoothing rather than truncation-level flatness.
+        ``length`` holds the edge lengths, edge ``i`` from vertex ``i`` to
+        ``i + 1``.
         """
         n = self.boundary.shape[0]
         if self.flat_marks.size == 0:
             return
         flat = np.zeros(n, dtype=bool)
         flat[self.flat_marks] = True
-        idx = np.nonzero(flat)[0]
-        # split cyclic runs of consecutive flat vertices
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        runs = np.split(idx, breaks + 1)
-        if len(runs) > 1 and idx[0] == 0 and idx[-1] == n - 1:
-            runs[0] = np.concatenate([runs[-1], runs[0]])
-            runs = runs[:-1]
-        for run in runs:
-            if run.size < 2:
-                continue
-            pts = self.boundary[run]
-            span = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-            if span > tol:
-                raise ValidationError(
-                    f"zero-curvature run spans length {span:.3e} > {tol:.3e}"
-                )
-            sweep = float(self.gauss_angle[run[-1] % n] - self.gauss_angle[run[0]])
-            if run[0] > run[-1] % n:  # wrapped run
-                sweep += TAU
-            if sweep > sweep_tol:
-                raise ValidationError(
-                    f"zero-curvature run sweeps {sweep:.3e} rad of normals "
-                    f"(> {sweep_tol:.3e}); flat vertices must cluster around "
-                    f"a single junction direction"
-                )
+        idx = np.flatnonzero(flat)
+        # first and last vertex of each cyclic run of consecutive flat vertices
+        cut = np.flatnonzero(np.diff(idx) > 1) + 1
+        first = idx[np.r_[0, cut]]
+        last = idx[np.r_[cut - 1, idx.size - 1]]
+        if first.size > 1 and first[0] == 0 and last[-1] == n - 1:
+            first[0] = first[-1]  # the run through vertex 0 comes first
+            first, last = first[:-1], last[:-1]
+        wrapped = first > last
+        cum = np.concatenate([[0.0], np.cumsum(length)])
+        span = cum[last] - cum[first] + np.where(wrapped, cum[-1], 0.0)
+        sweep = self.gauss_angle[last] - self.gauss_angle[first] + np.where(wrapped, TAU, 0.0)
+        bad = np.flatnonzero((first != last) & ((span > tol) | (sweep > sweep_tol)))
+        if bad.size == 0:
+            return
+        k = bad[0]
+        if span[k] > tol:
+            raise ValidationError(f"zero-curvature run spans length {span[k]:.3e} > {tol:.3e}")
+        raise ValidationError(
+            f"zero-curvature run sweeps {sweep[k]:.3e} rad of normals "
+            f"(> {sweep_tol:.3e}); flat vertices must cluster around "
+            f"a single junction direction"
+        )
 
 
 def _turning(e: np.ndarray) -> float:
@@ -931,40 +928,3 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
         avoids[start : start + rows] = ~(blocked | hits.any(axis=1))
     return grid[avoids]
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-
-def write_curve_json(path, curve: ConvexCurve, zero_set: GaussZeroSet | None = None) -> None:
-    payload = {
-        "symmetry_order": int(curve.symmetry_order),
-        "vertices": np.asarray(curve.boundary, dtype=float).tolist(),
-        "gauss_angle": np.asarray(curve.gauss_angle, dtype=float).tolist(),
-        "curvature": np.asarray(curve.curvature, dtype=float).tolist(),
-        "flat_marks": np.asarray(curve.flat_marks, dtype=np.int64).tolist(),
-        "cantor_spec": _cantor_spec_dict(curve.atlas),
-    }
-    if zero_set is not None:
-        payload["zero_set"] = {
-            "Z": zero_set.Z.to_json(),
-            "E": np.asarray(zero_set.E, dtype=float).tolist(),
-        }
-    write_json(path, payload)
-
-
-def _cantor_spec_dict(atlas: CurveAtlas | None) -> dict | None:
-    if atlas is None:
-        return None
-    return {
-        "arc": [0.0, math.pi / atlas.n],
-        "copies": 2 * atlas.n,
-        "depth": atlas.m_max,
-        "removal_lengths": [2.0 * float(g) for g in atlas.gammas],
-        "pattern": "two-half middle marking; level m removed 2**m times",
-    }
-
-
-def write_support_csv(path, s: SupportFn) -> None:
-    write_csv(path, {"theta": s.theta, "h": s.h, "dh": s.dh, "d2h": s.d2h})

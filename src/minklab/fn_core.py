@@ -39,7 +39,6 @@ import numpy as np
 
 from . import jets
 from .errors import ArgumentError, CapabilityError, RootBracketError
-from .export import write_csv
 
 __all__ = [
     "SmoothFn",
@@ -48,10 +47,8 @@ __all__ = [
     "HolderReport",
     "cr_norm",
     "holder_seminorm",
-    "derivative_fn",
     "invert_monotone",
     "newton_pair",
-    "write_csv_table",
 ]
 
 Interval = tuple[float, float]
@@ -424,23 +421,6 @@ def holder_seminorm(
     )
 
 
-def derivative_fn(f: SmoothFn, order: int) -> SmoothFn:
-    """The ``order``-th derivative of ``f`` as a SmoothFn of its own."""
-    f._check_order(order)
-    if order == 0:
-        return f
-
-    def jet_fn(x, m):
-        return f.jet(x, m + order)[order:]
-
-    return SmoothFn(
-        f.domain,
-        f.max_order - order,
-        jet_fn,
-        name=f"{f.name or 'f'}^({order})",
-    )
-
-
 def newton_pair(rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]):
     """``(fn, dfn)`` for :func:`invert_monotone` from one call giving both.
 
@@ -587,23 +567,3 @@ def invert_monotone(
         raise RootBracketError("inversion residual above tolerance")
     return out.reshape(ys.shape)
 
-
-def write_csv_table(
-    f: SmoothFn,
-    path,
-    *,
-    grid_n: int = 1001,
-    orders: Sequence[int] = (0, 1, 2),
-) -> None:
-    """Write ``x`` and the columns ``d<o>`` (``f^(o)(x)``) on ``f.domain``.
-
-    ``orders`` must be a non-empty sequence of distinct derivative orders
-    ``>= 0``; the file format is the one of :func:`minklab.export.write_csv`.
-    """
-    _check_grid_n(grid_n)
-    orders = tuple(int(o) for o in orders)
-    if not orders or min(orders) < 0 or len(set(orders)) < len(orders):
-        raise ArgumentError(f"orders must be distinct, non-negative and non-empty: {orders!r}")
-    xs = np.linspace(*f.domain, grid_n)
-    rows = f.jet(xs, max(orders))
-    write_csv(path, {"x": xs, **{f"d{o}": rows[o] for o in orders}})

@@ -47,7 +47,6 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
-from .export import write_json
 from .fn_core import GridIntegratedFn, SmoothFn, _check_int, _simpson, cr_norm, invert_monotone, newton_pair
 from .rotated_graph import rotate_graph
 
@@ -61,7 +60,6 @@ __all__ = [
     "solve_b_eps",
     "build_smoothing",
     "schedule_smoothings",
-    "write_smoothing_json",
 ]
 
 # Quadrature points of the curvature masses and the plateau-window area.
@@ -78,8 +76,10 @@ _R_MAX = 4
 _CAP_FACTOR = 2.0
 _MAX_HALVINGS = 40
 _NORM_GRID_N = 2049
-# Sample count of the value/slope/curvature grid of the smoothing JSON.
-_JSON_GRID_N = 513
+# The schedule's half-widths ``d_m = _D0 * _D_RATIO**m``; the ratio is below
+# 1/2, so ``2**m d_m`` converges.
+_D0 = 0.18
+_D_RATIO = 0.35
 # Relative tolerance of the ``eps`` inversion.
 _EPS_RTOL = 1e-12
 # Probe count of the search for the profile's flat start; the start of
@@ -589,16 +589,10 @@ def _norm_floor(f_u, eps, d) -> np.ndarray:
     return np.cumsum([0.0, 0.0, *np.abs(rows).max(axis=1)])
 
 
-def schedule_smoothings(
-    f: SmoothFn,
-    m_max: int,
-    *,
-    d0: float = 0.18,
-    d_ratio: float = 0.35,
-) -> HingeSchedule:
+def schedule_smoothings(f: SmoothFn, m_max: int) -> HingeSchedule:
     """Build smoothings for ``m = 1..m_max`` with a diagonal angle search.
 
-    Half-widths follow ``d_m = d0 * d_ratio**m`` (a series whose dyadic
+    Half-widths follow ``d_m = 0.18 * 0.35**m`` (a series whose dyadic
     weighting ``2**m d_m`` converges).  The starting angle for each level
     is half the profile's slope angle at ``d_m / 8``, halved further until
     the C^r norms fall below the cap anchored at the first build (twice
@@ -616,9 +610,7 @@ def schedule_smoothings(
     _check_int(m_max, "m_max")
     if m_max < 1:
         raise ArgumentError("need at least one level")
-    if not 0.0 < 2.0 * d_ratio < 1.0:
-        raise ArgumentError("d_ratio must be below 1/2 so 2**m d_m converges")
-    ds = d0 * d_ratio ** np.arange(1, m_max + 1)
+    ds = _D0 * _D_RATIO ** np.arange(1, m_max + 1)
     lo, hi = f.domain
     if not 4.0 * ds[0] < hi - lo:
         raise HypothesisError("largest half-width violates 4d < profile length")
@@ -674,43 +666,3 @@ def schedule_smoothings(
         turning_sum=turning_sum,
     )
 
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-
-def write_smoothing_json(path, sr: SmoothingResult) -> None:
-    """Dump parameters, certificates, and a value/slope/curvature grid on ``[-d, d]``."""
-    xs = np.linspace(-sr.d, sr.d, _JSON_GRID_N)
-    rows = sr.F.jet(xs, 2)
-    payload = {
-        "parameters": {
-            "d": sr.d,
-            "gamma": sr.gamma,
-            "epsilon": sr.epsilon,
-            "b_eps": sr.b_eps,
-        },
-        "hinge": {
-            "l": sr.hinge_out.l,
-            "r": sr.hinge_out.r,
-            "alpha": sr.hinge_out.alpha,
-            "apex": [sr.hinge_out.apex.real, sr.hinge_out.apex.imag],
-        },
-        "certificates": [
-            {
-                "name": c.name,
-                "measured": c.measured,
-                "bound": c.bound,
-                "pass": c.passed,
-            }
-            for c in sr.certificates
-        ],
-        "grid": {
-            "x": xs.tolist(),
-            "value": rows[0].tolist(),
-            "slope": rows[1].tolist(),
-            "curvature": rows[2].tolist(),
-        },
-    }
-    write_json(path, payload)

@@ -39,7 +39,6 @@ from .errors import (
     RootBracketError,
     ValidationError,
 )
-from .export import write_csv
 from .fn_core import SmoothFn, _as_interval, _check_grid_n, invert_monotone, newton_pair
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "infconv_conjugate",
     "minimizer_map",
     "smoothness_diag",
-    "write_infconv_csv",
 ]
 
 _TINY = np.finfo(float).tiny
@@ -226,28 +224,18 @@ def smoothness_diag(f: SmoothFn, g: SmoothFn, x, *, mu=None) -> SmoothnessDiag:
         mus = np.atleast_1d(minimizer_map(f, g, xs))
     else:
         mus = np.atleast_1d(np.asarray(mu, dtype=float))
-    hf, hg, j, hh = _curvature_split(f, g, xs, mus)
-    if np.any(np.isnan(j)):
-        bad = np.where(np.isnan(j))[0]
-        raise DegenerateHessianError(
-            f"curvature sum vanishes at {bad.size} point(s); first at "
-            f"x={xs[bad[0]]!r} (f''={hf[bad[0]]!r}, g''={hg[bad[0]]!r})"
-        )
-    return SmoothnessDiag(x=xs, mu=mus, hess_f=hf, hess_g=hg, hess_h=hh, j_mu=j)
-
-
-def _curvature_split(f: SmoothFn, g: SmoothFn, xs: np.ndarray, mus: np.ndarray):
-    """Return ``(f'', g'', j, h'')`` at the matched pairs ``(mu, x - mu)``.
-
-    ``j = g''/(f'' + g'')`` and ``h'' = f'' * j``; both are NaN wherever the
-    curvature sum is below the smallest normal float.
-    """
     hf = f.jet(mus, 2)[2]
     hg = g.jet(xs - mus, 2)[2]
     total = hf + hg
     ok = total >= _TINY
-    j = np.where(ok, hg / np.where(ok, total, 1.0), np.nan)
-    return hf, hg, j, np.where(ok, hf * j, np.nan)
+    if not np.all(ok):
+        bad = np.flatnonzero(~ok)
+        raise DegenerateHessianError(
+            f"curvature sum vanishes at {bad.size} point(s); first at "
+            f"x={xs[bad[0]]!r} (f''={hf[bad[0]]!r}, g''={hg[bad[0]]!r})"
+        )
+    j = hg / total
+    return SmoothnessDiag(x=xs, mu=mus, hess_f=hf, hess_g=hg, hess_h=hf * j, j_mu=j)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +288,6 @@ def infconv_direct(
     *,
     interval=None,
     grid_n: int = 1025,
-    validate: bool = True,
 ) -> InfConvResult:
     """Infimal convolution by per-point minimization of the split objective.
 
@@ -315,9 +302,8 @@ def infconv_direct(
     with positive curvature sum.
     """
     _check_grid_n(grid_n)
-    if validate:
-        check_convexity(f)
-        check_convexity(g)
+    check_convexity(f)
+    check_convexity(g)
     lo_sum = f.domain[0] + g.domain[0]
     hi_sum = f.domain[1] + g.domain[1]
     span = _as_interval(interval) if interval is not None else (lo_sum, hi_sum)
@@ -448,7 +434,6 @@ def infconv_conjugate(
     interval=None,
     grid_n: int = 1025,
     sample_n: int = (1 << 14) + 1,
-    validate: bool = True,
 ) -> InfConvResult:
     """Infimal convolution via exact piecewise-linear Legendre transforms.
 
@@ -461,9 +446,8 @@ def infconv_conjugate(
     the true infimal convolution.
     """
     _check_grid_n(grid_n)
-    if validate:
-        check_convexity(f)
-        check_convexity(g)
+    check_convexity(f)
+    check_convexity(g)
     if sample_n < 3:
         raise ArgumentError("sample_n must be at least 3")
     xf = np.linspace(f.domain[0], f.domain[1], sample_n)
@@ -537,36 +521,3 @@ def infconv_conjugate(
         error_bound=error_bound,
     )
 
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-
-def write_infconv_csv(path, result: InfConvResult, f: SmoothFn, g: SmoothFn) -> None:
-    """Write ``x, h, mu, dh, d2h, j_mu, boundary`` columns for a result.
-
-    ``dh = f'(mu)`` and the curvature split ``d2h``/``j_mu`` (as in
-    :func:`smoothness_diag`) fill the interior rows; rows whose minimizer
-    sits on the window boundary, or where the curvature sum vanishes, get
-    NaN there.  ``f`` and ``g`` must expose second derivatives.  The file
-    format is the one of :func:`minklab.export.write_csv`.
-    """
-    dh, d2h, j_mu = np.full((3, result.x.size), np.nan)
-    interior = ~result.boundary
-    if np.any(interior):
-        mu_i = result.mu[interior]
-        dh[interior] = f.jet(mu_i, 1)[1]
-        _, _, j_mu[interior], d2h[interior] = _curvature_split(f, g, result.x[interior], mu_i)
-    write_csv(
-        path,
-        {
-            "x": result.x,
-            "h": result.values,
-            "mu": result.mu,
-            "dh": dh,
-            "d2h": d2h,
-            "j_mu": j_mu,
-            "boundary": result.boundary,
-        },
-    )

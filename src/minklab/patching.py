@@ -38,7 +38,6 @@ __all__ = [
     "PatchedConvex",
     "make_bump_system",
     "quadratic_profile_family",
-    "quartic_profile_family",
     "build_patched_convex",
     "decay_acceleration",
 ]
@@ -196,18 +195,6 @@ def quadratic_profile_family(a: Sequence[float]) -> Callable[[int], SmoothFn]:
         tk = 4.0**-k
         return SmoothFn.polynomial(
             [0.0, 0.0, 0.5 * a[k] ** 2], (-tk, tk), name=f"quad_profile[{k}]"
-        )
-
-    return family
-
-
-def quartic_profile_family() -> Callable[[int], SmoothFn]:
-    """Profiles ``F_k(x) = x^4 / 4`` on ``[-t_k, t_k]`` (flat at 0)."""
-
-    def family(k: int) -> SmoothFn:
-        tk = 4.0**-k
-        return SmoothFn.polynomial(
-            [0.0, 0.0, 0.0, 0.0, 0.25], (-tk, tk), name=f"quart_profile[{k}]"
         )
 
     return family

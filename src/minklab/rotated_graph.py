@@ -14,7 +14,7 @@ In particular the first two orders reduce to the closed forms
     first  = (sin(phi) + f' cos(phi)) / (cos(phi) - f' sin(phi)),
     second = f'' / (R')^3,
 
-exposed directly by :func:`rotated_derivatives`.  :func:`cr_bound_check`
+so zero curvature of ``f`` transfers exactly.  :func:`cr_bound_check`
 compares the measured ``C^r`` norm of the rotated function against an
 explicit finite bound in terms of the ``C^s`` norms of ``f`` (for
 ``s <= 2r - 1``) and the diameter of the domain together with the origin;
@@ -44,7 +44,6 @@ __all__ = [
     "CrBoundEntry",
     "CrBoundReport",
     "rotate_graph",
-    "rotated_derivatives",
     "cr_bound_check",
 ]
 
@@ -131,29 +130,6 @@ def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
         name=f"rot[{f.name or 'f'}, {phi:g}]",
     )
     return RotatedFn(base=f, phi=phi, R=r_map, I=i_map, f_phi=f_phi)
-
-
-def rotated_derivatives(rf: RotatedFn, x):
-    """First and second derivative of the rotated function at ``R(x)``.
-
-    Closed forms in base coordinates: no inversion of ``R`` is involved, so
-    zero curvature transfers exactly (``f''(x) = 0`` gives ``second = 0``).
-    """
-    scalar = np.ndim(x) == 0
-    rows = rf.base.jet(x, 2)
-    c = math.cos(rf.phi)
-    s = math.sin(rf.phi)
-    rprime = c - rows[1] * s
-    if np.any(rprime <= 0.0):
-        raise RotationTooLargeError(
-            f"abscissa map not increasing at some of the requested points "
-            f"(phi={rf.phi!r})"
-        )
-    first = (s + rows[1] * c) / rprime
-    second = rows[2] / rprime**3
-    if scalar:
-        return float(first[0]), float(second[0])
-    return first, second
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,18 @@ def blended_profile(w):
     return build_patched_convex(SlopeSchedule(b), quadratic_profile_family(2.0 ** -np.arange(11)))
 
 
+def quartic_profile_family():
+    """Profiles ``F_k(x) = x^4 / 4`` on ``[-t_k, t_k]`` (flat at 0), for ``build_patched_convex``."""
+
+    def family(k: int) -> SmoothFn:
+        tk = 4.0**-k
+        return SmoothFn.polynomial(
+            [0.0, 0.0, 0.0, 0.0, 0.25], (-tk, tk), name=f"quart_profile[{k}]"
+        )
+
+    return family
+
+
 def flat_center_fn(domain=(-1, 1), half_width=0.1):
     """Convex C^3 function that is *exactly* zero near 0: (|x|-w)_+^4."""
 

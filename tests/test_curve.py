@@ -1,7 +1,6 @@
 """Tests for curve assembly, support-function calculus, and zero-set sweeps."""
 
 import dataclasses
-import json
 import math
 from fractions import Fraction
 
@@ -23,8 +22,6 @@ from minklab.curve import (
     refinement_intervals,
     _SWEEP_BLOCK_ELEMS,
     rotations_avoiding_zero_sets,
-    write_curve_json,
-    write_support_csv,
 )
 from minklab.errors import (
     ArgumentError,
@@ -101,13 +98,15 @@ def test_validate_rejects_nonconvex_polyline():
 
 def test_validate_rejects_macroscopic_flat_run():
     c = circle_curve(64, radius=2.0)
-    marked = dataclasses.replace(c, flat_marks=np.array([3, 4, 5]))
-    with pytest.raises(ValidationError, match="spans length"):
-        marked.validate(straight_run_tol=1e-6, normal_sweep_tol=10.0)
-    with pytest.raises(ValidationError, match="sweeps"):
-        marked.validate(straight_run_tol=10.0, normal_sweep_tol=1e-9)
-    # generous tolerances accept the same marks
-    marked.validate(straight_run_tol=10.0, normal_sweep_tol=10.0)
+    # the second run wraps past vertex 0
+    for marks in ([3, 4, 5], [62, 63, 0, 1]):
+        marked = dataclasses.replace(c, flat_marks=np.array(marks))
+        with pytest.raises(ValidationError, match="spans length"):
+            marked.validate(straight_run_tol=1e-6, normal_sweep_tol=10.0)
+        with pytest.raises(ValidationError, match="sweeps"):
+            marked.validate(straight_run_tol=10.0, normal_sweep_tol=1e-9)
+        # generous tolerances accept the same marks
+        marked.validate(straight_run_tol=10.0, normal_sweep_tol=10.0)
 
 
 def test_validate_rejects_broken_symmetry():
@@ -757,47 +756,6 @@ def test_rotation_sweep_across_block_seams():
     avoids, near = difference_set_verdicts(z, z, grid)
     assert 0 < out.size < grid.size
     np.testing.assert_array_equal(np.isin(grid, out)[~near], avoids[~near])
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-
-def test_write_curve_json_round_trip(tmp_path, assembled):
-    curve, zset = assembled
-    path = tmp_path / "curve.json"
-    write_curve_json(path, curve, zset)
-    data = json.loads(path.read_text())
-    assert set(data) == {
-        "symmetry_order",
-        "vertices",
-        "gauss_angle",
-        "curvature",
-        "flat_marks",
-        "cantor_spec",
-        "zero_set",
-    }
-    assert data["symmetry_order"] == curve.symmetry_order
-    assert len(data["vertices"]) == curve.boundary.shape[0]
-    assert len(data["zero_set"]["E"]) == len(zset.E)
-    spec = data["cantor_spec"]
-    assert spec["copies"] == curve.symmetry_order
-    assert spec["depth"] == 5
-    assert spec["removal_lengths"] == pytest.approx(
-        (2.0 * curve.atlas.gammas).tolist()
-    )
-
-
-def test_write_support_csv_columns(tmp_path):
-    s = SupportFn.disk(1.0, grid_n=16)
-    path = tmp_path / "support.csv"
-    write_support_csv(path, s)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "theta,h,dh,d2h"
-    assert len(lines) == 17
-    first = [float(v) for v in lines[1].split(",")]
-    assert first == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_validate_takes_the_edge_vectors_once(monkeypatch):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,11 +19,9 @@ from minklab.fn_core import (
     _cumulative_simpson,
     _simpson,
     cr_norm,
-    derivative_fn,
     holder_seminorm,
     invert_monotone,
     newton_pair,
-    write_csv_table,
 )
 from minklab.hinge import schedule_smoothings
 from minklab.infconv import infconv_conjugate, infconv_direct, minimizer_map
@@ -178,9 +175,8 @@ def test_nan_point_raises_argument_error(call):
         lambda n: holder_seminorm(_QUAD, 1, 0.5, (-1.0, 1.0), grid_n=n),
         lambda n: infconv_direct(_QUAD, _QUAD, grid_n=n),
         lambda n: infconv_conjugate(_QUAD, _QUAD, grid_n=n),
-        lambda n: write_csv_table(_QUAD, os.devnull, grid_n=n),
     ],
-    ids=["cr-norm", "holder", "infconv-direct", "infconv-conjugate", "csv-table"],
+    ids=["cr-norm", "holder", "infconv-direct", "infconv-conjugate"],
 )
 def test_sample_count_below_two_raises_argument_error(call, n):
     with pytest.raises(ArgumentError, match="grid_n"):
@@ -193,12 +189,11 @@ def test_sample_count_below_two_raises_argument_error(call, n):
     [
         lambda n: cr_norm(_QUAD, 1, grid_n=n),
         lambda n: holder_seminorm(_QUAD, 1, 0.5, (-1.0, 1.0), grid_n=n),
-        lambda n: write_csv_table(_QUAD, os.devnull, grid_n=n),
         lambda n: infconv_direct(_QUAD, _QUAD, grid_n=n),
         lambda n: infconv_conjugate(_QUAD, _QUAD, grid_n=n),
         lambda n: SupportFn.grid(n),
     ],
-    ids=["cr-norm", "holder", "csv-table", "infconv-direct", "infconv-conjugate", "support-grid"],
+    ids=["cr-norm", "holder", "infconv-direct", "infconv-conjugate", "support-grid"],
 )
 def test_non_integer_sample_count_raises_argument_error(call, n):
     with pytest.raises(ArgumentError, match="grid_n"):
@@ -211,16 +206,14 @@ def test_non_integer_sample_count_raises_argument_error(call, n):
         lambda: _QUAD.jet(0.5, -1),
         lambda: _QUAD.eval(0.5, -1),
         lambda: _QUAD.eval(np.array([0.5]), -1),
-        lambda: derivative_fn(_QUAD, -1),
         lambda: _QUAD.jet(0.5, 2.5),
         lambda: _QUAD.eval(0.5, 1.0),
         lambda: _QUAD.eval(np.array([0.5]), np.float64(1.0)),
-        lambda: derivative_fn(_QUAD, 1.5),
         lambda: SmoothFn((0.0, 1.0), 2.5, None),
     ],
     ids=[
-        "jet", "eval", "eval-array", "derivative-fn",
-        "jet-float", "eval-float", "eval-np-float", "derivative-fn-float", "max-order-float",
+        "jet", "eval", "eval-array",
+        "jet-float", "eval-float", "eval-np-float", "max-order-float",
     ],
 )
 def test_negative_order_raises_argument_error(call):
@@ -244,7 +237,6 @@ def test_non_integer_order_raises_argument_error(call, name):
 
 
 def test_integer_orders_of_numpy_type_are_accepted():
-    assert derivative_fn(_QUAD, np.int64(1)).max_order == _QUAD.max_order - 1
     assert cr_norm(_QUAD, np.int32(2), grid_n=5).r == 2
 
 
@@ -288,24 +280,6 @@ class TestHolder:
             holder_seminorm(f, 1, 0.5, (1.0, 1.0))
         with pytest.raises(ArgumentError):
             holder_seminorm(f, 1, 1.5, (0.0, 1.0))
-
-
-class TestDerivativeFn:
-    def test_basic(self):
-        f = SmoothFn.polynomial([0, 0, 1.0], (-4, 4))  # x^2
-        d = derivative_fn(f, 1)
-        assert d(3.0) == pytest.approx(6.0)
-        assert d.max_order == f.max_order - 1
-
-    def test_identity_case(self):
-        f = sin_fn()
-        d0 = derivative_fn(f, 0)
-        assert d0 is f
-
-    def test_too_large(self):
-        f = SmoothFn.polynomial([1.0], (0, 1), max_order=3)
-        with pytest.raises(CapabilityError):
-            derivative_fn(f, 4)
 
 
 @pytest.fixture(scope="module")
@@ -608,23 +582,3 @@ def test_simpson_rejects_a_count_it_does_not_implement(n_y, n_x):
     with pytest.raises(ArgumentError, match=f"got {n_y} values at {n_x}"):
         _simpson(np.ones(n_y), np.arange(float(n_x)))
 
-
-def test_write_csv_table(tmp_path):
-    f = SmoothFn.polynomial([0.0, 0.0, 0.5], (0, 2))
-    path = tmp_path / "table.csv"
-    write_csv_table(f, path, grid_n=11, orders=(0, 1, 2))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,d0,d1,d2"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (11, 4)
-    np.testing.assert_array_equal(data[:, 1], 0.5 * data[:, 0] ** 2)
-    np.testing.assert_array_equal(data[:, 3], 1.0)
-
-
-@pytest.mark.parametrize("orders", [(), (0, -1), (1, 1)])
-def test_write_csv_table_rejects_bad_orders(tmp_path, orders):
-    f = SmoothFn.polynomial([0.0, 0.0, 0.5], (0, 2))
-    path = tmp_path / "table.csv"
-    with pytest.raises(ArgumentError):
-        write_csv_table(f, path, orders=orders)
-    assert not path.exists()

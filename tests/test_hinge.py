@@ -1,6 +1,5 @@
 """Tests for the hinge-smoothing construction and its schedule."""
 
-import json
 import math
 
 import numpy as np
@@ -25,7 +24,6 @@ from minklab.hinge import (
     schedule_smoothings,
     solve_b_eps,
     solve_epsilon,
-    write_smoothing_json,
 )
 
 EXPECTED_CERTIFICATES = {
@@ -318,10 +316,10 @@ class TestSchedule:
     def test_bad_arguments(self, hinge_profile):
         with pytest.raises(ArgumentError):
             schedule_smoothings(hinge_profile.f, 0)
-        with pytest.raises(ArgumentError, match="d_ratio"):
-            schedule_smoothings(hinge_profile.f, 2, d_ratio=0.5)
-        with pytest.raises(HypothesisError):
-            schedule_smoothings(hinge_profile.f, 2, d0=0.6)
+        # shorter than 4 d_1 = 0.252
+        short = SmoothFn.polynomial([0.0, 0.0, 0.5], (0.0, 0.2))
+        with pytest.raises(HypothesisError, match="4d < profile length"):
+            schedule_smoothings(short, 2)
 
 
 class TestCertifyOnlyKeptBuilds:
@@ -478,24 +476,6 @@ class TestBatchedJets:
             schedule_smoothings(f, 3)
         assert len(per_d2) > 50 and set(per_d2) == {1}
         assert len(per_end) > 10 and max(per_end) == 1
-
-
-class TestJsonExport:
-    def test_round_trip(self, quartic_sr, tmp_path):
-        path = tmp_path / "smoothing.json"
-        write_smoothing_json(path, quartic_sr)
-        payload = json.loads(path.read_text())
-        assert payload["parameters"]["d"] == quartic_sr.d
-        assert payload["parameters"]["epsilon"] == quartic_sr.epsilon
-        assert payload["parameters"]["b_eps"] == quartic_sr.b_eps
-        assert payload["hinge"]["l"] == quartic_sr.hinge_out.l
-        names = {c["name"] for c in payload["certificates"]}
-        assert names == EXPECTED_CERTIFICATES
-        assert all(c["pass"] for c in payload["certificates"])
-        grid = payload["grid"]
-        assert len(grid["x"]) == len(grid["value"]) == len(grid["curvature"]) == 513
-        assert grid["curvature"][0] == 0.0
-        assert grid["curvature"][-1] == 0.0
 
 
 class TestBuildProperty:

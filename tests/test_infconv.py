@@ -1,6 +1,5 @@
 """Tests for the two infimal-convolution routes and their diagnostics."""
 
-import csv
 import tracemalloc
 
 import numpy as np
@@ -34,7 +33,6 @@ from minklab.infconv import (
     infconv_direct,
     minimizer_map,
     smoothness_diag,
-    write_infconv_csv,
 )
 
 
@@ -141,7 +139,7 @@ class TestStructuralIdentities:
         xs = np.linspace(-1.4, 1.4, 1000)
         mu = minimizer_map(f, g, xs)
         diag = smoothness_diag(f, g, xs, mu=mu)
-        res = infconv_direct(f, g, interval=(-1.5, 1.5), validate=False)
+        res = infconv_direct(f, g, interval=(-1.5, 1.5))
         hj = res.h.jet(xs, 2)
         fprime = f.jet(mu, 1)[1]
         rtol = 1e-6
@@ -182,7 +180,7 @@ class TestMinimizerMap:
     def test_split_ratio_matches_finite_differences(self):
         f = poly([0.0, 0.0, 0.5, 0.0, 0.25], (-2, 2))
         g = quad(1.0, (-3, 3))
-        res = infconv_direct(f, g, interval=(-1, 1), grid_n=1025, validate=False)
+        res = infconv_direct(f, g, interval=(-1, 1), grid_n=1025)
         diag = smoothness_diag(f, g, res.x, mu=res.mu)
         dmu = np.gradient(res.mu, res.x)
         np.testing.assert_allclose(dmu[2:-2], diag.j_mu[2:-2], rtol=1e-3, atol=1e-4)
@@ -229,7 +227,7 @@ class TestDirectJets:
         # have closed forms parametrized by mu.
         f = poly([0.0, 0.0, 0.5, 0.0, 0.25], (-2, 2))
         g = quad(1.0, (-3, 3))
-        res = infconv_direct(f, g, interval=(-4, 4), validate=False)
+        res = infconv_direct(f, g, interval=(-4, 4))
         mus = np.array([-1.0, -0.3, 0.0, 0.7, 1.1])
         xs = mus**3 + 2.0 * mus
         got = res.h.jet(xs, 3)
@@ -454,36 +452,6 @@ class TestMinimizerSteps:
         want_mu, want_pinned = minimizer_with_plain_gap(*seed7_pair, xs)
         np.testing.assert_array_equal(mu, want_mu)
         np.testing.assert_array_equal(pinned, want_pinned)
-
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        f = quad(1.0, (-4, 4))
-        g = quad(3.0, (-4, 4))
-        res = infconv_direct(f, g, interval=(-1, 1), grid_n=41)
-        path = tmp_path / "pair.csv"
-        write_infconv_csv(path, res, f, g)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 41
-        assert set(rows[0]) == {"x", "h", "mu", "dh", "d2h", "j_mu", "boundary"}
-        j = np.array([float(r["j_mu"]) for r in rows])
-        np.testing.assert_allclose(j, 0.75, atol=1e-9)
-        x = np.array([float(r["x"]) for r in rows])
-        dh = np.array([float(r["dh"]) for r in rows])
-        np.testing.assert_allclose(dh, 0.75 * x, atol=1e-9)
-        assert all(r["boundary"] in {"0", "1"} for r in rows)
-
-    def test_boundary_rows_get_nan(self, tmp_path):
-        f = quad(2.0, (-1, 1))
-        g = poly([0.0, 0.0, 2.0], (-0.25, 0.25))
-        res = infconv_direct(f, g, grid_n=41)
-        path = tmp_path / "pinned.csv"
-        write_infconv_csv(path, res, f, g)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        flagged = [r for r in rows if r["boundary"] == "1"]
-        assert flagged and all(r["j_mu"] == "nan" for r in flagged)
 
 
 class TestDirectRoute:

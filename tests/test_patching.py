@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import quartic_profile_family
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from minklab.patching import (
     dyadic_partition_residual,
     make_bump_system,
     quadratic_profile_family,
-    quartic_profile_family,
 )
 
 

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from minklab.errors import CapabilityError, HypothesisError, RotationTooLargeError
 from minklab.fn_core import SmoothFn, cr_norm
-from minklab.rotated_graph import (
-    cr_bound_check,
-    rotate_graph,
-    rotated_derivatives,
-)
+from minklab.rotated_graph import cr_bound_check, rotate_graph
 
 
 def poly(coeffs, domain, name=""):
@@ -31,7 +27,7 @@ class TestBasicRotations:
         assert hi == pytest.approx(math.cos(phi), abs=1e-15)
         ys = np.linspace(lo, hi, 17)
         np.testing.assert_allclose(rf.f_phi.eval(ys), ys * math.tan(phi), atol=1e-13)
-        first, second = rotated_derivatives(rf, 0.5)
+        _, first, second = rf.f_phi.jet(rf.R(0.5), 2)
         assert first == pytest.approx(math.tan(phi), abs=1e-15)
         assert second == 0.0
 
@@ -78,12 +74,9 @@ class TestDerivatives:
         f = poly([0.0, 0.0, 0.5], (-1, 1))
         phi = math.pi / 6
         rf = rotate_graph(f, phi)
-        first, second = rotated_derivatives(rf, 0.0)
+        _, first, second = rf.f_phi.jet(rf.R(0.0), 2)
         assert first == pytest.approx(math.tan(phi), abs=1e-15)
         assert second == pytest.approx(1.0 / math.cos(phi) ** 3, rel=1e-14)
-        rows = rf.f_phi.jet(np.array([0.0]), 2)
-        assert rows[1][0] == pytest.approx(math.tan(phi), abs=1e-12)
-        assert rows[2][0] == pytest.approx(1.0 / math.cos(phi) ** 3, rel=1e-10)
 
     def test_matches_finite_differences(self):
         f = poly([0.0, 0.1, 0.5, 0.0, -0.05], (-1, 1))
@@ -91,7 +84,7 @@ class TestDerivatives:
         rf = rotate_graph(f, phi)
         for x0 in (-0.5, 0.0, 0.4):
             u0 = float(rf.R(x0))
-            first, second = rotated_derivatives(rf, x0)
+            _, first, second = rf.f_phi.jet(u0, 2)
             fd1 = central_fd(rf.f_phi.eval, u0, 1, 1e-5)
             fd2 = central_fd(rf.f_phi.eval, u0, 2, 1e-4)
             assert first == pytest.approx(float(fd1), abs=1e-8)
@@ -127,7 +120,7 @@ class TestDerivatives:
         xs = np.linspace(-0.8, 0.8, 25)
         rows = f.jet(xs, 2)
         kappa = rows[2] / (1.0 + rows[1] ** 2) ** 1.5
-        first, second = rotated_derivatives(rf, xs)
+        _, first, second = rf.f_phi.jet(rf.R(xs), 2)
         kappa_rot = second / (1.0 + first**2) ** 1.5
         np.testing.assert_allclose(kappa_rot, kappa, rtol=0, atol=1e-8)
 
@@ -136,14 +129,11 @@ class TestDerivatives:
         phi = 0.05
         rf = rotate_graph(f, phi)
         plateau = np.linspace(-0.09, 0.09, 11)
-        first, second = rotated_derivatives(rf, plateau)
+        _, first, second = rf.f_phi.jet(rf.R(plateau), 2)
         np.testing.assert_array_equal(second, 0.0)
         np.testing.assert_allclose(first, math.tan(phi), atol=1e-16)
-        # through the inversion-based jets as well
-        rows = rf.f_phi.jet(rf.R(plateau), 2)
-        np.testing.assert_array_equal(rows[2], 0.0)
         curved = np.array([0.5, -0.7])
-        _, second_c = rotated_derivatives(rf, curved)
+        second_c = rf.f_phi.jet(rf.R(curved), 2)[2]
         assert (second_c > 0).all()
 
 
@@ -159,12 +149,6 @@ class TestErrors:
         f = SmoothFn.from_jet_fn(p.domain, 0, lambda x, m: p.jet(x, m), name="values only")
         with pytest.raises(CapabilityError):
             rotate_graph(f, 0.1)
-
-    def test_rotated_derivatives_scalar_and_vector(self):
-        f = poly([0.0, 0.0, 0.5], (-1, 1))
-        rf = rotate_graph(f, 0.1)
-        out = rotated_derivatives(rf, np.array([0.0, 0.5]))
-        assert out[0].shape == (2,)
 
 
 class TestCrBound:
