@@ -200,14 +200,6 @@ class IntervalSet:
         fc = _to_fraction(center)
         return self.negate().translate(2 * float(center) if fc is None else 2 * fc)
 
-    def to_json(self) -> dict:
-        return {
-            "mode": "exact" if self.exact else "float",
-            "denominator": self.den,
-            "depth": self.depth,
-            "intervals": [[a, b] for a, b in self.as_floats()],
-        }
-
 
 # -- kernels ---------------------------------------------------------------
 

@@ -29,6 +29,7 @@ import numpy as np
 from .cantor import IntervalSet, _float_ends, _meets, wrap_mod
 from .errors import (
     ArgumentError,
+    CapabilityError,
     ConstructionError,
     HypothesisError,
     ValidationError,
@@ -149,17 +150,18 @@ def _walk(templates: Sequence[_Template], order: Sequence[int], built: int):
     return np.concatenate(pts), pos, inst_rot, inst_base, inst_gauss
 
 
-def _check_stage_monotone(templates: Sequence[_Template], m_max: int) -> None:
+def _check_stage_monotone(templates: Sequence[_Template], m_max: int):
     """Assert the stage graphs only move up: h_k <= h_{k+1} pointwise.
 
     Stage ``k`` is ``_walk(templates, order, k)``; the final stage
-    ``m_max`` is the assembled arc itself.  Each bend rotates the tail
-    upward and each smoothing lies above its hinge's tangent lines, so
-    later stages dominate earlier ones; a failure means the placement
-    itself is wrong.
+    ``m_max`` is the assembled arc itself, and its walk is returned.  Each
+    bend rotates the tail upward and each smoothing lies above its hinge's
+    tangent lines, so later stages dominate earlier ones; a failure means
+    the placement itself is wrong.
     """
     order = _half_order(m_max) * 2
-    polys = [_walk(templates, order, k)[0] for k in range(m_max + 1)]
+    walks = [_walk(templates, order, k) for k in range(m_max + 1)]
+    polys = [w[0] for w in walks]
     # straight steps carry no interpolation error; only the sampled
     # smoothing pieces cut below their true graphs, by at most the local
     # chord sagitta max(|dz|)^2 * kappa / 8 of each template
@@ -182,6 +184,7 @@ def _check_stage_monotone(templates: Sequence[_Template], m_max: int) -> None:
                 f"assembly stage {k + 1} dips below stage {k} by {-gap:.3e} "
                 f"(allowed {tol:.3e}); bending must only lift the graph"
             )
+    return walks[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -412,75 +415,64 @@ def angular_resolution_arc(curve: ConvexCurve, grid_n: int) -> float:
 
 @dataclass(eq=False)
 class GaussZeroSet:
-    """Normal angles with vanishing curvature, plus the entry-angle list.
+    """Normal angles with vanishing curvature.
 
-    ``Z`` collects every angle whose touching boundary point is flat;
-    ``E`` lists the angles at which the smoothings are entered (the curve
-    points over the left end of each smoothing window).  On the assembled
-    curve every junction is such an entry angle, so ``E`` is dense in ``Z``
-    at the built depth.
+    ``Z`` holds them as a point set in ``[0, 2*pi)``: on the assembled
+    curve these are the junction angles between consecutive smoothings,
+    one point per junction.
     """
 
     Z: IntervalSet
-    E: list[float]
 
     def validate(self, *, symmetry_order: int | None = None) -> None:
-        ivals = np.asarray(self.Z.as_floats(), dtype=float)
-        if ivals.size == 0:
+        """Check that ``Z`` is a non-empty point set mapped onto itself.
+
+        Negation, and rotation by ``2*pi/symmetry_order`` when an order is
+        given, must pair every point with an image point within the
+        validation tolerance.
+        """
+        lo, hi = _float_ends(self.Z)
+        if lo.size == 0:
             raise ValidationError("zero set is empty")
-        lo, hi = ivals[:, 0], ivals[:, 1]
-        e = np.asarray(self.E, dtype=float)
-        j = np.searchsorted(lo, e + _VALIDATE_TOL) - 1
-        jc = np.maximum(j, 0)
-        inside = (j >= 0) & (e >= lo[jc] - _VALIDATE_TOL) & (e <= hi[jc] + _VALIDATE_TOL)
-        if not np.all(inside):
-            bad = float(e[np.argmin(inside)])
-            raise ValidationError(f"entry angle {bad!r} lies outside the zero set")
+        if not np.array_equal(lo, hi):
+            raise ValidationError("zero set is not a finite point set")
+        z = np.sort(np.mod(lo, TAU))
         if symmetry_order is not None and symmetry_order > 1:
-            step = TAU / symmetry_order
-            rotated = wrap_mod(self.Z.translate(step), TAU)
-            if not _sets_close(rotated, self.Z, _VALIDATE_TOL):
+            if _pair_gap(z, z + TAU / symmetry_order) > _VALIDATE_TOL:
                 raise ValidationError("zero set is not rotation invariant")
-        mirrored = wrap_mod(self.Z.negate(), TAU)
-        if not _sets_close(mirrored, self.Z, _VALIDATE_TOL):
+        if _pair_gap(z, -z) > _VALIDATE_TOL:
             raise ValidationError("zero set is not symmetric under angle negation")
 
 
-def _sets_close(a: IntervalSet, b: IntervalSet, tol: float) -> bool:
-    """Hausdorff-style closeness of two angle sets' endpoint arrays.
+def _pair_gap(z: np.ndarray, image: np.ndarray) -> float:
+    """Largest circular distance between angles ``z`` and ``image``, paired in order.
 
-    Both sets lie in ``[0, 2*pi]`` and distance is taken on the circle, so
-    an endpoint just below ``2*pi`` is close to an interval at 0.
+    ``z`` is sorted and lies in ``[0, 2*pi)``.  The image is reduced mod
+    2*pi, sorted, and rolled so that its point nearest ``z[0]`` comes
+    first; the seam at 0 = 2*pi then needs no special case.  One point too
+    many or too few on either side shifts the pairing and shows as a gap of
+    the order of the point spacing.
     """
-    pa = np.asarray(a.as_floats(), dtype=float)
-    pb = np.asarray(b.as_floats(), dtype=float)
-
-    def one_sided(p, q):
-        if p.size == 0:
-            return 0.0
-        gaps = []
-        for col in (0, 1):
-            x = p[:, col]
-            j = np.clip(np.searchsorted(q[:, 0], x), 1, q.shape[0])
-            # distance to the nearest interval among the two neighbours and
-            # the two wrap-around neighbours across the seam at 0 = 2*pi
-            cand = np.minimum.reduce(
-                [
-                    _point_set_distance(x, q[j - 1]),
-                    _point_set_distance(x, q[np.minimum(j, q.shape[0] - 1)]),
-                    _point_set_distance(x - TAU, q[0]),
-                    _point_set_distance(x + TAU, q[-1]),
-                ]
-            )
-            gaps.append(np.max(cand))
-        return max(gaps)
-
-    return one_sided(pa, pb) <= tol and one_sided(pb, pa) <= tol
+    w = np.sort(np.mod(image, TAU))
+    near = np.mod(w - z[0] + math.pi, TAU) - math.pi
+    d = np.roll(w, -int(np.argmin(np.abs(near)))) - z
+    return float(np.max(np.abs(np.mod(d + math.pi, TAU) - math.pi)))
 
 
-def _point_set_distance(x: np.ndarray, ival: np.ndarray) -> np.ndarray:
-    lo, hi = ival[..., 0], ival[..., 1]
-    return np.maximum(lo - x, np.maximum(x - hi, 0.0))
+def _junction_set(junctions: np.ndarray, m_max: int) -> GaussZeroSet:
+    """The zero set of the assembled curve: its junction angles as points.
+
+    Junctions that coincide as floats raise :class:`CapabilityError`: the
+    gaps of the deepest level are then below the float resolution of an
+    angle, and merging them would hide junctions.
+    """
+    z = np.unique(junctions)
+    if z.size < junctions.size:
+        raise CapabilityError(
+            f"{junctions.size - z.size} of {junctions.size} junction angles coincide "
+            f"as floats at m_max = {m_max}; float angles cannot resolve this depth"
+        )
+    return GaussZeroSet(Z=IntervalSet(z, z, None))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +552,8 @@ def assemble_curve(
     ``2*gamma_m``; the schedule's normalization makes one full pass sweep
     the normal directions ``[0, pi/n]`` exactly, and ``2n`` rotated copies
     close the curve.  Returns the sampled curve (with its exact placement
-    atlas attached) and the zero-curvature angle structure.
+    atlas attached) and its junction angles as a :class:`GaussZeroSet`;
+    junction angles that coincide as floats raise :class:`CapabilityError`.
     """
     sms = _normalize_schedule(schedule)
     if m_max is None:
@@ -579,24 +572,25 @@ def assemble_curve(
         )
 
     templates = _build_templates(sms, _BASE_EDGES)
-    _check_stage_monotone(templates, m_max)
+    arc_z, pos, inst_rot, inst_base, inst_gauss = _check_stage_monotone(templates, m_max)
 
     # --- one arc: instances, polyline, zero structure -------------------
     order = _half_order(m_max) * 2
     inst_level = np.array(order, dtype=int)
-    arc_z, pos, inst_rot, inst_base, inst_gauss = _walk(templates, order, m_max)
     arc = math.pi / n
     if abs(inst_gauss[-1] - arc) > 1e-9:
         raise ConstructionError(
             f"arc sweeps {float(inst_gauss[-1])!r} instead of pi/n = {arc!r}; "
             f"schedule and placement disagree"
         )
+    copies = 2 * n
+    # every junction between consecutive smoothings is a zero-curvature angle
+    zset = _junction_set(np.concatenate([inst_gauss[:-1] + j * arc for j in range(copies)]), m_max)
     tpls = [templates[m - 1] for m in order]
     arc_g = np.concatenate([[0.0]] + [r + t.tau[1:] for r, t in zip(inst_rot, tpls)])
     arc_k = np.concatenate([[0.0]] + [t.kappa[1:] for t in tpls])
 
     # --- close with 2n rotated copies -----------------------------------
-    copies = 2 * n
     step = cmath.exp(1j * arc)
     shift = np.empty(copies, dtype=complex)
     shift[0] = 0j
@@ -646,14 +640,6 @@ def assemble_curve(
         flat_marks=flat_marks,
         symmetry_order=copies,
         atlas=atlas,
-    )
-
-    # --- zero-curvature angle structure ---------------------------------
-    # every junction is both a zero-curvature angle and an entry angle
-    junctions = np.concatenate([inst_gauss[:-1] + j * arc for j in range(copies)])
-    zset = GaussZeroSet(
-        Z=IntervalSet.from_pairs([(a, a) for a in np.sort(junctions)]),
-        E=[float(a) for a in junctions],
     )
 
     band, band_slope = _flat_band(f, 2.0 * _FLAT_TOL * kmax)

@@ -207,11 +207,6 @@ class SmoothFn:
 
         return SmoothFn(domain, max_order, jet_fn, name=name or "poly")
 
-    @staticmethod
-    def from_jet_fn(domain: Interval, max_order: int, jet_fn, *, name: str = "") -> "SmoothFn":
-        """Wrap a raw derivative-rows callable."""
-        return SmoothFn(domain, max_order, jet_fn, name=name)
-
 
 class GridIntegratedFn(SmoothFn):
     """A function defined by a closed-form second derivative, integrated twice.

@@ -92,13 +92,12 @@ _FLOORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 class Hinge:
     """Two segments of lengths ``l``, ``r`` meeting at ``apex``.
 
-    ``alpha`` is the angle at the apex; ``u`` and ``v`` are the endpoint
-    positions in the plane (complex numbers).
+    ``u`` and ``v`` are the endpoint positions in the plane (complex
+    numbers).
     """
 
     l: float
     r: float
-    alpha: float
     apex: complex
     u: complex
     v: complex
@@ -106,8 +105,6 @@ class Hinge:
     def __post_init__(self):
         if not (self.l > 0 and self.r > 0):
             raise ValidationError("hinge side lengths must be positive")
-        if not 0.0 < self.alpha < math.pi:
-            raise ValidationError("apex angle must lie in (0, pi)")
 
 
 @dataclass(frozen=True)
@@ -173,9 +170,7 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
     def shifted_jet(x, order):
         return f.jet(x + shift, order)
 
-    h = SmoothFn.from_jet_fn(
-        (lo - shift, hi - shift), f.max_order, shifted_jet, name="shifted profile"
-    )
+    h = SmoothFn((lo - shift, hi - shift), f.max_order, shifted_jet, name="shifted profile")
     f_u = _remembered(rotate_graph(h, -gamma).f_phi)
     if f_u.domain[1] < d:
         raise HypothesisError(
@@ -185,9 +180,7 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
     def mirror_jet(x, order):
         return _mirror(f_u.jet(-x, order))
 
-    f_v = SmoothFn.from_jet_fn(
-        (-f_u.domain[1], -f_u.domain[0]), f_u.max_order, mirror_jet, name="f_v"
-    )
+    f_v = SmoothFn((-f_u.domain[1], -f_u.domain[0]), f_u.max_order, mirror_jet, name="f_v")
     return f_u, f_v
 
 
@@ -217,7 +210,7 @@ def _remembered(g: SmoothFn) -> SmoothFn:
             at = np.searchsorted(keys, bits)
         return rows[:, at].reshape((order + 1,) + x.shape)
 
-    return SmoothFn.from_jet_fn(g.domain, g.max_order, jet_fn, name=g.name)
+    return SmoothFn(g.domain, g.max_order, jet_fn, name=g.name)
 
 
 def _mirror(rows: np.ndarray) -> np.ndarray:
@@ -532,12 +525,8 @@ def _induced_hinge(F, d, tan_g, gamma):
     apex = complex(x_apex, y_apex)
     u = complex(-d, value_l)
     v = complex(d, value_r)
-    au, av = u - apex, v - apex
-    l, r = abs(au), abs(av)
-    alpha = abs(
-        math.atan2((au.conjugate() * av).imag, (au.conjugate() * av).real)
-    )
-    hinge = Hinge(l=l, r=r, alpha=alpha, apex=apex, u=u, v=v)
+    l, r = abs(u - apex), abs(v - apex)
+    hinge = Hinge(l=l, r=r, apex=apex, u=u, v=v)
     bound = 4.0 * d / math.cos(gamma)
     cert = Certificate("hinge_side_sum", l + r, bound, l + r <= bound)
     return hinge, cert

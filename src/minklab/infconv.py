@@ -321,12 +321,7 @@ def infconv_direct(
     vals, mu, boundary = h_values(xs)
     jet_order = max(0, min(f.max_order, g.max_order) - 1)
 
-    h = SmoothFn.from_jet_fn(
-        span,
-        jet_order,
-        h_jet,
-        name=f"infconv[{f.name or 'f'},{g.name or 'g'}]",
-    )
+    h = SmoothFn(span, jet_order, h_jet, name=f"infconv[{f.name or 'f'},{g.name or 'g'}]")
     return InfConvResult(
         route="direct_min",
         x=xs,
@@ -498,12 +493,7 @@ def infconv_conjugate(
         out[0] = pwl_eval(xq)[0]
         return out
 
-    h = SmoothFn.from_jet_fn(
-        span,
-        0,
-        h_jet,
-        name=f"infconv_pwl[{f.name or 'f'},{g.name or 'g'}]",
-    )
+    h = SmoothFn(span, 0, h_jet, name=f"infconv_pwl[{f.name or 'f'},{g.name or 'g'}]")
 
     error_bound = None
     if max_hf is not None and max_hg is not None:

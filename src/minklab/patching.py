@@ -107,7 +107,7 @@ def make_bump_system() -> BumpSystem:
 
     # the bump vanishes identically outside (2/3, 3/2); a generous domain
     # lets callers probe neighboring dyadic scales directly
-    psi = SmoothFn.from_jet_fn((1.0 / 64.0, 16.0), _BUMP_MAX_ORDER, jet_fn, name="psi")
+    psi = SmoothFn((1.0 / 64.0, 16.0), _BUMP_MAX_ORDER, jet_fn, name="psi")
     xs = np.geomspace(1e-3, 3.0, _CERT_GRID_N)
     residual = dyadic_partition_residual(xs)
     return BumpSystem(

@@ -123,12 +123,7 @@ def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
         rpj[0] += c
         return jets.quotient_derivs(ij, rpj)
 
-    f_phi = SmoothFn.from_jet_fn(
-        (u_lo, u_hi),
-        f.max_order,
-        jet_fn,
-        name=f"rot[{f.name or 'f'}, {phi:g}]",
-    )
+    f_phi = SmoothFn((u_lo, u_hi), f.max_order, jet_fn, name=f"rot[{f.name or 'f'}, {phi:g}]")
     return RotatedFn(base=f, phi=phi, R=r_map, I=i_map, f_phi=f_phi)
 
 

@@ -48,7 +48,7 @@ def flat_center_fn(domain=(-1, 1), half_width=0.1):
             out[4] = np.where(t > 0, 24.0, 0.0)
         return out
 
-    return SmoothFn.from_jet_fn(domain, 4, jet_fn, name="flat_center")
+    return SmoothFn(domain, 4, jet_fn, name="flat_center")
 
 
 def central_fd(fn, x, order, h):

@@ -3,8 +3,8 @@
 Every entry is a number the pipeline computes on the shared test bodies
 (the ``hinge_profile`` and ``second_profile`` fixtures and what is built
 from them): the schedule's certificates, angles, norms and turn sum, the
-curve's symmetry gap and turning, the zero-set counts, the curvature
-transfer gaps, and min, max and sum of each support array.  Each entry
+curve's symmetry gap and turning, the zero-set size and smallest gap, the
+curvature transfer gaps, and min, max and sum of each support array.  Each entry
 carries its own tolerance (``rtol``, ``atol``); counts and verdicts are
 compared exactly.  The SHA-256 of each support array is recorded too but
 never compared, because it depends on the numpy build.
@@ -80,18 +80,19 @@ def schedule_entries(tag, schedule):
 
 
 def curve_entries(tag, curve, zset):
-    """Vertex count, symmetry gap, turning, zero-set counts and a sweep count of one curve."""
+    """Vertex count, symmetry gap, turning, zero-set size and smallest gap, and a sweep count of one curve."""
     diam = float(np.max(np.abs(curve.boundary)))
     grid = (np.arange(SWEEP_N) + 0.5) * (2.0 * math.pi / SWEEP_N)
     from minklab.curve import rotations_avoiding_zero_sets
 
+    zero_angles = np.array(zset.Z.as_floats())[:, 0]
     return [
         _exact(f"{tag}.curve.vertices", int(curve.boundary.shape[0])),
         _exact(f"{tag}.curve.flat_marks", int(curve.flat_marks.size)),
         _float(f"{tag}.curve.symmetry_gap", curve.symmetry_gap(), diam),
         _float(f"{tag}.curve.total_turning", curve.total_turning(), 2.0 * math.pi),
         _exact(f"{tag}.zero_set.Z_components", len(zset.Z)),
-        _exact(f"{tag}.zero_set.E_entries", len(zset.E)),
+        _float(f"{tag}.zero_set.min_gap", np.min(np.diff(zero_angles)), 2.0 * math.pi),
         _exact(f"{tag}.sweep.avoiding", int(rotations_avoiding_zero_sets(zset, zset, grid).size)),
     ]
 

@@ -222,14 +222,6 @@ def test_length_identity_random(depth, ratio):
     assert sum(b - a for a, b in c.as_fractions()) == (1 - ratio) ** depth
 
 
-def test_json_roundtrippable_fields():
-    c = build_cantor(CantorSpec.uniform((0, 1), THIRDS, 2))
-    j = c.to_json()
-    assert j["mode"] == "exact"
-    assert j["depth"] == 2
-    assert len(j["intervals"]) == 4
-
-
 class TestMode:
     def test_near_touching_floats_merge_in_float_mode(self):
         s = IntervalSet.from_pairs([(0.0, 1.0), (1.0 + 1e-13, 2.0)])

@@ -21,10 +21,12 @@ from minklab.curve import (
     minkowski_sum,
     refinement_intervals,
     _SWEEP_BLOCK_ELEMS,
+    _junction_set,
     rotations_avoiding_zero_sets,
 )
 from minklab.errors import (
     ArgumentError,
+    CapabilityError,
     ConstructionError,
     HypothesisError,
     ValidationError,
@@ -139,28 +141,19 @@ def points_set(values):
 
 
 def test_zero_set_validates_symmetric_quadruple():
-    z = GaussZeroSet(
-        Z=points_set([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]),
-        E=[0.0, math.pi],
-    )
+    z = GaussZeroSet(Z=points_set([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]))
     z.validate(symmetry_order=4)
 
 
-def test_zero_set_rejects_entry_outside():
-    z = GaussZeroSet(Z=points_set([0.1, TAU - 0.1]), E=[0.15])
-    with pytest.raises(ValidationError, match="outside"):
-        z.validate()
-
-
 def test_zero_set_rejects_broken_rotation_symmetry():
-    z = GaussZeroSet(Z=points_set([0.1, TAU - 0.1]), E=[0.1])
+    z = GaussZeroSet(Z=points_set([0.1, TAU - 0.1]))
     z.validate()  # mirror-symmetric pair is fine without an order
     with pytest.raises(ValidationError, match="rotation"):
         z.validate(symmetry_order=4)
 
 
 def test_zero_set_rejects_broken_mirror_symmetry():
-    z = GaussZeroSet(Z=points_set([0.1, 0.2]), E=[0.1])
+    z = GaussZeroSet(Z=points_set([0.1, 0.2]))
     with pytest.raises(ValidationError, match="negation"):
         z.validate()
 
@@ -170,15 +163,35 @@ def test_zero_set_symmetry_is_measured_on_the_circle():
     # which has to meet the point at 0 across the seam
     n = 29
     angles = [k * math.pi / n for k in range(2 * n)]
-    GaussZeroSet(Z=points_set(angles), E=[0.0]).validate(symmetry_order=2 * n)
+    GaussZeroSet(Z=points_set(angles)).validate(symmetry_order=2 * n)
     # a point missing at the seam, or one near it without its mirror, is
     # still an asymmetry
     with pytest.raises(ValidationError, match="rotation"):
-        GaussZeroSet(Z=points_set(angles[1:]), E=[angles[1]]).validate(
-            symmetry_order=2 * n
-        )
+        GaussZeroSet(Z=points_set(angles[1:])).validate(symmetry_order=2 * n)
     with pytest.raises(ValidationError, match="negation"):
-        GaussZeroSet(Z=points_set([0.0, math.pi, TAU - 0.01]), E=[0.0]).validate()
+        GaussZeroSet(Z=points_set([0.0, math.pi, TAU - 0.01])).validate()
+
+
+def test_zero_set_pairs_every_point():
+    # one extra junction 1e-10 from another lies within the 1e-9 tolerance
+    # of its neighbour, but it has no partner of its own under either map
+    n = 29
+    angles = [k * math.pi / n for k in range(2 * n)]
+    z = GaussZeroSet(Z=points_set(angles + [angles[3] + 1e-10]))
+    with pytest.raises(ValidationError, match="negation"):
+        z.validate()
+    with pytest.raises(ValidationError, match="rotation"):
+        z.validate(symmetry_order=2 * n)
+    # pairing reads points only: a mirror-symmetric interval is refused
+    with pytest.raises(ValidationError, match="point set"):
+        GaussZeroSet(Z=IntervalSet.from_pairs([(-0.1, 0.1)])).validate()
+
+
+def test_coinciding_junctions_raise_capability_error():
+    z = _junction_set(np.array([2.0, 0.0, 1.0]), 3)
+    assert z.Z.as_floats() == [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+    with pytest.raises(CapabilityError, match="m_max = 8"):
+        _junction_set(np.array([0.0, 1.0, 2.0, 1.0]), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +275,16 @@ def test_flat_marks_sit_on_zero_structure(assembled):
 def test_zero_set_symmetries_and_entries(assembled):
     curve, zset = assembled
     zset.validate(symmetry_order=curve.symmetry_order)
-    per_arc = len(zset.E) // curve.symmetry_order
-    assert len(zset.E) == per_arc * curve.symmetry_order
+    per_arc = len(zset.Z) // curve.symmetry_order
+    assert len(zset.Z) == per_arc * curve.symmetry_order
     assert per_arc == 2 * (2 ** 5 - 1)  # two half-trees of 2^5 - 1 smoothings
 
 
 def test_entries_dense_in_refinement(assembled, hinge_schedule):
-    """Every surviving interval at every built depth contains an entry angle."""
+    """Every surviving interval at every built depth contains a junction angle."""
     _, zset = assembled
     arc = math.pi / hinge_schedule.n
-    e_arc = np.sort(np.unique(np.mod(zset.E, arc)))
+    e_arc = np.sort(np.unique(np.mod(np.array(zset.Z.as_floats())[:, 0], arc)))
     g = hinge_schedule.gamma_values
     for depth in range(len(g)):
         for lo, hi in refinement_intervals(g, depth):

@@ -86,7 +86,7 @@ class TestSmoothFn:
             seen.append(x.copy())
             return x[None].copy()
 
-        f = SmoothFn.from_jet_fn((0.0, 1.0), 0, jet_fn)  # slack 2e-9
+        f = SmoothFn((0.0, 1.0), 0, jet_fn)  # slack 2e-9
         assert f(np.array([-1e-10, 0.5, 1.0 + 1e-10])).tolist() == [0.0, 0.5, 1.0]
         assert seen[-1].tolist() == [0.0, 0.5, 1.0]
         for x in (-1e-8, 1.0 + 1e-8):

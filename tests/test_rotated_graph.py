@@ -146,7 +146,7 @@ class TestErrors:
     def test_function_without_a_slope_is_rejected_when_rotated(self):
         # the graph check needs f'; without it R could not be checked monotone
         p = poly([0.0, 0.0, 0.5], (-1, 1))
-        f = SmoothFn.from_jet_fn(p.domain, 0, lambda x, m: p.jet(x, m), name="values only")
+        f = SmoothFn(p.domain, 0, lambda x, m: p.jet(x, m), name="values only")
         with pytest.raises(CapabilityError):
             rotate_graph(f, 0.1)
 
