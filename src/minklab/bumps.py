@@ -39,6 +39,8 @@ PSI_SUPPORT = (2.0 / 3.0, 1.5)
 # 12 * (3/4 - 2/3) = 1 and 4 * (3/2 - 5/4) = 1.
 _LEFT_RAMP = 12.0
 _RIGHT_RAMP = 4.0
+# Simpson intervals of the integral of psi.
+_INTEGRAL_N = 1 << 13
 
 
 def _affine_jet(x, a: float, b: float, order: int) -> np.ndarray:
@@ -145,8 +147,8 @@ def phi_even_jet(x, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def psi_integral(n: int = 1 << 13) -> float:
+def psi_integral() -> float:
     """The integral of the normalized bump ``psi`` over its support."""
     lo, hi = PSI_SUPPORT
-    xs = np.linspace(lo, hi, n + 1)
+    xs = np.linspace(lo, hi, _INTEGRAL_N + 1)
     return _simpson(psi_jet(xs, 0)[0], xs)

@@ -11,8 +11,8 @@ Its mode follows from the types of its data, never from their values:
 * Any float endpoint (Python ``float`` or ``numpy.floating``) makes the
   set a *float* set, merged with a relative tolerance of 1e-12.
 
-The same rule applies to a translation, a reflection centre, a removal
-ratio and a ``wrap_mod`` period: a float argument gives a float result.
+The same rule applies to a translation, a removal ratio and a
+``wrap_mod`` period: a float argument gives a float result.
 A binary operation on two exact sets whose common lattice overflows
 int64 runs in floats.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -103,19 +103,18 @@ class CantorSpec:
 class IntervalSet:
     """Sorted disjoint closed intervals, exact (integer lattice) or float."""
 
-    __slots__ = ("lo", "hi", "den", "depth")
+    __slots__ = ("lo", "hi", "den")
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, den: int | None, depth: int | None = None):
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, den: int | None):
         # internal constructor: inputs must already be sorted, merged, disjoint
         self.lo = lo
         self.hi = hi
         self.den = den
-        self.depth = depth
 
     # -- construction --------------------------------------------------
 
     @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Number, Number]], *, depth: int | None = None) -> "IntervalSet":
+    def from_pairs(pairs: Iterable[tuple[Number, Number]]) -> "IntervalSet":
         pairs = list(pairs)
         fracs = [(_to_fraction(a), _to_fraction(b)) for a, b in pairs]
         if all(fa is not None and fb is not None for fa, fb in fracs):
@@ -128,13 +127,13 @@ class IntervalSet:
             if any(abs(v) >= _INT_LIMIT for v in lo + hi):
                 raise CapabilityError("exact endpoints overflow the int64 lattice")
             lo, hi = _merge(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), True)
-            return IntervalSet(lo, hi, den, depth)
+            return IntervalSet(lo, hi, den)
         lo = np.array([float(a) for a, _ in pairs])
         hi = np.array([float(b) for _, b in pairs])
         if not np.all(lo <= hi):
             raise ArgumentError("interval with hi < lo or a NaN endpoint")
         lo, hi = _merge(lo, hi, False)
-        return IntervalSet(lo, hi, None, depth)
+        return IntervalSet(lo, hi, None)
 
     # -- views -----------------------------------------------------------
 
@@ -182,23 +181,16 @@ class IntervalSet:
             shift = fc * self.den
             room = _INT_LIMIT - max(_max_abs(self.lo), _max_abs(self.hi))
             if shift.denominator == 1 and abs(shift) < room:
-                return IntervalSet(self.lo + int(shift), self.hi + int(shift), self.den, self.depth)
-            return IntervalSet.from_pairs(
-                [(a + fc, b + fc) for a, b in self.as_fractions()], depth=self.depth
-            )
+                return IntervalSet(self.lo + int(shift), self.hi + int(shift), self.den)
+            return IntervalSet.from_pairs([(a + fc, b + fc) for a, b in self.as_fractions()])
         if fc is None and math.isnan(float(c)):
             raise ArgumentError("shift is NaN")
         lo, hi = _float_ends(self)
-        return IntervalSet(lo + float(c), hi + float(c), None, self.depth)
+        return IntervalSet(lo + float(c), hi + float(c), None)
 
     def negate(self) -> "IntervalSet":
         """The reflection ``{-x : x in A}`` (exact)."""
-        return IntervalSet(-self.hi[::-1].copy(), -self.lo[::-1].copy(), self.den, self.depth)
-
-    def reflect(self, center: Number) -> "IntervalSet":
-        """Reflection through a point: ``2 * center - A``."""
-        fc = _to_fraction(center)
-        return self.negate().translate(2 * float(center) if fc is None else 2 * fc)
+        return IntervalSet(-self.hi[::-1].copy(), -self.lo[::-1].copy(), self.den)
 
 
 # -- kernels ---------------------------------------------------------------
@@ -261,13 +253,10 @@ def _common_lattice(a: IntervalSet, b: IntervalSet) -> tuple[IntervalSet, Interv
         fa, fb = den // a.den, den // b.den
         if _fits(a, fa) and _fits(b, fb):
             return (
-                IntervalSet(a.lo * fa, a.hi * fa, den, a.depth),
-                IntervalSet(b.lo * fb, b.hi * fb, den, b.depth),
+                IntervalSet(a.lo * fa, a.hi * fa, den),
+                IntervalSet(b.lo * fb, b.hi * fb, den),
             )
-    return (
-        IntervalSet(*_float_ends(a), None, a.depth),
-        IntervalSet(*_float_ends(b), None, b.depth),
-    )
+    return IntervalSet(*_float_ends(a), None), IntervalSet(*_float_ends(b), None)
 
 
 # -- operations ----------------------------------------------------------
@@ -277,8 +266,8 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
     """Exact recursive middle-portion removal; 2**depth intervals."""
     if spec.depth > MAX_DEPTH:
         raise CapabilityError(f"depth {spec.depth} exceeds {MAX_DEPTH}")
-    current = IntervalSet.from_pairs([spec.base], depth=0)
-    for step, s in enumerate(spec.side_ratios):
+    current = IntervalSet.from_pairs([spec.base])
+    for s in spec.side_ratios:
         fs = _to_fraction(s)
         exact = current.exact and fs is not None
         lo, hi = (current.lo, current.hi) if exact else _float_ends(current)
@@ -291,7 +280,7 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
                 raise CapabilityError("lattice overflow; reduce depth or simplify ratios")
             lo, hi = lo * fs.denominator, hi * fs.denominator
         lo, hi = _merge(np.concatenate([lo, hi - w]), np.concatenate([lo + w, hi]), exact)
-        current = IntervalSet(lo, hi, current.den * fs.denominator if exact else None, step + 1)
+        current = IntervalSet(lo, hi, current.den * fs.denominator if exact else None)
     return current
 
 
@@ -381,19 +370,19 @@ def wrap_mod(a: IntervalSet, period: Number) -> IntervalSet:
         f, p = den // a.den, int(fp * den)
         if max(f, p) < _INT_LIMIT and _fits(a, f):
             lo, hi = a.lo * f, a.hi * f
-            return _split_at_period(lo, hi, np.floor_divide(lo, p) * p, p, den, a.depth)
+            return _split_at_period(lo, hi, np.floor_divide(lo, p) * p, p, den)
     p = float(period) if fp is None or fp <= np.finfo(float).max else math.inf
     if not 0.0 < p < math.inf:
         raise CapabilityError(f"wrap period {period!r} fits neither the int64 lattice nor a float")
     lo, hi = _float_ends(a)
-    return _split_at_period(lo, hi, np.floor(lo / p) * p, p, None, a.depth)
+    return _split_at_period(lo, hi, np.floor(lo / p) * p, p, None)
 
 
-def _split_at_period(lo, hi, shift, p, den, depth) -> IntervalSet:
+def _split_at_period(lo, hi, shift, p, den) -> IntervalSet:
     """Shift each interval so its ``lo`` lands in ``[0, p)``, split it at ``p`` and merge."""
     if np.any(hi - lo >= p):
         full = np.array([0, p], dtype=lo.dtype)
-        return IntervalSet(full[:1], full[1:], den, depth)
+        return IntervalSet(full[:1], full[1:], den)
     lo, hi = lo - shift, hi - shift
     # an interval shorter than the period crosses p at most once
     wrap = hi > p
@@ -402,4 +391,4 @@ def _split_at_period(lo, hi, shift, p, den, depth) -> IntervalSet:
         np.concatenate([np.minimum(hi, p), hi[wrap] - p]),
         den is not None,
     )
-    return IntervalSet(lo, hi, den, depth)
+    return IntervalSet(lo, hi, den)

@@ -80,8 +80,7 @@ class _Template:
 
     level: int
     sm: SmoothingResult
-    x: np.ndarray  # sample abscissas in [-d, d], endpoints included
-    z: np.ndarray  # complex graph points x + 1j * F(x)
+    z: np.ndarray  # complex graph points x + 1j * F(x), x in [-d, d] with both ends
     tau: np.ndarray  # tangent angle arctan(F')
     kappa: np.ndarray  # curvature F'' / (1 + F'^2)^(3/2)
 
@@ -98,7 +97,7 @@ def _build_templates(smoothings: Sequence[SmoothingResult], base_edges: int) -> 
         jet = sm.F.jet(xs, 2)
         val, slope, d2 = jet[0], jet[1], jet[2]
         kappa = d2 / (1.0 + slope * slope) ** 1.5
-        out.append(_Template(m, sm, xs, xs + 1j * val, np.arctan(slope), kappa))
+        out.append(_Template(m, sm, xs + 1j * val, np.arctan(slope), kappa))
     return out
 
 
@@ -210,7 +209,6 @@ class CurveAtlas:
     inst_gauss: np.ndarray  # (K+1,) normal-angle sweep boundaries in [0, pi/n]
     copy_shift: np.ndarray  # (2n,) complex translation of each arc copy
     center: complex
-    gammas: np.ndarray
 
     @property
     def arc_turn(self) -> float:
@@ -631,7 +629,6 @@ def assemble_curve(
         inst_gauss=inst_gauss,
         copy_shift=shift,
         center=center,
-        gammas=gammas,
     )
     curve = ConvexCurve(
         boundary=boundary,
@@ -677,7 +674,6 @@ class SupportFn:
     dh: np.ndarray
     d2h: np.ndarray
     flat: np.ndarray
-    body: str | None = None
 
     def __post_init__(self):
         if np.ndim(self.theta) != 1:
@@ -697,7 +693,7 @@ class SupportFn:
         return np.arange(grid_n) * (TAU / grid_n)
 
     @classmethod
-    def _from_points(cls, theta, points, rho, flat, body) -> "SupportFn":
+    def _from_points(cls, theta, points, rho, flat) -> "SupportFn":
         """Support data from the boundary point touched at each grid normal.
 
         ``points`` are complex boundary points and ``rho`` the curvature
@@ -716,7 +712,6 @@ class SupportFn:
             dh=np.imag(w),
             d2h=d2h,
             flat=np.broadcast_to(flat, theta.shape).copy(),
-            body=body,
         )
 
     @classmethod
@@ -726,7 +721,7 @@ class SupportFn:
             raise ArgumentError(f"disk needs a finite radius > 0 and center: {radius!r}, {center!r}")
         th = cls.grid(grid_n)
         pts = complex(cx, cy) + radius * np.exp(1j * th)
-        return cls._from_points(th, pts, radius, False, f"disk(r={radius})")
+        return cls._from_points(th, pts, radius, False)
 
     @classmethod
     def ellipse(cls, a: float, b: float, *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -738,7 +733,7 @@ class SupportFn:
         he = np.hypot(a * c, b * s)
         pts = a * (a * c / he) + 1j * (b * (b * s / he))
         rho = (a / he) * (b / he) * (a * (b / he))
-        return cls._from_points(th, pts, rho, False, f"ellipse({a},{b})")
+        return cls._from_points(th, pts, rho, False)
 
     @classmethod
     def point(cls, p=(0.0, 0.0), *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -746,7 +741,7 @@ class SupportFn:
         if not np.all(np.isfinite([px, py])):
             raise ArgumentError(f"point must be finite: {p!r}")
         th = cls.grid(grid_n)
-        return cls._from_points(th, complex(px, py), 0.0, False, f"point({px},{py})")
+        return cls._from_points(th, complex(px, py), 0.0, False)
 
     @classmethod
     def from_polygon(cls, vertices: np.ndarray, *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -759,7 +754,7 @@ class SupportFn:
         th = cls.grid(grid_n)
         best = np.argmax(np.column_stack([np.cos(th), np.sin(th)]) @ v.T, axis=1)
         pts = v[best, 0] + 1j * v[best, 1]
-        return cls._from_points(th, pts, 0.0, False, "polygon")
+        return cls._from_points(th, pts, 0.0, False)
 
     @classmethod
     def from_curve(cls, curve: ConvexCurve, *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -771,7 +766,7 @@ class SupportFn:
             )
         th = cls.grid(grid_n)
         data = curve.atlas.support_data(th)
-        return cls._from_points(th, data["point"], data["rho"], data["flat"], "assembled-curve")
+        return cls._from_points(th, data["point"], data["rho"], data["flat"])
 
     # -- calculus ----------------------------------------------------------
 
@@ -809,7 +804,6 @@ def minkowski_sum(a: SupportFn, b: SupportFn) -> SupportFn:
         dh=a.dh + b.dh,
         d2h=a.d2h + b.d2h,
         flat=a.flat | b.flat,
-        body=f"({a.body})+({b.body})",
     )
 
 
@@ -818,11 +812,7 @@ class TransferReport:
     """Curvature bookkeeping of a Minkowski sum at selected normals."""
 
     theta: np.ndarray
-    rho_a: np.ndarray
-    rho_b: np.ndarray
     rho_sum: np.ndarray
-    kappa_a: np.ndarray
-    kappa_b: np.ndarray
     kappa_sum: np.ndarray
     additive_gap: float
     discrete_gap: float
@@ -867,11 +857,7 @@ def curvature_transfer_check(a: SupportFn, b: SupportFn, theta) -> TransferRepor
     transfer_ok = bool(np.all((ks == 0.0) == (kb == 0.0)))
     return TransferReport(
         theta=snapped,
-        rho_a=ra,
-        rho_b=rb,
         rho_sum=rs,
-        kappa_a=ka,
-        kappa_b=kb,
         kappa_sum=ks,
         additive_gap=additive,
         discrete_gap=discrete,

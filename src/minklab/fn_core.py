@@ -356,7 +356,6 @@ class NormReport:
 
     r: int
     value: float
-    interval: Interval
     per_order: tuple[float, ...] = ()
 
 
@@ -382,7 +381,7 @@ def cr_norm(f: SmoothFn, r: int, interval: Interval | None = None, *, grid_n: in
     xs = np.linspace(max(lo, dlo), min(hi, dhi), grid_n)
     rows = f.jet(xs, r)
     per_order = tuple(float(np.max(np.abs(rows[i]))) for i in range(r + 1))
-    return NormReport(r=r, value=float(sum(per_order)), interval=(lo, hi), per_order=per_order)
+    return NormReport(r=r, value=float(sum(per_order)), per_order=per_order)
 
 
 def holder_seminorm(

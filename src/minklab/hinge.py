@@ -5,10 +5,11 @@ profile ``f`` on ``[0, tau]`` with ``f(0) = f'(0) = 0`` and positive slope
 and curvature away from 0, the smoothing of the symmetric hinge with
 half-width ``d`` and opening parameter ``gamma`` is built by
 
-  1. placing two copies of the profile: ``f_u`` is the graph of ``f``
-     translated left by ``d/cos(gamma)`` and rotated clockwise by
-     ``gamma`` (so it is tangent to the hinge at its left endpoint), and
-     ``f_v(t) = f_u(-t)`` is its mirror image;
+  1. placing the profile: ``f_u`` is the graph of ``f`` translated left
+     by ``d/cos(gamma)`` and rotated clockwise by ``gamma`` (so it is
+     tangent to the hinge at its left endpoint); the right copy is its
+     mirror image ``f_v(t) = f_u(-t)``, read as ``f_u`` at ``-t`` with
+     derivative row ``j`` times ``(-1)**j``;
   2. choosing ``eps`` so that ``f'(4 eps) = tan(gamma)``;
   3. integrating the curvature recipe
 
@@ -29,7 +30,7 @@ with shrinking hinges, uniformly bounded norms, and total turning angle
 exactly ``pi/n``; its angle search rejects most candidates by an exact
 lower bound on their norms, integrates and norms only the rest, and every
 smoothing it returns is fully certified.  A placement's ``f_u`` solves
-each point once, and ``f_v`` reads it at mirrored points.
+each point once, whichever end asks for it.
 """
 
 from __future__ import annotations
@@ -124,8 +125,6 @@ class SmoothingResult:
     gamma: float
     epsilon: float
     b_eps: float
-    f_u: SmoothFn
-    f_v: SmoothFn
     hinge_out: Hinge
     certificates: tuple[Certificate, ...]
 
@@ -141,15 +140,16 @@ class SmoothingResult:
 # ---------------------------------------------------------------------------
 
 
-def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, SmoothFn]:
-    """Left and right copies of the profile, tangent to the hinge ends.
+def place_profiles(f: SmoothFn, d: float, gamma: float) -> SmoothFn:
+    """The left copy ``f_u`` of the profile, tangent to the hinge's left end.
 
-    ``f_u`` is the translate-then-rotate-clockwise copy; ``f_v`` its
-    mirror, so ``f_u(t) = f_v(-t)`` identically.  Both contain ``[-d, d]``
-    in their domains and ``-f_u'(-d) = tan(gamma) = f_v'(d)``.  ``f_u``
-    remembers the rows of each point it was asked (:func:`_remembered`),
-    so the masses, the table of ``F``, the certificates and ``f_v`` solve
-    each point once; the rows are the plain rotated graph's, bit for bit.
+    ``f_u`` is the translate-then-rotate-clockwise copy; its domain
+    contains ``[-d, d]`` and ``-f_u'(-d) = tan(gamma)``.  The right copy
+    is its mirror ``f_v(t) = f_u(-t)``, which the build reads as ``f_u``
+    at ``-t`` (:func:`_mirror`).  ``f_u`` remembers the rows of each point
+    it was asked (:func:`_remembered`), so the masses, the table of ``F``
+    and the certificates solve each point once; the rows are the plain
+    rotated graph's, bit for bit.
     """
     if d <= 0.0:
         raise ArgumentError("half-width d must be positive")
@@ -171,17 +171,12 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> tuple[SmoothFn, Smoot
         return f.jet(x + shift, order)
 
     h = SmoothFn((lo - shift, hi - shift), f.max_order, shifted_jet, name="shifted profile")
-    f_u = _remembered(rotate_graph(h, -gamma).f_phi)
+    f_u = _remembered(rotate_graph(h, -gamma))
     if f_u.domain[1] < d:
         raise HypothesisError(
             "rotated profile does not reach the right endpoint; shrink d or gamma"
         )
-
-    def mirror_jet(x, order):
-        return _mirror(f_u.jet(-x, order))
-
-    f_v = SmoothFn((-f_u.domain[1], -f_u.domain[0]), f_u.max_order, mirror_jet, name="f_v")
-    return f_u, f_v
+    return f_u
 
 
 def _remembered(g: SmoothFn) -> SmoothFn:
@@ -282,24 +277,20 @@ def _window_0_rows(x: np.ndarray, d: float, eps: float, order: int) -> np.ndarra
     return out
 
 
-def solve_b_eps(f_u: SmoothFn, f_v: SmoothFn, eps: float, d: float) -> float:
-    """The window weight that makes the exit slope match ``f_v'(d)``.
+def solve_b_eps(f_u: SmoothFn, eps: float, d: float) -> tuple[float, float, float]:
+    """``(b, mass_u, mass_v)``: the window weight and the two masses it balances.
 
-    Solves the linear endpoint-slope equation by quadrature of the two
+    ``b`` makes the exit slope match ``f_v'(d) = -f_u'(-d)``.  Solves the
+    linear endpoint-slope equation by quadrature of the two
     profile-curvature masses and the plateau-window integral.  Positivity
     of the result is exactly the numerical form of the curvature-mass
     inequality; failure signals the construction is inconsistent.
     """
-    return _solve_b_masses(f_u, f_v, eps, d)[0]
-
-
-def _solve_b_masses(f_u, f_v, eps, d):
-    """``(b, mass_u, mass_v)``: the window weight and the two masses it balances."""
     if not 4.0 * eps < d:
         raise HypothesisError(f"need 4*eps < d, got eps={eps!r}, d={d!r}")
-    tan_g = f_v.eval(d, 1)
+    tan_g = -f_u.eval(-d, 1)
     mass_u = _curvature_mass_u(f_u, eps, d)
-    mass_v = _curvature_mass_v(f_v, eps, d)
+    mass_v = _curvature_mass_v(f_u, eps, d)
     window_area = _window_0_area(eps, d)
     b = (2.0 * tan_g - mass_u - mass_v) / window_area
     if not b > 0.0:
@@ -320,9 +311,10 @@ def _curvature_mass_u(f_u, eps, d):
     return _simpson(vals, xs)
 
 
-def _curvature_mass_v(f_v, eps, d):
+def _curvature_mass_v(f_u, eps, d):
+    # f_v'' at x is f_u'' at -x
     xs = np.linspace(d - 2.0 * eps, d, _QUAD_N + 1)
-    vals = f_v.jet(xs, 2)[2] * _window_end_rows(xs, d, eps, 0, -1)[0]
+    vals = f_u.jet(-xs, 2)[2] * _window_end_rows(xs, d, eps, 0, -1)[0]
     return _simpson(vals, xs)
 
 
@@ -359,14 +351,14 @@ def _probe_flat_floor(f: SmoothFn) -> float:
 
 
 def _place(f: SmoothFn, d: float, gamma: float):
-    """``(f_u, f_v, eps)``: the placed profiles and ``eps``; raises what those solves raise."""
-    f_u, f_v = place_profiles(f, d, gamma)
+    """``(f_u, eps)``: the placed profile and ``eps``; raises what those solves raise."""
+    f_u = place_profiles(f, d, gamma)
     eps = solve_epsilon(f, gamma)
     if not 4.0 * eps < d:
         raise HypothesisError(
             f"gamma is not small enough for this d: 4*eps={4.0 * eps!r} >= d={d!r}"
         )
-    return f_u, f_v, eps
+    return f_u, eps
 
 
 def _end_rows(x, d, eps, f_u, order):
@@ -390,13 +382,13 @@ def _end_rows(x, d, eps, f_u, order):
     return out
 
 
-def _integrate(f: SmoothFn, d: float, f_u: SmoothFn, f_v: SmoothFn, eps: float):
+def _integrate(f: SmoothFn, d: float, f_u: SmoothFn, eps: float):
     """Solve ``b_eps`` for a placement from :func:`_place` and integrate ``F``.
 
     Returns ``(F, b_eps, mass_u, mass_v)``.  Raises what the ``b_eps``
     solve raises, but checks no certificate.
     """
-    b_eps, mass_u, mass_v = _solve_b_masses(f_u, f_v, eps, d)
+    b_eps, mass_u, mass_v = solve_b_eps(f_u, eps, d)
 
     def d2_rows(x, order):
         return b_eps * _window_0_rows(x, d, eps, order) + _end_rows(x, d, eps, f_u, order)
@@ -426,12 +418,12 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
     the profile's own exactly-flat start (a truncated profile vanishes
     identically near 0, so the smoothing inherits a flat collar there).
     """
-    f_u, f_v, eps = _place(f, d, gamma)
-    F, b_eps, mass_u, mass_v = _integrate(f, d, f_u, f_v, eps)
+    f_u, eps = _place(f, d, gamma)
+    F, b_eps, mass_u, mass_v = _integrate(f, d, f_u, eps)
     tan_g = math.tan(gamma)
-    certs = _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, mass_u, mass_v)
-    certs += _function_certificates(F, f_u, f_v, f, eps, d, tan_g)
-    hinge_out, side_cert = _induced_hinge(F, d, tan_g, gamma)
+    certs = _solve_certificates(f_u, eps, d, b_eps, tan_g, mass_u, mass_v)
+    certs += _function_certificates(F, f_u, f, eps, d, tan_g)
+    hinge_out, side_cert = _induced_hinge(F, d, gamma)
     certs.append(side_cert)
 
     failed = [c for c in certs if not c.passed]
@@ -447,18 +439,17 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
         gamma=gamma,
         epsilon=eps,
         b_eps=b_eps,
-        f_u=f_u,
-        f_v=f_v,
         hinge_out=hinge_out,
         certificates=tuple(certs),
     )
 
 
-def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, mass_u, mass_v):
+def _solve_certificates(f_u, eps, d, b_eps, tan_g, mass_u, mass_v):
     upper = tan_g / (d - 2.0 * eps)
     coarse = 2.0 * tan_g / d
     su = f_u.eval(2.0 * eps - d, 1)
-    sv = f_v.eval(d - 2.0 * eps, 1)
+    # f_v'(d - 2 eps) = -f_u'(2 eps - d)
+    sv = -su
     return [
         Certificate("window_weight_positive", b_eps, 0.0, b_eps > 0.0),
         Certificate("window_weight_upper", b_eps, upper, b_eps <= upper),
@@ -470,7 +461,7 @@ def _solve_certificates(f_u, f_v, eps, d, b_eps, tan_g, mass_u, mass_v):
     ]
 
 
-def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
+def _function_certificates(F, f_u, f, eps, d, tan_g):
     tol = 1e-12 * (1.0 + tan_g)
     entry = abs(F.eval(-d, 1) + tan_g)
     exit_ = abs(F.eval(d, 1) - tan_g)
@@ -487,7 +478,7 @@ def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
     left = np.linspace(-d, -d + eps, _CERT_GRID_N)
     gap_left = float(np.abs(F.eval(left) - f_u.eval(left)).max())
     right = np.linspace(d - eps, d, _CERT_GRID_N)
-    diff = F.eval(right) - f_v.eval(right)
+    diff = F.eval(right) - f_u.eval(-right)
     gap_right = float(diff.max() - diff.min())
     window_floor = float(
         np.min(
@@ -515,7 +506,7 @@ def _function_certificates(F, f_u, f_v, f, eps, d, tan_g):
     ]
 
 
-def _induced_hinge(F, d, tan_g, gamma):
+def _induced_hinge(F, d, gamma):
     value_l = F.eval(-d)
     value_r = F.eval(d)
     slope_l = F.eval(-d, 1)
@@ -610,9 +601,9 @@ def schedule_smoothings(f: SmoothFn, m_max: int) -> HingeSchedule:
         gamma = 0.5 * math.atan(f.eval(d / 8.0, 1))
         built = False
         for _ in range(_MAX_HALVINGS + 1):
-            f_u, f_v, eps = _place(f, d, gamma)
+            f_u, eps = _place(f, d, gamma)
             if caps is None or np.all(_norm_floor(f_u, eps, d) <= caps):
-                norms = _norms_upto(_integrate(f, d, f_u, f_v, eps)[0])
+                norms = _norms_upto(_integrate(f, d, f_u, eps)[0])
                 if caps is None:
                     caps = _CAP_FACTOR * norms
                 if np.all(norms <= caps):

@@ -123,7 +123,6 @@ class InfConvResult:
     not hold.
     """
 
-    route: str
     x: np.ndarray
     values: np.ndarray
     mu: np.ndarray
@@ -138,7 +137,6 @@ class SmoothnessDiag:
 
     x: np.ndarray
     mu: np.ndarray
-    hess_f: np.ndarray
     hess_g: np.ndarray
     hess_h: np.ndarray
     j_mu: np.ndarray
@@ -235,7 +233,7 @@ def smoothness_diag(f: SmoothFn, g: SmoothFn, x, *, mu=None) -> SmoothnessDiag:
             f"x={xs[bad[0]]!r} (f''={hf[bad[0]]!r}, g''={hg[bad[0]]!r})"
         )
     j = hg / total
-    return SmoothnessDiag(x=xs, mu=mus, hess_f=hf, hess_g=hg, hess_h=hf * j, j_mu=j)
+    return SmoothnessDiag(x=xs, mu=mus, hess_g=hg, hess_h=hf * j, j_mu=j)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +321,6 @@ def infconv_direct(
 
     h = SmoothFn(span, jet_order, h_jet, name=f"infconv[{f.name or 'f'},{g.name or 'g'}]")
     return InfConvResult(
-        route="direct_min",
         x=xs,
         values=vals,
         mu=mu,
@@ -502,7 +499,6 @@ def infconv_conjugate(
         error_bound = (dxf**2 * max_hf + dxg**2 * max_hg) / 8.0
 
     return InfConvResult(
-        route="conjugate",
         x=xs,
         values=vals,
         mu=mu,

@@ -3,12 +3,14 @@
 Rotating ``{(x, f(x))}`` by the angle ``phi`` about the origin produces the
 parametric curve ``x -> (R(x), I(x))`` with ``R = x cos(phi) - f sin(phi)``
 and ``I = x sin(phi) + f cos(phi)``.  As long as ``R' = cos(phi) -
-f' sin(phi)`` stays positive the image is again a graph; its carrier here
-inverts ``R`` with bracketed Newton steps, taking ``R`` and ``R'`` from one
-jet of ``f`` per step (:func:`minklab.fn_core.invert_monotone`), and
-obtains derivative rows through the quotient recursion: if ``g_k`` denotes
-the k-th derivative of the rotated function pre-composed with ``R``, then
-``g_{k+1} = g_k' / R'`` (:func:`minklab.jets.quotient_derivs`).
+f' sin(phi)`` stays positive the image is again a graph, and
+:func:`rotate_graph` returns it as a :class:`~minklab.fn_core.SmoothFn`
+``f_phi`` with ``f_phi(R(x)) = I(x)``.  It inverts ``R`` with bracketed
+Newton steps, taking ``R`` and ``R'`` from one jet of ``f`` per step
+(:func:`minklab.fn_core.invert_monotone`), and obtains derivative rows
+through the quotient recursion: if ``g_k`` denotes the k-th derivative of
+the rotated function pre-composed with ``R``, then ``g_{k+1} = g_k' / R'``
+(:func:`minklab.jets.quotient_derivs`).
 In particular the first two orders reduce to the closed forms
 
     first  = (sin(phi) + f' cos(phi)) / (cos(phi) - f' sin(phi)),
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .errors import (
 from .fn_core import SmoothFn, cr_norm, invert_monotone, newton_pair
 
 __all__ = [
-    "RotatedFn",
     "CrBoundEntry",
     "CrBoundReport",
     "rotate_graph",
@@ -52,24 +53,10 @@ __all__ = [
 _CHECK_N = 4097
 
 
-@dataclass(frozen=True)
-class RotatedFn:
-    """A rotated graph: base function, angle, coordinate maps, and carrier.
-
-    ``R``/``I`` map a base abscissa to the rotated abscissa/ordinate; the
-    identity ``f_phi(R(x)) = I(x)`` holds by construction (``f_phi``
-    evaluates exactly that way after inverting ``R``).
-    """
-
-    base: SmoothFn
-    phi: float
-    R: Callable[[np.ndarray], np.ndarray]
-    I: Callable[[np.ndarray], np.ndarray]
-    f_phi: SmoothFn
-
-
-def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
+def rotate_graph(f: SmoothFn, phi: float) -> SmoothFn:
     """Rotate the graph of ``f`` by ``phi`` (radians, counterclockwise).
+
+    Returns the rotated graph as a function of the rotated abscissa.
 
     Raises :class:`~minklab.errors.RotationTooLargeError` when
     ``cos(phi) - f' sin(phi)`` fails to stay positive on a ``_CHECK_N``-point
@@ -91,12 +78,6 @@ def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
             f"min slope of the abscissa map is {worst:.3e}"
         )
 
-    def r_map(x):
-        return np.asarray(x, dtype=float) * c - f.eval(x) * s
-
-    def i_map(x):
-        return np.asarray(x, dtype=float) * s + f.eval(x) * c
-
     u_lo = float(lo * c - f.eval(lo) * s)
     u_hi = float(hi * c - f.eval(hi) * s)
     if not u_lo < u_hi:
@@ -113,7 +94,7 @@ def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
         # one jet of f per step gives R and R' to the Newton steps
         x = invert_monotone(*newton_pair(r_rows), u, lo, hi, rtol=1e-14)
         if order == 0:
-            return i_map(x)[None]
+            return (x * s + f.eval(x) * c)[None]
         m = order
         fc = jets.derivs_to_jet(f.jet(x, m))
         xj = jets.jet_var(x, m)
@@ -123,8 +104,7 @@ def rotate_graph(f: SmoothFn, phi: float) -> RotatedFn:
         rpj[0] += c
         return jets.quotient_derivs(ij, rpj)
 
-    f_phi = SmoothFn((u_lo, u_hi), f.max_order, jet_fn, name=f"rot[{f.name or 'f'}, {phi:g}]")
-    return RotatedFn(base=f, phi=phi, R=r_map, I=i_map, f_phi=f_phi)
+    return SmoothFn((u_lo, u_hi), f.max_order, jet_fn, name=f"rot[{f.name or 'f'}, {phi:g}]")
 
 
 @dataclass(frozen=True)
@@ -189,8 +169,7 @@ def cr_bound_check(
                 )
         hypothesis_value = (s_abs / c) * norms[r] if c > 0 else math.inf
 
-        rf = rotate_graph(f, phi)
-        measured = cr_norm(rf.f_phi, r, grid_n=_CHECK_N).value
+        measured = cr_norm(rotate_graph(f, phi), r, grid_n=_CHECK_N).value
 
         bound = diameter + norms[0]
         for i in range(r):

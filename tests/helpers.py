@@ -51,6 +51,14 @@ def flat_center_fn(domain=(-1, 1), half_width=0.1):
     return SmoothFn(domain, 4, jet_fn, name="flat_center")
 
 
+def rotated_point(f, phi, x):
+    """The graph point ``(x, f(x))`` rotated by ``phi``: ``(x cos phi - f sin phi, x sin phi + f cos phi)``."""
+    x = np.asarray(x, dtype=float)
+    y = f.eval(x)
+    c, s = np.cos(phi), np.sin(phi)
+    return x * c - y * s, x * s + y * c
+
+
 def central_fd(fn, x, order, h):
     """Central finite-difference derivative of a callable, orders 1..4."""
     if order == 1:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from test_jets import mp_derivs
 
 from minklab import bumps, jets
-from minklab.jets import jet_var, tdiv
+from minklab.fn_core import _simpson
+from minklab.jets import tdiv
 
 
 def richardson_fd(fn, x: float, order: int, h: float) -> float:
@@ -157,10 +158,10 @@ def test_phi_even_jets_match_finite_differences():
 
 
 def test_psi_integral_grid_stable():
-    a = bumps.psi_integral(1 << 13)
-    bumps.psi_integral.cache_clear()
-    b = bumps.psi_integral(1 << 14)
-    assert abs(a - b) < 1e-12 * abs(b)
+    lo, hi = bumps.PSI_SUPPORT
+    xs = np.linspace(lo, hi, (1 << 14) + 1)
+    b = _simpson(bumps.psi_jet(xs, 0)[0], xs)
+    assert abs(bumps.psi_integral() - b) < 1e-12 * abs(b)
 
 
 def mp_psi(x):

@@ -77,7 +77,7 @@ class TestBuild:
 
     def test_central_symmetry(self):
         c = build_cantor(CantorSpec.uniform((-2, 2), Fraction(1, 4), 6))
-        assert c.reflect(0) == c
+        assert c.negate() == c
 
 
 class TestMerge:
@@ -243,7 +243,6 @@ class TestMode:
         s = build_cantor(CantorSpec.uniform((0, 1), THIRDS, 3))
         assert s.translate(Fraction(1, 2)).exact
         assert not s.translate(0.5).exact
-        assert not s.reflect(0.5).exact
         assert not wrap_mod(s, 0.75).exact
 
     def test_float_wrap_splits_and_merges(self):

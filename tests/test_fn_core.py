@@ -103,7 +103,7 @@ def _tabulated_line():
     [
         lambda: SmoothFn.polynomial([1.0, -2.0, 0.5, 0.25], (0.0, 2.0)),
         _tabulated_line,
-        lambda: rotate_graph(_tabulated_line(), 0.3).f_phi,
+        lambda: rotate_graph(_tabulated_line(), 0.3),
     ],
     ids=["polynomial", "grid_integrated", "rotated"],
 )

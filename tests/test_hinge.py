@@ -87,22 +87,15 @@ class TestHingeType:
 
 
 class TestPlaceProfiles:
-    def test_mirror_identity_is_exact(self, quartic):
-        f_u, f_v = place_profiles(quartic, 0.2, 1e-3)
-        ts = np.linspace(-0.19, 0.19, 41)
-        np.testing.assert_array_equal(f_v.eval(-ts), f_u.eval(ts))
-
     def test_endpoint_slopes(self, quartic):
         d, gamma = 0.2, 1e-3
-        f_u, f_v = place_profiles(quartic, d, gamma)
-        tan_g = math.tan(gamma)
-        assert abs(slope_at(f_u, -d) + tan_g) <= 1e-12
-        assert abs(slope_at(f_v, d) - tan_g) <= 1e-12
+        f_u = place_profiles(quartic, d, gamma)
+        assert abs(slope_at(f_u, -d) + math.tan(gamma)) <= 1e-12
 
     def test_endpoint_value_closed_form(self, quartic):
         # the flat tangency point rotates onto (-d, d * tan(gamma))
         d, gamma = 0.2, 1e-3
-        f_u, _ = place_profiles(quartic, d, gamma)
+        f_u = place_profiles(quartic, d, gamma)
         assert f_u.eval(-d) == pytest.approx(d * math.tan(gamma), abs=1e-15)
 
     def test_degenerate_angle_rejected(self, quartic):
@@ -155,19 +148,19 @@ class TestSolveEpsilon:
 class TestSolveBEps:
     def test_positive_and_bounded(self, quartic):
         d, gamma = 0.2, 1e-3
-        f_u, f_v = place_profiles(quartic, d, gamma)
+        f_u = place_profiles(quartic, d, gamma)
         eps = solve_epsilon(quartic, gamma)
-        b = solve_b_eps(f_u, f_v, eps, d)
-        tan_g = slope_at(f_v, d)
+        b = solve_b_eps(f_u, eps, d)[0]
+        tan_g = -slope_at(f_u, -d)
         assert b > 0.0
         assert b <= tan_g / (d - 2.0 * eps)
         assert b < 2.0 * tan_g / d
 
     def test_window_too_wide_rejected(self, quartic):
         d, gamma = 0.2, 1e-3
-        f_u, f_v = place_profiles(quartic, d, gamma)
+        f_u = place_profiles(quartic, d, gamma)
         with pytest.raises(HypothesisError, match="4\\*eps"):
-            solve_b_eps(f_u, f_v, d / 3.0, d)
+            solve_b_eps(f_u, d / 3.0, d)
 
 
 class TestQuarticBuild:
@@ -182,10 +175,12 @@ class TestQuarticBuild:
         assert abs(slope_at(quartic_sr.F, -d) + tan_g) <= tol
         assert abs(slope_at(quartic_sr.F, d) - tan_g) <= tol
 
-    def test_exit_slope_matches_right_profile(self, quartic_sr):
-        # the linear solve for the window weight has this as its residual
+    def test_exit_slope_matches_right_profile(self, quartic, quartic_sr):
+        # the linear solve for the window weight has this as its residual;
+        # the right profile's slope at d is -f_u'(-d)
         d = quartic_sr.d
-        gap = slope_at(quartic_sr.F, d) - slope_at(quartic_sr.f_v, d)
+        f_u = place_profiles(quartic, d, quartic_sr.gamma)
+        gap = slope_at(quartic_sr.F, d) + slope_at(f_u, -d)
         assert abs(gap) <= 1e-12 * (1.0 + math.tan(quartic_sr.gamma))
 
     def test_endpoint_curvature_exactly_zero(self, quartic_sr):
@@ -200,16 +195,19 @@ class TestQuarticBuild:
         mid = float(quartic_sr.F.jet(np.array([0.0]), 2)[2][0])
         assert mid == quartic_sr.b_eps
 
-    def test_left_endpoint_interpolation(self, quartic_sr):
+    def test_left_endpoint_interpolation(self, quartic, quartic_sr):
         d, eps = quartic_sr.d, quartic_sr.epsilon
+        f_u = place_profiles(quartic, d, quartic_sr.gamma)
         xs = np.linspace(-d, -d + eps, 257)
-        gap = np.max(np.abs(quartic_sr.F.eval(xs) - quartic_sr.f_u.eval(xs)))
+        gap = np.max(np.abs(quartic_sr.F.eval(xs) - f_u.eval(xs)))
         assert gap <= 1e-10
 
-    def test_right_endpoint_constant_gap(self, quartic_sr):
+    def test_right_endpoint_constant_gap(self, quartic, quartic_sr):
         d, eps = quartic_sr.d, quartic_sr.epsilon
+        f_u = place_profiles(quartic, d, quartic_sr.gamma)
         xs = np.linspace(d - eps, d, 257)
-        diff = quartic_sr.F.eval(xs) - quartic_sr.f_v.eval(xs)
+        # the right profile f_v(x) is f_u(-x)
+        diff = quartic_sr.F.eval(xs) - f_u.eval(-xs)
         assert float(diff.max() - diff.min()) <= 1e-10
 
     def test_slope_and_value_bounds(self, quartic_sr):
@@ -334,13 +332,14 @@ class TestCertifyOnlyKeptBuilds:
             np.testing.assert_array_equal(fresh.F.jet(xs, 3), sr.F.jet(xs, 3))
             assert fresh.certificates == sr.certificates
 
-    def test_mass_certificates_are_the_quadratures(self, hinge_schedule):
+    def test_mass_certificates_are_the_quadratures(self, hinge_profile, hinge_schedule):
         for sr in hinge_schedule.smoothings:
             eps, d = sr.epsilon, sr.d
+            f_u = place_profiles(hinge_profile.f, d, sr.gamma)
             left = sr.certificate("left_curvature_mass").measured
             right = sr.certificate("right_curvature_mass").measured
-            assert left == _curvature_mass_u(sr.f_u, eps, d)
-            assert right == _curvature_mass_v(sr.f_v, eps, d)
+            assert left == _curvature_mass_u(f_u, eps, d)
+            assert right == _curvature_mass_v(f_u, eps, d)
 
     def test_search_builds_only_the_kept_levels(self, hinge_profile, monkeypatch):
         calls = []
@@ -357,6 +356,29 @@ class TestCertifyOnlyKeptBuilds:
         monkeypatch.setattr(hinge, "_ENDPOINT_TOL", 0.0)
         with pytest.raises(ConstructionError, match="right_endpoint_constant_gap"):
             schedule_smoothings(hinge_profile.f, 1)
+
+
+class TestRightEndMirrorsLeft:
+    """The right end is read as the left profile at ``-x``, row ``j`` times ``(-1)**j``."""
+
+    def test_curvature_rows_are_mirrored_bit_for_bit(self, hinge_schedule):
+        # not on second_schedule: its level-5 window rows round (-s)**2 and
+        # s**2 differently at 11 of the grid's points
+        for sr in hinge_schedule.smoothings:
+            xs = np.linspace(-sr.d, sr.d, 4 * hinge._CERT_GRID_N + 1)
+            signs = ((-1.0) ** np.arange(2, 5))[:, None]
+            np.testing.assert_array_equal(sr.F.jet(-xs, 4)[2:], signs * sr.F.jet(xs, 4)[2:])
+
+    def test_side_slopes_are_exact_negatives(self, hinge_schedule, second_schedule):
+        for sr in hinge_schedule.smoothings + second_schedule.smoothings:
+            left = sr.certificate("left_side_slope_negative").measured
+            assert sr.certificate("right_side_slope_positive").measured == -left
+
+    def test_curvature_masses_agree(self, hinge_schedule, second_schedule):
+        for sr in hinge_schedule.smoothings + second_schedule.smoothings:
+            left = sr.certificate("left_curvature_mass").measured
+            right = sr.certificate("right_curvature_mass").measured
+            assert abs(left - right) <= 8.0 * np.finfo(float).eps * abs(left)
 
 
 @pytest.fixture(scope="module")
@@ -390,10 +412,10 @@ class TestNormFloorSearch:
     def test_floor_rows_are_the_norm_rows(self, hinge_profile, recorded_search):
         hs, placements, _ = recorded_search
         rejected = kept = 0
-        for d, gamma, f_u, f_v, eps in placements:
+        for d, gamma, f_u, eps in placements:
             if d not in hs.d_values[:3]:
                 continue
-            F = hinge._integrate(hinge_profile.f, d, f_u, f_v, eps)[0]
+            F = hinge._integrate(hinge_profile.f, d, f_u, eps)[0]
             xs = np.linspace(-d, d, hinge._NORM_GRID_N)
             ends = np.abs(xs) >= d - eps
             rows = hinge._end_rows(xs[ends], d, eps, f_u, 2)
@@ -416,13 +438,14 @@ class TestNormFloorSearch:
         np.testing.assert_array_equal(bounded.norm_table, full.norm_table)
 
 
-def two_call_end_rows(x, d, eps, f_u, f_v, order):
-    """The end rows with one jet call per profile, ``f_v``'s through ``f_v.jet``."""
+def two_call_end_rows(x, d, eps, f_u, order):
+    """The end rows with one jet call per end; ``f_v``'s rows are ``f_u``'s at ``-x``, row ``j`` times ``(-1)**j``."""
     out = np.zeros((order + 1,) + x.shape)
-    for m, prof, sign in ((x < 2.0 * eps - d, f_u, 1), (x > d - 2.0 * eps, f_v, -1)):
+    for m, sign in ((x < 2.0 * eps - d, 1), (x > d - 2.0 * eps, -1)):
         if m.any():
+            rows = f_u.jet(sign * x[m], order + 2) * (float(sign) ** np.arange(order + 3))[:, None]
             prod = jets.tmul(
-                jets.derivs_to_jet(prof.jet(x[m], order + 2)[2:]),
+                jets.derivs_to_jet(rows[2:]),
                 jets.derivs_to_jet(hinge._window_end_rows(x[m], d, eps, order, sign)),
             )
             out[:, m] += jets.jet_to_derivs(prod)
@@ -432,13 +455,13 @@ def two_call_end_rows(x, d, eps, f_u, f_v, order):
 class TestBatchedJets:
     def test_end_rows_equal_the_two_call_route(self, recorded_search):
         hs, placements, _ = recorded_search
-        for d, gamma, f_u, f_v, eps in placements[::4]:
+        for d, gamma, f_u, eps in placements[::4]:
             edges = np.array([-d, 2.0 * eps - d, d - 2.0 * eps, d])
             xs = np.concatenate([np.linspace(-d, d, 1025), edges, np.nextafter(edges, 0.0)])
             for order in (0, 2, 6):
                 np.testing.assert_array_equal(
                     hinge._end_rows(xs, d, eps, f_u, order),
-                    two_call_end_rows(xs, d, eps, f_u, f_v, order),
+                    two_call_end_rows(xs, d, eps, f_u, order),
                 )
 
     def test_one_kernel_call_per_jet_request(self, hinge_profile):
@@ -500,7 +523,7 @@ def plain_rotated_profile(f, d, gamma):
     shift = d / math.cos(gamma)
     lo, hi = f.domain
     h = SmoothFn((lo - shift, hi - shift), f.max_order, lambda x, k: f.jet(x + shift, k))
-    return rotate_graph(h, -gamma).f_phi
+    return rotate_graph(h, -gamma)
 
 
 class TestRememberedProfile:
@@ -509,11 +532,11 @@ class TestRememberedProfile:
     @pytest.fixture()
     def placed(self, hinge_profile):
         f = hinge_profile.f
-        f_u, f_v = place_profiles(f, self.D, self.GAMMA)
-        return f_u, f_v, plain_rotated_profile(f, self.D, self.GAMMA), solve_epsilon(f, self.GAMMA)
+        f_u = place_profiles(f, self.D, self.GAMMA)
+        return f_u, plain_rotated_profile(f, self.D, self.GAMMA), solve_epsilon(f, self.GAMMA)
 
     def test_rows_equal_the_plain_rotated_graph(self, placed):
-        f_u, f_v, plain, eps = placed
+        f_u, plain, eps = placed
         d = self.D
         ends = np.linspace(-d, -d + 2.0 * eps, 257)
         overlap = np.linspace(-d + eps, -d + 3.0 * eps, 192)
@@ -521,8 +544,6 @@ class TestRememberedProfile:
         for order in (0, 2, 4, 6):
             for xs in grids:
                 np.testing.assert_array_equal(f_u.jet(xs, order), plain.jet(xs, order))
-            # the mirror asks f_u at -x, the points the left end asked
-            np.testing.assert_array_equal(f_v.jet(-ends, order), hinge._mirror(plain.jet(ends, order)))
             np.testing.assert_array_equal(f_u.eval(-d, order), plain.eval(-d, order))
 
     def test_misses_are_solved_once_and_signed_zeros_are_two_points(self):
@@ -550,7 +571,7 @@ class TestRememberedProfile:
             return invert(fn, dfn, ys, *args, **kwargs)
 
         monkeypatch.setattr(rotated_graph, "invert_monotone", counted)
-        f_u, _ = place_profiles(hinge_profile.f, self.D, self.GAMMA)
+        f_u = place_profiles(hinge_profile.f, self.D, self.GAMMA)
         xs = np.linspace(-self.D, -self.D / 2.0, 101)
         first = f_u.jet(xs, 2)
         assert targets == [101]
@@ -563,7 +584,7 @@ class TestRememberedProfile:
         assert targets == [101, 1]
 
     def test_a_point_asked_at_two_orders(self, placed):
-        f_u, _, plain, eps = placed
+        f_u, plain, eps = placed
         xs = np.linspace(-self.D, -self.D + 2.0 * eps, 65)
         low = f_u.jet(xs, 2)
         high = f_u.jet(xs, 4)

@@ -1,4 +1,4 @@
-"""Package-level checks: every declared export resolves and has a caller, and no module loads SciPy."""
+"""Package-level checks: every declared export resolves and has a caller, no module loads SciPy, and no module imports a name it never reads."""
 
 import ast
 import importlib
@@ -67,3 +67,26 @@ def test_every_public_name_has_a_caller():
     }
     assert sorted(uncalled - KEPT_FOR_OPEN_ITEMS.keys()) == [], "public names that only tests call"
     assert sorted(KEPT_FOR_OPEN_ITEMS.keys() - uncalled) == [], "kept names that now have a caller"
+
+
+def _unread_imports(path):
+    """Names that ``path`` imports and never reads; a statement marked ``# noqa: F401`` is a re-export."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and "# noqa: F401" not in lines[node.lineno - 1]
+        for alias in node.names
+        if (alias.asname or alias.name).split(".")[0] not in reads
+    ]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    files = sorted((REPO / "src" / "minklab").glob("*.py")) + sorted((REPO / "tests").glob("*.py"))
+    unread = {str(p.relative_to(REPO)): names for p in files if (names := _unread_imports(p))}
+    assert unread == {}

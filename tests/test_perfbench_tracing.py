@@ -7,7 +7,6 @@ passes ``fn`` more than the points.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +38,13 @@ def _bindings(tracing):
 
 def test_traced_inversions_match_untraced_and_restore_every_binding(tracing, hinge_profile):
     rf = rotate_graph(hinge_profile.f, 0.3)
-    us = np.linspace(*rf.f_phi.domain, 101)
+    us = np.linspace(*rf.domain, 101)
     f = fn_core.SmoothFn.polynomial([0.0, 0.1, 1.0, 0.0, 0.5], (-1.0, 1.0), name="f")
     g = fn_core.SmoothFn.polynomial([0.0, -0.2, 0.8, 0.0, 1.0], (-0.5, 0.5), name="g")
     xs = np.linspace(-0.6, 0.6, 49)
 
     def run():
-        return rf.f_phi.jet(us, 2), minimizer_map(f, g, xs)
+        return rf.jet(us, 2), minimizer_map(f, g, xs)
 
     plain = run()
     before = _bindings(tracing)

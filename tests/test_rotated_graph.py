@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import central_fd, flat_center_fn
+from helpers import central_fd, flat_center_fn, rotated_point
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,51 +22,46 @@ class TestBasicRotations:
         f = poly([0.0], (0, 1))
         phi = math.pi / 6
         rf = rotate_graph(f, phi)
-        lo, hi = rf.f_phi.domain
+        lo, hi = rf.domain
         assert lo == pytest.approx(0.0, abs=1e-15)
         assert hi == pytest.approx(math.cos(phi), abs=1e-15)
         ys = np.linspace(lo, hi, 17)
-        np.testing.assert_allclose(rf.f_phi.eval(ys), ys * math.tan(phi), atol=1e-13)
-        _, first, second = rf.f_phi.jet(rf.R(0.5), 2)
+        np.testing.assert_allclose(rf.eval(ys), ys * math.tan(phi), atol=1e-13)
+        _, first, second = rf.jet(rotated_point(f, phi, 0.5)[0], 2)
         assert first == pytest.approx(math.tan(phi), abs=1e-15)
         assert second == 0.0
 
     def test_diagonal_rotates_onto_axis(self):
         f = poly([0.0, 1.0], (0, 1))
         rf = rotate_graph(f, -math.pi / 4)
-        lo, hi = rf.f_phi.domain
+        lo, hi = rf.domain
         assert hi == pytest.approx(math.sqrt(2.0), abs=1e-12)
         ys = np.linspace(lo, hi, 17)
-        np.testing.assert_allclose(rf.f_phi.eval(ys), 0.0, atol=1e-12)
+        np.testing.assert_allclose(rf.eval(ys), 0.0, atol=1e-12)
 
     def test_zero_angle_is_identity(self):
         f = poly([0.3, -0.2, 0.5, 0.1], (-1, 1))
         rf = rotate_graph(f, 0.0)
         xs = np.linspace(-1, 1, 33)
-        np.testing.assert_allclose(rf.f_phi.eval(xs), f.eval(xs), atol=1e-12)
-        np.testing.assert_allclose(rf.f_phi.jet(xs, 3), f.jet(xs, 3), atol=1e-9)
+        np.testing.assert_allclose(rf.eval(xs), f.eval(xs), atol=1e-12)
+        np.testing.assert_allclose(rf.jet(xs, 3), f.jet(xs, 3), atol=1e-9)
 
     @given(phi=st.floats(min_value=-0.4, max_value=0.4))
     def test_defining_identity(self, phi):
         f = poly([0.1, -0.3, 0.4, 0.0, 0.2], (-1, 1))
         rf = rotate_graph(f, phi)
         xs = np.linspace(-1, 1, 41)
-        np.testing.assert_allclose(
-            rf.f_phi.eval(rf.R(xs)), rf.I(xs), rtol=0, atol=1e-10
-        )
+        r, i = rotated_point(f, phi, xs)
+        np.testing.assert_allclose(rf.eval(r), i, rtol=0, atol=1e-10)
 
     def test_involution(self):
         f = poly([0.0, 0.2, 0.5, -0.1], (-1, 1))
         phi = 0.3
         rf = rotate_graph(f, phi)
-        back = rotate_graph(rf.f_phi, -phi)
+        back = rotate_graph(rf, -phi)
         xs = np.linspace(-0.999, 0.999, 101)
-        inside = (xs >= back.f_phi.domain[0] + 1e-9) & (
-            xs <= back.f_phi.domain[1] - 1e-9
-        )
-        np.testing.assert_allclose(
-            back.f_phi.eval(xs[inside]), f.eval(xs[inside]), atol=1e-9
-        )
+        inside = (xs >= back.domain[0] + 1e-9) & (xs <= back.domain[1] - 1e-9)
+        np.testing.assert_allclose(back.eval(xs[inside]), f.eval(xs[inside]), atol=1e-9)
 
 
 class TestDerivatives:
@@ -74,7 +69,7 @@ class TestDerivatives:
         f = poly([0.0, 0.0, 0.5], (-1, 1))
         phi = math.pi / 6
         rf = rotate_graph(f, phi)
-        _, first, second = rf.f_phi.jet(rf.R(0.0), 2)
+        _, first, second = rf.jet(rotated_point(f, phi, 0.0)[0], 2)
         assert first == pytest.approx(math.tan(phi), abs=1e-15)
         assert second == pytest.approx(1.0 / math.cos(phi) ** 3, rel=1e-14)
 
@@ -83,10 +78,10 @@ class TestDerivatives:
         phi = 0.2
         rf = rotate_graph(f, phi)
         for x0 in (-0.5, 0.0, 0.4):
-            u0 = float(rf.R(x0))
-            _, first, second = rf.f_phi.jet(u0, 2)
-            fd1 = central_fd(rf.f_phi.eval, u0, 1, 1e-5)
-            fd2 = central_fd(rf.f_phi.eval, u0, 2, 1e-4)
+            u0 = float(rotated_point(f, phi, x0)[0])
+            _, first, second = rf.jet(u0, 2)
+            fd1 = central_fd(rf.eval, u0, 1, 1e-5)
+            fd2 = central_fd(rf.eval, u0, 2, 1e-4)
             assert first == pytest.approx(float(fd1), abs=1e-8)
             assert second == pytest.approx(float(fd2), abs=1e-5)
 
@@ -101,7 +96,7 @@ class TestDerivatives:
         f = poly([0.0, 0.0, 0.5], (-1, 1))
         rf = rotate_graph(f, phi)
         u0 = 0.3
-        rows = rf.f_phi.jet(np.array([u0]), 4)
+        rows = rf.jet(np.array([u0]), 4)
         with mp.workdps(40):
             c, s = mp.cos(mp.mpf("0.25")), mp.sin(mp.mpf("0.25"))
 
@@ -120,7 +115,7 @@ class TestDerivatives:
         xs = np.linspace(-0.8, 0.8, 25)
         rows = f.jet(xs, 2)
         kappa = rows[2] / (1.0 + rows[1] ** 2) ** 1.5
-        _, first, second = rf.f_phi.jet(rf.R(xs), 2)
+        _, first, second = rf.jet(rotated_point(f, phi, xs)[0], 2)
         kappa_rot = second / (1.0 + first**2) ** 1.5
         np.testing.assert_allclose(kappa_rot, kappa, rtol=0, atol=1e-8)
 
@@ -129,11 +124,11 @@ class TestDerivatives:
         phi = 0.05
         rf = rotate_graph(f, phi)
         plateau = np.linspace(-0.09, 0.09, 11)
-        _, first, second = rf.f_phi.jet(rf.R(plateau), 2)
+        _, first, second = rf.jet(rotated_point(f, phi, plateau)[0], 2)
         np.testing.assert_array_equal(second, 0.0)
         np.testing.assert_allclose(first, math.tan(phi), atol=1e-16)
         curved = np.array([0.5, -0.7])
-        second_c = rf.f_phi.jet(rf.R(curved), 2)[2]
+        second_c = rf.jet(rotated_point(f, phi, curved)[0], 2)[2]
         assert (second_c > 0).all()
 
 
