@@ -299,44 +299,56 @@ class ConvexCurve:
     # -- measurements ---------------------------------------------------
 
     def edge_vectors(self) -> np.ndarray:
-        return np.roll(self.boundary, -1, axis=0) - self.boundary
+        """Edge ``i`` runs from vertex ``i`` to ``i + 1``; the last closes the loop."""
+        return _with_next(np.subtract, self.boundary, self.boundary, np.empty_like(self.boundary))
 
     def total_turning(self) -> float:
         """Winding of the edge directions, 2*pi for a convex positive loop."""
         return _turning(self.edge_vectors())
 
     def symmetry_gap(self) -> float:
-        """Mismatch of the boundary against its own 2*pi/order rotation."""
+        """Mismatch of the boundary against its own 2*pi/order rotation, one copy block at a time."""
         order = self.symmetry_order
         if order == 1:
             return 0.0
         n = self.boundary.shape[0]
         if n % order != 0:
             return float("inf")
-        shift = n // order
-        z = self.boundary[:, 0] + 1j * self.boundary[:, 1]
-        rot = z * cmath.exp(1j * TAU / order)
-        return float(np.max(np.abs(np.roll(z, -shift) - rot)))
+        shift, b = n // order, self.boundary
+
+        def block(k):  # vertices k * shift .. (k + 1) * shift - 1, cyclically, as complex points
+            rows = slice(k % order * shift, (k % order + 1) * shift)
+            return b[rows, 0] + 1j * b[rows, 1]
+
+        ph = cmath.exp(1j * TAU / order)
+        return float(np.max([np.max(np.abs(block(k + 1) - block(k) * ph)) for k in range(order)]))
 
     def validate(self, *, straight_run_tol: float = 0.0, normal_sweep_tol: float = 1e-9) -> None:
+        """Check convexity, turning, monotone normals, flat runs and symmetry.
+
+        Beyond the curve's own arrays it holds the edge vectors and at most
+        three more per-vertex float arrays at a time.
+        """
         e = self.edge_vectors()
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        length = np.linalg.norm(e, axis=1)
-        scale = length * np.roll(length, -1)
-        if np.any(cross < -_VALIDATE_TOL * scale):
+        cross, length = _cross_and_length(e)
+        bound = _with_next(np.multiply, length, length, np.empty(length.size))
+        if np.any(cross < np.multiply(bound, -_VALIDATE_TOL, out=bound)):
+            scale = _with_next(np.multiply, length, length, bound)
             worst = float(np.min(cross / np.maximum(scale, 1e-300)))
             raise ValidationError(f"boundary is not convex: min cross ratio {worst:.3e}")
+        del cross, bound
         turn = _turning(e)
+        del e
         if abs(turn - TAU) > _TURNING_TOL:
             raise ValidationError(f"total turning {turn!r} is not 2*pi")
-        dg = np.diff(self.gauss_angle)
-        if np.any(dg < -_VALIDATE_TOL):
+        if np.any(np.diff(self.gauss_angle) < -_VALIDATE_TOL):
             raise ValidationError("gauss_angle is not non-decreasing")
         wrap = self.gauss_angle[0] + TAU - self.gauss_angle[-1]
         if wrap < -_VALIDATE_TOL:
             raise ValidationError("gauss_angle exceeds one full revolution")
         self._check_straight_runs(length, straight_run_tol, normal_sweep_tol)
-        diam = float(np.max(np.abs(self.boundary)))
+        del length
+        diam = max(float(np.max(self.boundary)), -float(np.min(self.boundary)))
         if self.symmetry_gap() > _VALIDATE_TOL * max(diam, 1.0):
             raise ValidationError(
                 f"boundary is not invariant under rotation by 2*pi/{self.symmetry_order}"
@@ -382,11 +394,30 @@ class ConvexCurve:
         )
 
 
+def _with_next(ufunc, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ufunc(b[i + 1], a[i])`` into ``out[i]`` along axis 0, cyclically, with no rolled copy."""
+    ufunc(b[1:], a[:-1], out=out[:-1])
+    ufunc(b[:1], a[-1:], out=out[-1:])
+    return out
+
+
+def _cross_and_length(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross product of each edge with the next one, and each edge's length."""
+    ex, ey = e[:, 0], e[:, 1]
+    cross = _with_next(np.multiply, ex, ey, np.empty(ex.size))
+    cross -= _with_next(np.multiply, ey, ex, np.empty(ex.size))
+    length = ex * ex
+    length += ey * ey
+    return cross, np.sqrt(length, out=length)
+
+
 def _turning(e: np.ndarray) -> float:
     """Sum of the turns between consecutive edge vectors ``e``, each in ``[-pi, pi)``."""
     ang = np.arctan2(e[:, 1], e[:, 0])
-    d = np.diff(ang, append=ang[:1])
-    d = np.mod(d + math.pi, TAU) - math.pi
+    d = _with_next(np.subtract, ang, ang, np.empty(ang.size))
+    d += math.pi
+    np.mod(d, TAU, out=d)
+    d -= math.pi
     return float(np.sum(d))
 
 
@@ -552,6 +583,10 @@ def assemble_curve(
     close the curve.  Returns the sampled curve (with its exact placement
     atlas attached) and its junction angles as a :class:`GaussZeroSet`;
     junction angles that coincide as floats raise :class:`CapabilityError`.
+
+    Each copy is written straight into the curve's ``boundary``,
+    ``gauss_angle`` and ``curvature``: beyond them the assembly holds only
+    per-copy temporaries and what :meth:`ConvexCurve.validate` holds.
     """
     sms = _normalize_schedule(schedule)
     if m_max is None:
@@ -602,20 +637,22 @@ def assemble_curve(
         )
     center = pos / (1.0 - step)
 
-    parts_z = []
-    parts_g = []
-    parts_k = []
+    # copy j > 0 starts after the point it shares with copy j - 1, and the
+    # last copy's final point (vertex 0 again) is dropped
+    seg = arc_z.size - 1
+    n_vert = copies * seg
+    boundary = np.empty((n_vert, 2))
+    full_g = np.empty(n_vert)
+    full_k = np.empty(n_vert)
     for j in range(copies):
-        zj = np.exp(1j * (j * arc)) * arc_z + shift[j]
-        sl = slice(None) if j == 0 else slice(1, None)
-        parts_z.append(zj[sl])
-        parts_g.append(arc_g[sl] + j * arc)
-        parts_k.append(arc_k[sl])
-    full_z = np.concatenate(parts_z)[:-1]  # final vertex repeats the first
-    full_g = np.concatenate(parts_g)[:-1]
-    full_k = np.concatenate(parts_k)[:-1]
-    final = 1j * (full_z - center)
-    boundary = np.column_stack([final.real, final.imag])
+        first = 0 if j == 0 else 1
+        lo, hi = j * seg + first, min((j + 1) * seg + 1, n_vert)
+        sl = slice(first, first + hi - lo)
+        final = 1j * ((np.exp(1j * (j * arc)) * arc_z + shift[j])[sl] - center)
+        boundary[lo:hi, 0] = final.real
+        boundary[lo:hi, 1] = final.imag
+        np.add(arc_g[sl], j * arc, out=full_g[lo:hi])
+        full_k[lo:hi] = arc_k[sl]
 
     kmax = float(np.max(full_k))
     flat_marks = np.nonzero(full_k <= _FLAT_TOL * kmax)[0]

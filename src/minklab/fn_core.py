@@ -365,7 +365,6 @@ class HolderReport:
 
     k: int
     alpha: float
-    window: Interval
     seminorm: float
     pair_argmax: tuple[float, float]
 
@@ -409,7 +408,6 @@ def holder_seminorm(
     return HolderReport(
         k=k,
         alpha=alpha,
-        window=(lo, hi),
         seminorm=float(q[i, j]),
         pair_argmax=(float(xs[i]), float(xs[j])),
     )

@@ -29,8 +29,8 @@ certificates (slope and value bounds, induced-hinge side lengths) that
 with shrinking hinges, uniformly bounded norms, and total turning angle
 exactly ``pi/n``; its angle search rejects most candidates by an exact
 lower bound on their norms, integrates and norms only the rest, and every
-smoothing it returns is fully certified.  A placement's ``f_u`` solves
-each point once, whichever end asks for it.
+smoothing it returns is fully certified.  During a build the placement's
+``f_u`` solves each point once, whichever end asks for it.
 """
 
 from __future__ import annotations
@@ -149,7 +149,8 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> SmoothFn:
     at ``-t`` (:func:`_mirror`).  ``f_u`` remembers the rows of each point
     it was asked (:func:`_remembered`), so the masses, the table of ``F``
     and the certificates solve each point once; the rows are the plain
-    rotated graph's, bit for bit.
+    rotated graph's, bit for bit.  :func:`build_smoothing` ends the memo
+    when it returns.
     """
     if d <= 0.0:
         raise ArgumentError("half-width d must be positive")
@@ -205,7 +206,13 @@ def _remembered(g: SmoothFn) -> SmoothFn:
             at = np.searchsorted(keys, bits)
         return rows[:, at].reshape((order + 1,) + x.shape)
 
+    jet_fn.plain = g.jet
     return SmoothFn(g.domain, g.max_order, jet_fn, name=g.name)
+
+
+def _forget(f_u: SmoothFn) -> None:
+    """Drop the point memo of a :func:`_remembered` ``f_u``: it then calls ``g`` on every point."""
+    f_u._jet_fn = f_u._jet_fn.plain
 
 
 def _mirror(rows: np.ndarray) -> np.ndarray:
@@ -433,6 +440,8 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
         )
         raise ConstructionError(f"smoothing certificates failed: {lines}")
 
+    # the memo only serves the build: F's later jets solve their points afresh
+    _forget(f_u)
     return SmoothingResult(
         F=F,
         d=d,

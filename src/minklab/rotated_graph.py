@@ -121,7 +121,6 @@ class CrBoundEntry:
 class CrBoundReport:
     r: int
     diameter: float
-    base_norms: np.ndarray
     entries: list[CrBoundEntry]
 
 
@@ -189,4 +188,4 @@ def cr_bound_check(
                 hypothesis_value=float(hypothesis_value),
             )
         )
-    return CrBoundReport(r=r, diameter=diameter, base_norms=norms, entries=entries)
+    return CrBoundReport(r=r, diameter=diameter, entries=entries)

@@ -1,5 +1,9 @@
 """Shared test fixtures-as-functions: simple carriers, FD stencils, oracles."""
 
+import cmath
+import math
+import tracemalloc
+
 import numpy as np
 
 from minklab.cantor import _FLOAT_TOL, CoverReport, IntervalSet, _common_lattice
@@ -163,3 +167,52 @@ def covers_by_walk(a, target):
     if cursor < thi - tol:
         gaps.append((cursor / den, thi / den))
     return CoverReport(covered=not gaps, gaps=tuple(gaps))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(peak, result)``: the traced peak bytes while ``fn(*args, **kwargs)`` runs, and what it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def assert_same_bits(got, want):
+    """``got`` and ``want`` have one dtype and shape and the same bytes (so ``-0.0 != 0.0``)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def rolled_edge_vectors(boundary):
+    """Oracle for ``ConvexCurve.edge_vectors``: the boundary rolled by one, minus the boundary."""
+    return np.roll(boundary, -1, axis=0) - boundary
+
+
+def rolled_cross_and_length(e):
+    """Oracle for ``curve._cross_and_length``: rolled next edges and ``np.linalg.norm``."""
+    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+    return cross, np.linalg.norm(e, axis=1)
+
+
+def rolled_turning(e):
+    """Oracle for ``curve._turning``: ``np.diff`` with the first angle appended."""
+    ang = np.arctan2(e[:, 1], e[:, 0])
+    d = np.diff(ang, append=ang[:1])
+    d = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
+    return float(np.sum(d))
+
+
+def rolled_symmetry_gap(boundary, order):
+    """Oracle for ``ConvexCurve.symmetry_gap``: the whole boundary rotated and rolled at once."""
+    if order == 1:
+        return 0.0
+    n = boundary.shape[0]
+    if n % order != 0:
+        return float("inf")
+    z = boundary[:, 0] + 1j * boundary[:, 1]
+    rot = z * cmath.exp(1j * (2.0 * math.pi) / order)
+    return float(np.max(np.abs(np.roll(z, -(n // order)) - rot)))

@@ -6,6 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import (
+    assert_same_bits,
+    rolled_cross_and_length,
+    rolled_edge_vectors,
+    rolled_symmetry_gap,
+    rolled_turning,
+    traced_peak,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,6 +29,8 @@ from minklab.curve import (
     minkowski_sum,
     refinement_intervals,
     _SWEEP_BLOCK_ELEMS,
+    _VALIDATE_TOL,
+    _cross_and_length,
     _junction_set,
     rotations_avoiding_zero_sets,
 )
@@ -117,6 +127,52 @@ def test_validate_rejects_broken_symmetry():
     bent = dataclasses.replace(c, boundary=pts)
     with pytest.raises(ValidationError, match="not invariant"):
         bent.validate()
+
+
+def hand_polygons():
+    """Small boundaries with a claimed symmetry order, some of them wrong."""
+    square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    th = np.arange(6) * (TAU / 6)
+    hexagon = 3.0 * np.column_stack([np.cos(th), np.sin(th)]) + [0.5, -0.25]
+    notch = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5]])
+    bent = hexagon.copy()
+    bent[2] *= 1.001
+    out = [(square, k) for k in (1, 2, 3, 4)]
+    out += [(hexagon, k) for k in (1, 2, 3, 4, 6)]
+    out += [(square[::-1].copy(), 4), (notch, 1), (notch, 2), (bent, 6), (square[:3].copy(), 2)]
+    return [
+        ConvexCurve(b, np.zeros(len(b)), np.zeros(len(b)), np.array([], dtype=int), k)
+        for b, k in out
+    ]
+
+
+def test_measurements_equal_the_rolled_formulas_bit_for_bit(assembled, assembled_second):
+    curves = [assembled[0], assembled_second[0]] + hand_polygons()
+    for c in curves:
+        e = c.edge_vectors()
+        assert_same_bits(e, rolled_edge_vectors(c.boundary))
+        cross, length = rolled_cross_and_length(e)
+        got = _cross_and_length(e)
+        assert_same_bits(got[0], cross)
+        assert_same_bits(got[1], length)
+        assert_same_bits(c.total_turning(), rolled_turning(e))
+        assert_same_bits(c.symmetry_gap(), rolled_symmetry_gap(c.boundary, c.symmetry_order))
+        # validate reports the convexity verdict and worst cross ratio of the rolled formulas
+        scale = length * np.roll(length, -1)
+        try:
+            c.validate(straight_run_tol=math.inf, normal_sweep_tol=math.inf)
+            message = ""
+        except ValidationError as err:
+            message = str(err)
+        if np.any(cross < -_VALIDATE_TOL * scale):
+            worst = float(np.min(cross / np.maximum(scale, 1e-300)))
+            assert message == f"boundary is not convex: min cross ratio {worst:.3e}"
+        else:
+            assert "not convex" not in message
+    # the square at orders 1, 3 and 4, the triangle at order 2, the bent hexagon
+    gaps = [c.symmetry_gap() for c in curves[2:]]
+    assert gaps[0] == 0.0 and gaps[2] == math.inf and gaps[-1] == math.inf
+    assert 0.0 < gaps[3] < 1e-15 and gaps[-2] > 1e-3
 
 
 def test_angular_resolution_arc_on_uniform_polygon():
@@ -330,6 +386,14 @@ def test_last_stage_is_the_assembled_arc(assembled):
     final = 1j * (poly - atlas.center)
     first_arc = curve.boundary[: poly.size]
     assert np.array_equal(np.column_stack([final.real, final.imag]), first_arc)
+
+
+def test_assembly_holds_at_most_three_times_its_curve_arrays(hinge_profile, hinge_schedule, assembled):
+    # ``assembled`` first: one assembly of the schedule has run before the traced one
+    peak, (c, _) = traced_peak(assemble_curve, hinge_profile.f, hinge_schedule, m_max=5)
+    arrays = c.boundary.nbytes + c.gauss_angle.nbytes + c.curvature.nbytes
+    assert c.boundary.shape == assembled[0].boundary.shape
+    assert peak <= 3 * arrays
 
 
 def test_assemble_rejects_bad_arguments(hinge_profile, hinge_schedule):

@@ -593,6 +593,28 @@ class TestRememberedProfile:
         np.testing.assert_array_equal(high[:3], low)
         np.testing.assert_array_equal(f_u.jet(xs[::2], 2), low[:, ::2])
 
+    def test_a_finished_build_stores_no_new_rows(self, quartic, monkeypatch):
+        from minklab import rotated_graph
+
+        placed = []
+        place = hinge.place_profiles
+        monkeypatch.setattr(hinge, "place_profiles", lambda *args: placed.append(place(*args)) or placed[-1])
+        build_smoothing(quartic, 0.2, 1e-3)
+        (f_u,) = placed
+        targets = []
+        invert = rotated_graph.invert_monotone
+
+        def counted(fn, dfn, ys, *args, **kwargs):
+            targets.append(np.size(ys))
+            return invert(fn, dfn, ys, *args, **kwargs)
+
+        monkeypatch.setattr(rotated_graph, "invert_monotone", counted)
+        xs = np.linspace(-0.2, -0.1, 101)
+        first = f_u.jet(xs, 2)
+        np.testing.assert_array_equal(f_u.jet(xs, 2), first)
+        assert targets == [101, 101]
+        np.testing.assert_array_equal(first, plain_rotated_profile(quartic, 0.2, 1e-3).jet(xs, 2))
+
 
 class TestFlatFloor:
     def test_one_probe_scan_per_profile(self, monkeypatch):

@@ -1,7 +1,5 @@
 """Tests for the two infimal-convolution routes and their diagnostics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from helpers import (
@@ -9,6 +7,7 @@ from helpers import (
     flat_center_fn,
     lower_hull_by_chain,
     minimizer_with_plain_gap,
+    traced_peak,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -469,12 +468,7 @@ class TestDirectRoute:
     def test_peak_memory_below_one_1024_by_4097_array(self):
         f, g = self.pair()
         infconv_direct(f, g, grid_n=65)  # first-call set-up stays out of the peak
-        tracemalloc.start()
-        try:
-            infconv_direct(f, g, grid_n=4097)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(infconv_direct, f, g, grid_n=4097)[0]
         # one 1024 x 4097 float64 array (about 32 MB); the per-point
         # stationarity solve holds O(grid_n) data
         assert peak < 1024 * 4097 * 8
