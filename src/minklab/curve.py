@@ -7,9 +7,11 @@ marks its middle interval, bends there, and recurses into the flanking
 pieces, so the depth-``m`` smoothing appears ``2**m`` times.  Because the
 schedule normalizes the total bend to ``pi/n``, the swept normal directions
 of the smoothings tile an arc of exactly ``pi/n`` and ``2n`` rotated copies
-close up into a convex curve.  Curvature vanishes exactly at the junction
-angles between consecutive smoothings; those angles follow a middle-removal
-(Cantor-like) pattern recorded in :class:`GaussZeroSet`.
+close up into a convex curve: copy ``j`` is copy 0 rotated about the center
+by ``j*pi/n``, and the closure gap of the recursive copy sum certifies that
+they close.  Curvature vanishes exactly at the junction angles between
+consecutive smoothings; those angles follow a middle-removal (Cantor-like)
+pattern recorded in :class:`GaussZeroSet`.
 
 :class:`SupportFn` samples support functions on a uniform angular grid with
 exact first/second data (curvature radius ``rho = h + h''``), which makes
@@ -197,18 +199,19 @@ class CurveAtlas:
 
     Everything the polyline cannot answer exactly (support points, curvature
     radii at prescribed normals) is recomputed from the templates through
-    this atlas.
+    this atlas.  Its instances are those of copy 0; copy ``j`` is copy 0
+    rotated about ``center`` by ``j*pi/n`` (:func:`_copy`, as in the
+    polyline), and the closure gap of the recursive copy sum certifies that
+    the copies close.
     """
 
     n: int
-    m_max: int
-    templates: list[_Template]
+    templates: list[_Template]  # one per level 1..m_max
     inst_level: np.ndarray  # (K,) level of each arc instance, traversal order
     inst_rot: np.ndarray  # (K,) template-frame rotation, arc frame
     inst_base: np.ndarray  # (K,) complex position of the left endpoint
     inst_gauss: np.ndarray  # (K+1,) normal-angle sweep boundaries in [0, pi/n]
-    copy_shift: np.ndarray  # (2n,) complex translation of each arc copy
-    center: complex
+    center: complex  # fixed point of the copy rotations, arc frame
 
     @property
     def arc_turn(self) -> float:
@@ -258,8 +261,7 @@ class CurveAtlas:
             zpts = self.inst_base[k[sel]] + np.exp(1j * self.inst_rot[k[sel]]) * (
                 xs + 1j * val - tpl.z[0]
             )
-            zfull = np.exp(1j * (j[sel] * arc)) * zpts + self.copy_shift[j[sel]]
-            pts[sel] = 1j * (zfull - self.center)
+            pts[sel] = _copy(zpts, j[sel], self.n, self.center)
             scale = (1.0 + slope * slope) ** 1.5
             zero = d2 <= kappa_floor * scale
             with np.errstate(divide="ignore"):
@@ -267,6 +269,15 @@ class CurveAtlas:
             rho[sel] = r
             flat[sel] = zero
         return {"point": pts, "rho": rho, "flat": flat}
+
+
+def _copy(z, j, n: int, center: complex):
+    """Arc-frame points ``z`` of copy 0 rotated about ``center`` by ``j*pi/n``, in the curve's frame.
+
+    ``j`` is one copy index or one per point; the curve's frame is the arc
+    frame turned by a quarter turn, so copy 0 starts at normal angle 0.
+    """
+    return 1j * np.exp(1j * (j * (math.pi / n))) * (z - center)
 
 
 @dataclass(eq=False)
@@ -295,6 +306,9 @@ class ConvexCurve:
             raise ArgumentError("per-vertex arrays must match the boundary length")
         if self.symmetry_order < 1:
             raise ArgumentError("symmetry_order must be a positive integer")
+        # every check of validate is a comparison, which a NaN passes silently
+        if not all(np.all(np.isfinite(a)) for a in (self.boundary, self.gauss_angle, self.curvature)):
+            raise ArgumentError("boundary, gauss_angle and curvature must be finite")
 
     # -- measurements ---------------------------------------------------
 
@@ -580,9 +594,13 @@ def assemble_curve(
     each one tangent to the incoming direction and advancing it by
     ``2*gamma_m``; the schedule's normalization makes one full pass sweep
     the normal directions ``[0, pi/n]`` exactly, and ``2n`` rotated copies
-    close the curve.  Returns the sampled curve (with its exact placement
-    atlas attached) and its junction angles as a :class:`GaussZeroSet`;
-    junction angles that coincide as floats raise :class:`CapabilityError`.
+    close the curve: copy ``j`` is copy 0 rotated about the center by
+    ``j*pi/n``, the map the atlas uses too.  The closure gap of the
+    recursive copy sum (each copy starting where the one before ends)
+    certifies that they close.  Returns the sampled curve (with its exact
+    placement atlas attached) and its junction angles as a
+    :class:`GaussZeroSet`; junction angles that coincide as floats raise
+    :class:`CapabilityError`.
 
     Each copy is written straight into the curve's ``boundary``,
     ``gauss_angle`` and ``curvature``: beyond them the assembly holds only
@@ -624,12 +642,11 @@ def assemble_curve(
     arc_k = np.concatenate([[0.0]] + [t.kappa[1:] for t in tpls])
 
     # --- close with 2n rotated copies -----------------------------------
+    # certificate: copies laid end to end come back to the first point
     step = cmath.exp(1j * arc)
-    shift = np.empty(copies, dtype=complex)
-    shift[0] = 0j
-    for j in range(1, copies):
-        shift[j] = step * shift[j - 1] + pos
-    closure = step * shift[-1] + pos
+    closure = 0j
+    for _ in range(copies):
+        closure = step * closure + pos
     scale = float(np.max(np.abs(arc_z))) + abs(pos) * copies
     if abs(closure) > _VALIDATE_TOL * max(scale, 1.0):
         raise ConstructionError(
@@ -648,7 +665,7 @@ def assemble_curve(
         first = 0 if j == 0 else 1
         lo, hi = j * seg + first, min((j + 1) * seg + 1, n_vert)
         sl = slice(first, first + hi - lo)
-        final = 1j * ((np.exp(1j * (j * arc)) * arc_z + shift[j])[sl] - center)
+        final = _copy(arc_z[sl], j, n, center)
         boundary[lo:hi, 0] = final.real
         boundary[lo:hi, 1] = final.imag
         np.add(arc_g[sl], j * arc, out=full_g[lo:hi])
@@ -658,13 +675,11 @@ def assemble_curve(
     flat_marks = np.nonzero(full_k <= _FLAT_TOL * kmax)[0]
     atlas = CurveAtlas(
         n=n,
-        m_max=m_max,
         templates=templates,
         inst_level=inst_level,
         inst_rot=inst_rot,
         inst_base=inst_base,
         inst_gauss=inst_gauss,
-        copy_shift=shift,
         center=center,
     )
     curve = ConvexCurve(
@@ -771,14 +786,6 @@ class SupportFn:
         pts = a * (a * c / he) + 1j * (b * (b * s / he))
         rho = (a / he) * (b / he) * (a * (b / he))
         return cls._from_points(th, pts, rho, False)
-
-    @classmethod
-    def point(cls, p=(0.0, 0.0), *, grid_n: int = 1 << 16) -> "SupportFn":
-        px, py = float(p[0]), float(p[1])
-        if not np.all(np.isfinite([px, py])):
-            raise ArgumentError(f"point must be finite: {p!r}")
-        th = cls.grid(grid_n)
-        return cls._from_points(th, complex(px, py), 0.0, False)
 
     @classmethod
     def from_polygon(cls, vertices: np.ndarray, *, grid_n: int = 1 << 16) -> "SupportFn":

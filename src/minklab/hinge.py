@@ -551,14 +551,6 @@ class HingeSchedule:
     norm_table: np.ndarray
     turning_sum: float
 
-    @property
-    def d_values(self) -> np.ndarray:
-        return np.array([s.d for s in self.smoothings])
-
-    @property
-    def gamma_values(self) -> np.ndarray:
-        return np.array([s.gamma for s in self.smoothings])
-
 
 def _norms_upto(F: SmoothFn) -> np.ndarray:
     per = cr_norm(F, _R_MAX, grid_n=_NORM_GRID_N).per_order

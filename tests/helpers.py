@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 from minklab.cantor import _FLOAT_TOL, CoverReport, IntervalSet, _common_lattice
+from minklab.curve import SupportFn
 from minklab.fn_core import SmoothFn, invert_monotone, newton_pair
 from minklab.infconv import _slope_gap, _windows
 from minklab.patching import SlopeSchedule, build_patched_convex, quadratic_profile_family
@@ -167,6 +168,12 @@ def covers_by_walk(a, target):
     if cursor < thi - tol:
         gaps.append((cursor / den, thi / den))
     return CoverReport(covered=not gaps, gaps=tuple(gaps))
+
+
+def point_support(p, *, grid_n):
+    """Support data of the one-point body ``{p}``: ``h(theta) = <p, u(theta)>``, curvature radius 0."""
+    th = SupportFn.grid(grid_n)
+    return SupportFn._from_points(th, complex(p[0], p[1]), 0.0, False)
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from helpers import (
     assert_same_bits,
+    point_support,
     rolled_cross_and_length,
     rolled_edge_vectors,
     rolled_symmetry_gap,
@@ -41,6 +42,7 @@ from minklab.errors import (
     HypothesisError,
     ValidationError,
 )
+from minklab.hinge import schedule_smoothings
 
 TAU = 2.0 * math.pi
 CELL = TAU / (1 << 16)
@@ -64,13 +66,11 @@ def bare_atlas():
     zero = np.zeros(1)
     return CurveAtlas(
         n=1,
-        m_max=1,
         templates=[],
         inst_level=np.ones(1, dtype=int),
         inst_rot=zero,
         inst_base=zero.astype(complex),
         inst_gauss=np.zeros(2),
-        copy_shift=np.zeros(2, dtype=complex),
         center=0j,
     )
 
@@ -96,6 +96,15 @@ def test_circle_sample_turns_once_and_validates():
     assert c.total_turning() == pytest.approx(TAU, abs=1e-12)
     assert c.symmetry_gap() < 1e-12
     c.validate()
+
+
+@pytest.mark.parametrize("array", ["boundary", "gauss_angle", "curvature"])
+def test_octagon_with_a_nan_entry_raises_argument_error(array):
+    c = circle_curve(8)
+    bad = getattr(c, array).copy()
+    bad[(3, 0) if array == "boundary" else 3] = math.nan
+    with pytest.raises(ArgumentError, match="finite"):
+        dataclasses.replace(c, **{array: bad})
 
 
 def test_validate_rejects_nonconvex_polyline():
@@ -268,7 +277,7 @@ def test_refinement_intervals_two_levels_exact():
 
 
 def test_refinement_lengths_telescope(hinge_schedule):
-    g = hinge_schedule.gamma_values
+    g = [s.gamma for s in hinge_schedule.smoothings]
     arc = math.pi / hinge_schedule.n
     for q in range(len(g)):
         ivals = refinement_intervals(g, q)
@@ -340,7 +349,7 @@ def test_entries_dense_in_refinement(assembled, hinge_schedule):
     _, zset = assembled
     arc = math.pi / hinge_schedule.n
     e_arc = np.sort(np.unique(np.mod(np.array(zset.Z.as_floats())[:, 0], arc)))
-    g = hinge_schedule.gamma_values
+    g = [s.gamma for s in hinge_schedule.smoothings]
     for depth in range(len(g)):
         for lo, hi in refinement_intervals(g, depth):
             j = np.searchsorted(e_arc, lo - 1e-12)
@@ -378,14 +387,27 @@ def test_last_stage_is_the_assembled_arc(assembled):
 
     curve, _ = assembled
     atlas = curve.atlas
-    order = _half_order(atlas.m_max) * 2
-    poly, _, rot, base, gauss = _walk(atlas.templates, order, atlas.m_max)
+    m_max = len(atlas.templates)
+    order = _half_order(m_max) * 2
+    poly, _, rot, base, gauss = _walk(atlas.templates, order, m_max)
     assert np.array_equal(rot, atlas.inst_rot)
     assert np.array_equal(base, atlas.inst_base)
     assert np.array_equal(gauss, atlas.inst_gauss)
     final = 1j * (poly - atlas.center)
     first_arc = curve.boundary[: poly.size]
     assert np.array_equal(np.column_stack([final.real, final.imag]), first_arc)
+
+
+def test_second_body_closes_at_depth_seven(second_profile):
+    """The last copy meets vertex 0 closely enough for the convexity check.
+
+    The closing edge is about 7e-6 long here, so a seam off by 4e-14 (what
+    translating each copy by the recursive copy sum leaves) reads a cross
+    ratio of -5e-9, beyond the 1e-9 tolerance.
+    """
+    hs = schedule_smoothings(second_profile.f, 7)
+    _, zset = assemble_curve(second_profile.f, hs, m_max=7)
+    assert len(zset.Z) == 2 * (2**7 - 1) * 2 * hs.n == 16_256
 
 
 def test_assembly_holds_at_most_three_times_its_curve_arrays(hinge_profile, hinge_schedule, assembled):
@@ -484,7 +506,7 @@ def test_disk_plus_disk_is_larger_disk():
 
 def test_point_summand_translates():
     e = SupportFn.ellipse(2.0, 1.0, grid_n=512)
-    p = SupportFn.point((0.4, -0.7), grid_n=512)
+    p = point_support((0.4, -0.7), grid_n=512)
     s = minkowski_sum(e, p)
     shift = s.reconstruct() - e.reconstruct()
     assert np.allclose(shift, [0.4, -0.7], atol=1e-12)
@@ -499,7 +521,6 @@ def test_point_summand_translates():
         lambda: SupportFn.disk(1.0, center=(math.nan, 0.0), grid_n=64),
         lambda: SupportFn.ellipse(math.nan, 1.0, grid_n=64),
         lambda: SupportFn.ellipse(1.0, math.inf, grid_n=64),
-        lambda: SupportFn.point((0.0, math.nan), grid_n=64),
         lambda: rotations_avoiding_zero_sets(
             IntervalSet.from_pairs([(0.0, 0.1)]),
             IntervalSet.from_pairs([(0.0, 0.1)]),
@@ -523,7 +544,6 @@ def test_point_summand_translates():
         "disk-center",
         "ellipse-nan",
         "ellipse-inf",
-        "point",
         "sweep-angle",
         "polygon-vertex",
         "translate-shift",
@@ -543,7 +563,7 @@ def test_non_finite_parameters_raise_argument_error(call):
     [
         lambda n, curve: SupportFn.disk(1.0, grid_n=n),
         lambda n, curve: SupportFn.ellipse(2.0, 1.0, grid_n=n),
-        lambda n, curve: SupportFn.point((0.3, -0.2), grid_n=n),
+        lambda n, curve: point_support((0.3, -0.2), grid_n=n),
         lambda n, curve: SupportFn.from_polygon(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), grid_n=n
         ),

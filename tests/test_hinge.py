@@ -273,19 +273,19 @@ class TestSchedule:
         assert hs.n == 29
         assert hs.turning_sum == pytest.approx(math.pi / hs.n, abs=1e-12)
         weights = 2.0 ** np.arange(2, len(hs.smoothings) + 2)
-        assert float(weights @ hs.gamma_values) == pytest.approx(
+        assert float(weights @ [s.gamma for s in hs.smoothings]) == pytest.approx(
             math.pi / hs.n, abs=1e-12
         )
 
     def test_halfwidths_follow_configured_decay(self, hinge_schedule):
         expected = 0.18 * 0.35 ** np.arange(1, 6)
-        np.testing.assert_allclose(hinge_schedule.d_values, expected, rtol=0.0)
+        np.testing.assert_allclose([s.d for s in hinge_schedule.smoothings], expected, rtol=0.0)
 
     def test_angles_frozen(self, hinge_schedule):
         expected = np.array(
             [2.69579661e-02, 9.50304012e-06, 7.66424795e-06, 5.64161423e-06, 1.87082531e-06]
         )
-        np.testing.assert_allclose(hinge_schedule.gamma_values, expected, rtol=1e-6)
+        np.testing.assert_allclose([s.gamma for s in hinge_schedule.smoothings], expected, rtol=1e-6)
 
     def test_norms_uniformly_capped(self, hinge_schedule):
         hs = hinge_schedule
@@ -350,7 +350,7 @@ class TestCertifyOnlyKeptBuilds:
 
         monkeypatch.setattr(hinge, "build_smoothing", counted)
         hs = schedule_smoothings(hinge_profile.f, 1)
-        assert calls == list(hs.gamma_values)
+        assert calls == [s.gamma for s in hs.smoothings]
 
     def test_final_build_certificate_failure_raises(self, hinge_profile, monkeypatch):
         monkeypatch.setattr(hinge, "_ENDPOINT_TOL", 0.0)
@@ -413,7 +413,7 @@ class TestNormFloorSearch:
         hs, placements, _ = recorded_search
         rejected = kept = 0
         for d, gamma, f_u, eps in placements:
-            if d not in hs.d_values[:3]:
+            if d not in [s.d for s in hs.smoothings[:3]]:
                 continue
             F = hinge._integrate(hinge_profile.f, d, f_u, eps)[0]
             xs = np.linspace(-d, d, hinge._NORM_GRID_N)
@@ -433,7 +433,7 @@ class TestNormFloorSearch:
         bounded = schedule_smoothings(hinge_profile.f, 3)
         monkeypatch.setattr(hinge, "_norm_floor", lambda *args: np.zeros(hinge._R_MAX + 1))
         full = schedule_smoothings(hinge_profile.f, 3)
-        np.testing.assert_array_equal(bounded.gamma_values, full.gamma_values)
+        assert [s.gamma for s in bounded.smoothings] == [s.gamma for s in full.smoothings]
         np.testing.assert_array_equal(bounded.caps, full.caps)
         np.testing.assert_array_equal(bounded.norm_table, full.norm_table)
 
