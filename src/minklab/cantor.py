@@ -47,6 +47,8 @@ __all__ = [
 MAX_DEPTH = 24
 _INT_LIMIT = 1 << 61  # headroom so a sum of two endpoints stays in int64
 _FLOAT_TOL = 1e-12
+# Endpoint pairs :func:`sum_sets` forms per merge.
+_CHUNK_PAIRS = 1 << 22
 
 Number = Union[int, float, Fraction]
 
@@ -284,12 +286,12 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
     return current
 
 
-def sum_sets(a: IntervalSet, b: IntervalSet, *, chunk_pairs: int = 1 << 22) -> IntervalSet:
+def sum_sets(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """Exact Minkowski sum: union of ``[lo_a + lo_b, hi_a + hi_b]``."""
     a, b = _common_lattice(a, b)
     if a.lo.size == 0 or b.lo.size == 0:
         return IntervalSet(a.lo[:0], a.hi[:0], a.den)
-    rows_per_chunk = max(1, chunk_pairs // max(1, b.lo.size))
+    rows_per_chunk = max(1, _CHUNK_PAIRS // max(1, b.lo.size))
     acc_lo = acc_hi = None
     for start in range(0, a.lo.size, rows_per_chunk):
         sl = slice(start, start + rows_per_chunk)
@@ -302,25 +304,25 @@ def sum_sets(a: IntervalSet, b: IntervalSet, *, chunk_pairs: int = 1 << 22) -> I
     return IntervalSet(acc_lo, acc_hi, a.den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverReport:
     covered: bool
-    gaps: tuple[tuple[float, float], ...]
+    gaps: np.ndarray  # (k, 2) float64: the start and end of each gap
 
 
 def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
-    """Exact containment check of a closed target interval, with gap list.
+    """Exact containment check of a closed target interval, with its gaps.
 
-    Each gap is a pair of Python floats: the end of the covered part before
-    it (or the target's start) and the next interval's start (or the
-    target's end).  Float sets ignore gaps within the float tolerance.  A
-    target no longer than that tolerance (for an exact set, a zero-length
-    target ``(t, t)``) is covered iff it meets an interval within the
-    tolerance; otherwise its one gap is the target itself.  The gap ends
-    are lattice integers divided by the denominator in one float division:
-    correctly rounded while both are below 2**53 in magnitude, and off by
-    up to an ulp or two above that.
-    Cost: two ``searchsorted`` calls (three for a target that short) and
+    ``gaps`` is a ``(k, 2)`` float64 array, one row per gap: the end of the
+    covered part before it (or the target's start) and the next interval's
+    start (or the target's end); the target is covered iff ``k = 0``.
+    Float sets ignore gaps within the float tolerance.  A target no longer
+    than that tolerance (for an exact set, a zero-length target ``(t, t)``)
+    is covered iff it meets an interval within the tolerance; otherwise its
+    one gap is the target itself.  The gap ends are lattice integers
+    divided by the denominator in one float division: correctly rounded
+    while both are below 2**53 in magnitude, and off by up to an ulp or two
+    above that.  Cost: two ``searchsorted`` calls (three for a target that short) and
     one pass over the intervals that reach into the target.
     """
     t = IntervalSet.from_pairs([target])
@@ -341,8 +343,8 @@ def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
     point_gap = short and not (lo.size and _meets(lo, hi, tlo - tol, thi + tol))
     if cursor[-1] < thi - tol or point_gap:
         start, end = np.append(start, cursor[-1]), np.append(end, thi)
-    gaps = np.stack([start, end]) / (aa.den or 1)
-    return CoverReport(covered=not gaps.size, gaps=tuple(zip(*gaps.tolist())))
+    gaps = np.stack([start, end], axis=1) / (aa.den or 1)
+    return CoverReport(covered=not gaps.size, gaps=gaps)
 
 
 def intersects(a: IntervalSet, b: IntervalSet) -> bool:

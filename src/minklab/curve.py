@@ -36,7 +36,7 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
-from .fn_core import SmoothFn, _check_grid_n, invert_monotone, newton_pair
+from .fn_core import SmoothFn, _check_grid_n, _check_int, invert_monotone, newton_pair
 from .hinge import HingeSchedule, SmoothingResult, _flat_floor
 
 __all__ = [
@@ -254,10 +254,13 @@ class CurveAtlas:
                 continue
             F = tpl.sm.F
             d = tpl.sm.d
-            tgt = np.tan(loc[sel] - self.inst_rot[k[sel]])
-            xs = invert_monotone(*newton_pair(F.slope_rows), tgt, -d, d)
-            jet = F.jet(xs, 2)
-            val, slope, d2 = jet[0], jet[1], jet[2]
+            # each distinct slope is inverted, and each distinct touching
+            # point solved, once; rows depend on their point only
+            tgt, per_tgt = np.unique(np.tan(loc[sel] - self.inst_rot[k[sel]]), return_inverse=True)
+            xs, per_x = np.unique(invert_monotone(*newton_pair(F.slope_rows), tgt, -d, d), return_inverse=True)
+            back = per_x[per_tgt]
+            val, slope, d2 = F.jet(xs, 2)[:, back]
+            xs = xs[back]
             zpts = self.inst_base[k[sel]] + np.exp(1j * self.inst_rot[k[sel]]) * (
                 xs + 1j * val - tpl.z[0]
             )
@@ -542,18 +545,6 @@ def _flat_band(f: SmoothFn, thresh: float) -> tuple[float, float]:
     return x_last, f.eval(x_last, 1)
 
 
-def _normalize_schedule(schedule) -> list[SmoothingResult]:
-    if isinstance(schedule, HingeSchedule):
-        return list(schedule.smoothings)
-    sms = list(schedule)
-    if not sms:
-        raise ArgumentError("schedule must contain at least one smoothing")
-    for s in sms:
-        if not isinstance(s, SmoothingResult):
-            raise ArgumentError("schedule entries must be SmoothingResult objects")
-    return sms
-
-
 def refinement_intervals(gammas: Sequence[float], depth: int) -> list[tuple[float, float]]:
     """Surviving normal-angle intervals after removing levels <= ``depth``.
 
@@ -582,19 +573,15 @@ def refinement_intervals(gammas: Sequence[float], depth: int) -> list[tuple[floa
     return out
 
 
-def assemble_curve(
-    f: SmoothFn,
-    schedule,
-    m_max: int | None = None,
-) -> tuple[ConvexCurve, GaussZeroSet]:
+def assemble_curve(f: SmoothFn, schedule: HingeSchedule, m_max: int) -> tuple[ConvexCurve, GaussZeroSet]:
     """Assemble the closed convex curve of a smoothing schedule.
 
-    The first ``m_max`` smoothings are placed along a base segment in the
-    two-half middle-marking pattern (level ``m`` appears ``2**m`` times),
-    each one tangent to the incoming direction and advancing it by
-    ``2*gamma_m``; the schedule's normalization makes one full pass sweep
-    the normal directions ``[0, pi/n]`` exactly, and ``2n`` rotated copies
-    close the curve: copy ``j`` is copy 0 rotated about the center by
+    The first ``m_max`` smoothings of ``schedule`` are placed along a base
+    segment in the two-half middle-marking pattern (level ``m`` appears
+    ``2**m`` times), each one tangent to the incoming direction and
+    advancing it by ``2*gamma_m``; the schedule's normalization makes one
+    full pass sweep the normal directions ``[0, pi/n]`` exactly, and ``2n``
+    rotated copies close the curve: copy ``j`` is copy 0 rotated about the center by
     ``j*pi/n``, the map the atlas uses too.  The closure gap of the
     recursive copy sum (each copy starting where the one before ends)
     certifies that they close.  Returns the sampled curve (with its exact
@@ -606,12 +593,12 @@ def assemble_curve(
     ``gauss_angle`` and ``curvature``: beyond them the assembly holds only
     per-copy temporaries and what :meth:`ConvexCurve.validate` holds.
     """
-    sms = _normalize_schedule(schedule)
-    if m_max is None:
-        m_max = min(6, len(sms))
-    if not 1 <= m_max <= len(sms):
-        raise ArgumentError(f"m_max must lie in [1, {len(sms)}]")
-    sms = sms[:m_max]
+    if not isinstance(schedule, HingeSchedule):
+        raise ArgumentError(f"schedule must be a HingeSchedule, got {type(schedule).__name__}")
+    _check_int(m_max, "m_max")
+    if not 1 <= m_max <= len(schedule.smoothings):
+        raise ArgumentError(f"m_max must lie in [1, {len(schedule.smoothings)}]")
+    sms = schedule.smoothings[:m_max]
     gammas = np.array([s.gamma for s in sms])
     total = float(np.sum(2.0 ** (np.arange(1, m_max + 1) + 1) * gammas))
     n_float = math.pi / total

@@ -6,10 +6,10 @@ up to ``max_order`` can be evaluated in batch: ``f.jet(x, m)`` returns an
 values, *not* Taylor coefficients — conversion helpers live in
 :mod:`minklab.jets`).
 
-Two kinds exist, named by the class attribute ``kind``:
+Two kinds exist:
 
-* ``closed_form`` — derivatives come from an explicit rule;
-* ``grid_integrated`` — the function is defined through its second
+* :class:`SmoothFn` itself — derivatives come from an explicit rule;
+* :class:`GridIntegratedFn` — the function is defined through its second
   derivative: ``f''`` is tabulated on a piecewise-uniform grid and
   integrated twice by composite Simpson quadrature (with stored
   integration constants).  Between nodes, ``f`` comes from quintic
@@ -121,8 +121,6 @@ class SmoothFn:
         ``None`` in a subclass that defines ``_jet_fn`` as a method.
     """
 
-    kind = "closed_form"
-
     def __init__(self, domain: Interval, max_order: int, jet_fn, *, name: str = ""):
         self.domain = _as_interval(domain)
         _check_int(max_order, "max_order")
@@ -191,7 +189,7 @@ class SmoothFn:
     def __repr__(self):  # pragma: no cover - cosmetic
         lo, hi = self.domain
         tag = f" {self.name!r}" if self.name else ""
-        return f"<SmoothFn{tag} kind={self.kind} order<={self.max_order} on [{lo:g}, {hi:g}]>"
+        return f"<{type(self).__name__}{tag} order<={self.max_order} on [{lo:g}, {hi:g}]>"
 
     # -- constructors ----------------------------------------------------
 
@@ -225,8 +223,6 @@ class GridIntegratedFn(SmoothFn):
         Number of *intervals* per piece (so each piece stores that many
         plus one nodes).  Must be even for Simpson weights.
     """
-
-    kind = "grid_integrated"
 
     def __init__(
         self,

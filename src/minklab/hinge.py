@@ -7,18 +7,22 @@ half-width ``d`` and opening parameter ``gamma`` is built by
 
   1. placing the profile: ``f_u`` is the graph of ``f`` translated left
      by ``d/cos(gamma)`` and rotated clockwise by ``gamma`` (so it is
-     tangent to the hinge at its left endpoint); the right copy is its
-     mirror image ``f_v(t) = f_u(-t)``, read as ``f_u`` at ``-t`` with
-     derivative row ``j`` times ``(-1)**j``;
+     tangent to the hinge at its left endpoint);
   2. choosing ``eps`` so that ``f'(4 eps) = tan(gamma)``;
   3. integrating the curvature recipe
 
          F'' = f_u'' W_u + f_v'' W_v + b W_0,
 
-     where ``W_u``, ``W_v`` are mollifier windows of width ``2 eps`` at
-     the endpoints, ``W_0`` is a plateau window vanishing within ``eps``
-     of both endpoints, and the constant ``b`` is solved in closed form
-     so the exit slope matches ``f_v'(d) = tan(gamma)`` exactly.
+     where ``W_u`` is a mollifier window of width ``2 eps`` at the left
+     endpoint, ``W_0`` is a plateau window vanishing within ``eps`` of
+     both endpoints, and the constant ``b`` is solved in closed form so
+     the exit slope matches ``f_v'(d) = tan(gamma)`` exactly.
+
+The right end is the left end's mirror: ``f_v(t) = f_u(-t)`` and
+``W_v(t) = W_u(-t)``.  Only the left end is computed; the right end term
+at ``x`` is the left one's rows at ``-x``, row ``j`` times ``(-1)**j``
+(:func:`_mirror`), so ``F''`` is even bit for bit, and one curvature mass
+balances both ends.
 
 The result interpolates ``f_u`` near the left endpoint, matches ``f_v``
 up to a constant near the right one, has strictly positive curvature in
@@ -144,9 +148,10 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> SmoothFn:
     """The left copy ``f_u`` of the profile, tangent to the hinge's left end.
 
     ``f_u`` is the translate-then-rotate-clockwise copy; its domain
-    contains ``[-d, d]`` and ``-f_u'(-d) = tan(gamma)``.  The right copy
-    is its mirror ``f_v(t) = f_u(-t)``, which the build reads as ``f_u``
-    at ``-t`` (:func:`_mirror`).  ``f_u`` remembers the rows of each point
+    contains ``[-d, d]`` and ``-f_u'(-d) = tan(gamma)``.  It is the only
+    placed copy: the right copy ``f_v(t) = f_u(-t)`` is never built, as the
+    build reads the right end as the left one at ``-t`` (:func:`_mirror`).
+    ``f_u`` remembers the rows of each point
     it was asked (:func:`_remembered`), so the masses, the table of ``F``
     and the certificates solve each point once; the rows are the plain
     rotated graph's, bit for bit.  :func:`build_smoothing` ends the memo
@@ -253,12 +258,11 @@ def solve_epsilon(f: SmoothFn, gamma: float) -> float:
     return eps
 
 
-def _window_end_rows(x: np.ndarray, d: float, eps: float, order: int, sign: int) -> np.ndarray:
-    """Derivative rows of ``W((d + sign x) / (2 eps))``: ``W_u`` for sign 1, ``W_v`` for -1."""
+def _window_end_rows(x: np.ndarray, d: float, eps: float, order: int) -> np.ndarray:
+    """Derivative rows of ``W_u(x) = W((d + x) / (2 eps))``; ``W_v``'s at ``x`` are :func:`_mirror` of these at ``-x``."""
     s = 1.0 / (2.0 * eps)
-    coeff = bumps.phi_even_jet((d + sign * x) * s, order)
-    scale = (sign * s) ** np.arange(order + 1)
-    return jets.jet_to_derivs(coeff * scale[:, None])
+    coeff = bumps.phi_even_jet((d + x) * s, order)
+    return jets.jet_to_derivs(coeff * (s ** np.arange(order + 1))[:, None])
 
 
 def _window_0_rows(x: np.ndarray, d: float, eps: float, order: int) -> np.ndarray:
@@ -284,44 +288,37 @@ def _window_0_rows(x: np.ndarray, d: float, eps: float, order: int) -> np.ndarra
     return out
 
 
-def solve_b_eps(f_u: SmoothFn, eps: float, d: float) -> tuple[float, float, float]:
-    """``(b, mass_u, mass_v)``: the window weight and the two masses it balances.
+def solve_b_eps(f_u: SmoothFn, eps: float, d: float) -> tuple[float, float]:
+    """``(b, mass)``: the window weight and the end curvature mass it balances.
 
-    ``b`` makes the exit slope match ``f_v'(d) = -f_u'(-d)``.  Solves the
-    linear endpoint-slope equation by quadrature of the two
-    profile-curvature masses and the plateau-window integral.  Positivity
-    of the result is exactly the numerical form of the curvature-mass
-    inequality; failure signals the construction is inconsistent.
+    ``b`` makes the exit slope match ``f_v'(d) = -f_u'(-d)``.  The ends
+    are mirrors, so one mass, the quadrature of ``f_u'' W_u`` over the left
+    window, is the curvature of either end, and the plateau window's
+    integral spends the slope budget ``2 tan(gamma)`` that twice the mass
+    leaves.  Positivity of ``b`` is exactly the numerical form of the
+    curvature-mass inequality; failure signals the construction is
+    inconsistent.
     """
     if not 4.0 * eps < d:
         raise HypothesisError(f"need 4*eps < d, got eps={eps!r}, d={d!r}")
     tan_g = -f_u.eval(-d, 1)
-    mass_u = _curvature_mass_u(f_u, eps, d)
-    mass_v = _curvature_mass_v(f_u, eps, d)
-    window_area = _window_0_area(eps, d)
-    b = (2.0 * tan_g - mass_u - mass_v) / window_area
+    mass = _curvature_mass(f_u, eps, d)
+    b = 2.0 * (tan_g - mass) / _window_0_area(eps, d)
     if not b > 0.0:
         raise ConstructionError(
-            f"window weight {b!r} is not positive: the curvature masses "
-            f"{mass_u!r} + {mass_v!r} exceed the slope budget {2.0 * tan_g!r}"
+            f"window weight {b!r} is not positive: the curvature mass {mass!r} "
+            f"of each end is not below tan(gamma)={tan_g!r}"
         )
     if not b <= tan_g / (d - 2.0 * eps):
         raise ConstructionError(
             f"window weight {b!r} exceeds tan(gamma)/(d-2eps)"
         )
-    return b, mass_u, mass_v
+    return b, mass
 
 
-def _curvature_mass_u(f_u, eps, d):
+def _curvature_mass(f_u, eps, d):
     xs = np.linspace(-d, -d + 2.0 * eps, _QUAD_N + 1)
-    vals = f_u.jet(xs, 2)[2] * _window_end_rows(xs, d, eps, 0, 1)[0]
-    return _simpson(vals, xs)
-
-
-def _curvature_mass_v(f_u, eps, d):
-    # f_v'' at x is f_u'' at -x
-    xs = np.linspace(d - 2.0 * eps, d, _QUAD_N + 1)
-    vals = f_u.jet(-xs, 2)[2] * _window_end_rows(xs, d, eps, 0, -1)[0]
+    vals = f_u.jet(xs, 2)[2] * _window_end_rows(xs, d, eps, 0)[0]
     return _simpson(vals, xs)
 
 
@@ -371,31 +368,34 @@ def _place(f: SmoothFn, d: float, gamma: float):
 def _end_rows(x, d, eps, f_u, order):
     """Derivative rows of ``f_u'' W_u + f_v'' W_v``, the end terms of ``F''``.
 
-    One ``f_u`` jet serves both ends; ``f_v``'s rows are :func:`_mirror` of ``f_u``'s at ``-x``.
+    The left term is computed at the left-end points and at the negated
+    right-end points in one ``f_u`` jet and one product; the right term is
+    :func:`_mirror` of the left one's rows at ``-x``.
     """
     out = np.zeros((order + 1,) + x.shape)
     m_u, m_v = x < 2.0 * eps - d, x > d - 2.0 * eps
     if not (m_u.any() or m_v.any()):
         return out
     n_u = np.count_nonzero(m_u)
-    prof = f_u.jet(np.concatenate([x[m_u], -x[m_v]]), order + 2)
-    for m, rows, sign in ((m_u, prof[:, :n_u], 1), (m_v, _mirror(prof[:, n_u:]), -1)):
-        if m.any():
-            prod = jets.tmul(
-                jets.derivs_to_jet(rows[2:]),
-                jets.derivs_to_jet(_window_end_rows(x[m], d, eps, order, sign)),
-            )
-            out[:, m] += jets.jet_to_derivs(prod)
+    # a point and its mirror image are one point of the left end
+    y, back = np.unique(np.concatenate([x[m_u], -x[m_v]]), return_inverse=True)
+    prod = jets.tmul(
+        jets.derivs_to_jet(f_u.jet(y, order + 2)[2:]),
+        jets.derivs_to_jet(_window_end_rows(y, d, eps, order)),
+    )
+    rows = jets.jet_to_derivs(prod)[:, back]
+    out[:, m_u] += rows[:, :n_u]
+    out[:, m_v] += _mirror(rows[:, n_u:])
     return out
 
 
 def _integrate(f: SmoothFn, d: float, f_u: SmoothFn, eps: float):
     """Solve ``b_eps`` for a placement from :func:`_place` and integrate ``F``.
 
-    Returns ``(F, b_eps, mass_u, mass_v)``.  Raises what the ``b_eps``
-    solve raises, but checks no certificate.
+    Returns ``(F, b_eps, mass)``.  Raises what the ``b_eps`` solve
+    raises, but checks no certificate.
     """
-    b_eps, mass_u, mass_v = solve_b_eps(f_u, eps, d)
+    b_eps, mass = solve_b_eps(f_u, eps, d)
 
     def d2_rows(x, order):
         return b_eps * _window_0_rows(x, d, eps, order) + _end_rows(x, d, eps, f_u, order)
@@ -410,7 +410,7 @@ def _integrate(f: SmoothFn, d: float, f_u: SmoothFn, eps: float):
         nodes_per_piece=_NODES_PER_PIECE,
         name=f"hinge_smoothing[d={d:.4g}]",
     )
-    return F, b_eps, mass_u, mass_v
+    return F, b_eps, mass
 
 
 def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
@@ -426,9 +426,9 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
     identically near 0, so the smoothing inherits a flat collar there).
     """
     f_u, eps = _place(f, d, gamma)
-    F, b_eps, mass_u, mass_v = _integrate(f, d, f_u, eps)
+    F, b_eps, mass = _integrate(f, d, f_u, eps)
     tan_g = math.tan(gamma)
-    certs = _solve_certificates(f_u, eps, d, b_eps, tan_g, mass_u, mass_v)
+    certs = _solve_certificates(f_u, eps, d, b_eps, tan_g, mass)
     certs += _function_certificates(F, f_u, f, eps, d, tan_g)
     hinge_out, side_cert = _induced_hinge(F, d, gamma)
     certs.append(side_cert)
@@ -453,20 +453,18 @@ def build_smoothing(f: SmoothFn, d: float, gamma: float) -> SmoothingResult:
     )
 
 
-def _solve_certificates(f_u, eps, d, b_eps, tan_g, mass_u, mass_v):
+def _solve_certificates(f_u, eps, d, b_eps, tan_g, mass):
+    # the right end is the left one's mirror: its mass and side slope
+    # would be these two with the slope negated, bit for bit
     upper = tan_g / (d - 2.0 * eps)
     coarse = 2.0 * tan_g / d
     su = f_u.eval(2.0 * eps - d, 1)
-    # f_v'(d - 2 eps) = -f_u'(2 eps - d)
-    sv = -su
     return [
         Certificate("window_weight_positive", b_eps, 0.0, b_eps > 0.0),
         Certificate("window_weight_upper", b_eps, upper, b_eps <= upper),
         Certificate("window_weight_coarse_upper", b_eps, coarse, b_eps < coarse),
-        Certificate("left_curvature_mass", mass_u, tan_g, mass_u < tan_g),
-        Certificate("right_curvature_mass", mass_v, tan_g, mass_v < tan_g),
+        Certificate("left_curvature_mass", mass, tan_g, mass < tan_g),
         Certificate("left_side_slope_negative", su, 0.0, su < 0.0),
-        Certificate("right_side_slope_positive", sv, 0.0, sv > 0.0),
     ]
 
 
@@ -491,8 +489,8 @@ def _function_certificates(F, f_u, f, eps, d, tan_g):
     gap_right = float(diff.max() - diff.min())
     window_floor = float(
         np.min(
-            _window_end_rows(xs, d, eps, 0, 1)[0]
-            + _window_end_rows(xs, d, eps, 0, -1)[0]
+            _window_end_rows(xs, d, eps, 0)[0]
+            + _window_end_rows(-xs, d, eps, 0)[0]
             + _window_0_rows(xs, d, eps, 0)[0]
         )
     )

@@ -60,6 +60,8 @@ _CONVEXITY_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9
 # Array passes of the lower hull before the monotone chain takes over.
 _HULL_PASSES = 32
+# Sample count of each input of :func:`infconv_conjugate`.
+_SAMPLE_N = (1 << 14) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +416,9 @@ def _conjugate_vertices(xs, vs):
 
 
 def _conjugate_eval(hx, hv, slopes, p):
-    """Exact conjugate values at slopes ``p`` (and the argmax vertex index)."""
+    """Exact conjugate values at slopes ``p``."""
     idx = np.searchsorted(slopes, p, side="left")
-    return p * hx[idx] - hv[idx], idx
+    return p * hx[idx] - hv[idx]
 
 
 def infconv_conjugate(
@@ -425,11 +427,10 @@ def infconv_conjugate(
     *,
     interval=None,
     grid_n: int = 1025,
-    sample_n: int = (1 << 14) + 1,
 ) -> InfConvResult:
     """Infimal convolution via exact piecewise-linear Legendre transforms.
 
-    ``f`` and ``g`` are sampled at ``sample_n`` nodes; everything after
+    ``f`` and ``g`` are sampled at ``_SAMPLE_N`` nodes each; everything after
     that is exact arithmetic on piecewise-linear functions: conjugate each
     interpolant, add on the merged slope set, conjugate back.  The returned
     function object is the resulting piecewise-linear ``h`` (order-0 only).
@@ -440,19 +441,16 @@ def infconv_conjugate(
     _check_grid_n(grid_n)
     check_convexity(f)
     check_convexity(g)
-    if sample_n < 3:
-        raise ArgumentError("sample_n must be at least 3")
-    xf = np.linspace(f.domain[0], f.domain[1], sample_n)
-    xg = np.linspace(g.domain[0], g.domain[1], sample_n)
+    xf = np.linspace(f.domain[0], f.domain[1], _SAMPLE_N)
+    xg = np.linspace(g.domain[0], g.domain[1], _SAMPLE_N)
     vf, max_hf = _samples(f, xf)
     vg, max_hg = _samples(g, xg)
     hxf, hvf, sf = _conjugate_vertices(xf, vf)
     hxg, hvg, sg = _conjugate_vertices(xg, vg)
 
     p_all = np.unique(np.concatenate([sf, sg]))
-    conj_sum, _ = _conjugate_eval(hxf, hvf, sf, p_all)
-    conj_g, _ = _conjugate_eval(hxg, hvg, sg, p_all)
-    conj_sum += conj_g
+    conj_sum = _conjugate_eval(hxf, hvf, sf, p_all)
+    conj_sum += _conjugate_eval(hxg, hvg, sg, p_all)
     # The summed conjugate sampled at its own breakpoints is convex data up
     # to rounding; hulling it again is a cheap safeguard.
     pv, sv = _lower_hull(p_all, conj_sum)
@@ -494,8 +492,8 @@ def infconv_conjugate(
 
     error_bound = None
     if max_hf is not None and max_hg is not None:
-        dxf = (f.domain[1] - f.domain[0]) / (sample_n - 1)
-        dxg = (g.domain[1] - g.domain[0]) / (sample_n - 1)
+        dxf = (f.domain[1] - f.domain[0]) / (_SAMPLE_N - 1)
+        dxg = (g.domain[1] - g.domain[0]) / (_SAMPLE_N - 1)
         error_bound = (dxf**2 * max_hf + dxg**2 * max_hg) / 8.0
 
     return InfConvResult(

@@ -223,10 +223,6 @@ class PatchedConvex:
     schedule: SlopeSchedule
     d_quadrature_gap: float
 
-    @property
-    def t(self) -> np.ndarray:
-        return self.schedule.t
-
 
 def _even_product_rows(family_k: SmoothFn, tk: float, xs: np.ndarray, bump: np.ndarray) -> np.ndarray:
     """Derivative rows of ``F_k''(x - t_k) * Psi(4**k x)`` on ``xs``; ``bump`` is ``Psi(4**k x)``'s jet."""

@@ -167,7 +167,7 @@ def covers_by_walk(a, target):
             break
     if cursor < thi - tol:
         gaps.append((cursor / den, thi / den))
-    return CoverReport(covered=not gaps, gaps=tuple(gaps))
+    return CoverReport(covered=not gaps, gaps=np.array(gaps, dtype=float).reshape(-1, 2))
 
 
 def point_support(p, *, grid_n):

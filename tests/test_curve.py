@@ -427,13 +427,18 @@ def test_assemble_rejects_bad_arguments(hinge_profile, hinge_schedule):
         assemble_curve(hinge_profile.f, [], m_max=None)
     with pytest.raises(ArgumentError):
         assemble_curve(hinge_profile.f, [1, 2, 3], m_max=2)
+    # the smoothings without their schedule, and no depth
+    with pytest.raises(ArgumentError, match="HingeSchedule"):
+        assemble_curve(hinge_profile.f, hinge_schedule.smoothings, m_max=5)
+    with pytest.raises(ArgumentError, match="integer"):
+        assemble_curve(hinge_profile.f, hinge_schedule, m_max=None)
 
 
 def test_assemble_rejects_unnormalized_schedule(hinge_profile, hinge_schedule):
-    skewed = [
-        dataclasses.replace(s, gamma=s.gamma * 1.01)
-        for s in hinge_schedule.smoothings[:5]
-    ]
+    skewed = dataclasses.replace(
+        hinge_schedule,
+        smoothings=[dataclasses.replace(s, gamma=s.gamma * 1.01) for s in hinge_schedule.smoothings[:5]],
+    )
     with pytest.raises(HypothesisError, match="pi/n"):
         assemble_curve(hinge_profile.f, skewed, m_max=5)
 
@@ -672,6 +677,26 @@ def test_assembled_support_validates(support_first):
     quarters = np.array([0.0, 0.25, 0.5, 0.75]) * TAU
     idx = np.round(quarters / CELL).astype(int)
     assert np.all(support_first.flat[idx])
+
+
+def test_support_solves_each_target_once(assembled, support_first, monkeypatch):
+    from minklab import curve as curve_module
+    from minklab import rotated_graph
+
+    targets = []
+    for module in (curve_module, rotated_graph):
+        invert = module.invert_monotone
+
+        def counted(fn, dfn, ys, *args, invert=invert, **kwargs):
+            targets.append(np.asarray(ys).ravel())
+            return invert(fn, dfn, ys, *args, **kwargs)
+
+        monkeypatch.setattr(module, "invert_monotone", counted)
+    again = SupportFn.from_curve(assembled[0])
+    assert len(targets) > 5
+    assert [ys.size for ys in targets] == [np.unique(ys).size for ys in targets]
+    for key in ("h", "dh", "d2h", "flat"):
+        np.testing.assert_array_equal(getattr(again, key), getattr(support_first, key))
 
 
 def test_support_farthest_point_matches_polyline(assembled, support_first):

@@ -301,7 +301,6 @@ class TestGridIntegrated:
         np.testing.assert_allclose(tabulated_sin.jet(xs, 0)[0], np.sin(xs), atol=2e-13)
         np.testing.assert_allclose(tabulated_sin.jet(xs, 1)[1], np.cos(xs), atol=2e-13)
         np.testing.assert_allclose(tabulated_sin.jet(xs, 3)[3], -np.cos(xs), atol=1e-15)
-        assert tabulated_sin.kind == "grid_integrated"
 
     def test_quadrature_consistency_refinement_ratio(self, tabulated_sin):
         # centered second difference of eval(.,0) vs eval(.,2): O(h^2), ratio ~ 4

@@ -17,8 +17,7 @@ from minklab.errors import (
 from minklab.fn_core import SmoothFn
 from minklab.hinge import (
     Hinge,
-    _curvature_mass_u,
-    _curvature_mass_v,
+    _curvature_mass,
     build_smoothing,
     place_profiles,
     schedule_smoothings,
@@ -31,9 +30,7 @@ EXPECTED_CERTIFICATES = {
     "window_weight_upper",
     "window_weight_coarse_upper",
     "left_curvature_mass",
-    "right_curvature_mass",
     "left_side_slope_negative",
-    "right_side_slope_positive",
     "entry_slope",
     "exit_slope",
     "endpoint_curvature_zero",
@@ -336,10 +333,9 @@ class TestCertifyOnlyKeptBuilds:
         for sr in hinge_schedule.smoothings:
             eps, d = sr.epsilon, sr.d
             f_u = place_profiles(hinge_profile.f, d, sr.gamma)
-            left = sr.certificate("left_curvature_mass").measured
-            right = sr.certificate("right_curvature_mass").measured
-            assert left == _curvature_mass_u(f_u, eps, d)
-            assert right == _curvature_mass_v(f_u, eps, d)
+            mass = _curvature_mass(f_u, eps, d)
+            assert sr.certificate("left_curvature_mass").measured == mass
+            assert solve_b_eps(f_u, eps, d) == (sr.b_eps, mass)
 
     def test_search_builds_only_the_kept_levels(self, hinge_profile, monkeypatch):
         calls = []
@@ -361,24 +357,11 @@ class TestCertifyOnlyKeptBuilds:
 class TestRightEndMirrorsLeft:
     """The right end is read as the left profile at ``-x``, row ``j`` times ``(-1)**j``."""
 
-    def test_curvature_rows_are_mirrored_bit_for_bit(self, hinge_schedule):
-        # not on second_schedule: its level-5 window rows round (-s)**2 and
-        # s**2 differently at 11 of the grid's points
-        for sr in hinge_schedule.smoothings:
+    def test_curvature_rows_are_mirrored_bit_for_bit(self, hinge_schedule, second_schedule):
+        for sr in hinge_schedule.smoothings + second_schedule.smoothings:
             xs = np.linspace(-sr.d, sr.d, 4 * hinge._CERT_GRID_N + 1)
             signs = ((-1.0) ** np.arange(2, 5))[:, None]
             np.testing.assert_array_equal(sr.F.jet(-xs, 4)[2:], signs * sr.F.jet(xs, 4)[2:])
-
-    def test_side_slopes_are_exact_negatives(self, hinge_schedule, second_schedule):
-        for sr in hinge_schedule.smoothings + second_schedule.smoothings:
-            left = sr.certificate("left_side_slope_negative").measured
-            assert sr.certificate("right_side_slope_positive").measured == -left
-
-    def test_curvature_masses_agree(self, hinge_schedule, second_schedule):
-        for sr in hinge_schedule.smoothings + second_schedule.smoothings:
-            left = sr.certificate("left_curvature_mass").measured
-            right = sr.certificate("right_curvature_mass").measured
-            assert abs(left - right) <= 8.0 * np.finfo(float).eps * abs(left)
 
 
 @pytest.fixture(scope="module")
@@ -439,15 +422,19 @@ class TestNormFloorSearch:
 
 
 def two_call_end_rows(x, d, eps, f_u, order):
-    """The end rows with one jet call per end; ``f_v``'s rows are ``f_u``'s at ``-x``, row ``j`` times ``(-1)**j``."""
+    """The end rows with one jet call per end and each end's own window.
+
+    ``f_v``'s rows are ``f_u``'s at ``-x``, row ``j`` times ``(-1)**j``, and
+    the window ``W((d + sign x) / (2 eps))`` is scaled by ``(sign s)**j``.
+    """
     out = np.zeros((order + 1,) + x.shape)
+    s = 1.0 / (2.0 * eps)
     for m, sign in ((x < 2.0 * eps - d, 1), (x > d - 2.0 * eps, -1)):
         if m.any():
             rows = f_u.jet(sign * x[m], order + 2) * (float(sign) ** np.arange(order + 3))[:, None]
-            prod = jets.tmul(
-                jets.derivs_to_jet(rows[2:]),
-                jets.derivs_to_jet(hinge._window_end_rows(x[m], d, eps, order, sign)),
-            )
+            coeff = bumps.phi_even_jet((d + sign * x[m]) * s, order)
+            window = jets.jet_to_derivs(coeff * ((sign * s) ** np.arange(order + 1))[:, None])
+            prod = jets.tmul(jets.derivs_to_jet(rows[2:]), jets.derivs_to_jet(window))
             out[:, m] += jets.jet_to_derivs(prod)
     return out
 
@@ -458,18 +445,22 @@ class TestBatchedJets:
         for d, gamma, f_u, eps in placements[::4]:
             edges = np.array([-d, 2.0 * eps - d, d - 2.0 * eps, d])
             xs = np.concatenate([np.linspace(-d, d, 1025), edges, np.nextafter(edges, 0.0)])
+            left = xs < 0.0
             for order in (0, 2, 6):
-                np.testing.assert_array_equal(
-                    hinge._end_rows(xs, d, eps, f_u, order),
-                    two_call_end_rows(xs, d, eps, f_u, order),
-                )
+                rows = hinge._end_rows(xs, d, eps, f_u, order)
+                oracle = two_call_end_rows(xs, d, eps, f_u, order)
+                np.testing.assert_array_equal(rows[:, left], oracle[:, left])
+                # the oracle's (-s)**j may round one ulp away from s**j
+                np.testing.assert_allclose(rows[:, ~left], oracle[:, ~left], rtol=4.0 * np.finfo(float).eps, atol=0.0)
 
     def test_one_kernel_call_per_jet_request(self, hinge_profile):
-        # each d2_jet call makes one psi_scaled_jet call, each _end_rows
-        # call at most one f_u.jet call
+        # each d2_jet call makes one psi_scaled_jet call; each _end_rows
+        # call makes at most one f_u.jet call, and as many window calls
+        # and products of its own
         f = hinge_profile.f
         d2, psi, end_rows = f._d2, bumps.psi_scaled_jet, hinge._end_rows
-        psi_calls, per_d2, per_end = [], [], []
+        tmul, window = jets.tmul, hinge._window_end_rows
+        psi_calls, per_d2, per_end, own = [], [], [], []
 
         def counted_psi(*args):
             psi_calls.append(1)
@@ -481,26 +472,40 @@ class TestBatchedJets:
             per_d2.append(len(psi_calls) - before)
             return out
 
+        def counted_tmul(*args):
+            own.append("tmul")
+            return tmul(*args)
+
+        def counted_window(*args):
+            own.append("window")
+            return window(*args)
+
         def counted_end_rows(x, d, eps, f_u, order):
-            jets_of_f_u = []
+            start = len(own)
 
             def counted_jet(*args):
-                jets_of_f_u.append(1)
-                return type(f_u).jet(f_u, *args)
+                before = len(own)
+                out = type(f_u).jet(f_u, *args)
+                # products inside the profile's own jet are not the end rows'
+                own[before:] = ["jet"]
+                return out
 
             with pytest.MonkeyPatch.context() as inner:
                 inner.setattr(f_u, "jet", counted_jet, raising=False)
                 out = end_rows(x, d, eps, f_u, order)
-            per_end.append(len(jets_of_f_u))
+            per_end.append(sorted(own[start:]))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bumps, "psi_scaled_jet", counted_psi)
             mp.setattr(f, "_d2", counted_d2)
+            mp.setattr(jets, "tmul", counted_tmul)
+            mp.setattr(hinge, "_window_end_rows", counted_window)
             mp.setattr(hinge, "_end_rows", counted_end_rows)
             schedule_smoothings(f, 3)
         assert len(per_d2) > 50 and set(per_d2) == {1}
-        assert len(per_end) > 10 and max(per_end) == 1
+        calls = {tuple(c) for c in per_end}
+        assert len(per_end) > 10 and calls <= {(), ("jet", "tmul", "window")} and len(calls) == 2
 
 
 class TestBuildProperty:

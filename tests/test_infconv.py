@@ -329,7 +329,7 @@ class TestRouteEquivalence:
 
 
 class TestEpigraphSums:
-    def test_vertex_sum_hull_matches_conjugate_arithmetic(self, rng):
+    def test_vertex_sum_hull_matches_conjugate_arithmetic(self, rng, monkeypatch):
         # The epigraph of the infimal convolution is the Minkowski sum of
         # the epigraphs.  For piecewise-linear data that sum is the convex
         # hull of pairwise vertex sums — an O(n^2) oracle the slope-merge
@@ -344,13 +344,15 @@ class TestEpigraphSums:
         sv = (vf[:, None] + vg[None, :]).ravel()
         order = np.argsort(sx, kind="stable")
         hx, hv = lower_hull_by_chain(sx[order], sv[order])
-        res = infconv_conjugate(f, g, sample_n=n, grid_n=1001)
+        monkeypatch.setattr(infconv, "_SAMPLE_N", n)
+        res = infconv_conjugate(f, g, grid_n=1001)
         expected = np.interp(res.x, hx, hv)
         np.testing.assert_allclose(res.values, expected, atol=1e-12)
 
-    def test_pwl_carrier_is_order_zero(self):
+    def test_pwl_carrier_is_order_zero(self, monkeypatch):
         f = quad(1.0, (-1, 1))
-        res = infconv_conjugate(f, f, sample_n=257)
+        monkeypatch.setattr(infconv, "_SAMPLE_N", 257)
+        res = infconv_conjugate(f, f)
         assert res.h.max_order == 0
         with pytest.raises(CapabilityError):
             res.h.jet(0.0, 1)
@@ -383,7 +385,7 @@ class TestLowerHull:
         hxf, hvf, sf = _conjugate_vertices(xf, f.eval(xf))
         hxg, hvg, sg = _conjugate_vertices(xg, g.eval(xg))
         p_all = np.unique(np.concatenate([sf, sg]))
-        conj_sum = _conjugate_eval(hxf, hvf, sf, p_all)[0] + _conjugate_eval(hxg, hvg, sg, p_all)[0]
+        conj_sum = _conjugate_eval(hxf, hvf, sf, p_all) + _conjugate_eval(hxg, hvg, sg, p_all)
         assert_same_hull(p_all, conj_sum)
 
     def test_double_well_is_finished_by_the_chain(self, monkeypatch):

@@ -1,6 +1,7 @@
 """Package-level checks: every declared export resolves, every public name has a caller, no module loads SciPy, and no module imports a name it never reads."""
 
 import ast
+import collections
 import importlib
 import os
 import pkgutil
@@ -31,6 +32,20 @@ KEPT_FOR_OPEN_ITEMS = {
     "hinge.SmoothingResult.certificate": 2,
     "curve.SupportFn.from_polygon": 11,
     "curve.SupportFn.disk": 5,
+    # the run report checks the support data it writes
+    "curve.SupportFn.validate": 2,
+}
+# Public names that two or more exported classes define.  A read of such a
+# name does not say whose method it calls, so it counts for no class by
+# itself: each class whose method has a caller is listed here with one
+# definition (``module:function`` or ``module:Class.method``) that reads it.
+SHARED_NAME_READERS = {
+    "curve.ConvexCurve.validate": "curve:assemble_curve",
+    "curve.GaussZeroSet.validate": "curve:assemble_curve",
+    # the inputs of the minimizer map include polynomials
+    "fn_core.SmoothFn.slope_rows": "infconv:_minimizer",
+    # the smoothings' F
+    "fn_core.GridIntegratedFn.slope_rows": "curve:CurveAtlas.support_data",
 }
 
 
@@ -52,6 +67,15 @@ def test_importing_every_module_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def _loads(node):
+    """Names that ``node`` reads, as a name or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
 def _references(text):
     """Names read in ``text``, leaving out each definition's reads of its own name.
 
@@ -59,23 +83,29 @@ def _references(text):
     method inside its own body: neither read is a caller.
     """
     refs = set()
-
-    def add(node, own):
-        for n in ast.walk(node):
-            name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
-            if name is not None and name not in own and isinstance(n.ctx, ast.Load):
-                refs.add(name)
-
     for stmt in ast.parse(text).body:
         own = {getattr(stmt, "name", None)}
         if isinstance(stmt, ast.ClassDef):
             for part in stmt.decorator_list + stmt.bases + stmt.keywords:
-                add(part, own)
+                refs |= _loads(part) - own
             for member in stmt.body:
-                add(member, own | {getattr(member, "name", None)})
+                refs |= _loads(member) - own - {getattr(member, "name", None)}
         else:
-            add(stmt, own)
+            refs |= _loads(stmt) - own
     return refs
+
+
+def _definition(texts, where):
+    """The function, class or method ``module:name`` or ``module:Class.name`` of ``texts``, or None."""
+    module, _, path = where.partition(":")
+    node = None
+    body = ast.parse(texts.get(module, "")).body
+    for part in path.split("."):
+        node = next((n for n in body if getattr(n, "name", None) == part), None)
+        if node is None:
+            return None
+        body = getattr(node, "body", [])
+    return node
 
 
 def _public_names(module, text):
@@ -101,27 +131,46 @@ def _public_names(module, text):
     return public
 
 
-def _caller_guard(defining, reading, kept):
-    """``(uncalled, kept_but_read)``: public names of ``defining`` that no text of ``reading`` reads and
-    that ``kept`` does not list, and names that ``kept`` lists although a text reads them.
+def _caller_guard(defining, reading, kept, readers):
+    """``(uncalled, kept_but_read, wrong_readers)`` of the public names of ``defining``.
 
-    ``defining`` maps a module name to its source text.  A name counts as read
-    when any text of ``reading`` loads it as a name or an attribute.
+    ``defining`` and ``reading`` map a module name to its source text.  A
+    name that one public name alone has counts as read when any text of
+    ``reading`` loads it as a name or an attribute.  A name that two or more
+    public names share counts as read only for the keys that ``readers``
+    lists, each with a definition in ``reading`` that loads it.
+    ``uncalled`` are the unread names that ``kept`` does not list,
+    ``kept_but_read`` the names ``kept`` lists although they are read, and
+    ``wrong_readers`` the keys of ``readers`` that share no name or whose
+    listed definition does not load it.
     """
-    refs = set().union(*map(_references, reading))
+    refs = set().union(*map(_references, reading.values()))
     public = {key: name for module, text in defining.items() for key, name in _public_names(module, text).items()}
-    uncalled = {key for key, name in public.items() if name not in refs}
-    return sorted(uncalled - kept.keys()), sorted(kept.keys() - uncalled)
+    shared = {name for name, count in collections.Counter(public.values()).items() if count > 1}
+
+    def read_by(key, where):
+        node = _definition(reading, where)
+        return public.get(key) in shared and node is not None and public[key] in _loads(node)
+
+    wrong = {key for key, where in readers.items() if not read_by(key, where)}
+    uncalled = {
+        key
+        for key, name in public.items()
+        if ((key not in readers or key in wrong) if name in shared else name not in refs)
+    }
+    return sorted(uncalled - kept.keys()), sorted(kept.keys() - uncalled), sorted(wrong)
 
 
 def test_every_public_name_has_a_caller():
     src = REPO / "src" / "minklab"
     files = sorted(src.glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
     defining = {name: (src / f"{name}.py").read_text(encoding="utf-8") for name in MODULES}
-    reading = [p.read_text(encoding="utf-8") for p in files]
-    uncalled, kept_but_read = _caller_guard(defining, reading, KEPT_FOR_OPEN_ITEMS)
+    reading = {p.stem: p.read_text(encoding="utf-8") for p in files}
+    assert len(reading) == len(files), "a perfbench module shares a package module's name"
+    uncalled, kept_but_read, wrong = _caller_guard(defining, reading, KEPT_FOR_OPEN_ITEMS, SHARED_NAME_READERS)
     assert uncalled == [], "public names that only tests call"
     assert kept_but_read == [], "kept names that now have a caller"
+    assert wrong == [], "shared names listed with a definition that does not read them"
 
 
 def test_the_caller_guard_reports_an_uncalled_method_and_a_kept_name_with_a_reader():
@@ -140,12 +189,55 @@ def test_the_caller_guard_reports_an_uncalled_method_and_a_kept_name_with_a_read
             "    return s.width ** 2\n"
         )
     }
-    reading = [defining["shapes"], "from shapes import Square, area\nprint(area(Square()))\n"]
+    reading = {"shapes": defining["shapes"], "main": "from shapes import Square, area\nprint(area(Square()))\n"}
     # side reads only itself, width is read by area, and area is read by
     # the second text although it is kept
     kept = {"shapes.area": 0}
-    assert _caller_guard(defining, reading, kept) == (["shapes.Square.side"], ["shapes.area"])
-    assert _caller_guard(defining, reading[:1], kept) == (["shapes.Square", "shapes.Square.side"], [])
+    assert _caller_guard(defining, reading, kept, {}) == (["shapes.Square.side"], ["shapes.area"], [])
+    assert _caller_guard(defining, {"shapes": reading["shapes"]}, kept, {}) == (
+        ["shapes.Square", "shapes.Square.side"],
+        [],
+        [],
+    )
+
+
+def test_the_caller_guard_counts_a_shared_name_only_for_the_listed_class():
+    defining = {
+        "shapes": (
+            '__all__ = ["Square", "Disk", "Ring", "render"]\n'
+            "class Square:\n"
+            "    def draw(self):\n"
+            "        return 1\n"
+            "class Disk:\n"
+            "    def draw(self):\n"
+            "        return 2\n"
+            "class Ring:\n"
+            "    def draw(self):\n"
+            "        return 3\n"
+            "    def fill(self):\n"
+            "        return 4\n"
+            "def render(s):\n"
+            "    return s.draw() + Square().draw() + Disk().draw() + Ring().fill()\n"
+        ),
+        "main": '__all__ = ["main"]\nfrom shapes import render\ndef main():\n    return render(None)\n',
+    }
+    reading = {**defining, "cli": "from main import main\nmain()\n"}
+    # render reads draw, but only Square's is listed with it: Disk's and
+    # Ring's draw are uncalled although a text reads the name
+    listed = {"shapes.Square.draw": "shapes:render"}
+    assert _caller_guard(defining, reading, {}, listed) == (["shapes.Disk.draw", "shapes.Ring.draw"], [], [])
+    # a kept shared name is unread until it is listed
+    kept = {"shapes.Disk.draw": 2, "shapes.Ring.draw": 2}
+    assert _caller_guard(defining, reading, kept, listed) == ([], [], [])
+    # listed with a definition that does not read it, with one that does not
+    # exist, and a name that no second class defines
+    wrong = {
+        **listed,
+        "shapes.Disk.draw": "main:main",
+        "shapes.Ring.draw": "shapes:paint",
+        "shapes.Ring.fill": "shapes:render",
+    }
+    assert _caller_guard(defining, reading, kept, wrong)[2] == ["shapes.Disk.draw", "shapes.Ring.draw", "shapes.Ring.fill"]
 
 
 def _unread_imports(path):

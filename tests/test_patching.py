@@ -142,7 +142,7 @@ class TestQuadraticBuild:
 
     def test_prescribed_slopes_hit_within_tolerance(self, quad_build):
         b = quad_build.schedule.b
-        t = quad_build.t
+        t = quad_build.schedule.t
         ks = np.arange(quad_build.K, quad_build.k_max + 1)
         slopes = quad_build.f.jet(t[ks], 1)[1]
         resid = slopes - b[ks]
@@ -154,7 +154,7 @@ class TestQuadraticBuild:
     def test_window_identity_exact(self, quad_build):
         b = quad_build.schedule.b
         a = blowup_amplitudes()
-        t = quad_build.t
+        t = quad_build.schedule.t
         for k in (1, 3, 5):
             xs = np.linspace(0.8 * t[k], 1.2 * t[k], 33)
             d2 = quad_build.f.jet(xs, 2)[2]
@@ -164,7 +164,7 @@ class TestQuadraticBuild:
         # near each anchor the derivative is the profile's plus the target
         b = quad_build.schedule.b
         a = blowup_amplitudes()
-        t = quad_build.t
+        t = quad_build.schedule.t
         for k in (2, 4):
             x = t[k] + 0.5 * t[k + 1]
             got = float(quad_build.f.jet(np.array([x]), 1)[1][0])
@@ -172,14 +172,14 @@ class TestQuadraticBuild:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_curvature_vanishes_identically_below_deepest_support(self, quad_build):
-        t_deep = quad_build.t[quad_build.k_max]
+        t_deep = quad_build.schedule.t[quad_build.k_max]
         xs = np.linspace(1e-12, (2.0 / 3.0) * t_deep * 0.999, 64)
         assert np.all(quad_build.f.jet(xs, 2)[2] == 0.0)
         # hence the function itself is identically zero there
         assert np.all(quad_build.f.eval(xs) == 0.0)
 
     def test_curvature_positive_on_covered_region(self, quad_build):
-        t = quad_build.t
+        t = quad_build.schedule.t
         xs = np.geomspace(0.7 * t[quad_build.k_max], 2.9 * t[quad_build.K], 4001)
         d2 = quad_build.f.jet(xs, 2)[2]
         assert np.all(d2 > 0.0)
@@ -194,7 +194,7 @@ class TestQuadraticBuild:
         lhs = b[ks] * quad_build.A + b[ks - 1] * quad_build.B + quad_build.alpha * quad_build.D
         np.testing.assert_allclose(lhs, b[ks - 1] - b[ks], rtol=1e-12)
         # and the same telescoping measured on the function itself
-        t = quad_build.t
+        t = quad_build.schedule.t
         for k in (2, 5):
             df = quad_build.f.jet(np.array([4.0 * t[k], t[k]]), 1)[1]
             assert df[0] - df[1] == pytest.approx(b[k - 1] - b[k], rel=1e-9)
@@ -202,7 +202,7 @@ class TestQuadraticBuild:
     def test_correction_weight_against_independent_quadrature(self, quad_build):
         b = quad_build.schedule.b
         a = blowup_amplitudes()
-        t = quad_build.t
+        t = quad_build.schedule.t
         k = 3
         xs = np.linspace(t[k], 1.5 * t[k], 30001)
         psi_vals = bumps.psi_scaled_jet(xs, 2 * k, 0)[0]
@@ -221,7 +221,7 @@ class TestQuadraticBuild:
 
 def per_level_d2(p, family, x, order):
     """Rows of ``f''`` with one bump call per level and scale, level by level."""
-    b, t = p.schedule.b, p.t
+    b, t = p.schedule.b, p.schedule.t
     lo, hi = bumps.PSI_SUPPORT
     out = np.zeros((order + 1,) + x.shape)
     for i, k in enumerate(range(p.K, p.k_max + 1)):
@@ -241,7 +241,7 @@ def per_level_d2(p, family, x, order):
 @pytest.mark.parametrize("order", range(7))
 def test_batched_d2_jet_equals_the_per_level_loop(hinge_profile, order):
     p = hinge_profile
-    t = p.t[p.K : p.k_max + 1]
+    t = p.schedule.t[p.K : p.k_max + 1]
     lo, hi = bumps.PSI_SUPPORT
     edges = np.concatenate([lo * t, hi * t, 2.0 * lo * t, 2.0 * hi * t])
     near = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
@@ -254,7 +254,7 @@ def test_batched_d2_jet_equals_the_per_level_loop(hinge_profile, order):
 class TestQuarticBuild:
     def test_builds_with_isolated_curvature_zeros_at_anchors(self, quartic_build):
         assert quartic_build.K == 1
-        t = quartic_build.t
+        t = quartic_build.schedule.t
         ks = np.arange(quartic_build.K, quartic_build.k_max + 1)
         d2 = quartic_build.f.jet(t[ks], 2)[2]
         assert np.all(d2 == 0.0)
@@ -264,14 +264,14 @@ class TestQuarticBuild:
 
     def test_prescribed_slopes_still_hit(self, quartic_build):
         b = quartic_build.schedule.b
-        t = quartic_build.t
+        t = quartic_build.schedule.t
         ks = np.arange(quartic_build.K, quartic_build.k_max + 1)
         slopes = quartic_build.f.jet(t[ks], 1)[1]
         assert np.max(np.abs(slopes - b[ks])) < 1e-8
 
     def test_window_identity_cubic_profile(self, quartic_build):
         b = quartic_build.schedule.b
-        t = quartic_build.t
+        t = quartic_build.schedule.t
         k = 2
         xs = np.linspace(0.8 * t[k], 1.2 * t[k], 33)
         d2 = quartic_build.f.jet(xs, 2)[2]
@@ -312,7 +312,7 @@ class TestScheduleProperty:
         )
         assert np.all(pc.alpha > 0)
         ks = np.arange(pc.K, pc.k_max + 1)
-        slopes = pc.f.jet(pc.t[ks], 1)[1]
+        slopes = pc.f.jet(pc.schedule.t[ks], 1)[1]
         assert np.max(np.abs(slopes - sched.b[ks])) < 1e-8
         xs = np.linspace(*pc.f.domain, 2001)
         assert np.all(pc.f.jet(xs, 2)[2] >= 0.0)
@@ -331,7 +331,7 @@ def direct_quadratures(p, family):
     """``A``, ``B`` and ``D`` of a build, each integrand from its own bump call."""
     lo, hi = bumps.PSI_SUPPORT
     n = patching._QUAD_N
-    t = p.t
+    t = p.schedule.t
     out = []
     for k in range(p.K, p.k_max + 1):
         tk = t[k]
