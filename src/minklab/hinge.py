@@ -377,13 +377,12 @@ def _end_rows(x, d, eps, f_u, order):
     if not (m_u.any() or m_v.any()):
         return out
     n_u = np.count_nonzero(m_u)
-    # a point and its mirror image are one point of the left end
-    y, back = np.unique(np.concatenate([x[m_u], -x[m_v]]), return_inverse=True)
+    y = np.concatenate([x[m_u], -x[m_v]])
     prod = jets.tmul(
         jets.derivs_to_jet(f_u.jet(y, order + 2)[2:]),
         jets.derivs_to_jet(_window_end_rows(y, d, eps, order)),
     )
-    rows = jets.jet_to_derivs(prod)[:, back]
+    rows = jets.jet_to_derivs(prod)
     out[:, m_u] += rows[:, :n_u]
     out[:, m_v] += _mirror(rows[:, n_u:])
     return out

@@ -680,21 +680,31 @@ def test_assembled_support_validates(support_first):
 
 
 def test_support_solves_each_target_once(assembled, support_first, monkeypatch):
+    # each slope target is inverted, and each touching point's jet asked
+    # for, once per support_data call
     from minklab import curve as curve_module
-    from minklab import rotated_graph
+    from minklab.fn_core import GridIntegratedFn
 
-    targets = []
-    for module in (curve_module, rotated_graph):
-        invert = module.invert_monotone
+    slopes, points = [], []
+    invert, jet = curve_module.invert_monotone, GridIntegratedFn.jet
 
-        def counted(fn, dfn, ys, *args, invert=invert, **kwargs):
-            targets.append(np.asarray(ys).ravel())
-            return invert(fn, dfn, ys, *args, **kwargs)
+    def counted_invert(fn, dfn, ys, *args, **kwargs):
+        slopes.append(np.asarray(ys).ravel())
+        return invert(fn, dfn, ys, *args, **kwargs)
 
-        monkeypatch.setattr(module, "invert_monotone", counted)
+    smoothings = [tpl.sm.F for tpl in assembled[0].atlas.templates]
+
+    def counted_jet(self, x, order):
+        if any(self is F for F in smoothings):
+            points.append(np.asarray(x).ravel())
+        return jet(self, x, order)
+
+    monkeypatch.setattr(curve_module, "invert_monotone", counted_invert)
+    monkeypatch.setattr(GridIntegratedFn, "jet", counted_jet)
     again = SupportFn.from_curve(assembled[0])
-    assert len(targets) > 5
-    assert [ys.size for ys in targets] == [np.unique(ys).size for ys in targets]
+    assert len(slopes) > 2 and len(points) == len(slopes)
+    for requests in (slopes, points):
+        assert [ys.size for ys in requests] == [np.unique(ys).size for ys in requests]
     for key in ("h", "dh", "d2h", "flat"):
         np.testing.assert_array_equal(getattr(again, key), getattr(support_first, key))
 
