@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .errors import ArgumentError, CapabilityError, RootBracketError
+from .errors import ArgumentError, CapabilityError, RootBracketError, ValidationError
 
 __all__ = [
     "SmoothFn",
@@ -54,8 +54,8 @@ __all__ = [
 Interval = tuple[float, float]
 
 # Step limit of invert_monotone: the number of halvings from the largest
-# float down to the smallest normal one.
-_MAXITER = 2046
+# float down to the smallest subnormal one.
+_MAXITER = 2098
 
 
 def _as_interval(interval) -> Interval:
@@ -222,6 +222,13 @@ class GridIntegratedFn(SmoothFn):
     nodes_per_piece : int
         Number of *intervals* per piece (so each piece stores that many
         plus one nodes).  Must be even for Simpson weights.
+
+    The tables of ``f``, ``f'`` and ``f''`` are each allocated once and
+    written piece by piece, so a build never holds a second copy.  Before
+    any ``d2_jet_fn`` call, breakpoints not strictly increasing or of
+    infinite span, a non-finite ``value0`` or ``slope0``, or an odd or
+    non-integer ``nodes_per_piece`` raise :class:`ArgumentError`; a
+    non-finite table entry raises :class:`ValidationError` naming its piece.
     """
 
     def __init__(
@@ -236,33 +243,41 @@ class GridIntegratedFn(SmoothFn):
         name: str = "",
     ):
         bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2 or not np.all(np.diff(bp) > 0):
+        if bp.ndim != 1 or bp.size < 2 or not np.all(bp[1:] > bp[:-1]):
             raise ArgumentError("breakpoints must be strictly increasing with >= 2 entries")
+        # increasing with a finite span: every breakpoint and every step is finite
+        if not np.isfinite(float(bp[-1]) - float(bp[0])):
+            raise ArgumentError(f"breakpoints must span a finite width, got [{bp[0]!r}, {bp[-1]!r}]")
+        f_acc, d1_acc = float(value0), float(slope0)
+        if not (np.isfinite(f_acc) and np.isfinite(d1_acc)):
+            raise ArgumentError(f"value0 and slope0 must be finite, got {value0!r} and {slope0!r}")
+        _check_int(nodes_per_piece, "nodes_per_piece")
         if nodes_per_piece < 2 or nodes_per_piece % 2:
             raise ArgumentError("nodes_per_piece must be even and >= 2")
         self._bp = bp
         self._d2 = d2_jet_fn
         self._steps = np.diff(bp) / nodes_per_piece
-        self._n = int(nodes_per_piece)
+        self._n = n = int(nodes_per_piece)
 
-        d2_tabs, d1_tabs, f_tabs = [], [], []
-        f_acc, d1_acc = float(value0), float(slope0)
+        self._d2_tab, self._d1_tab, self._f_tab = (np.empty((bp.size - 1) * (n + 1)) for _ in range(3))
         for i in range(bp.size - 1):
             lo, hi = bp[i], bp[i + 1]
-            nodes = np.linspace(lo, hi, self._n + 1)
-            d2 = d2_jet_fn(nodes, 0)[0]
+            nodes = np.linspace(lo, hi, n + 1)
+            cut = slice(i * (n + 1), (i + 1) * (n + 1))
+            d2, d1, f = self._d2_tab[cut], self._d1_tab[cut], self._f_tab[cut]
+            d2[:] = d2_jet_fn(nodes, 0)[0]
             h = self._steps[i]
-            i2 = _cumulative_simpson(d2, h)
-            i2x = _cumulative_simpson(nodes * d2, h)
-            d1 = d1_acc + i2
-            f = f_acc + d1_acc * (nodes - lo) + nodes * i2 - i2x
-            d2_tabs.append(d2)
-            d1_tabs.append(d1)
-            f_tabs.append(f)
+            # an overflow shows as a non-finite entry, checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                i2 = _cumulative_simpson(d2, h)
+                i2x = _cumulative_simpson(nodes * d2, h)
+                d1[:] = d1_acc + i2
+                f[:] = f_acc + d1_acc * (nodes - lo) + nodes * i2 - i2x
+            if not all(np.isfinite(tab).all() for tab in (d2, d1, f)):
+                raise ValidationError(
+                    f"non-finite table entry on piece {i} [{lo!r}, {hi!r}] of {name or 'GridIntegratedFn'}"
+                )
             f_acc, d1_acc = float(f[-1]), float(d1[-1])
-        self._d2_tab = np.concatenate(d2_tabs)
-        self._d1_tab = np.concatenate(d1_tabs)
-        self._f_tab = np.concatenate(f_tabs)
 
         # no bound method stored on the instance: that would be a reference
         # cycle, and the tables would wait for the cyclic collector
@@ -448,8 +463,9 @@ def invert_monotone(
     Newton cycle), falls back to bisection.  Every step stays at least
     half a tolerance inside the bracket, and a target stops once its
     bracket is narrower than ``4 eps |x| + 4 tiny`` (about 4 ulp) or
-    ``|fn(x) - y|`` is at most ``tiny``; the bracket end with the smaller
-    residual is returned.
+    ``|fn(x) - y|`` is at most ``tiny``, the smallest subnormal float (the
+    smallest normal one would stop a target near zero with a large relative
+    error); the bracket end with the smaller residual is returned.
 
     ``fn`` takes one argument, an array of points.  Scalar ``lo`` and
     ``hi`` mean every target inverts the same function, and ``fn`` must
@@ -498,7 +514,7 @@ def invert_monotone(
     out, out_v = np.empty(x1.shape), np.empty(x1.shape)
     arg = None if shared else lo_a.reshape(-1).copy()
     idx = np.arange(x1.size)
-    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    tiny, eps = np.finfo(float).smallest_subnormal, np.finfo(float).eps
     for it in range(_MAXITER + 1):
         a1, a2 = np.abs(f1), np.abs(f2)
         small = a1 < a2

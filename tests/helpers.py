@@ -8,7 +8,7 @@ import numpy as np
 
 from minklab.cantor import _FLOAT_TOL, CoverReport, IntervalSet, _common_lattice
 from minklab.curve import SupportFn
-from minklab.fn_core import SmoothFn, invert_monotone, newton_pair
+from minklab.fn_core import SmoothFn, _cumulative_simpson, invert_monotone, newton_pair
 from minklab.infconv import _slope_gap, _windows
 from minklab.patching import SlopeSchedule, build_patched_convex, quadratic_profile_family
 
@@ -185,6 +185,27 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def listed_tables(f, value0, slope0):
+    """Oracle for a ``GridIntegratedFn`` build: its ``(f, f', f'')`` tables, each piece in a list, then concatenated."""
+    bp, n = f._bp, f._n
+    d2_tabs, d1_tabs, f_tabs = [], [], []
+    f_acc, d1_acc = float(value0), float(slope0)
+    for i in range(bp.size - 1):
+        lo, hi = bp[i], bp[i + 1]
+        nodes = np.linspace(lo, hi, n + 1)
+        d2 = f._d2(nodes, 0)[0]
+        h = f._steps[i]
+        i2 = _cumulative_simpson(d2, h)
+        i2x = _cumulative_simpson(nodes * d2, h)
+        d1 = d1_acc + i2
+        fv = f_acc + d1_acc * (nodes - lo) + nodes * i2 - i2x
+        d2_tabs.append(d2)
+        d1_tabs.append(d1)
+        f_tabs.append(fv)
+        f_acc, d1_acc = float(fv[-1]), float(d1[-1])
+    return np.concatenate(f_tabs), np.concatenate(d1_tabs), np.concatenate(d2_tabs)
 
 
 def assert_same_bits(got, want):

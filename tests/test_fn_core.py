@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from helpers import assert_same_bits, listed_tables
 from hypothesis import given
 from hypothesis import strategies as st
 
 from minklab import jets
 from minklab.cantor import CantorSpec
 from minklab.curve import SupportFn
-from minklab.errors import ArgumentError, CapabilityError, RootBracketError
+from minklab.errors import ArgumentError, CapabilityError, RootBracketError, ValidationError
 from minklab.fn_core import (
     GridIntegratedFn,
     SmoothFn,
@@ -319,6 +320,64 @@ class TestGridIntegrated:
         with pytest.raises(ArgumentError):
             GridIntegratedFn([0.0, 0.0], lambda x, o: np.zeros((o + 1,) + x.shape))
 
+    def test_profile_tables_equal_the_listed_build(self, hinge_profile):
+        f = hinge_profile.f
+        for got, want in zip((f._f_tab, f._d1_tab, f._d2_tab), listed_tables(f, 0.0, 0.0)):
+            assert_same_bits(got, want)
+
+    def test_smoothing_tables_equal_the_listed_build(self, hinge_schedule):
+        F = hinge_schedule.smoothings[2].F
+        # the first node holds value0 and slope0 as the build was given them
+        for got, want in zip((F._f_tab, F._d1_tab, F._d2_tab), listed_tables(F, F._f_tab[0], F._d1_tab[0])):
+            assert_same_bits(got, want)
+
+
+def _unit_d2(x, order):
+    """Derivative rows of ``f'' = 1``."""
+    out = np.zeros((order + 1,) + x.shape)
+    out[0] = 1.0
+    return out
+
+
+class TestGridIntegratedInputContract:
+    """Bad input raises a ``MinkLabError`` and never builds a NaN table."""
+
+    def _d2_never_called(self, x, order):
+        raise AssertionError("d2_jet_fn called on bad input")
+
+    def test_nan_value0(self):
+        with pytest.raises(ArgumentError, match="value0"):
+            GridIntegratedFn([0.0, 1.0], self._d2_never_called, value0=math.nan)
+
+    def test_infinite_slope0(self):
+        with pytest.raises(ArgumentError, match="slope0"):
+            GridIntegratedFn([0.0, 1.0], self._d2_never_called, slope0=math.inf)
+
+    def test_infinite_breakpoint(self):
+        with pytest.raises(ArgumentError, match="finite"):
+            GridIntegratedFn([0.0, math.inf], self._d2_never_called)
+
+    def test_nan_breakpoint(self):
+        with pytest.raises(ArgumentError, match="increasing"):
+            GridIntegratedFn([0.0, math.nan, 1.0], self._d2_never_called)
+
+    def test_non_integer_nodes_per_piece(self):
+        with pytest.raises(ArgumentError, match="nodes_per_piece"):
+            GridIntegratedFn([0.0, 1.0], self._d2_never_called, nodes_per_piece=16.0)
+
+    def test_overflowing_integral(self):
+        with pytest.raises(ValidationError, match="piece 0"):
+            GridIntegratedFn([0.0, 1e308, 1.7e308], _unit_d2, nodes_per_piece=16)
+
+    def test_nan_second_derivative(self):
+        def d2(x, order):
+            out = _unit_d2(x, order)
+            out[0, x > 1.5] = np.nan
+            return out
+
+        with pytest.raises(ValidationError, match="piece 1 .* of nan_tail"):
+            GridIntegratedFn([0.0, 1.0, 2.0], d2, nodes_per_piece=16, name="nan_tail")
+
 
 class TestInvertMonotone:
     def test_cubic(self):
@@ -394,6 +453,16 @@ class TestInvertMonotone:
         assert x[0] == pytest.approx(0.3, abs=1e-12)
         with pytest.raises(RootBracketError, match="residual"):
             invert_monotone(step, None, [0.5], 0.0, 1.0, rtol=1e-12)
+
+    def test_targets_near_zero_keep_relative_accuracy(self):
+        # bisection: the stop test reads the smallest subnormal, so neither
+        # the residual nor the bracket floor stops early near zero
+        ys = np.array([1e-300, -1e-305])
+        xs = invert_monotone(np.tanh, None, ys, -5.0, 5.0, rtol=1e-14)
+        np.testing.assert_allclose(xs, np.arctanh(ys), rtol=4 * np.finfo(float).eps, atol=0.0)
+        # the step limit reaches a subnormal root from a bracket near the float range
+        (x,) = invert_monotone(lambda x: x, None, [-4e-320], -8e307, 8.5e307)
+        assert x == -4e-320
 
     def test_solver_failure_raises(self):
         # a NaN hole around the root: the bracket is valid, the search is not

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import quartic_profile_family
+from helpers import quartic_profile_family, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -378,3 +378,12 @@ class TestPsiReuse:
         # distinct arguments, and the 30 quadratures 3
         assert len(sizes) <= 10
         np.testing.assert_array_equal(p.f._d2_tab, hinge_profile.f._d2_tab)
+
+
+def test_table_build_holds_its_tables_once(hinge_profile):
+    # ``hinge_profile`` first: one build of the profile has run before the traced one
+    family = quadratic_profile_family(CONFTEST_AMPLITUDES)
+    peak, p = traced_peak(build_patched_convex, hinge_profile.schedule, family)
+    tables = p.f._f_tab.nbytes + p.f._d1_tab.nbytes + p.f._d2_tab.nbytes
+    assert p.f._f_tab.size == hinge_profile.f._f_tab.size
+    assert peak <= 1.5 * tables
