@@ -60,27 +60,6 @@ def psi_raw_jet(x, order: int) -> np.ndarray:
     return tmul(left, right)
 
 
-def _normalizer_jet(x, order: int) -> np.ndarray:
-    """Jet of ``T(x) = psi_raw(x/2) + psi_raw(x) + psi_raw(2x)``.
-
-    Only the three central dyadic translates can be positive on the
-    support of ``psi_raw``, and ``T(2x) = T(x)`` there, so dividing by
-    ``T`` yields an exact partition of unity along dyadic scales.
-    :func:`psi_jet` adds the same three terms, each only where it can be
-    nonzero.
-    """
-    out = np.zeros((order + 1,) + np.shape(np.atleast_1d(x)))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    for m in (-1, 0, 1):
-        out += _translate_jet(x, m, order)
-    return out
-
-
-def _translate_jet(x: np.ndarray, m: int, order: int) -> np.ndarray:
-    """Jet of ``psi_raw(2**m x)`` in the variable ``x``."""
-    return _scale_rows(psi_raw_jet(np.ldexp(x, m), order), m)
-
-
 def _scale_rows(rows: np.ndarray, s) -> np.ndarray:
     """Jet of ``g(2**s x)`` from the jet of ``g`` at ``2**s x``: row ``j`` times ``2**(s j)``, in place."""
     for j in range(rows.shape[0]):

@@ -478,9 +478,11 @@ def invert_monotone(
 
     A target outside ``[fn(lo), fn(hi)]`` by less than ``1e-9 * (1 + span)``
     resolves to the nearer endpoint; one further out, a non-finite value,
-    a target not converged within the float range's bisection count, or
-    (when ``rtol > 0``) a residual ``|fn(x) - y|`` above
-    ``rtol * (1 + |y|)`` raises :class:`~minklab.errors.RootBracketError`.
+    a bracket width ``hi - lo`` or ``fn(hi) - fn(lo)`` that overflows
+    (checked before any step), a target not converged within the float
+    range's bisection count, or (when ``rtol > 0``) a residual
+    ``|fn(x) - y|`` above ``rtol * (1 + |y|)`` raises
+    :class:`~minklab.errors.RootBracketError`.
     The residual reads the value ``fn`` gave at the returned bracket end.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -495,7 +497,13 @@ def invert_monotone(
         flo, fhi = fn(lo_a), fn(hi_a)
     if not all(np.isfinite(v).all() for v in (lo_a, hi_a, flo, fhi, ys)):
         raise RootBracketError("root search failed: non-finite bracket, bracket value or target")
-    slack = 1e-9 * (1.0 + float(np.max(np.abs(fhi - flo))))
+    with np.errstate(over="ignore"):
+        width, rise = hi_a - lo_a, fhi - flo
+    if not (np.isfinite(width).all() and np.isfinite(rise).all()):
+        raise RootBracketError(
+            "root search failed: the bracket width hi - lo or fn(hi) - fn(lo) overflows to inf"
+        )
+    slack = 1e-9 * (1.0 + float(np.max(np.abs(rise))))
     if np.any(flo > ys + slack) or np.any(fhi < ys - slack):
         bad = np.flatnonzero((flo > ys + slack) | (fhi < ys - slack))
         raise RootBracketError(

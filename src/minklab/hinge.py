@@ -336,8 +336,8 @@ def _window_0_area(eps, d):
 def _flat_floor(f: SmoothFn) -> float:
     """Largest probe point below which the profile curvature vanishes.
 
-    Computed once per profile object: a schedule's builds and the curve
-    assembled from it share one probe scan.
+    Computed once per profile object: a schedule's builds share one probe
+    scan.
     """
     if f not in _FLOORS:
         _FLOORS[f] = _probe_flat_floor(f)
@@ -457,7 +457,8 @@ def _solve_certificates(f_u, eps, d, b_eps, tan_g, mass):
     # would be these two with the slope negated, bit for bit
     upper = tan_g / (d - 2.0 * eps)
     coarse = 2.0 * tan_g / d
-    su = f_u.eval(2.0 * eps - d, 1)
+    # the mass quadrature solved this point at order 2: the memo answers it
+    su = float(f_u.jet(np.array([2.0 * eps - d]), 2)[1, 0])
     return [
         Certificate("window_weight_positive", b_eps, 0.0, b_eps > 0.0),
         Certificate("window_weight_upper", b_eps, upper, b_eps <= upper),
@@ -481,10 +482,12 @@ def _function_certificates(F, f_u, f, eps, d, tan_g):
     interior_min = float(F.jet(interior, 2)[2].min())
     max_slope = float(np.abs(rows[1]).max())
     max_value = float(np.abs(rows[0]).max())
+    # every other node of F's outer pieces, whose end rows solved them at
+    # order 2: read at that order, the memo answers them
     left = np.linspace(-d, -d + eps, _CERT_GRID_N)
-    gap_left = float(np.abs(F.eval(left) - f_u.eval(left)).max())
+    gap_left = float(np.abs(F.eval(left) - f_u.jet(left, 2)[0]).max())
     right = np.linspace(d - eps, d, _CERT_GRID_N)
-    diff = F.eval(right) - f_u.eval(-right)
+    diff = F.eval(right) - f_u.jet(-right, 2)[0]
     gap_right = float(diff.max() - diff.min())
     window_floor = float(
         np.min(

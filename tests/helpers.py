@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 
+from minklab.bumps import _scale_rows, psi_raw_jet
 from minklab.cantor import _FLOAT_TOL, CoverReport, IntervalSet, _common_lattice
 from minklab.curve import SupportFn
 from minklab.fn_core import SmoothFn, _cumulative_simpson, invert_monotone, newton_pair
@@ -168,6 +169,25 @@ def covers_by_walk(a, target):
     if cursor < thi - tol:
         gaps.append((cursor / den, thi / den))
     return CoverReport(covered=not gaps, gaps=np.array(gaps, dtype=float).reshape(-1, 2))
+
+
+def normalizer_jet(x, order):
+    """Oracle for the normalizer inside ``bumps.psi_jet``: the jet of ``T(x) = psi_raw(x/2) + psi_raw(x) + psi_raw(2x)``.
+
+    Only the three central dyadic translates can be positive on the
+    support of ``psi_raw``, and ``T(2x) = T(x)`` there; each term is added
+    at every point, with no mask.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros((order + 1,) + x.shape)
+    for m in (-1, 0, 1):
+        out += translate_jet(x, m, order)
+    return out
+
+
+def translate_jet(x, m, order):
+    """Jet of ``psi_raw(2**m x)`` in the variable ``x``."""
+    return _scale_rows(psi_raw_jet(np.ldexp(x, m), order), m)
 
 
 def point_support(p, *, grid_n):

@@ -83,12 +83,16 @@ def curve_entries(tag, curve, zset):
     """Vertex count, symmetry gap, turning, zero-set size and smallest gap, and a sweep count of one curve."""
     diam = float(np.max(np.abs(curve.boundary)))
     grid = (np.arange(SWEEP_N) + 0.5) * (2.0 * math.pi / SWEEP_N)
-    from minklab.curve import rotations_avoiding_zero_sets
+    from minklab.curve import _FLAT_TOL, rotations_avoiding_zero_sets
 
     zero_angles = np.array(zset.Z.as_floats())[:, 0]
     return [
         _exact(f"{tag}.curve.vertices", int(curve.boundary.shape[0])),
-        _exact(f"{tag}.curve.flat_marks", int(curve.flat_marks.size)),
+        # the vertices whose curvature is zero within the support's flat tolerance
+        _exact(
+            f"{tag}.curve.flat_marks",
+            int(np.count_nonzero(curve.curvature <= _FLAT_TOL * np.max(curve.curvature))),
+        ),
         _float(f"{tag}.curve.symmetry_gap", curve.symmetry_gap(), diam),
         _float(f"{tag}.curve.total_turning", curve.total_turning(), 2.0 * math.pi),
         _exact(f"{tag}.zero_set.Z_components", len(zset.Z)),

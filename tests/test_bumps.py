@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from helpers import normalizer_jet
 from test_jets import mp_derivs
 
 from minklab import bumps, jets
@@ -71,7 +72,7 @@ def test_psi_jet_equals_the_unmasked_quotient():
     for order in range(9):
         raw = bumps.psi_raw_jet(x, order)
         inside = raw[0] > 0.0
-        norm = bumps._normalizer_jet(x, order)
+        norm = normalizer_jet(x, order)
         norm[0] = np.where(inside, norm[0], 1.0)
         expected = np.where(inside, tdiv(raw, norm), 0.0)
         assert np.array_equal(bumps.psi_jet(x, order), expected), order

@@ -29,6 +29,7 @@ from minklab.curve import (
     curvature_transfer_check,
     minkowski_sum,
     refinement_intervals,
+    _FLAT_TOL,
     _SWEEP_BLOCK_ELEMS,
     _VALIDATE_TOL,
     _cross_and_length,
@@ -56,7 +57,6 @@ def circle_curve(n=64, radius=1.0, order=None, offset=0.0):
         boundary=pts,
         gauss_angle=th,
         curvature=np.full(n, 1.0 / radius),
-        flat_marks=np.array([], dtype=int),
         symmetry_order=order if order is not None else n,
     )
 
@@ -83,12 +83,12 @@ def bare_atlas():
 def test_convex_curve_rejects_bad_shapes():
     pts = np.zeros((2, 2))
     with pytest.raises(ArgumentError):
-        ConvexCurve(pts, np.zeros(2), np.zeros(2), np.array([], dtype=int), 1)
+        ConvexCurve(pts, np.zeros(2), np.zeros(2), 1)
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ArgumentError):
-        ConvexCurve(tri, np.zeros(2), np.zeros(3), np.array([], dtype=int), 1)
+        ConvexCurve(tri, np.zeros(2), np.zeros(3), 1)
     with pytest.raises(ArgumentError):
-        ConvexCurve(tri, np.zeros(3), np.zeros(3), np.array([], dtype=int), 0)
+        ConvexCurve(tri, np.zeros(3), np.zeros(3), 0)
 
 
 def test_circle_sample_turns_once_and_validates():
@@ -109,24 +109,9 @@ def test_octagon_with_a_nan_entry_raises_argument_error(array):
 
 def test_validate_rejects_nonconvex_polyline():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.5]])
-    c = ConvexCurve(
-        pts, np.zeros(4), np.zeros(4), np.array([], dtype=int), 1
-    )
+    c = ConvexCurve(pts, np.zeros(4), np.zeros(4), 1)
     with pytest.raises(ValidationError, match="not convex"):
         c.validate()
-
-
-def test_validate_rejects_macroscopic_flat_run():
-    c = circle_curve(64, radius=2.0)
-    # the second run wraps past vertex 0
-    for marks in ([3, 4, 5], [62, 63, 0, 1]):
-        marked = dataclasses.replace(c, flat_marks=np.array(marks))
-        with pytest.raises(ValidationError, match="spans length"):
-            marked.validate(straight_run_tol=1e-6, normal_sweep_tol=10.0)
-        with pytest.raises(ValidationError, match="sweeps"):
-            marked.validate(straight_run_tol=10.0, normal_sweep_tol=1e-9)
-        # generous tolerances accept the same marks
-        marked.validate(straight_run_tol=10.0, normal_sweep_tol=10.0)
 
 
 def test_validate_rejects_broken_symmetry():
@@ -150,7 +135,7 @@ def hand_polygons():
     out += [(hexagon, k) for k in (1, 2, 3, 4, 6)]
     out += [(square[::-1].copy(), 4), (notch, 1), (notch, 2), (bent, 6), (square[:3].copy(), 2)]
     return [
-        ConvexCurve(b, np.zeros(len(b)), np.zeros(len(b)), np.array([], dtype=int), k)
+        ConvexCurve(b, np.zeros(len(b)), np.zeros(len(b)), k)
         for b, k in out
     ]
 
@@ -169,7 +154,7 @@ def test_measurements_equal_the_rolled_formulas_bit_for_bit(assembled, assembled
         # validate reports the convexity verdict and worst cross ratio of the rolled formulas
         scale = length * np.roll(length, -1)
         try:
-            c.validate(straight_run_tol=math.inf, normal_sweep_tol=math.inf)
+            c.validate()
             message = ""
         except ValidationError as err:
             message = str(err)
@@ -319,7 +304,7 @@ def test_flat_marks_sit_on_zero_structure(assembled):
     """
     curve, zset = assembled
     junctions = np.array(sorted({lo for lo, _ in zset.Z.as_floats()}))
-    marked = curve.gauss_angle[curve.flat_marks]
+    marked = curve.gauss_angle[curve.curvature <= _FLAT_TOL * np.max(curve.curvature)]
     assert marked.size > 0
 
     def dist_to(points, targets):
@@ -903,7 +888,7 @@ def test_validate_takes_the_edge_vectors_once(monkeypatch):
     th = np.arange(64) * (2.0 * TAU / 64)
     twice = ConvexCurve(
         2.0 * np.column_stack([np.cos(th), np.sin(th)]), np.sort(np.mod(th, TAU)),
-        np.full(64, 0.5), np.array([], dtype=int), 1,
+        np.full(64, 0.5), 1,
     )
     with pytest.raises(ValidationError, match="total turning .* is not 2\\*pi"):
         twice.validate()

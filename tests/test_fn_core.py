@@ -464,6 +464,20 @@ class TestInvertMonotone:
         (x,) = invert_monotone(lambda x: x, None, [-4e-320], -8e307, 8.5e307)
         assert x == -4e-320
 
+    @pytest.mark.parametrize("fn", [lambda x: x, lambda x: np.tanh(x)], ids=["both", "width only"])
+    def test_overflowing_bracket_width_raises_before_any_step(self, fn):
+        # every value is finite, but hi - lo (and for the identity fn(hi) -
+        # fn(lo)) is not: the filter turns any numpy overflow warning into a failure
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return fn(x)
+
+        with pytest.raises(RootBracketError, match="bracket width .* overflows"):
+            invert_monotone(counted, None, [1e-300, 0.5], -1.7e308, 1.7e308)
+        assert calls == [2]
+
     def test_solver_failure_raises(self):
         # a NaN hole around the root: the bracket is valid, the search is not
         holed = lambda x: np.where(np.abs(x - 0.5) < 0.1, np.nan, x)

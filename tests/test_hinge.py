@@ -354,6 +354,26 @@ class TestCertifyOnlyKeptBuilds:
             schedule_smoothings(hinge_profile.f, 1)
 
 
+class TestZeroCurvatureStretchIsRejected:
+    """A smoothing whose ``F''`` vanishes on an interior stretch fails its exact curvature certificate."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_a_hole_in_the_plateau_window_raises(self, hinge_profile, hinge_schedule, monkeypatch, level):
+        window = hinge._window_0_rows
+
+        def holed(x, d, eps, order):
+            rows = window(x, d, eps, order)
+            rows[:, np.abs(x) < d / 100.0] = 0.0
+            return rows
+
+        monkeypatch.setattr(hinge, "_window_0_rows", holed)
+        sr = hinge_schedule.smoothings[level - 1]
+        with pytest.raises(ConstructionError, match="interior_curvature_positive: measured 0.0 ") as err:
+            build_smoothing(hinge_profile.f, sr.d, sr.gamma)
+        # F'' is zero there, not negative: the positivity check is what rejects it
+        assert "curvature_nonnegative" not in str(err.value)
+
+
 class TestRightEndMirrorsLeft:
     """The right end is read as the left profile at ``-x``, row ``j`` times ``(-1)**j``."""
 
@@ -617,6 +637,32 @@ class TestRememberedProfile:
         np.testing.assert_array_equal(f_u.jet(xs, 2), first)
         assert targets == [101, 101]
         np.testing.assert_array_equal(first, plain_rotated_profile(quartic, 0.2, 1e-3).jet(xs, 2))
+
+
+    def test_the_certificate_grids_add_no_targets(self, hinge_profile, hinge_schedule, monkeypatch):
+        from minklab import rotated_graph
+
+        targets = []
+        invert = rotated_graph.invert_monotone
+
+        def counted(fn, dfn, ys, *args, **kwargs):
+            targets.append(np.array(ys, dtype=float).reshape(-1))
+            return invert(fn, dfn, ys, *args, **kwargs)
+
+        monkeypatch.setattr(rotated_graph, "invert_monotone", counted)
+        sr = hinge_schedule.smoothings[0]
+        build_smoothing(hinge_profile.f, sr.d, sr.gamma)
+        d, eps, n = sr.d, sr.epsilon, hinge._CERT_GRID_N
+        bits, times = np.unique(np.concatenate(targets).view(np.int64), return_counts=True)
+        # the endpoint-match grids are every other node of F's outer pieces
+        # and the side-slope point ends the mass quadrature: all were solved
+        # at order 2 before the certificates read them at that order
+        grids = np.concatenate([np.linspace(-d, -d + eps, n), -np.linspace(d - eps, d, n), [2.0 * eps - d]])
+        assert np.isin(grids.view(np.int64), bits).all()
+        # so each is solved once; only -d is solved again, at orders 0 and 1
+        # for F's start value and slope
+        assert bits[times > 1].view(float).tolist() == [-d]
+        assert times[times > 1].tolist() == [3]
 
 
 class TestFlatFloor:

@@ -1,4 +1,4 @@
-"""Package-level checks: every declared export resolves, every public name has a caller, no module loads SciPy, and no module imports a name it never reads."""
+"""Package-level checks: every declared export resolves, every public name has a caller, every private function has a reader, no module loads SciPy, and no module imports a name it never reads."""
 
 import ast
 import collections
@@ -238,6 +238,59 @@ def test_the_caller_guard_counts_a_shared_name_only_for_the_listed_class():
         "shapes.Ring.fill": "shapes:render",
     }
     assert _caller_guard(defining, reading, kept, wrong)[2] == ["shapes.Disk.draw", "shapes.Ring.draw", "shapes.Ring.fill"]
+
+
+def _unread_private_functions(defining, reading):
+    """Module-level ``_name`` functions of ``defining`` that no text of ``reading`` reads outside their own definition.
+
+    Both map a module name to its source text; a function counts as read
+    when any text loads its name as a name or an attribute.
+    """
+    refs = set().union(*map(_references, reading.values()))
+    return sorted(
+        f"{module}.{stmt.name}"
+        for module, text in defining.items()
+        for stmt in ast.parse(text).body
+        if isinstance(stmt, ast.FunctionDef)
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and stmt.name not in refs
+    )
+
+
+def test_every_private_function_has_a_reader():
+    src = REPO / "src" / "minklab"
+    files = sorted(src.glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    defining = {name: (src / f"{name}.py").read_text(encoding="utf-8") for name in MODULES}
+    reading = {str(p.relative_to(REPO)): p.read_text(encoding="utf-8") for p in files}
+    assert _unread_private_functions(defining, reading) == [], "private functions that only tests read"
+
+
+def test_the_private_function_guard_reports_a_function_only_itself_or_nothing_reads():
+    defining = {
+        "shapes": (
+            "def _area(s):\n"
+            "    return _side(s) ** 2\n"
+            "def _side(s):\n"
+            "    return s\n"
+            "def _halve(s):\n"
+            "    return _halve(s / 2) if s > 1 else s\n"
+            "def _unused():\n"
+            "    return 0\n"
+            "class Square:\n"
+            "    def _scale(self):\n"
+            "        return 2.0\n"
+        )
+    }
+    # _side is read by _area, and _area by the second text; _halve reads
+    # only itself; the method _scale is not module-level
+    reading = {"shapes": defining["shapes"], "main": "import shapes\nprint(shapes._area(2))\n"}
+    assert _unread_private_functions(defining, reading) == ["shapes._halve", "shapes._unused"]
+    assert _unread_private_functions(defining, {"shapes": defining["shapes"]}) == [
+        "shapes._area",
+        "shapes._halve",
+        "shapes._unused",
+    ]
 
 
 def _unread_imports(path):
