@@ -75,6 +75,13 @@ def _check_int(value, name: str) -> None:
         raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite(value, name: str) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise ArgumentError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def _check_grid_n(grid_n: int, least: int = 2) -> None:
     _check_int(grid_n, "grid_n")
     if grid_n < least:
@@ -197,8 +204,8 @@ class SmoothFn:
     def polynomial(coeffs: Sequence[float], domain: Interval, *, max_order: int = 16, name: str = "") -> "SmoothFn":
         """The polynomial ``sum coeffs[i] * x**i`` restricted to ``domain``."""
         c = np.asarray(coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ArgumentError("coeffs must be a nonempty 1-D sequence")
+        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+            raise ArgumentError(f"coeffs must be a nonempty 1-D sequence of finite numbers, got {coeffs!r}")
 
         def jet_fn(x, order):
             return jets.jet_to_derivs(jets.poly_jet(c, x, order))
@@ -248,9 +255,7 @@ class GridIntegratedFn(SmoothFn):
         # increasing with a finite span: every breakpoint and every step is finite
         if not np.isfinite(float(bp[-1]) - float(bp[0])):
             raise ArgumentError(f"breakpoints must span a finite width, got [{bp[0]!r}, {bp[-1]!r}]")
-        f_acc, d1_acc = float(value0), float(slope0)
-        if not (np.isfinite(f_acc) and np.isfinite(d1_acc)):
-            raise ArgumentError(f"value0 and slope0 must be finite, got {value0!r} and {slope0!r}")
+        f_acc, d1_acc = _finite(value0, "value0"), _finite(slope0, "slope0")
         _check_int(nodes_per_piece, "nodes_per_piece")
         if nodes_per_piece < 2 or nodes_per_piece % 2:
             raise ArgumentError("nodes_per_piece must be even and >= 2")

@@ -52,7 +52,7 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
-from .fn_core import GridIntegratedFn, SmoothFn, _check_int, _simpson, cr_norm, invert_monotone, newton_pair
+from .fn_core import GridIntegratedFn, SmoothFn, _check_int, _finite, _simpson, cr_norm, invert_monotone, newton_pair
 from .rotated_graph import rotate_graph
 
 __all__ = [
@@ -235,9 +235,10 @@ def solve_epsilon(f: SmoothFn, gamma: float) -> float:
 
     Requires ``tan(gamma)`` inside the range of ``f'``; also verifies the
     half-angle comparison ``f'(2 eps / cos(gamma)) <= tan(gamma)`` that
-    makes the later side conditions automatic.
+    makes the later side conditions automatic.  A non-finite ``gamma``
+    raises :class:`ArgumentError`.
     """
-    if gamma <= 0.0:
+    if not _finite(gamma, "gamma") > 0.0:
         raise ArgumentError("gamma must be positive")
     tan_g = math.tan(gamma)
     lo, hi = f.domain
@@ -301,7 +302,8 @@ def solve_b_eps(f_u: SmoothFn, eps: float, d: float) -> tuple[float, float]:
     """
     if not 4.0 * eps < d:
         raise HypothesisError(f"need 4*eps < d, got eps={eps!r}, d={d!r}")
-    tan_g = -f_u.eval(-d, 1)
+    # the row at -d starts the mass quadrature: read at order 2, it is solved once
+    tan_g = -float(f_u.jet(np.array([-d]), 2)[1, 0])
     mass = _curvature_mass(f_u, eps, d)
     b = 2.0 * (tan_g - mass) / _window_0_area(eps, d)
     if not b > 0.0:
@@ -368,23 +370,21 @@ def _place(f: SmoothFn, d: float, gamma: float):
 def _end_rows(x, d, eps, f_u, order):
     """Derivative rows of ``f_u'' W_u + f_v'' W_v``, the end terms of ``F''``.
 
-    The left term is computed at the left-end points and at the negated
-    right-end points in one ``f_u`` jet and one product; the right term is
-    :func:`_mirror` of the left one's rows at ``-x``.
+    Both ends are read at ``y = -|x|`` in the left window: each distinct
+    ``y`` is solved once, in one ``f_u`` jet and one product, and the right
+    term is :func:`_mirror` of the left one's rows at ``-x``.
     """
     out = np.zeros((order + 1,) + x.shape)
-    m_u, m_v = x < 2.0 * eps - d, x > d - 2.0 * eps
-    if not (m_u.any() or m_v.any()):
+    ends = np.abs(x) > d - 2.0 * eps
+    if not ends.any():
         return out
-    n_u = np.count_nonzero(m_u)
-    y = np.concatenate([x[m_u], -x[m_v]])
+    y, back = np.unique(-np.abs(x[ends]), return_inverse=True)
     prod = jets.tmul(
         jets.derivs_to_jet(f_u.jet(y, order + 2)[2:]),
         jets.derivs_to_jet(_window_end_rows(y, d, eps, order)),
     )
-    rows = jets.jet_to_derivs(prod)
-    out[:, m_u] += rows[:, :n_u]
-    out[:, m_v] += _mirror(rows[:, n_u:])
+    rows = jets.jet_to_derivs(prod)[:, back]
+    out[:, ends] += np.where(x[ends] > 0.0, _mirror(rows), rows)
     return out
 
 
@@ -395,6 +395,7 @@ def _integrate(f: SmoothFn, d: float, f_u: SmoothFn, eps: float):
     raises, but checks no certificate.
     """
     b_eps, mass = solve_b_eps(f_u, eps, d)
+    value0, slope0 = f_u.jet(np.array([-d]), 2)[:2, 0]
 
     def d2_rows(x, order):
         return b_eps * _window_0_rows(x, d, eps, order) + _end_rows(x, d, eps, f_u, order)
@@ -403,8 +404,8 @@ def _integrate(f: SmoothFn, d: float, f_u: SmoothFn, eps: float):
     F = GridIntegratedFn(
         breakpoints,
         d2_rows,
-        value0=f_u.eval(-d),
-        slope0=f_u.eval(-d, 1),
+        value0=value0,
+        slope0=slope0,
         max_order=f.max_order,
         nodes_per_piece=_NODES_PER_PIECE,
         name=f"hinge_smoothing[d={d:.4g}]",

@@ -39,7 +39,7 @@ from .errors import (
     RotationTooLargeError,
     ValidationError,
 )
-from .fn_core import SmoothFn, cr_norm, invert_monotone, newton_pair
+from .fn_core import SmoothFn, _finite, cr_norm, invert_monotone, newton_pair
 
 __all__ = [
     "CrBoundEntry",
@@ -61,10 +61,10 @@ def rotate_graph(f: SmoothFn, phi: float) -> SmoothFn:
     Raises :class:`~minklab.errors.RotationTooLargeError` when
     ``cos(phi) - f' sin(phi)`` fails to stay positive on a ``_CHECK_N``-point
     grid, i.e. when the rotated set is no longer the graph of a function,
-    and :class:`~minklab.errors.CapabilityError` when ``f`` has no first
-    derivative to check that with (``max_order`` 0).
+    :class:`~minklab.errors.CapabilityError` when ``f`` has no first
+    derivative (``max_order`` 0), and ``ArgumentError`` for a non-finite ``phi``.
     """
-    phi = float(phi)
+    phi = _finite(phi, "phi")
     c = math.cos(phi)
     s = math.sin(phi)
     lo, hi = f.domain
@@ -143,10 +143,11 @@ def cr_bound_check(
     :class:`~minklab.errors.HypothesisError` names the offending angle.
     The measured side is the ``C^r`` norm of the rotated function on its
     full (rotated) domain; a measured value above the bound raises
-    :class:`~minklab.errors.ValidationError`.
+    :class:`~minklab.errors.ValidationError`.  Non-finite angles raise ``ArgumentError`` first.
     """
     if r < 0:
         raise ArgumentError("r must be >= 0")
+    phis = [_finite(phi, "phi") for phi in phi_set]
     top = max(r, 2 * r - 1) if r >= 1 else 0
     per = cr_norm(f, top, grid_n=_CHECK_N).per_order
     norms = np.cumsum(per)
@@ -154,8 +155,7 @@ def cr_bound_check(
     diameter = max(hi, 0.0) - min(lo, 0.0)
 
     entries: list[CrBoundEntry] = []
-    for phi in phi_set:
-        phi = float(phi)
+    for phi in phis:
         c = math.cos(phi)
         s_abs = abs(math.sin(phi))
         needed = range(r, 2 * r) if r >= 1 else range(0, 1)
@@ -166,7 +166,7 @@ def cr_bound_check(
                     f"|tan phi| * N_{s_idx} = "
                     f"{(s_abs / c) * norms[s_idx] if c > 0 else math.inf:.6g} >= 1"
                 )
-        hypothesis_value = (s_abs / c) * norms[r] if c > 0 else math.inf
+        hypothesis_value = (s_abs / c) * norms[r]
 
         measured = cr_norm(rotate_graph(f, phi), r, grid_n=_CHECK_N).value
 

@@ -356,14 +356,14 @@ def test_stage_graphs_increase_pointwise(hinge_schedule):
 
     sms = hinge_schedule.smoothings[:3]
     templates = _build_templates(sms, 512)
-    _check_stage_monotone(templates, 3)
+    _check_stage_monotone(templates)
     # a smoothing sagging below its hinge interior must be caught
     bad = list(templates)
     t = bad[1]
     sag = 1e-3 * (1.0 - (t.z.real / t.sm.d) ** 2)
     bad[1] = dataclasses.replace(t, z=t.z - 1j * sag)
     with pytest.raises(ConstructionError, match="dips below"):
-        _check_stage_monotone(bad, 3)
+        _check_stage_monotone(bad)
 
 
 def test_last_stage_is_the_assembled_arc(assembled):
@@ -417,6 +417,9 @@ def test_assemble_rejects_bad_arguments(hinge_profile, hinge_schedule):
         assemble_curve(hinge_profile.f, hinge_schedule.smoothings, m_max=5)
     with pytest.raises(ArgumentError, match="integer"):
         assemble_curve(hinge_profile.f, hinge_schedule, m_max=None)
+    # a shallower depth is not a prefix of the schedule: its turns miss pi/n
+    with pytest.raises(ArgumentError, match="depth 5"):
+        assemble_curve(hinge_profile.f, hinge_schedule, m_max=4)
 
 
 def test_assemble_rejects_unnormalized_schedule(hinge_profile, hinge_schedule):
@@ -426,6 +429,10 @@ def test_assemble_rejects_unnormalized_schedule(hinge_profile, hinge_schedule):
     )
     with pytest.raises(HypothesisError, match="pi/n"):
         assemble_curve(hinge_profile.f, skewed, m_max=5)
+    # n is the schedule's own field: one its turns do not sum to is rejected
+    miscounted = dataclasses.replace(hinge_schedule, n=hinge_schedule.n + 1)
+    with pytest.raises(HypothesisError, match="pi/n"):
+        assemble_curve(hinge_profile.f, miscounted, m_max=5)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +534,10 @@ def test_point_summand_translates():
             SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.disk(1.0, grid_n=64), [math.inf]
         ),
         lambda: bare_atlas().support_data([math.nan, 0.3]),
+        lambda: SupportFn(np.full(64, math.nan), np.ones(64), np.zeros(64), np.zeros(64), np.zeros(64, bool)),
+        lambda: SupportFn(SupportFn.grid(64), np.full(64, math.nan), np.zeros(64), np.zeros(64), np.zeros(64, bool)),
+        lambda: SupportFn(SupportFn.grid(64), np.ones(64), np.full(64, math.inf), np.zeros(64), np.zeros(64, bool)),
+        lambda: SupportFn(SupportFn.grid(64), np.ones(64), np.zeros(64), np.full(64, math.nan), np.ones(64, bool)),
     ],
     ids=[
         "disk-nan",
@@ -540,6 +551,10 @@ def test_point_summand_translates():
         "transfer-nan",
         "transfer-inf",
         "support-data-nan",
+        "support-theta-nan",
+        "support-h-nan",
+        "support-dh-inf",
+        "support-d2h-nan",
     ],
 )
 def test_non_finite_parameters_raise_argument_error(call):
@@ -692,6 +707,23 @@ def test_support_solves_each_target_once(assembled, support_first, monkeypatch):
         assert [ys.size for ys in requests] == [np.unique(ys).size for ys in requests]
     for key in ("h", "dh", "d2h", "flat"):
         np.testing.assert_array_equal(getattr(again, key), getattr(support_first, key))
+
+
+def test_support_end_rows_solve_each_profile_point_once(assembled, monkeypatch):
+    # the left end and the mirror image of the right end share their points
+    from minklab import rotated_graph
+
+    targets = []
+    invert = rotated_graph.invert_monotone
+
+    def counted(fn, dfn, ys, *args, **kwargs):
+        targets.append(np.array(ys, dtype=float).reshape(-1))
+        return invert(fn, dfn, ys, *args, **kwargs)
+
+    monkeypatch.setattr(rotated_graph, "invert_monotone", counted)
+    SupportFn.from_curve(assembled[0])
+    every = np.concatenate(targets)
+    assert every.size > 0 and np.unique(every).size == every.size
 
 
 def test_support_farthest_point_matches_polyline(assembled, support_first):

@@ -160,8 +160,10 @@ _QUAD = SmoothFn.polynomial([0.0, 0.0, 1.0], (-1.0, 1.0), name="quad")
         lambda: _QUAD.eval(math.nan),
         lambda: _QUAD.eval(np.array([math.nan, 0.5]), 1),
         lambda: minimizer_map(_QUAD, _QUAD, math.nan),
+        lambda: SmoothFn.polynomial([0.0, math.nan], (0, 1)),
+        lambda: SmoothFn.polynomial([math.inf], (0, 1)),
     ],
-    ids=["jet", "jet-array", "eval", "eval-array", "minimizer-map"],
+    ids=["jet", "jet-array", "eval", "eval-array", "minimizer-map", "polynomial-nan", "polynomial-inf"],
 )
 def test_nan_point_raises_argument_error(call):
     with pytest.raises(ArgumentError):

@@ -8,7 +8,7 @@ from helpers import central_fd, flat_center_fn, rotated_point
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minklab.errors import CapabilityError, HypothesisError, RotationTooLargeError
+from minklab.errors import ArgumentError, CapabilityError, HypothesisError, RotationTooLargeError
 from minklab.fn_core import SmoothFn, cr_norm
 from minklab.rotated_graph import cr_bound_check, rotate_graph
 
@@ -144,6 +144,15 @@ class TestErrors:
         f = SmoothFn(p.domain, 0, lambda x, m: p.jet(x, m), name="values only")
         with pytest.raises(CapabilityError):
             rotate_graph(f, 0.1)
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_is_rejected_before_any_work(self, phi):
+        # the jet is never asked: the angle is checked first
+        f = SmoothFn((0.0, 1.0), 4, lambda x, m: pytest.fail("f was evaluated"))
+        with pytest.raises(ArgumentError, match="phi"):
+            rotate_graph(f, phi)
+        with pytest.raises(ArgumentError, match="phi"):
+            cr_bound_check(f, [0.1, phi], 1)
 
 
 class TestCrBound:
