@@ -185,8 +185,8 @@ class IntervalSet:
             if shift.denominator == 1 and abs(shift) < room:
                 return IntervalSet(self.lo + int(shift), self.hi + int(shift), self.den)
             return IntervalSet.from_pairs([(a + fc, b + fc) for a, b in self.as_fractions()])
-        if fc is None and math.isnan(float(c)):
-            raise ArgumentError("shift is NaN")
+        if fc is None and not math.isfinite(float(c)):
+            raise ArgumentError(f"shift must be finite, got {c!r}")
         lo, hi = _float_ends(self)
         return IntervalSet(lo + float(c), hi + float(c), None)
 

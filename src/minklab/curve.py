@@ -48,7 +48,6 @@ __all__ = [
     "GaussZeroSet",
     "SupportFn",
     "TransferReport",
-    "angular_resolution_arc",
     "assemble_curve",
     "curvature_transfer_check",
     "minkowski_sum",
@@ -402,27 +401,6 @@ def _turning(e: np.ndarray) -> float:
     return float(np.sum(d))
 
 
-def angular_resolution_arc(curve: ConvexCurve, grid_n: int) -> float:
-    """Largest boundary arc whose normals fit inside one angular grid cell.
-
-    Support sampling on a uniform ``grid_n``-point angle grid touches the
-    boundary only where a grid angle is attained as an outward normal; a
-    stretch whose normals all fall strictly between two consecutive grid
-    angles is invisible to the samples.  Nearly-flat pieces turn the normal
-    very slowly, so they can hide entire long edges inside one cell; the
-    value returned here is the honest resolution floor for any
-    reconstruction-versus-boundary distance at that grid size.
-    """
-    if grid_n < 8:
-        raise ArgumentError("angular grid needs at least 8 samples")
-    cell = TAU / float(grid_n)
-    elen = np.hypot(*curve.edge_vectors().T)
-    bins = np.minimum((curve.gauss_angle / cell).astype(np.int64), grid_n - 1)
-    acc = np.zeros(grid_n, dtype=float)
-    np.add.at(acc, bins, elen)
-    return float(acc.max())
-
-
 @dataclass(eq=False)
 class GaussZeroSet:
     """Normal angles with vanishing curvature.
@@ -680,15 +658,6 @@ class SupportFn:
         )
 
     @classmethod
-    def disk(cls, radius: float, center=(0.0, 0.0), *, grid_n: int = 1 << 16) -> "SupportFn":
-        cx, cy = float(center[0]), float(center[1])
-        if not (radius > 0 and np.all(np.isfinite([radius, cx, cy]))):
-            raise ArgumentError(f"disk needs a finite radius > 0 and center: {radius!r}, {center!r}")
-        th = cls.grid(grid_n)
-        pts = complex(cx, cy) + radius * np.exp(1j * th)
-        return cls._from_points(th, pts, radius, False)
-
-    @classmethod
     def ellipse(cls, a: float, b: float, *, grid_n: int = 1 << 16) -> "SupportFn":
         if not (a > 0 and b > 0 and np.all(np.isfinite([a, b]))):
             raise ArgumentError(f"semi-axes must be positive and finite: {a!r}, {b!r}")
@@ -699,19 +668,6 @@ class SupportFn:
         pts = a * (a * c / he) + 1j * (b * (b * s / he))
         rho = (a / he) * (b / he) * (a * (b / he))
         return cls._from_points(th, pts, rho, False)
-
-    @classmethod
-    def from_polygon(cls, vertices: np.ndarray, *, grid_n: int = 1 << 16) -> "SupportFn":
-        """Support samples of a convex polygon (curvature radius zero a.e.)."""
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ArgumentError("polygon needs an (N, 2) vertex array")
-        if not np.all(np.isfinite(v)):
-            raise ArgumentError("polygon vertices must be finite")
-        th = cls.grid(grid_n)
-        best = np.argmax(np.column_stack([np.cos(th), np.sin(th)]) @ v.T, axis=1)
-        pts = v[best, 0] + 1j * v[best, 1]
-        return cls._from_points(th, pts, 0.0, False)
 
     @classmethod
     def from_curve(cls, curve: ConvexCurve, *, grid_n: int = 1 << 16) -> "SupportFn":

@@ -157,6 +157,7 @@ def place_profiles(f: SmoothFn, d: float, gamma: float) -> SmoothFn:
     rotated graph's, bit for bit.  :func:`build_smoothing` ends the memo
     when it returns.
     """
+    d, gamma = _finite(d, "d"), _finite(gamma, "gamma")
     if d <= 0.0:
         raise ArgumentError("half-width d must be positive")
     if gamma <= 0.0:
@@ -300,6 +301,7 @@ def solve_b_eps(f_u: SmoothFn, eps: float, d: float) -> tuple[float, float]:
     curvature-mass inequality; failure signals the construction is
     inconsistent.
     """
+    eps, d = _finite(eps, "eps"), _finite(d, "d")
     if not 4.0 * eps < d:
         raise HypothesisError(f"need 4*eps < d, got eps={eps!r}, d={d!r}")
     # the row at -d starts the mass quadrature: read at order 2, it is solved once

@@ -33,10 +33,8 @@ from .errors import ArgumentError, ConstructionError, ValidationError
 from .fn_core import GridIntegratedFn, SmoothFn, _simpson
 
 __all__ = [
-    "BumpSystem",
     "SlopeSchedule",
     "PatchedConvex",
-    "make_bump_system",
     "quadratic_profile_family",
     "build_patched_convex",
     "decay_acceleration",
@@ -45,11 +43,8 @@ __all__ = [
 # Least quadratic coefficient of -log2 of the slopes that counts as
 # accelerating decay.
 _DECAY_Q_MIN = 0.01
-# The bump's derivative order and partition-certificate samples; Simpson
-# intervals of each gluing quadrature; the built profile's derivative order
-# and grid intervals per piece.
-_BUMP_MAX_ORDER = 10
-_CERT_GRID_N = 512
+# Simpson intervals of each gluing quadrature; the built profile's
+# derivative order and grid intervals per piece.
 _QUAD_N = 4096
 _MAX_ORDER = 8
 _NODES_PER_PIECE = 1 << 14
@@ -58,23 +53,8 @@ _REUSE_SLOTS = 8
 
 
 # ---------------------------------------------------------------------------
-# bump system
+# the dyadic partition
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BumpSystem:
-    """The normalized dyadic bump plus its partition certificate.
-
-    ``psi`` is supported exactly on ``(2/3, 3/2)``, equals 1 exactly on
-    ``[3/4, 5/4]``, and satisfies ``sum_m psi(2**m x) = 1`` for every
-    ``x > 0``; ``partition_residual`` records the worst deviation of that
-    sum from 1 over a logarithmic test grid.
-    """
-
-    psi: SmoothFn
-    integral: float
-    partition_residual: float
 
 
 def dyadic_partition_residual(xs: np.ndarray) -> float:
@@ -97,22 +77,6 @@ def dyadic_partition_residual(xs: np.ndarray) -> float:
     for m in range(m_lo, m_hi + 1):
         total += bumps.psi_jet(np.ldexp(x, m), 0)[0]
     return float(np.max(np.abs(total - 1.0)))
-
-
-def make_bump_system() -> BumpSystem:
-    """Build the normalized bump and record its partition certificate."""
-
-    def jet_fn(x, order):
-        return jets.jet_to_derivs(bumps.psi_jet(x, order))
-
-    # the bump vanishes identically outside (2/3, 3/2); a generous domain
-    # lets callers probe neighboring dyadic scales directly
-    psi = SmoothFn((1.0 / 64.0, 16.0), _BUMP_MAX_ORDER, jet_fn, name="psi")
-    xs = np.geomspace(1e-3, 3.0, _CERT_GRID_N)
-    residual = dyadic_partition_residual(xs)
-    return BumpSystem(
-        psi=psi, integral=bumps.psi_integral(), partition_residual=residual
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 from minklab.bumps import _scale_rows, psi_raw_jet
 from minklab.cantor import _FLOAT_TOL, CoverReport, IntervalSet, _common_lattice
 from minklab.curve import SupportFn
+from minklab.errors import ArgumentError
 from minklab.fn_core import SmoothFn, _cumulative_simpson, invert_monotone, newton_pair
 from minklab.infconv import _slope_gap, _windows
 from minklab.patching import SlopeSchedule, build_patched_convex, quadratic_profile_family
@@ -188,6 +189,27 @@ def normalizer_jet(x, order):
 def translate_jet(x, m, order):
     """Jet of ``psi_raw(2**m x)`` in the variable ``x``."""
     return _scale_rows(psi_raw_jet(np.ldexp(x, m), order), m)
+
+
+def angular_resolution_arc(curve, grid_n):
+    """Largest boundary arc of a ``ConvexCurve`` whose normals fit inside one angular grid cell.
+
+    Support sampling on a uniform ``grid_n``-point angle grid touches the
+    boundary only where a grid angle is attained as an outward normal; a
+    stretch whose normals all fall strictly between two consecutive grid
+    angles is invisible to the samples.  Nearly-flat pieces turn the normal
+    very slowly, so they can hide entire long edges inside one cell; the
+    value returned here is the resolution floor for any
+    reconstruction-versus-boundary distance at that grid size.
+    """
+    if grid_n < 8:
+        raise ArgumentError("angular grid needs at least 8 samples")
+    cell = 2.0 * math.pi / float(grid_n)
+    elen = np.hypot(*curve.edge_vectors().T)
+    bins = np.minimum((curve.gauss_angle / cell).astype(np.int64), grid_n - 1)
+    acc = np.zeros(grid_n, dtype=float)
+    np.add.at(acc, bins, elen)
+    return float(acc.max())
 
 
 def point_support(p, *, grid_n):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
+    angular_resolution_arc,
     assert_same_bits,
     point_support,
     rolled_cross_and_length,
@@ -24,7 +25,6 @@ from minklab.curve import (
     CurveAtlas,
     GaussZeroSet,
     SupportFn,
-    angular_resolution_arc,
     assemble_curve,
     curvature_transfer_check,
     minkowski_sum,
@@ -455,14 +455,14 @@ def test_support_grid_must_be_uniform():
 
 
 def test_disk_support_and_reconstruction():
-    s = SupportFn.disk(1.5, center=(0.3, -0.2), grid_n=512)
+    s = minkowski_sum(SupportFn.ellipse(1.5, 1.5, grid_n=512), point_support((0.3, -0.2), grid_n=512))
     s.validate()
     assert np.allclose(s.rho(), 1.5, atol=1e-12)
     rec = s.reconstruct()
     rad = np.hypot(rec[:, 0] - 0.3, rec[:, 1] + 0.2)
     assert np.allclose(rad, 1.5, atol=1e-12)
     with pytest.raises(ArgumentError):
-        SupportFn.disk(-1.0)
+        SupportFn.ellipse(-1.0, -1.0)
 
 
 def test_ellipse_support_matches_implicit_equation():
@@ -475,28 +475,13 @@ def test_ellipse_support_matches_implicit_equation():
     assert np.allclose(s.rho(), (a * b) ** 2 / s.h**3, atol=1e-12)
 
 
-def test_polygon_support_touches_vertices():
-    square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-    s = SupportFn.from_polygon(square, grid_n=256)
-    s.validate()
-    assert np.allclose(s.rho(), 0.0, atol=1e-12)
-    assert s.h[0] == pytest.approx(1.0)
-    k = np.argmin(np.abs(s.theta - math.pi / 4))
-    assert s.h[k] == pytest.approx(math.sqrt(2.0), abs=1e-3)
-    rec = s.reconstruct()
-    dists = np.min(np.linalg.norm(rec[:, None, :] - square[None], axis=2), axis=1)
-    assert float(np.max(dists)) < 1e-9
-    with pytest.raises(ArgumentError):
-        SupportFn.from_polygon(square[:2])
-
-
 # ---------------------------------------------------------------------------
 # Minkowski sums
 # ---------------------------------------------------------------------------
 
 
 def test_disk_plus_disk_is_larger_disk():
-    s = minkowski_sum(SupportFn.disk(1.0, grid_n=1024), SupportFn.disk(1.0, grid_n=1024))
+    s = minkowski_sum(SupportFn.ellipse(1.0, 1.0, grid_n=1024), SupportFn.ellipse(1.0, 1.0, grid_n=1024))
     assert np.allclose(s.h, 2.0, atol=1e-12)
     assert np.allclose(s.rho(), 2.0, atol=1e-12)
 
@@ -513,9 +498,6 @@ def test_point_summand_translates():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: SupportFn.disk(math.nan, grid_n=64),
-        lambda: SupportFn.disk(math.inf, grid_n=64),
-        lambda: SupportFn.disk(1.0, center=(math.nan, 0.0), grid_n=64),
         lambda: SupportFn.ellipse(math.nan, 1.0, grid_n=64),
         lambda: SupportFn.ellipse(1.0, math.inf, grid_n=64),
         lambda: rotations_avoiding_zero_sets(
@@ -523,15 +505,13 @@ def test_point_summand_translates():
             IntervalSet.from_pairs([(0.0, 0.1)]),
             [0.0, math.nan, 1.0],
         ),
-        lambda: SupportFn.from_polygon(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, math.nan]]), grid_n=64
-        ),
         lambda: IntervalSet.from_pairs([(0.0, 0.1)]).translate(math.nan),
+        lambda: IntervalSet.from_pairs([(0.0, 0.1)]).translate(-math.inf),
         lambda: curvature_transfer_check(
-            SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.disk(1.0, grid_n=64), [math.nan]
+            SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.ellipse(1.0, 1.0, grid_n=64), [math.nan]
         ),
         lambda: curvature_transfer_check(
-            SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.disk(1.0, grid_n=64), [math.inf]
+            SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.ellipse(1.0, 1.0, grid_n=64), [math.inf]
         ),
         lambda: bare_atlas().support_data([math.nan, 0.3]),
         lambda: SupportFn(np.full(64, math.nan), np.ones(64), np.zeros(64), np.zeros(64), np.zeros(64, bool)),
@@ -540,14 +520,11 @@ def test_point_summand_translates():
         lambda: SupportFn(SupportFn.grid(64), np.ones(64), np.zeros(64), np.full(64, math.nan), np.ones(64, bool)),
     ],
     ids=[
-        "disk-nan",
-        "disk-inf",
-        "disk-center",
         "ellipse-nan",
         "ellipse-inf",
         "sweep-angle",
-        "polygon-vertex",
         "translate-shift",
+        "translate-inf",
         "transfer-nan",
         "transfer-inf",
         "support-data-nan",
@@ -566,15 +543,12 @@ def test_non_finite_parameters_raise_argument_error(call):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda n, curve: SupportFn.disk(1.0, grid_n=n),
+        lambda n, curve: SupportFn.ellipse(1.0, 1.0, grid_n=n),
         lambda n, curve: SupportFn.ellipse(2.0, 1.0, grid_n=n),
         lambda n, curve: point_support((0.3, -0.2), grid_n=n),
-        lambda n, curve: SupportFn.from_polygon(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), grid_n=n
-        ),
         lambda n, curve: SupportFn.from_curve(curve, grid_n=n),
     ],
-    ids=["disk", "ellipse", "point", "polygon", "curve"],
+    ids=["disk", "ellipse", "point", "curve"],
 )
 def test_grid_below_eight_samples_raises_argument_error(build, grid_n, assembled):
     with pytest.raises(ArgumentError, match="at least 8 samples"):
@@ -593,7 +567,7 @@ def test_non_integer_grid_n_raises_argument_error():
     with pytest.raises(ArgumentError, match="grid_n"):
         SupportFn.grid(64.5)
     with pytest.raises(ArgumentError, match="grid_n"):
-        SupportFn.disk(1.0, grid_n=64.5)
+        SupportFn.ellipse(1.0, 1.0, grid_n=64.5)
 
 
 def test_support_fn_with_a_two_dimensional_theta_raises_argument_error():
@@ -610,14 +584,14 @@ def test_support_fn_with_a_two_dimensional_theta_raises_argument_error():
 @pytest.mark.parametrize("th", [1e19, 1e300])
 def test_huge_transfer_angle_snaps_to_its_reduced_grid_angle(th):
     a = SupportFn.ellipse(2.0, 1.0, grid_n=64)
-    rep = curvature_transfer_check(a, SupportFn.disk(1.0, grid_n=64), [th])
+    rep = curvature_transfer_check(a, SupportFn.ellipse(1.0, 1.0, grid_n=64), [th])
     circular = np.abs(np.angle(np.exp(1j * (a.theta - np.mod(th, 2.0 * math.pi)))))
     assert rep.theta[0] == a.theta[np.argmin(circular)]
 
 
 def test_minkowski_sum_rejects_grid_mismatch():
     with pytest.raises(ArgumentError):
-        minkowski_sum(SupportFn.disk(1.0, grid_n=256), SupportFn.disk(1.0, grid_n=512))
+        minkowski_sum(SupportFn.ellipse(1.0, 1.0, grid_n=256), SupportFn.ellipse(1.0, 1.0, grid_n=512))
 
 
 def test_ellipse_sum_matches_hull_oracle():
@@ -650,8 +624,8 @@ def test_ellipse_sum_matches_hull_oracle():
     cy=st.floats(-1.0, 1.0),
 )
 def test_minkowski_commutes_and_adds_radii(r1, r2, cx, cy):
-    a = SupportFn.disk(r1, center=(cx, cy), grid_n=256)
-    b = SupportFn.disk(r2, grid_n=256)
+    a = minkowski_sum(SupportFn.ellipse(r1, r1, grid_n=256), point_support((cx, cy), grid_n=256))
+    b = SupportFn.ellipse(r2, r2, grid_n=256)
     ab = minkowski_sum(a, b)
     ba = minkowski_sum(b, a)
     assert np.array_equal(ab.h, ba.h)
@@ -756,8 +730,8 @@ def test_support_reconstruction_agrees_with_polyline(assembled, support_first):
 
 def test_two_circles_transfer_to_third_curvature():
     rep = curvature_transfer_check(
-        SupportFn.disk(1.0, grid_n=4096),
-        SupportFn.disk(2.0, grid_n=4096),
+        SupportFn.ellipse(1.0, 1.0, grid_n=4096),
+        SupportFn.ellipse(2.0, 2.0, grid_n=4096),
         np.linspace(0.0, TAU, 97),
     )
     assert rep.transfer_ok
@@ -768,7 +742,7 @@ def test_two_circles_transfer_to_third_curvature():
 
 def test_disk_plus_flat_body_goes_flat(support_first):
     """A positively curved summand cannot remove the other body's flats."""
-    disk = SupportFn.disk(1.0, grid_n=support_first.theta.size)
+    disk = SupportFn.ellipse(1.0, 1.0, grid_n=support_first.theta.size)
     flats = support_first.theta[support_first.flat]
     generic = np.array([0.3, 1.1, 2.9])
     rep = curvature_transfer_check(disk, support_first, np.concatenate([flats, generic]))
@@ -779,14 +753,14 @@ def test_disk_plus_flat_body_goes_flat(support_first):
 
 
 def test_transfer_requires_curved_first_body(support_first):
-    disk = SupportFn.disk(1.0, grid_n=support_first.theta.size)
+    disk = SupportFn.ellipse(1.0, 1.0, grid_n=support_first.theta.size)
     with pytest.raises(HypothesisError, match="positive curvature"):
         curvature_transfer_check(support_first, disk, 0.0)
 
 
 def test_transfer_snaps_angles_to_grid():
-    a = SupportFn.disk(1.0, grid_n=512)
-    b = SupportFn.disk(1.0, grid_n=512)
+    a = SupportFn.ellipse(1.0, 1.0, grid_n=512)
+    b = SupportFn.ellipse(1.0, 1.0, grid_n=512)
     rep = curvature_transfer_check(a, b, [0.1234])
     assert rep.theta[0] in a.theta
 

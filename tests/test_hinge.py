@@ -146,6 +146,23 @@ class TestSolveEpsilon:
         with pytest.raises(ArgumentError, match="gamma"):
             solve_epsilon(quartic, gamma)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda f: place_profiles(f, math.nan, 0.1), "d"),
+            (lambda f: build_smoothing(f, math.nan, 0.1), "d"),
+            (lambda f: solve_b_eps(place_profiles(f, 0.2, 1e-3), math.nan, 0.2), "eps"),
+            (lambda f: solve_b_eps(place_profiles(f, 0.2, 1e-3), 1e-3, math.nan), "d"),
+            (lambda f: place_profiles(f, 0.2, math.nan), "gamma"),
+            (lambda f: build_smoothing(f, 0.2, math.inf), "gamma"),
+        ],
+        ids=["place-d", "build-d", "b-eps-eps", "b-eps-d", "place-gamma", "build-gamma"],
+    )
+    def test_non_finite_half_width_window_or_angle_rejected(self, quartic, call, name):
+        # a NaN fails every comparison, so it must be named before any bound reads it
+        with pytest.raises(ArgumentError, match=f"^{name} must be finite"):
+            call(quartic)
+
 
 class TestSolveBEps:
     def test_positive_and_bounded(self, quartic):

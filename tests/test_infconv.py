@@ -239,6 +239,18 @@ class TestDirectJets:
         )
         np.testing.assert_allclose(got[3], 6 * mus / (3 * mus**2 + 2) ** 3, atol=1e-8)
 
+    def test_one_sided_flat_point_rows(self):
+        # mu^3 + mu = x; at mu = 0 the quartic is flat (f'' = 0) while g'' = 1,
+        # so every row is finite there and a route that divides by f'' fails
+        f = poly([0.0, 0.0, 0.0, 0.0, 0.25], (-1, 1))
+        g = quad(1.0, (-1, 1))
+        mus = np.array([0.0, 1e-6, 1e-3, 0.3, -0.5])
+        q = 3 * mus**2 + 1
+        got = infconv_direct(f, g).h.jet(mus**3 + mus, 4)
+        want = [mus**3, 3 * mus**2 / q, 6 * mus / q**3, 6 * (1 - 15 * mus**2) / q**5]
+        for row, expected in zip(got[1:], want):
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
     def test_jet_order_capability(self):
         f = quad(1.0, (-1, 1))
         res = infconv_direct(f, f)

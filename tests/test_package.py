@@ -1,10 +1,11 @@
-"""Package-level checks: every declared export resolves, every public name has a caller, every private function has a reader, no module loads SciPy, and no module imports a name it never reads."""
+"""Package-level checks: every declared export resolves, every public name has a caller or an open ROADMAP item, every private function has a reader, no module loads SciPy, and no module imports a name it never reads."""
 
 import ast
 import collections
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +22,6 @@ REPO = Path(__file__).resolve().parents[1]
 KEPT_FOR_OPEN_ITEMS = {
     "fn_core.holder_seminorm": 15,
     "rotated_graph.cr_bound_check": 2,
-    "patching.make_bump_system": 2,
-    "curve.angular_resolution_arc": 11,
     "curve.refinement_intervals": 6,
     "export.write_json": 2,
     # perfbench's tracer binds it by its name, as a string
@@ -30,8 +29,6 @@ KEPT_FOR_OPEN_ITEMS = {
     "curve.SupportFn.reconstruct": 2,
     "curve.ConvexCurve.total_turning": 2,
     "hinge.SmoothingResult.certificate": 2,
-    "curve.SupportFn.from_polygon": 11,
-    "curve.SupportFn.disk": 5,
     # the run report checks the support data it writes
     "curve.SupportFn.validate": 2,
 }
@@ -171,6 +168,24 @@ def test_every_public_name_has_a_caller():
     assert uncalled == [], "public names that only tests call"
     assert kept_but_read == [], "kept names that now have a caller"
     assert wrong == [], "shared names listed with a definition that does not read them"
+
+
+def _open_items(roadmap):
+    """The numbers of the items listed under ``## Open items``, each a line ``N. **Title**``."""
+    section = roadmap.partition("\n## Open items\n")[2].partition("\n## ")[0]
+    return {int(n) for n in re.findall(r"^(\d+)\. \*\*", section, flags=re.MULTILINE)}
+
+
+def test_every_kept_name_waits_for_an_open_item():
+    # a name is kept only for a live item; it leaves with that item's first PR
+    open_items = _open_items((REPO / "ROADMAP.md").read_text(encoding="utf-8"))
+    stale = {key: item for key, item in KEPT_FOR_OPEN_ITEMS.items() if item not in open_items}
+    assert stale == {}, "kept names whose ROADMAP item is done or gone"
+
+
+def test_open_items_are_read_from_their_section_only():
+    roadmap = "# R\n1. **Aim.** text\n## Open items\n\n2. **Two.**\n   3. **nested**\n14. **Fourteen**\n## Done\n5. **Five.**\n"
+    assert _open_items(roadmap) == {2, 14}
 
 
 def test_the_caller_guard_reports_an_uncalled_method_and_a_kept_name_with_a_reader():

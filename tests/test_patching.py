@@ -16,7 +16,6 @@ from minklab.patching import (
     build_patched_convex,
     decay_acceleration,
     dyadic_partition_residual,
-    make_bump_system,
     quadratic_profile_family,
 )
 
@@ -45,13 +44,7 @@ def quartic_build():
 
 class TestBumpSystem:
     def test_partition_of_unity_certificate(self):
-        bs = make_bump_system()
-        assert bs.partition_residual < 1e-12
-        for x in (0.7, 1.0, 1.4):
-            total = sum(
-                float(bs.psi.eval(np.ldexp(x, m))) for m in (-2, -1, 0, 1, 2)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
+        assert dyadic_partition_residual(np.geomspace(1e-3, 3.0, 512)) < 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_partition_residual_rejects_bad_points(self, bad):
@@ -59,18 +52,17 @@ class TestBumpSystem:
             dyadic_partition_residual(np.array([0.5, bad, 2.0]))
 
     def test_support_and_plateau_are_exact(self):
-        bs = make_bump_system()
-        assert bs.psi(2.0 / 3.0) == 0.0
-        assert bs.psi(1.5) == 0.0
-        assert bs.psi(0.75) == 1.0
-        assert bs.psi(1.0) == 1.0
-        assert bs.psi(1.25) == 1.0
+        psi = bumps.psi_jet(np.array([2.0 / 3.0, 1.5, 0.75, 1.0, 1.25]), 0)[0]
+        assert psi[0] == 0.0
+        assert psi[1] == 0.0
+        assert psi[2] == 1.0
+        assert psi[3] == 1.0
+        assert psi[4] == 1.0
 
     def test_integral_against_independent_quadrature(self):
-        bs = make_bump_system()
         xs = np.linspace(2.0 / 3.0, 1.5, 20001)
-        assert bs.integral == pytest.approx(
-            float(np.trapezoid(bs.psi.eval(xs), xs)), abs=1e-8
+        assert bumps.psi_integral() == pytest.approx(
+            float(np.trapezoid(bumps.psi_jet(xs, 0)[0], xs)), abs=1e-8
         )
 
 
