@@ -68,9 +68,10 @@ _TURNING_TOL = 1e-6
 # count of the stage-monotonicity comparison.
 _BASE_EDGES = 512
 _STAGE_GRID_N = 4097
-# grid angles per sweep block times intervals of the rotated set: bounds the
-# sweep's temporaries to a few MB whatever the grid size
-_SWEEP_BLOCK_ELEMS = 1 << 18
+# grid angles per sweep block times intervals of the rotated set: its float
+# temporaries are 64 KiB, under glibc's 128 KiB mmap threshold, above which
+# each would be page-faulted afresh; 2**12 pays more per-block overhead
+_SWEEP_BLOCK_ELEMS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -801,15 +802,19 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
     rows = max(1, _SWEEP_BLOCK_ELEMS // alo.size)
     for start in range(0, grid.size, rows):
         delta = grid[start : start + rows, None]
-        lo, hi = alo + delta, ahi + delta
+        # one statement each, so the last block's arrays go before these come
+        lo = alo + delta
+        hi = ahi + delta
         blocked = np.any(hi - lo >= TAU, axis=1)
         shift = np.floor(lo / TAU) * TAU
         lo -= shift
         hi -= shift
+        del shift
         # a piece crossing 2*pi splits into [lo, 2*pi] and [0, hi - 2*pi]
         wrap = hi > TAU
-        hits = _meets(blo, bhi, lo, np.minimum(hi, TAU))
-        hits[wrap] |= _meets(blo, bhi, 0.0, hi[wrap] - TAU)
+        over = hi[wrap] - TAU
+        hits = _meets(blo, bhi, lo, np.minimum(hi, TAU, out=hi))
+        hits[wrap] |= _meets(blo, bhi, 0.0, over)
         avoids[start : start + rows] = ~(blocked | hits.any(axis=1))
     return grid[avoids]
 

@@ -22,7 +22,7 @@ from minklab.cantor import (
 )
 from minklab.errors import ArgumentError, CapabilityError
 
-from helpers import covers_by_walk, merge_by_running_max
+from helpers import assert_same_bits, covers_by_walk, merge_by_running_max, traced_peak
 
 THIRDS = Fraction(1, 3)
 
@@ -120,6 +120,38 @@ class TestSum:
         monkeypatch.setattr(cantor, "_CHUNK_PAIRS", 64)
         assert sum_sets(a, a) == big
 
+    @pytest.mark.parametrize("case", ["cantor", "tolerance-grows"])
+    def test_float_chunked_matches_one_chunk(self, monkeypatch, case):
+        if case == "cantor":
+            a = b = build_cantor(CantorSpec.uniform((0.0, 1.0), 0.3, 6))
+        else:
+            # gaps of 1e-10 in b: apart under the first row's tolerance
+            # (1e-12 times 9.6), joined under the last row's (1e-12 times 1000)
+            a = IntervalSet.from_pairs([(0.0, 0.0), (1000.0, 1000.0)])
+            b = IntervalSet.from_pairs(
+                [(0.3 * k, 0.3 * k + 0.1) for k in range(32)]
+                + [(0.3 * k + 0.1 + 1e-10, 0.3 * k + 0.2) for k in range(32)]
+            )
+            assert len(b) == 64
+        monkeypatch.setattr(cantor, "_CHUNK_PAIRS", 1 << 40)
+        one = sum_sets(a, b)
+        monkeypatch.setattr(cantor, "_CHUNK_PAIRS", 64)  # one row of 64 pairs per chunk
+        got = sum_sets(a, b)
+        assert not got.exact
+        assert_same_bits(got.lo, one.lo)
+        assert_same_bits(got.hi, one.hi)
+        if case != "cantor":
+            assert len(got) == 64  # 32 joined intervals near 0, 32 near 1000
+
+    def test_memory_is_one_chunk_plus_the_union(self):
+        # the ratio-1/2 self sum: 2**20 pairs merge to 59,049 intervals
+        c = build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), Fraction(1, 2), 10))
+        peak, s = traced_peak(sum_sets, c, c)
+        rows = min(len(c), cantor._CHUNK_PAIRS // len(c))
+        chunk_bytes = rows * len(c) * 16  # both ends, int64
+        assert len(s) == 59049
+        assert peak <= 1.5 * chunk_bytes + 5 * (s.lo.nbytes + s.hi.nbytes)
+
     @pytest.mark.parametrize("depth", [1, 4, 8])
     def test_steinhaus_difference_covers(self, depth):
         c = build_cantor(CantorSpec.uniform((0, 1), THIRDS, depth))
@@ -133,6 +165,42 @@ class TestSum:
         assert rep.covered is expect
         if not expect:
             assert rep.gaps.size  # the verdict comes with explicit gap witnesses
+
+
+class TestInputsStayIntact:
+    """``_merge`` sorts in place, so no set's own arrays may reach it."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_operations_leave_their_input_arrays_unchanged(self, monkeypatch, exact):
+        if exact:
+            ratio_a, ratio_b, period = THIRDS, Fraction(2, 5), Fraction(1, 2)
+        else:
+            ratio_a, ratio_b, period = 1 / 3, 0.4, 0.5
+        a = build_cantor(CantorSpec.uniform((0, 1), ratio_a, 5))
+        b = build_cantor(CantorSpec.uniform((0, 2), ratio_b, 4))
+        assert a.exact is b.exact is exact
+        own = [a.lo, a.hi, b.lo, b.hi]
+        before = [arr.copy() for arr in own]
+        built = []  # every array _merge has returned: the sets made so far
+        merge = cantor._merge
+
+        def checked_merge(lo, hi, exact):
+            assert not any(np.shares_memory(arg, arr) for arg in (lo, hi) for arr in own + built)
+            out = merge(lo, hi, exact)
+            built.extend(out)
+            return out
+
+        monkeypatch.setattr(cantor, "_merge", checked_merge)
+        sum_sets(a, b)
+        sum_sets(a, a)
+        wrap_mod(a, period)
+        covers(a, (0, 1))
+        build_cantor(CantorSpec.uniform((0, 1), ratio_a, 5))
+        # ten merges: one per sum, one for the wrap, one for the target of
+        # covers, and the base and five levels of the build
+        assert len(built) == 2 * 10
+        for arr, old in zip(own, before):
+            assert_same_bits(arr, old)
 
 
 class TestCovers:

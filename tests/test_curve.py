@@ -19,7 +19,7 @@ from helpers import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minklab.cantor import CantorSpec, IntervalSet, build_cantor, sum_sets, wrap_mod
+from minklab.cantor import CantorSpec, IntervalSet, build_cantor, covers, sum_sets, wrap_mod
 from minklab.curve import (
     ConvexCurve,
     CurveAtlas,
@@ -507,6 +507,8 @@ def test_point_summand_translates():
         ),
         lambda: IntervalSet.from_pairs([(0.0, 0.1)]).translate(math.nan),
         lambda: IntervalSet.from_pairs([(0.0, 0.1)]).translate(-math.inf),
+        lambda: IntervalSet.from_pairs([(0.0, math.inf)]),
+        lambda: covers(build_cantor(CantorSpec.uniform((0, 1), Fraction(1, 3), 4)), (0, math.inf)),
         lambda: curvature_transfer_check(
             SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.ellipse(1.0, 1.0, grid_n=64), [math.nan]
         ),
@@ -525,6 +527,8 @@ def test_point_summand_translates():
         "sweep-angle",
         "translate-shift",
         "translate-inf",
+        "from-pairs-inf",
+        "covers-inf-target",
         "transfer-nan",
         "transfer-inf",
         "support-data-nan",
@@ -876,6 +880,18 @@ def test_rotation_sweep_across_block_seams():
     avoids, near = difference_set_verdicts(z, z, grid)
     assert 0 < out.size < grid.size
     np.testing.assert_array_equal(np.isin(grid, out)[~near], avoids[~near])
+
+
+def test_sweep_memory_is_a_few_blocks():
+    # each block holds about four arrays of its size at once; the wrapped
+    # second set and the float ends, made once a call, come to about eight
+    # copies of the set's own bytes
+    z = build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), Fraction(1, 2), 10))
+    grid = np.arange(512) * (TAU / 512) + 1e-3
+    peak, _ = traced_peak(rotations_avoiding_zero_sets, z, z, grid)
+    rows = min(grid.size, _SWEEP_BLOCK_ELEMS // len(z))
+    block_bytes = rows * len(z) * 8  # one float64 per piece
+    assert peak <= 5 * block_bytes + 8 * (z.lo.nbytes + z.hi.nbytes)
 
 
 def test_validate_takes_the_edge_vectors_once(monkeypatch):
