@@ -44,6 +44,9 @@ ATOL_SCALE = 1e-13
 SWEEP_N = 64
 # Semi-axes of the strictly convex first body of the transfer check.
 ELLIPSE = (2.0, 1.0)
+# Coefficients and domain of the strictly convex partner of each profile
+# in the infimal convolution entries: x^2 + x^4 / 2 on (-0.3, 0.3).
+INFCONV_G = ([0.0, 0.0, 1.0, 0.0, 0.5], (-0.3, 0.3))
 
 
 def _float(name, value, scale=0.0):
@@ -131,16 +134,41 @@ def transfer_entries(tag, support):
     ]
 
 
+def infconv_entries(tag, f):
+    """The infimal convolution of ``f`` with the polynomial ``INFCONV_G``.
+
+    Min, max and sum of the conjugate route's values, its error bound and
+    its largest gap to the direct route.  The minimizers are left out:
+    where the minimizer is not unique, which one a route reports is a
+    convention, not a value.
+    """
+    from minklab.fn_core import SmoothFn
+    from minklab.infconv import infconv_conjugate, infconv_direct
+
+    g = SmoothFn.polynomial(*INFCONV_G, name="g")
+    direct, conj = infconv_direct(f, g), infconv_conjugate(f, g)
+    scale = 1.0 + float(np.max(np.abs(conj.values)))
+    name = f"{tag}.infconv"
+    return [
+        _float(f"{name}.conjugate.min", conj.values.min(), scale),
+        _float(f"{name}.conjugate.max", conj.values.max(), scale),
+        _float(f"{name}.conjugate.sum", conj.values.sum(), scale * conj.values.size),
+        _float(f"{name}.error_bound", conj.error_bound),
+        _float(f"{name}.route_gap", np.max(np.abs(direct.values - conj.values)), scale),
+    ]
+
+
 def entries(bodies):
-    """``(entries, hashes)`` of ``bodies``: tag -> ``(schedule, (curve, zset), support)``."""
+    """``(entries, hashes)`` of ``bodies``: tag -> ``(profile, schedule, (curve, zset), support)``."""
     out, hashes = [], {}
-    for tag, (schedule, (curve, zset), support) in bodies.items():
+    for tag, (f, schedule, (curve, zset), support) in bodies.items():
         out += schedule_entries(tag, schedule)
         out += curve_entries(tag, curve, zset)
         rows, h = support_entries(tag, support)
         out += rows
         hashes.update(h)
         out += transfer_entries(tag, support)
+        out += infconv_entries(tag, f)
     names = [name for name, _ in out]
     if len(set(names)) != len(names):
         raise ValueError("ledger entry names are not unique")
@@ -160,7 +188,7 @@ def build_bodies():
         f = build_patched_convex(SlopeSchedule(slopes), quadratic_profile_family(a)).f
         schedule = schedule_smoothings(f, 5)
         curve, zset = assemble_curve(f, schedule, m_max=5)
-        bodies[tag] = (schedule, (curve, zset), SupportFn.from_curve(curve))
+        bodies[tag] = (f, schedule, (curve, zset), SupportFn.from_curve(curve))
     return bodies
 
 

@@ -8,11 +8,20 @@ import ledger
 
 
 @pytest.fixture(scope="module")
-def current(hinge_schedule, assembled, support_first, second_schedule, assembled_second, support_second):
+def current(
+    hinge_profile,
+    hinge_schedule,
+    assembled,
+    support_first,
+    second_profile,
+    second_schedule,
+    assembled_second,
+    support_second,
+):
     return ledger.entries(
         {
-            "first": (hinge_schedule, assembled, support_first),
-            "second": (second_schedule, assembled_second, support_second),
+            "first": (hinge_profile.f, hinge_schedule, assembled, support_first),
+            "second": (second_profile.f, second_schedule, assembled_second, support_second),
         }
     )
 
