@@ -47,9 +47,9 @@ __all__ = [
 MAX_DEPTH = 24
 _INT_LIMIT = 1 << 61  # headroom so a sum of two endpoints stays in int64
 _FLOAT_TOL = 1e-12
-# Endpoint pairs :func:`sum_sets` forms per merge, 1 MiB per end: each merge
-# re-sorts the union so far, and on the ratio-1/2 depth-10 self sum (59,049
-# intervals) 2**16 pairs were slower and 2**18 no faster
+# Endpoint pairs :func:`sum_sets` forms per merge, 1 MiB per end.  Each merge
+# still passes over the union so far: on the cantor_sweep self sums 2**14
+# and 2**15 pairs were slower, and 2**16 and 2**18 no faster
 _CHUNK_PAIRS = 1 << 17
 
 Number = Union[int, float, Fraction]
@@ -224,20 +224,20 @@ def _merge(lo: np.ndarray, hi: np.ndarray, exact: bool) -> tuple[np.ndarray, np.
     It takes its arguments over and sorts them in place, so callers pass
     arrays that they have just built and that no set holds.
 
-    With ``L = sort(lo)`` and ``H = sort(hi)`` (stable for floats), a
-    component starts at ``i`` iff ``L[i] > H[i-1]`` (plus the tolerance) and
-    ends at ``H[next start - 1]``.  That is the running-max rule on the
-    intervals sorted by ``lo``, bit for bit and with the same rounding of
-    ``reach + tol``: ``H[i-1]`` is at most the running max of the first
-    ``i`` ends, and when ``L[i]`` exceeds it the ``i`` smallest ``hi`` lie
-    below ``L[i]``, so they belong to the first ``i`` intervals (each
-    ``lo <= hi``) and the two reaches are equal.
+    With ``L = sort(lo)`` and ``H = sort(hi)``, stable so that timsort merges
+    the sorted runs callers lay out (the union so far, each row of pair
+    sums), a component starts at ``i`` iff ``L[i] > H[i-1]`` (plus the
+    tolerance) and ends at ``H[next start - 1]``.  That is the running-max
+    rule on the intervals sorted by ``lo``, bit for bit and with the same
+    rounding of ``reach + tol``: ``H[i-1]`` is at most the running max of
+    the first ``i`` ends, and when ``L[i]`` exceeds it the ``i`` smallest
+    ``hi`` lie below ``L[i]``, so they belong to the first ``i`` intervals
+    (each ``lo <= hi``) and the two reaches are equal.
     """
     if lo.size == 0:
         return lo, hi
-    kind = None if exact else "stable"
-    lo.sort(kind=kind)
-    hi.sort(kind=kind)
+    lo.sort(kind="stable")
+    hi.sort(kind="stable")
     # an exact merge compares with no tolerance and so needs no temporary
     reach = hi[:-1]
     if not exact:

@@ -11,12 +11,12 @@ Given convex ``f`` and ``g`` on compact intervals, the infimal convolution
   derivatives come from a truncated-Taylor solve of the same condition,
   so the smoothness of ``h`` can be probed wherever the minimizer is
   interior and the matched curvature sum is positive.
-* :func:`infconv_conjugate` forms the *exact* Legendre transforms of the
-  piecewise-linear interpolants of ``f`` and ``g`` (breakpoints at the
-  chord slopes — no slope grid), adds them, and transforms back.  Up to
-  rounding this equals the exact infimal convolution of the interpolants,
-  so the distance from the true ``h`` is controlled by the interpolation
-  errors ``dx^2 * max f'' / 8`` alone.
+* :func:`infconv_conjugate` adds the *exact* Legendre transforms of the
+  piecewise-linear interpolants of ``f`` and ``g``, which is merging their
+  lower hulls' edges by slope (the epigraph of ``h`` is the Minkowski sum
+  of the epigraphs).  Up to rounding this is the exact infimal convolution
+  of the interpolants, so the distance from the true ``h`` is controlled
+  by the interpolation errors ``dx^2 * max f'' / 8`` alone.
 
 Shared diagnostics: :func:`minimizer_map` is the direct route's
 stationarity solve (bracketed Newton steps on the slope gap, through
@@ -120,9 +120,11 @@ def _windows(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np.n
 class InfConvResult:
     """Sampled infimal convolution plus a function-object view of it.
 
-    ``boundary[i]`` is True where the minimizer is pinned to an end of its
-    feasible window, i.e. where the unconstrained optimality condition need
-    not hold.
+    ``mu[i]`` minimizes ``y -> f(y) + g(x[i] - y)``: for the conjugate route
+    that of the sampled interpolants, at the upper end where the minimizers
+    form an interval.  ``boundary[i]`` is True where the minimizer is pinned
+    to an end of its feasible window, i.e. where the unconstrained
+    optimality condition need not hold.
     """
 
     x: np.ndarray
@@ -332,7 +334,7 @@ def infconv_direct(
 
 
 # ---------------------------------------------------------------------------
-# conjugate route (exact piecewise-linear Legendre transforms)
+# conjugate route (one slope merge of the sampled lower hulls)
 # ---------------------------------------------------------------------------
 
 
@@ -401,26 +403,6 @@ def _samples(fn: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, float | None]:
     return rows[0], float(np.max(rows[2]))
 
 
-def _conjugate_vertices(xs, vs):
-    """Hull vertices plus chord slopes: the data of the exact conjugate.
-
-    The conjugate of the piecewise-linear interpolant is itself piecewise
-    linear with breakpoints exactly at the chord slopes; on the slope
-    interval ending at ``s[i]`` its value is ``p * x[i] - v[i]``.
-    """
-    hx, hv = _lower_hull(xs, vs)
-    if hx.size < 2:
-        raise ValidationError("conjugate needs at least two hull vertices")
-    slopes = np.diff(hv) / np.diff(hx)
-    return hx, hv, slopes
-
-
-def _conjugate_eval(hx, hv, slopes, p):
-    """Exact conjugate values at slopes ``p``."""
-    idx = np.searchsorted(slopes, p, side="left")
-    return p * hx[idx] - hv[idx]
-
-
 def infconv_conjugate(
     f: SmoothFn,
     g: SmoothFn,
@@ -428,12 +410,13 @@ def infconv_conjugate(
     interval=None,
     grid_n: int = 1025,
 ) -> InfConvResult:
-    """Infimal convolution via exact piecewise-linear Legendre transforms.
+    """Infimal convolution of the piecewise-linear interpolants of ``f`` and ``g``.
 
-    ``f`` and ``g`` are sampled at ``_SAMPLE_N`` nodes each; everything after
-    that is exact arithmetic on piecewise-linear functions: conjugate each
-    interpolant, add on the merged slope set, conjugate back.  The returned
-    function object is the resulting piecewise-linear ``h`` (order-0 only).
+    ``f`` and ``g`` are sampled at ``_SAMPLE_N`` nodes each.  Adding the two
+    conjugates is merging the two lower hulls' edges by slope, ``f``'s first
+    at a tie; on an edge of ``f`` the minimizer ``mu`` keeps ``g`` at a
+    vertex, and on an edge of ``g`` it is ``f``'s vertex.  The returned
+    function object is the piecewise-linear ``h`` (order-0 only).
     ``error_bound`` stores ``(dx_f^2 max f'' + dx_g^2 max g'')/8`` when the
     inputs expose second derivatives — a sup-norm bound on the distance to
     the true infimal convolution.
@@ -445,21 +428,21 @@ def infconv_conjugate(
     xg = np.linspace(g.domain[0], g.domain[1], _SAMPLE_N)
     vf, max_hf = _samples(f, xf)
     vg, max_hg = _samples(g, xg)
-    hxf, hvf, sf = _conjugate_vertices(xf, vf)
-    hxg, hvg, sg = _conjugate_vertices(xg, vg)
+    hxf, hvf = _lower_hull(xf, vf)
+    hxg, hvg = _lower_hull(xg, vg)
+    sf = np.diff(hvf) / np.diff(hxf)
+    sg = np.diff(hvg) / np.diff(hxg)
+    slopes = np.concatenate([sf, sg])
+    by_slope = np.argsort(slopes, kind="stable")
+    slopes, from_f = slopes[by_slope], by_slope < sf.size
+    # f's and g's vertex at the left end of each merged edge, and one past
+    # the last edge: the number of each side's edges merged before it
+    fi = np.concatenate(([0], np.cumsum(from_f)))
+    gi = np.arange(fi.size) - fi
+    hx = hxf[fi] + hxg[gi]
+    hv = hvf[fi] + hvg[gi]
 
-    p_all = np.unique(np.concatenate([sf, sg]))
-    conj_sum = _conjugate_eval(hxf, hvf, sf, p_all)
-    conj_sum += _conjugate_eval(hxg, hvg, sg, p_all)
-    # The summed conjugate sampled at its own breakpoints is convex data up
-    # to rounding; hulling it again is a cheap safeguard.
-    pv, sv = _lower_hull(p_all, conj_sum)
-    if pv.size < 2:
-        raise ValidationError("degenerate summed conjugate (all slopes equal)")
-    kinks = np.diff(sv) / np.diff(pv)
-
-    lo_sum = hxf[0] + hxg[0]
-    hi_sum = hxf[-1] + hxg[-1]
+    lo_sum, hi_sum = hx[0], hx[-1]
     span = _as_interval(interval) if interval is not None else (lo_sum, hi_sum)
     slack = 1e-9 * (1.0 + abs(lo_sum) + abs(hi_sum))
     if span[0] < lo_sum - slack or span[1] > hi_sum + slack:
@@ -469,13 +452,14 @@ def infconv_conjugate(
         )
 
     def pwl_eval(xq):
-        idx = np.searchsorted(kinks, xq, side="left")
-        return xq * pv[idx] - sv[idx], pv[idx]
+        # the edge that contains each point; a point on a vertex takes the left one
+        k = np.clip(np.searchsorted(hx, xq, side="left") - 1, 0, slopes.size - 1)
+        return hv[k] + slopes[k] * (xq - hx[k]), k
 
     xs = np.linspace(span[0], span[1], grid_n)
-    vals, slope_at = pwl_eval(xs)
-    fidx = np.searchsorted(sf, slope_at, side="left")
-    mu = hxf[fidx]
+    vals, k = pwl_eval(xs)
+    mu = np.where(from_f[k], xs - hxg[gi[k]], hxf[fi[k]])
+    slope_at = slopes[k]
     boundary = (
         (slope_at <= sf[0])
         | (slope_at >= sf[-1])
@@ -484,9 +468,7 @@ def infconv_conjugate(
     )
 
     def h_jet(xq, order):
-        out = np.zeros((order + 1,) + xq.shape)
-        out[0] = pwl_eval(xq)[0]
-        return out
+        return pwl_eval(xq)[0][None, :]
 
     h = SmoothFn(span, 0, h_jet, name=f"infconv_pwl[{f.name or 'f'},{g.name or 'g'}]")
 
