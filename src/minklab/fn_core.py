@@ -12,11 +12,11 @@ Two kinds exist:
 * :class:`GridIntegratedFn` — the function is defined through its second
   derivative: ``f''`` is tabulated on a piecewise-uniform grid and
   integrated twice by composite Simpson quadrature (with stored
-  integration constants).  Between nodes, ``f`` comes from quintic
-  Hermite interpolation of the bracketing nodes' ``(f, f', f'')``, with
-  error O(h^6), and ``f'`` from cubic Hermite interpolation of their
-  ``(f', f'')``, with error O(h^4); orders >= 2 are delegated to the
-  closed-form second-derivative rule.
+  integration constants), so the tabulated ``f`` and ``f'`` carry an
+  O(h^4) error.  Between nodes, quintic Hermite interpolation of the
+  bracketing nodes' ``(f, f', f'')`` adds O(h^6) to ``f``, and cubic
+  Hermite interpolation of their ``(f', f'')`` O(h^4) to ``f'``; orders
+  >= 2 are delegated to the closed-form second-derivative rule.
 
 The package's two Simpson rules, :func:`_simpson` and
 :func:`_cumulative_simpson`, are its own: they repeat SciPy's formulas in
@@ -300,12 +300,9 @@ class GridIntegratedFn(SmoothFn):
     def _table01(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f, f') at arbitrary points: Hermite interpolation between nodes.
 
-        Each node stores (f, f', f''), so the bracketing nodes determine a
-        quintic for f — error O(h^6 max|f^(6)|) — and a cubic for f' built
-        from its own (f', f'') data — error O(h^4 max|f^(6)|).  Both combine
-        their table values with O(1) coefficients, so stored quadrature
-        error passes through unamplified, and evaluation stays free of
-        further ``d2_jet_fn`` calls.
+        The quintic for f and the cubic for f' combine their nodes' table
+        values with O(1) coefficients, so the tables' quadrature error passes
+        through unamplified, and evaluation makes no ``d2_jet_fn`` call.
         """
         flat, h, t = self._cell(x)
         f0, f1 = self._f_tab[flat], self._f_tab[flat + 1]
@@ -357,10 +354,7 @@ class GridIntegratedFn(SmoothFn):
 
     def _jet_fn(self, x: np.ndarray, order: int) -> np.ndarray:
         out = np.zeros((order + 1,) + x.shape)
-        f, d1 = self._table01(x)
-        out[0] = f
-        if order >= 1:
-            out[1] = d1
+        out[:2] = self._table01(x)[: order + 1]
         if order >= 2:
             out[2:] = self._d2(x, order - 2)
         return out
@@ -465,9 +459,10 @@ def invert_monotone(
     later one a Newton step from the latest point.  A Newton step that
     leaves the bracket (as any zero, NaN, infinite or negative derivative
     makes it do), or that is longer than half the step before last (a
-    Newton cycle), falls back to bisection.  Every step stays at least
-    half a tolerance inside the bracket, and a target stops once its
-    bracket is narrower than ``4 eps |x| + 4 tiny`` (about 4 ulp) or
+    Newton cycle) and than the tolerance ``4 eps |x| + 4 tiny`` (about 4
+    ulp), falls back to bisection.  Every step stays at least half a
+    tolerance inside the bracket, and a target stops once its bracket is
+    narrower than the tolerance, its Newton step is at most half of it, or
     ``|fn(x) - y|`` is at most ``tiny``, the smallest subnormal float (the
     smallest normal one would stop a target near zero with a large relative
     error); the bracket end with the smaller residual is returned.
@@ -521,8 +516,9 @@ def invert_monotone(
     x1, x2 = lo_a.reshape(-1), hi_a.reshape(-1)
     v1, v2 = (np.broadcast_to(np.reshape(v, -1), tgt.shape) for v in (flo, fhi))
     f1, f2 = v1 - tgt, v2 - tgt
-    d1 = None
-    # the last two step lengths: a Newton step must halve the older one
+    # the Newton step from x1: NaN unless fn' there is finite and positive
+    newton = np.full(x1.shape, np.nan)
+    # the last two step lengths: a Newton step longer than the tolerance must halve the older one
     step1 = step2 = np.abs(x2 - x1)
     out, out_v = np.empty(x1.shape), np.empty(x1.shape)
     arg = None if shared else lo_a.reshape(-1).copy()
@@ -534,15 +530,14 @@ def invert_monotone(
         xmin = np.where(small, x1, x2)
         span = x2 - x1
         tol = 4.0 * eps * np.abs(xmin) + 4.0 * tiny
-        stop = (np.minimum(a1, a2) <= tiny) | (np.abs(span) < tol)
+        stop = (np.minimum(a1, a2) <= tiny) | (np.abs(span) < tol) | (np.abs(newton) <= 0.5 * tol)
         if stop.any():
             done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)  # faster than masks
             out[idx[done]] = xmin[done]
             out_v[idx[done]] = np.where(small, v1, v2)[done]
-            idx, tgt, x1, f1, v1, x2, f2, v2, span, tol, step1, step2 = (
-                a[keep] for a in (idx, tgt, x1, f1, v1, x2, f2, v2, span, tol, step1, step2)
+            idx, tgt, x1, f1, v1, x2, f2, v2, span, tol, step1, step2, newton = (
+                a[keep] for a in (idx, tgt, x1, f1, v1, x2, f2, v2, span, tol, step1, step2, newton)
             )
-            d1 = None if d1 is None else d1[keep]
         if not idx.size:
             break
         if it == _MAXITER:
@@ -553,12 +548,11 @@ def invert_monotone(
         with np.errstate(divide="ignore", invalid="ignore"):
             if dfn is None:
                 t = 0.5
-            elif d1 is None:  # the first step: regula falsi
+            elif it == 0:  # the first step: regula falsi
                 t = f1 / (f1 - f2)
             else:
-                newton = -f1 / d1
                 t = newton / span
-                t[~((t > 0.0) & (t < 1.0) & (np.abs(newton) <= 0.5 * step2))] = 0.5
+                t[~((t > 0.0) & (t < 1.0) & (np.abs(newton) <= np.maximum(0.5 * step2, tol)))] = 0.5
         tl = 0.5 * tol / np.abs(span)
         x = x1 + np.clip(t, tl, 1.0 - tl) * span
         step2, step1 = step1, np.abs(x - x1)
@@ -569,14 +563,15 @@ def invert_monotone(
             pts, sel = arg.reshape(ys.shape), idx
         v = np.reshape(fn(pts), -1)[sel]
         f = v - tgt
-        if dfn is not None:
-            d1 = np.reshape(dfn(pts), -1)[sel]
         if not np.isfinite(f).all():
             bad = idx[~np.isfinite(f)]
             raise RootBracketError(
                 f"root search failed for {bad.size} target(s): non-finite value; "
                 f"first offending y={ys.flat[bad[0]]!r}"
             )
+        if dfn is not None:
+            d = np.reshape(dfn(pts), -1)[sel]
+            newton = np.divide(-f, d, out=np.full(f.shape, np.nan), where=(d > 0.0) & (d < np.inf))
         same = np.sign(f) == np.sign(f1)
         x2, f2, v2 = np.where(same, x2, x1), np.where(same, f2, f1), np.where(same, v2, v1)
         x1, f1, v1 = x, f, v

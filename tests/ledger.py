@@ -12,11 +12,14 @@ never compared, because it depends on the numpy build.
 ``tests/test_ledger.py`` compares the entries with ``tests/data/ledger.json``.
 From the root of a checkout::
 
-    python tests/ledger.py --diff     # print every entry that moved
+    python tests/ledger.py --diff     # summarize the moved entries by family
     python tests/ledger.py --write    # rewrite tests/data/ledger.json
 
-Rewriting the file is a change to test data: list each moved entry, with
-its reason, in ``CHANGES.md``.
+``--diff`` prints one line per family of moved entries (the name without
+its body tag and level: ``first.level2.gamma`` is of family ``gamma``) with
+the count and the largest relative move, and one line per entry beyond its
+tolerance.  Rewriting the file is a change to test data: list what moved,
+with its reason, in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -230,10 +234,25 @@ def compare(current, stored):
     return moved, missing, added
 
 
+def family(name):
+    """The entry ``name`` without its body tag and level: ``first.level2.gamma`` -> ``gamma``."""
+    return ".".join(part for part in name.split(".")[1:] if not re.fullmatch(r"level\d+", part))
+
+
+def families(moved):
+    """``{family: (count, largest relative move)}`` of the ``moved`` entries of :func:`compare`."""
+    out = {}
+    for name, old, new, _ in moved:
+        rel = abs(new - old) / max(abs(old), abs(new))
+        count, worst = out.get(family(name), (0, 0.0))
+        out[family(name)] = (count + 1, max(worst, rel))
+    return out
+
+
 def _main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--diff", action="store_true", help="print the entries that moved")
+    mode.add_argument("--diff", action="store_true", help="summarize the entries that moved")
     mode.add_argument("--write", action="store_true", help="rewrite the ledger file")
     args = p.parse_args(argv)
     current, hashes = entries(build_bodies())
@@ -243,9 +262,11 @@ def _main(argv=None):
         return 0
     stored, stored_hashes = load()
     moved, missing, added = compare(current, stored)
+    for fam, (count, worst) in sorted(families(moved).items()):
+        print(f"- ledger family `{fam}`: {count} moved, largest relative move {worst:.2g}")
     for name, old, new, beyond in moved:
-        tag = "beyond tolerance" if beyond else "within tolerance"
-        print(f"- ledger `{name}`: {old!r} -> {new!r} ({tag})")
+        if beyond:
+            print(f"- ledger `{name}`: {old!r} -> {new!r} (beyond tolerance)")
     for name in missing:
         print(f"- ledger `{name}`: no longer computed")
     for name in added:

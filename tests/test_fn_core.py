@@ -322,6 +322,24 @@ class TestGridIntegrated:
         with pytest.raises(ArgumentError):
             GridIntegratedFn([0.0, 0.0], lambda x, o: np.zeros((o + 1,) + x.shape))
 
+    def test_f_and_slope_converge_at_fourth_order(self):
+        # f'' = e^x on [0, 1]: the tables carry the cumulative Simpson
+        # rule's O(h^4) error, and the Hermite interpolants keep that order
+        # between nodes, so each doubling of n divides every error by 2^4
+        def d2(x, order):
+            return np.tile(np.exp(x), (order + 1, 1))
+
+        errors = []
+        for n in (16, 32, 64, 128, 256, 512):
+            fn = GridIntegratedFn([0.0, 1.0], d2, value0=1.0, slope0=1.0, nodes_per_piece=n)
+            nodes = np.linspace(0.0, 1.0, n + 1)
+            # at the nodes, a quarter and half a step past them: rows (f, f')
+            points = (nodes, nodes[:-1] + 0.25 / n, nodes[:-1] + 0.5 / n)
+            errors.append([np.max(np.abs(fn.jet(xs, 1) - np.exp(xs)), axis=1) for xs in points])
+        errors = np.array(errors)
+        ratios = errors[:-1] / errors[1:]
+        assert np.all((ratios > 15.0) & (ratios < 17.0)), ratios
+
     def test_profile_tables_equal_the_listed_build(self, hinge_profile):
         f = hinge_profile.f
         for got, want in zip((f._f_tab, f._d1_tab, f._d2_tab), listed_tables(f, 0.0, 0.0)):
@@ -610,6 +628,27 @@ class TestInvertMonotoneNewton:
         xs = invert_monotone(watched, dfn, ys, -1.0, 2.0, rtol=1e-14)
         np.testing.assert_allclose(fn(xs), ys, rtol=1e-14, atol=1e-14)
         assert all(np.all((x >= -1.0) & (x <= 2.0)) for x in seen)
+
+    @pytest.mark.parametrize("ulps", [12, 14], ids=["stop", "step"])
+    def test_newton_steps_across_a_rounding_stair_stay_newton_steps(self, ulps):
+        # Near its root a slope gap changes only in rounding quanta: it
+        # reads one value over a stair of several ulp, so every Newton step
+        # from the stair is a quarter stair long.  The stop tolerance here is
+        # 6.8 ulp: steps of 3 ulp are within half of it (the target stops),
+        # steps of 3.5 ulp within it (they are taken).  Either way no step
+        # may bisect the bracket [0, 0.5], which took 57-59 evaluations
+        root, slope = 0.053155566767858514, 2.343
+        stair = ulps * np.spacing(root)
+        for offset in np.arange(16) / 16:
+            calls = []
+
+            def fn(x):
+                calls.append(1)
+                return slope * stair / 4 * (2 * np.floor((x - root) / stair + offset) + 1)
+
+            x = invert_monotone(fn, lambda x: np.full(np.shape(x), slope), [0.0], 0.0, 0.5)
+            assert abs(x[0] - (root - offset * stair)) <= stair
+            assert len(calls) <= 8, (offset, len(calls))
 
     def test_oscillating_newton_steps_give_way_to_bisection(self):
         # Newton on sign(u)|u|^0.55 maps u to -0.82 u: an oscillation inside

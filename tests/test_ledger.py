@@ -68,3 +68,16 @@ def test_a_move_at_rounding_level_stays_within_tolerance():
     moved[name]["value"] *= 1.0 + 4e-16
     (hit,) = ledger.compare(moved, stored)[0]
     assert hit[0] == name and not hit[3]
+
+
+def test_diff_summarizes_moves_by_family():
+    moved = [
+        ("first.level1.gamma", 1.0, 1.0 + 1e-12, False),
+        ("second.level3.gamma", 2.0, 2.0 + 8e-12, False),
+        ("first.support.dh.sum", 1e-5, 1.1e-5, True),
+    ]
+    assert ledger.family("second.level3.cert.slope_bound.measured") == "cert.slope_bound.measured"
+    fams = ledger.families(moved)
+    assert set(fams) == {"gamma", "support.dh.sum"}
+    assert fams["gamma"][0] == 2 and fams["gamma"][1] == pytest.approx(4e-12 / (1 + 4e-12))
+    assert fams["support.dh.sum"] == (1, pytest.approx(1 / 11))

@@ -366,10 +366,15 @@ class TestPsiReuse:
 
         monkeypatch.setattr(bumps, "psi_jet", counted)
         p = build_patched_convex(hinge_profile.schedule, quadratic_profile_family(CONFTEST_AMPLITUDES))
-        # 71 calls on 1,081,393 points without reuse: the 40 pieces reach 5
+        # 71 calls on 368,689 points without reuse: the 40 pieces reach 5
         # distinct arguments, and the 30 quadratures 3
         assert len(sizes) <= 10
         np.testing.assert_array_equal(p.f._d2_tab, hinge_profile.f._d2_tab)
+
+
+# Traced peak of one profile build: 5.05 MiB at 4,096 table intervals per
+# piece, 19.4 MiB at 16,384.
+_BUILD_PEAK = 6 * 2**20
 
 
 def test_table_build_holds_its_tables_once(hinge_profile):
@@ -379,3 +384,36 @@ def test_table_build_holds_its_tables_once(hinge_profile):
     tables = p.f._f_tab.nbytes + p.f._d1_tab.nbytes + p.f._d2_tab.nbytes
     assert p.f._f_tab.size == hinge_profile.f._f_tab.size
     assert peak <= 1.5 * tables
+    assert peak <= _BUILD_PEAK
+
+
+# Table error that counts as converged, relative to the largest |f| or |f'|
+# on the profile: a tenth of the ledger's relative tolerance (1e-10).
+_TABLE_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("name", ["hinge_profile", "second_profile"])
+def test_table_size_is_certified_by_its_measured_error(request, name, monkeypatch):
+    """The profile's ``n`` intervals per piece resolve ``f`` and ``f'`` to ``_TABLE_RTOL``.
+
+    The tables converge at fourth order (``test_f_and_slope_converge_at_fourth_order``),
+    so ``|T(n) - T(n/2)| / 15`` estimates the error of ``T(n)``; the gap to
+    ``T(4n)`` measures it against a finer table.  Both are read at the
+    nodes of ``T(n)``, half of which fall between the nodes of ``T(n/2)``.
+    """
+    p = request.getfixturevalue(name)
+    n = patching._NODES_PER_PIECE
+    assert p.f._n == n
+    bp = p.f._bp
+    xs = np.concatenate([np.linspace(bp[i], bp[i + 1], n + 1) for i in range(bp.size - 1)])
+
+    def rows(count):
+        monkeypatch.setattr(patching, "_NODES_PER_PIECE", count)
+        return build_patched_convex(p.schedule, quadratic_profile_family(CONFTEST_AMPLITUDES)).f.jet(xs, 1)
+
+    table = p.f.jet(xs, 1)
+    tol = _TABLE_RTOL * np.max(np.abs(table), axis=1)
+    richardson = np.max(np.abs(table - rows(n // 2)), axis=1) / 15.0
+    finer = np.max(np.abs(table - rows(4 * n)), axis=1)
+    assert np.all(richardson <= tol), (richardson, tol)
+    assert np.all(finer <= tol), (finer, tol)
