@@ -142,24 +142,31 @@ def infconv_entries(tag, f):
     """The infimal convolution of ``f`` with the polynomial ``INFCONV_G``.
 
     Min, max and sum of the conjugate route's values, its error bound and
-    its largest gap to the direct route.  The minimizers are left out:
-    where the minimizer is not unique, which one a route reports is a
-    convention, not a value.
+    its largest gap to the direct route.  At the direct route's interior
+    grid points, the sums of the split ratio and of ``h''`` that
+    ``smoothness_diag`` reports, and of rows 1-3 of ``h.jet``.  The
+    minimizers are left out: where the minimizer is not unique, which one a
+    route reports is a convention, not a value.
     """
     from minklab.fn_core import SmoothFn
-    from minklab.infconv import infconv_conjugate, infconv_direct
+    from minklab.infconv import infconv_conjugate, infconv_direct, smoothness_diag
 
     g = SmoothFn.polynomial(*INFCONV_G, name="g")
     direct, conj = infconv_direct(f, g), infconv_conjugate(f, g)
     scale = 1.0 + float(np.max(np.abs(conj.values)))
     name = f"{tag}.infconv"
+    inner = direct.x[~direct.boundary]
+    diag = smoothness_diag(f, g, inner)
+    sums = {"diag.j_mu": diag.j_mu, "diag.hess_h": diag.hess_h}
+    rows = direct.h.jet(inner, 3)
+    sums.update((f"jet[{k}]", rows[k]) for k in (1, 2, 3))
     return [
         _float(f"{name}.conjugate.min", conj.values.min(), scale),
         _float(f"{name}.conjugate.max", conj.values.max(), scale),
         _float(f"{name}.conjugate.sum", conj.values.sum(), scale * conj.values.size),
         _float(f"{name}.error_bound", conj.error_bound),
         _float(f"{name}.route_gap", np.max(np.abs(direct.values - conj.values)), scale),
-    ]
+    ] + [_float(f"{name}.{key}.sum", arr.sum(), np.max(np.abs(arr)) * arr.size) for key, arr in sums.items()]
 
 
 def entries(bodies):
