@@ -18,11 +18,12 @@ Given convex ``f`` and ``g`` on compact intervals, the infimal convolution
   of the interpolants, so the distance from the true ``h`` is controlled
   by the interpolation errors ``dx^2 * max f'' / 8`` alone.
 
-Shared diagnostics: :func:`minimizer_map` is the direct route's
-stationarity solve (bracketed Newton steps on the slope gap, through
-:func:`~minklab.fn_core.invert_monotone`) restricted to stationary points, and
-:func:`smoothness_diag` reports the curvature split ``j = g''/(f'' + g'')``
-together with the transferred curvature ``h'' = f'' * j``.
+Shared diagnostics: :func:`minimizer_map`, :func:`smoothness_diag` and the
+rows of the direct route's ``h`` read one solve: the stationarity solve
+(bracketed Newton steps on the slope gap, through
+:func:`~minklab.fn_core.invert_monotone`), one evaluation of ``f`` and ``g``
+at the matched pair, and the Taylor solve there.  :func:`smoothness_diag`
+reports its row 1, the split ratio ``j = g''/(f'' + g'')``, and ``f'' * j = h''``.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class SmoothnessDiag:
 
 
 # ---------------------------------------------------------------------------
-# minimizer map and curvature diagnostics
+# direct route: the minimizer, the matched rows and the curvature diagnostics
 # ---------------------------------------------------------------------------
 
 
@@ -191,58 +192,25 @@ def _minimizer(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np
     return mu, ~root
 
 
-def minimizer_map(f: SmoothFn, g: SmoothFn, x) -> np.ndarray:
-    """Solve ``f'(mu) = g'(x - mu)`` for each ``x``, vectorized.
+def _matched_rows(f: SmoothFn, g: SmoothFn, xs: np.ndarray, order: int):
+    """The minimizer ``mu`` and rows 0 to ``order`` of ``f`` at ``mu`` and ``g`` at ``x - mu``.
 
-    The solve is the one of :func:`infconv_direct`.  Raises
-    :class:`~minklab.errors.RootBracketError` when the residual stays above
-    ``_RESIDUAL_TOL`` relative to the matched slope scale; that includes
-    every minimizer pinned to a window end where the slope gap is not zero.
+    Raises :class:`~minklab.errors.RootBracketError` where the slope
+    residual of those rows exceeds ``_RESIDUAL_TOL`` times the matched slope
+    scale ``1 + |f'(mu)|``, as at a minimizer pinned where the gap is not zero.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
     mu, _ = _minimizer(f, g, xs)
-    resid = np.abs(_slope_gap(f, g, xs, mu))
-    scale = 1.0 + np.abs(f.jet(mu, 1)[1])
+    f_rows = f.jet(mu, order)
+    g_rows = g.jet(xs - mu, order)
+    resid = np.abs(f_rows[1] - g_rows[1])
+    scale = 1.0 + np.abs(f_rows[1])
     if np.any(resid > _RESIDUAL_TOL * scale):
         worst = int(np.argmax(resid / scale))
         raise RootBracketError(
             f"stationarity residual {resid[worst]:.3e} at x={xs[worst]!r} "
             f"exceeds tolerance {_RESIDUAL_TOL:g}"
         )
-    return float(mu[0]) if scalar else mu
-
-
-def smoothness_diag(f: SmoothFn, g: SmoothFn, x, *, mu=None) -> SmoothnessDiag:
-    """Report ``f''``, ``g''``, the split ratio and ``h''`` at matched pairs.
-
-    The split ratio ``j = g''/(f'' + g'')`` is the derivative of the
-    minimizer map, and ``h'' = f'' * j = g'' * (1 - j)``.  Raises
-    :class:`~minklab.errors.DegenerateHessianError` where ``j`` is undefined:
-    the curvature sum vanishes (the formula degenerates there) or is NaN.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if mu is None:
-        mus = np.atleast_1d(minimizer_map(f, g, xs))
-    else:
-        mus = np.atleast_1d(np.asarray(mu, dtype=float))
-    hf = f.jet(mus, 2)[2]
-    hg = g.jet(xs - mus, 2)[2]
-    total = hf + hg
-    ok = total >= _TINY
-    if not np.all(ok):
-        bad = np.flatnonzero(~ok)
-        raise DegenerateHessianError(
-            f"curvature sum vanishes at {bad.size} point(s); first at "
-            f"x={xs[bad[0]]!r} (f''={hf[bad[0]]!r}, g''={hg[bad[0]]!r})"
-        )
-    j = hg / total
-    return SmoothnessDiag(x=xs, mu=mus, hess_g=hg, hess_h=hf * j, j_mu=j)
-
-
-# ---------------------------------------------------------------------------
-# direct route
-# ---------------------------------------------------------------------------
+    return mu, f_rows, g_rows
 
 
 def _mu_taylor(xs, mu0, f_derivs, g_derivs, order):
@@ -250,17 +218,20 @@ def _mu_taylor(xs, mu0, f_derivs, g_derivs, order):
 
     Solves the stationarity condition order by order: with the rows below
     ``k`` fixed, the row-``k`` residual is linear in the unknown with
-    coefficient ``f''(mu) + g''(x - mu)``.
+    coefficient ``f''(mu) + g''(x - mu)``, so row 1 is the split ratio
+    ``g''/(f'' + g'')``.  Raises
+    :class:`~minklab.errors.DegenerateHessianError` where that sum vanishes
+    or is NaN: the split ratio and the rows of ``h`` above the first are
+    undefined there.
     """
     fc = jets.derivs_to_jet(f_derivs)
     gc = jets.derivs_to_jet(g_derivs)
     total = f_derivs[2] + g_derivs[2]
-    if np.any(total < _TINY):
-        bad = np.where(total < _TINY)[0]
+    bad = np.flatnonzero(~(total >= _TINY))
+    if bad.size:
         raise DegenerateHessianError(
             f"curvature sum vanishes at {bad.size} point(s); first at "
-            f"x={xs[bad[0]]!r} — higher derivatives of the infimal "
-            f"convolution are unavailable there"
+            f"x={xs[bad[0]]!r} (f''={f_derivs[2][bad[0]]!r}, g''={g_derivs[2][bad[0]]!r})"
         )
     lift = np.arange(1, order + 2).reshape((order + 1,) + (1,) * (fc.ndim - 1))
     fprime = fc[1:] * lift
@@ -274,14 +245,34 @@ def _mu_taylor(xs, mu0, f_derivs, g_derivs, order):
     return mu_rows, fc, gc, u
 
 
-def _direct_jet(f, g, xs, order):
-    mu0 = np.atleast_1d(minimizer_map(f, g, xs))
-    f_derivs = f.jet(mu0, order + 1)
-    g_derivs = g.jet(xs - mu0, order + 1)
-    mu_rows, fc, gc, u = _mu_taylor(xs, mu0, f_derivs, g_derivs, order)
-    h_coeffs = jets.tcompose(fc[: order + 1], mu_rows)
-    h_coeffs += jets.tcompose(gc[: order + 1], u - mu_rows)
-    return jets.jet_to_derivs(h_coeffs)
+def minimizer_map(f: SmoothFn, g: SmoothFn, x) -> np.ndarray:
+    """Solve ``f'(mu) = g'(x - mu)`` for each ``x``, vectorized.
+
+    The solve is the one of :func:`infconv_direct`, and the one that
+    :func:`smoothness_diag` and the rows of the direct route's ``h`` read.
+    Raises :class:`~minklab.errors.RootBracketError` when the residual stays
+    above ``_RESIDUAL_TOL`` relative to the matched slope scale; that
+    includes every minimizer pinned to a window end where the gap is not zero.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    mu = _matched_rows(f, g, xs, 1)[0]
+    return float(mu[0]) if np.ndim(x) == 0 else mu
+
+
+def smoothness_diag(f: SmoothFn, g: SmoothFn, x) -> SmoothnessDiag:
+    """Report ``f''``, ``g''``, the split ratio and ``h''`` at matched pairs.
+
+    The pairs are those of :func:`minimizer_map`, and the split ratio
+    ``j = g''/(f'' + g'')``, the derivative of the minimizer map, is row 1
+    of the Taylor solve behind the direct route's ``h``;
+    ``h'' = f'' * j = g'' * (1 - j)``.  Raises where the minimizer map does,
+    and :class:`~minklab.errors.DegenerateHessianError` where ``j`` is
+    undefined: the curvature sum vanishes or is NaN.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    mu, f_rows, g_rows = _matched_rows(f, g, xs, 2)
+    j = _mu_taylor(xs, mu, f_rows, g_rows, 1)[0][1]
+    return SmoothnessDiag(x=xs, mu=mu, hess_g=g_rows[2], hess_h=f_rows[2] * j, j_mu=j)
 
 
 def infconv_direct(
@@ -318,19 +309,16 @@ def infconv_direct(
     def h_jet(xq, order):
         if order == 0:
             return h_values(xq)[0][None, :]
-        return _direct_jet(f, g, xq, order)
+        mu, f_rows, g_rows = _matched_rows(f, g, xq, order + 1)
+        mu_rows, fc, gc, u = _mu_taylor(xq, mu, f_rows, g_rows, order)
+        h_coeffs = jets.tcompose(fc[: order + 1], mu_rows) + jets.tcompose(gc[: order + 1], u - mu_rows)
+        return jets.jet_to_derivs(h_coeffs)
 
     vals, mu, boundary = h_values(xs)
     jet_order = max(0, min(f.max_order, g.max_order) - 1)
 
     h = SmoothFn(span, jet_order, h_jet, name=f"infconv[{f.name or 'f'},{g.name or 'g'}]")
-    return InfConvResult(
-        x=xs,
-        values=vals,
-        mu=mu,
-        boundary=boundary,
-        h=h,
-    )
+    return InfConvResult(x=xs, values=vals, mu=mu, boundary=boundary, h=h)
 
 
 # ---------------------------------------------------------------------------
