@@ -16,7 +16,7 @@ Given convex ``f`` and ``g`` on compact intervals, the infimal convolution
   lower hulls' edges by slope (the epigraph of ``h`` is the Minkowski sum
   of the epigraphs).  Up to rounding this is the exact infimal convolution
   of the interpolants, so the distance from the true ``h`` is controlled
-  by the interpolation errors ``dx^2 * max f'' / 8`` alone.
+  by the interpolation errors ``dx^2 * max f'' / 8`` and a rounding term.
 
 Shared diagnostics: :func:`minimizer_map`, :func:`smoothness_diag` and the
 rows of the direct route's ``h`` read one solve: the stationarity solve
@@ -405,9 +405,18 @@ def infconv_conjugate(
     at a tie; on an edge of ``f`` the minimizer ``mu`` keeps ``g`` at a
     vertex, and on an edge of ``g`` it is ``f``'s vertex.  The returned
     function object is the piecewise-linear ``h`` (order-0 only).
-    ``error_bound`` stores ``(dx_f^2 max f'' + dx_g^2 max g'')/8`` when the
-    inputs expose second derivatives — a sup-norm bound on the distance to
-    the true infimal convolution.
+
+    ``error_bound``, when the inputs expose second derivatives, bounds the
+    sup-norm distance to the true infimal convolution, to first order in
+    ``eps``: ``(dx_f^2 max f'' + dx_g^2 max g'')/8`` for the interpolation,
+    plus ``eps (6V + SX/2)`` for this function's rounding, with ``V``, ``S``
+    and ``X`` the largest ``|value|``, ``|slope|`` and ``|abscissa|`` of the
+    merged hull.  With ``u = eps/2``, a point on the edge from vertex ``k``
+    is ``hv[k] + s (x - hx[k])``, and ``|s (x - hx[k])| <= 2V``.  The vertex
+    sum ``hv[k]`` adds ``uV``; the slope, a quotient of two differences,
+    ``3u 2V``; the vertex sum ``hx[k]`` ``uSX``; the difference ``2uV``; the
+    product ``2uV``; the last sum ``uV``: in all ``12uV + uSX``.  The
+    inputs' own rounding in the samples is not counted.
     """
     _check_grid_n(grid_n)
     check_convexity(f)
@@ -464,14 +473,9 @@ def infconv_conjugate(
     if max_hf is not None and max_hg is not None:
         dxf = (f.domain[1] - f.domain[0]) / (_SAMPLE_N - 1)
         dxg = (g.domain[1] - g.domain[0]) / (_SAMPLE_N - 1)
-        error_bound = (dxf**2 * max_hf + dxg**2 * max_hg) / 8.0
+        vmax, smax, xmax = (float(np.max(np.abs(a))) for a in (hv, slopes, hx))
+        rounding = float(np.finfo(float).eps) * (6.0 * vmax + 0.5 * smax * xmax)
+        error_bound = (dxf**2 * max_hf + dxg**2 * max_hg) / 8.0 + rounding
 
-    return InfConvResult(
-        x=xs,
-        values=vals,
-        mu=mu,
-        boundary=boundary,
-        h=h,
-        error_bound=error_bound,
-    )
+    return InfConvResult(x=xs, values=vals, mu=mu, boundary=boundary, h=h, error_bound=error_bound)
 

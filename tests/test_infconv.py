@@ -382,7 +382,26 @@ class TestSlopeMerge:
         res = infconv_conjugate(f, g, grid_n=257)
         np.testing.assert_allclose(res.values, 1.5 + 2.0 * res.x, rtol=0, atol=1e-14)
         np.testing.assert_allclose(res.mu, np.minimum(1.0, res.x + 0.5), rtol=0, atol=1e-15)
-        assert res.error_bound == 0.0
+        # no interpolation error; the rounding term, eps (6V + SX/2), of the
+        # hull from (-1.5, -1.5) to (3, 7.5) with slope 2
+        assert res.error_bound == np.finfo(float).eps * (6.0 * 7.5 + 0.5 * 2.0 * 3.0)
+
+    @pytest.mark.parametrize(
+        "f_line, g_line",
+        [
+            (([0.3, -0.7], (-1, 1)), ([0.1, 1.3], (-0.4, 0.6))),
+            (([0.7, 0.1], (-1.3, 0.9)), ([-0.2, 0.1], (-0.6, 1.7))),
+            (([0.25, 1.0], (-0.7, 0.3)), ([0.6, 1.0], (-0.2, 0.9))),
+        ],
+    )
+    def test_linear_pairs_keep_the_routes_within_the_bound(self, f_line, g_line):
+        # no interpolation error, so only the rounding term covers the gap
+        # between the routes (measured 1.1e-16 to 3.3e-16)
+        f, g = poly(*f_line), poly(*g_line)
+        direct = infconv_direct(f, g, grid_n=513)
+        conj = infconv_conjugate(f, g, grid_n=513)
+        gap = np.max(np.abs(direct.values - conj.values))
+        assert gap <= conj.error_bound
 
     def test_mu_is_a_minimizer_of_the_interpolants(self, seed7_pair):
         # the split objective of the sampled interpolants at mu is h itself,
