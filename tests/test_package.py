@@ -31,6 +31,8 @@ KEPT_FOR_OPEN_ITEMS = {
     "hinge.SmoothingResult.certificate": 2,
     # the run report checks the support data it writes
     "curve.SupportFn.validate": 2,
+    # public by name though not in ``__all__``; the run report reads it
+    "patching.dyadic_partition_residual": 2,
 }
 # Public names that two or more exported classes define.  A read of such a
 # name does not say whose method it calls, so it counts for no class by
@@ -108,9 +110,10 @@ def _definition(texts, where):
 def _public_names(module, text):
     """Each public name that ``text`` defines, keyed ``module.name``, mapped to the name a caller reads.
 
-    The public names are those of the literal ``__all__``, and the methods
-    and properties of the exported classes whose names do not start with
-    ``_``; dataclass fields are not among them.
+    The public names are those of the literal ``__all__``, the module-level
+    functions whose names do not start with ``_`` (listed in ``__all__`` or
+    not), and the methods and properties of the exported classes whose
+    names do not start with ``_``; dataclass fields are not among them.
     """
     tree = ast.parse(text)
     exported = [
@@ -119,7 +122,8 @@ def _public_names(module, text):
         if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"]
         for name in ast.literal_eval(stmt.value)
     ]
-    public = {f"{module}.{name}": name for name in exported}
+    functions = [stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+    public = {f"{module}.{name}": name for name in exported + functions}
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and cls.name in exported:
             for member in cls.body:
@@ -214,6 +218,27 @@ def test_the_caller_guard_reports_an_uncalled_method_and_a_kept_name_with_a_read
         [],
         [],
     )
+
+
+def test_the_caller_guard_reports_an_unread_function_that_is_public_by_name():
+    defining = {
+        "shapes": (
+            '__all__ = ["area"]\n'
+            "def area(s):\n"
+            "    return _side(s) ** 2\n"
+            "def perimeter(s):\n"
+            "    return 4 * _side(s)\n"
+            "def diagonal(s):\n"
+            "    return 1.5 * _side(s)\n"
+            "def _side(s):\n"
+            "    return s\n"
+        )
+    }
+    # perimeter and diagonal are not exported; the second text reads
+    # diagonal, and the private _side is the other guard's
+    reading = {**defining, "main": "from shapes import area, diagonal\nprint(area(2), diagonal(2))\n"}
+    assert _caller_guard(defining, reading, {}, {}) == (["shapes.perimeter"], [], [])
+    assert _caller_guard(defining, reading, {"shapes.perimeter": 2}, {}) == ([], [], [])
 
 
 def test_the_caller_guard_counts_a_shared_name_only_for_the_listed_class():
