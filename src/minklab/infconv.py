@@ -19,11 +19,10 @@ Given convex ``f`` and ``g`` on compact intervals, the infimal convolution
   by the interpolation errors ``dx^2 * max f'' / 8`` and a rounding term.
 
 Shared diagnostics: :func:`minimizer_map`, :func:`smoothness_diag` and the
-rows of the direct route's ``h`` read one solve: the stationarity solve
-(bracketed Newton steps on the slope gap, through
-:func:`~minklab.fn_core.invert_monotone`), one evaluation of ``f`` and ``g``
-at the matched pair, and the Taylor solve there.  :func:`smoothness_diag`
-reports its row 1, the split ratio ``j = g''/(f'' + g'')``, and ``f'' * j = h''``.
+rows of the direct route's ``h`` read one stationarity solve (bracketed
+Newton steps on the slope gap, through :func:`~minklab.fn_core.invert_monotone`),
+one evaluation of ``f`` and ``g`` at the matched pair, and one Taylor solve,
+whose row 1 is the split ratio ``j = g''/(f'' + g'')`` of :func:`smoothness_diag`.
 """
 
 from __future__ import annotations
@@ -195,9 +194,8 @@ def _minimizer(f: SmoothFn, g: SmoothFn, xs: np.ndarray) -> tuple[np.ndarray, np
 def _matched_rows(f: SmoothFn, g: SmoothFn, xs: np.ndarray, order: int):
     """The minimizer ``mu`` and rows 0 to ``order`` of ``f`` at ``mu`` and ``g`` at ``x - mu``.
 
-    Raises :class:`~minklab.errors.RootBracketError` where the slope
-    residual of those rows exceeds ``_RESIDUAL_TOL`` times the matched slope
-    scale ``1 + |f'(mu)|``, as at a minimizer pinned where the gap is not zero.
+    Raises :class:`~minklab.errors.RootBracketError` on the slope residual
+    of these rows, as :func:`minimizer_map` documents.
     """
     mu, _ = _minimizer(f, g, xs)
     f_rows = f.jet(mu, order)
@@ -218,11 +216,9 @@ def _mu_taylor(xs, mu0, f_derivs, g_derivs, order):
 
     Solves the stationarity condition order by order: with the rows below
     ``k`` fixed, the row-``k`` residual is linear in the unknown with
-    coefficient ``f''(mu) + g''(x - mu)``, so row 1 is the split ratio
-    ``g''/(f'' + g'')``.  Raises
-    :class:`~minklab.errors.DegenerateHessianError` where that sum vanishes
-    or is NaN: the split ratio and the rows of ``h`` above the first are
-    undefined there.
+    coefficient ``f''(mu) + g''(x - mu)``, so row 1 is ``g''/(f'' + g'')``.
+    Raises :class:`~minklab.errors.DegenerateHessianError` where that sum
+    vanishes or is NaN.
     """
     fc = jets.derivs_to_jet(f_derivs)
     gc = jets.derivs_to_jet(g_derivs)
@@ -262,12 +258,11 @@ def minimizer_map(f: SmoothFn, g: SmoothFn, x) -> np.ndarray:
 def smoothness_diag(f: SmoothFn, g: SmoothFn, x) -> SmoothnessDiag:
     """Report ``f''``, ``g''``, the split ratio and ``h''`` at matched pairs.
 
-    The pairs are those of :func:`minimizer_map`, and the split ratio
-    ``j = g''/(f'' + g'')``, the derivative of the minimizer map, is row 1
-    of the Taylor solve behind the direct route's ``h``;
-    ``h'' = f'' * j = g'' * (1 - j)``.  Raises where the minimizer map does,
-    and :class:`~minklab.errors.DegenerateHessianError` where ``j`` is
-    undefined: the curvature sum vanishes or is NaN.
+    The pairs are those of :func:`minimizer_map`; the split ratio
+    ``j = g''/(f'' + g'')`` is row 1 of the Taylor solve behind the direct
+    route's ``h``, and ``h'' = f'' * j = g'' * (1 - j)``.  Raises where the
+    minimizer map does, and :class:`~minklab.errors.DegenerateHessianError`
+    where the curvature sum vanishes or is NaN.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     mu, f_rows, g_rows = _matched_rows(f, g, xs, 2)
@@ -311,14 +306,21 @@ def infconv_direct(
             return h_values(xq)[0][None, :]
         mu, f_rows, g_rows = _matched_rows(f, g, xq, order + 1)
         mu_rows, fc, gc, u = _mu_taylor(xq, mu, f_rows, g_rows, order)
-        h_coeffs = jets.tcompose(fc[: order + 1], mu_rows) + jets.tcompose(gc[: order + 1], u - mu_rows)
+        h_coeffs = jets.tcompose(fc[: order + 1], mu_rows)
+        h_coeffs += jets.tcompose(gc[: order + 1], u - mu_rows)
         return jets.jet_to_derivs(h_coeffs)
 
     vals, mu, boundary = h_values(xs)
     jet_order = max(0, min(f.max_order, g.max_order) - 1)
 
     h = SmoothFn(span, jet_order, h_jet, name=f"infconv[{f.name or 'f'},{g.name or 'g'}]")
-    return InfConvResult(x=xs, values=vals, mu=mu, boundary=boundary, h=h)
+    return InfConvResult(
+        x=xs,
+        values=vals,
+        mu=mu,
+        boundary=boundary,
+        h=h,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +407,16 @@ def infconv_conjugate(
     at a tie; on an edge of ``f`` the minimizer ``mu`` keeps ``g`` at a
     vertex, and on an edge of ``g`` it is ``f``'s vertex.  The returned
     function object is the piecewise-linear ``h`` (order-0 only).
-
     ``error_bound``, when the inputs expose second derivatives, bounds the
-    sup-norm distance to the true infimal convolution, to first order in
-    ``eps``: ``(dx_f^2 max f'' + dx_g^2 max g'')/8`` for the interpolation,
-    plus ``eps (6V + SX/2)`` for this function's rounding, with ``V``, ``S``
-    and ``X`` the largest ``|value|``, ``|slope|`` and ``|abscissa|`` of the
-    merged hull.  With ``u = eps/2``, a point on the edge from vertex ``k``
-    is ``hv[k] + s (x - hx[k])``, and ``|s (x - hx[k])| <= 2V``.  The vertex
-    sum ``hv[k]`` adds ``uV``; the slope, a quotient of two differences,
-    ``3u 2V``; the vertex sum ``hx[k]`` ``uSX``; the difference ``2uV``; the
-    product ``2uV``; the last sum ``uV``: in all ``12uV + uSX``.  The
-    inputs' own rounding in the samples is not counted.
+    sup-norm distance to the true infimal convolution to first order in
+    ``eps``: ``(dx_f^2 max f'' + dx_g^2 max g'')/8`` for the interpolation
+    plus ``eps (6V + SX/2)`` for rounding, with ``V``, ``S`` and ``X`` the
+    largest ``|value|``, ``|slope|`` and ``|abscissa|`` of the merged hull.
+    With ``u = eps/2``, ``h(x) = hv[k] + s (x - hx[k])`` on edge ``k`` and
+    ``|s (x - hx[k])| <= 2V``: the sums ``hv[k]`` and ``hx[k]`` add ``uV``
+    and ``uSX``, the slope (a quotient of differences) ``6uV``, and the
+    difference, product and last sum ``5uV``.  The inputs' own rounding in
+    the samples is not counted.
     """
     _check_grid_n(grid_n)
     check_convexity(f)
@@ -477,5 +477,12 @@ def infconv_conjugate(
         rounding = float(np.finfo(float).eps) * (6.0 * vmax + 0.5 * smax * xmax)
         error_bound = (dxf**2 * max_hf + dxg**2 * max_hg) / 8.0 + rounding
 
-    return InfConvResult(x=xs, values=vals, mu=mu, boundary=boundary, h=h, error_bound=error_bound)
+    return InfConvResult(
+        x=xs,
+        values=vals,
+        mu=mu,
+        boundary=boundary,
+        h=h,
+        error_bound=error_bound,
+    )
 

@@ -160,13 +160,16 @@ def infconv_entries(tag, f):
     sums = {"diag.j_mu": diag.j_mu, "diag.hess_h": diag.hess_h}
     rows = direct.h.jet(inner, 3)
     sums.update((f"jet[{k}]", rows[k]) for k in (1, 2, 3))
-    return [
+    out = [
         _float(f"{name}.conjugate.min", conj.values.min(), scale),
         _float(f"{name}.conjugate.max", conj.values.max(), scale),
         _float(f"{name}.conjugate.sum", conj.values.sum(), scale * conj.values.size),
         _float(f"{name}.error_bound", conj.error_bound),
         _float(f"{name}.route_gap", np.max(np.abs(direct.values - conj.values)), scale),
-    ] + [_float(f"{name}.{key}.sum", arr.sum(), np.max(np.abs(arr)) * arr.size) for key, arr in sums.items()]
+    ]
+    for key, arr in sums.items():
+        out.append(_float(f"{name}.{key}.sum", arr.sum(), np.max(np.abs(arr)) * arr.size))
+    return out
 
 
 def entries(bodies):

@@ -478,7 +478,7 @@ class TestLowerHull:
 
 
 class CountingFn:
-    """A function whose ``slope_rows`` counts its calls and the points they pass, and whose ``jet`` counts its calls."""
+    """A function whose ``jet`` and ``slope_rows`` count their calls, and ``slope_rows`` the points they pass."""
 
     def __init__(self, fn):
         self.fn, self.calls, self.points, self.jets = fn, 0, 0, 0
