@@ -109,9 +109,15 @@ def curve_entries(tag, curve, zset):
 
 
 def support_entries(tag, support):
-    """Min, max and sum of each support array (``d2h`` over its finite entries), and the flat count."""
+    """Min, max and sum of each support array, and the flat count.
+
+    ``dh`` and ``d2h`` are read off the non-flat normals: at a flat normal
+    ``d2h`` is infinite, and ``dh`` belongs to whichever point of the flat
+    piece the support inversion returns.
+    """
     out, hashes = [], {}
-    arrays = {"h": support.h, "dh": support.dh, "d2h": support.d2h[~support.flat]}
+    curved = ~support.flat
+    arrays = {"h": support.h, "dh": support.dh[curved], "d2h": support.d2h[curved]}
     for key, arr in arrays.items():
         scale = float(np.max(np.abs(arr)))
         name = f"{tag}.support.{key}"
