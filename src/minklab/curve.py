@@ -16,10 +16,11 @@ smoothing's exact ``F''`` is certified positive when it is built
 (:func:`~minklab.hinge.build_smoothing`); the sampled polyline is checked
 only for convexity, turning, monotone normals and symmetry.
 
-:class:`SupportFn` samples support functions on a uniform angular grid with
-exact first/second data (curvature radius ``rho = h + h''``), which makes
-Minkowski sums pointwise additions and lets flat normal directions be
-tracked exactly through sums.
+:class:`SupportFn` samples support functions on the uniform angular grid
+``k * 2*pi / N`` with exact first/second data (curvature radius
+``rho = h + h''``), which makes Minkowski sums pointwise additions.  A flat
+normal direction is one where ``h''`` is ``+inf``, and ``inf + x = inf``
+carries it exactly through sums.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 # Curvature at or below this fraction of the largest template curvature
-# is zero: it sets the support's ``flat``.
+# is zero: the curvature radius is ``inf`` there, a flat normal.
 _FLAT_TOL = 1e-8
 # Relative tolerance of the float invariant checks (convexity, monotone
 # normals, symmetry, zero-set membership, curvature-radius sign),
@@ -224,13 +225,12 @@ class CurveAtlas:
     def support_data(self, theta) -> dict[str, np.ndarray]:
         """Exact boundary point / curvature radius at outward-normal ``theta``.
 
-        Returns the complex boundary points (final frame), the curvature
-        radius ``rho`` (``inf`` where the touching point is flat), and the
-        flat mask; a point is flat when its template curvature is at most
-        ``_FLAT_TOL`` times the largest one.  Where ``flat`` is set the
-        touching set may be a segment, and the point returned is whichever
-        point of it the inversion lands on.  A non-finite angle raises
-        :class:`ArgumentError`.
+        Returns the complex boundary points (final frame) and the curvature
+        radius ``rho``.  ``rho`` is ``inf`` where the touching point is
+        flat, that is where its template curvature is at most ``_FLAT_TOL``
+        times the largest one.  There the touching set may be a segment,
+        and the point returned is whichever point of it the inversion lands
+        on.  A non-finite angle raises :class:`ArgumentError`.
         """
         th = np.asarray(theta, dtype=float)
         if not np.all(np.isfinite(th)):
@@ -249,7 +249,6 @@ class CurveAtlas:
         # boundary resolves into the instance that starts there
         pts = np.empty(th.shape, dtype=complex)
         rho = np.empty(th.shape, dtype=float)
-        flat = np.zeros(th.shape, dtype=bool)
         kappa_max = max(float(np.max(t.kappa)) for t in self.templates)
         kappa_floor = _FLAT_TOL * kappa_max
         for tpl in self.templates:
@@ -274,8 +273,7 @@ class CurveAtlas:
             with np.errstate(divide="ignore"):
                 r = np.where(zero, np.inf, scale / np.where(zero, 1.0, d2))
             rho[sel] = r
-            flat[sel] = zero
-        return {"point": pts, "rho": rho, "flat": flat}
+        return {"point": pts, "rho": rho}
 
 
 def _copy(z, j, n: int, center: complex):
@@ -595,39 +593,46 @@ def assemble_curve(f: SmoothFn, schedule: HingeSchedule, m_max: int) -> tuple[Co
 
 @dataclass(eq=False)
 class SupportFn:
-    """Support function samples on a uniform angular grid.
+    """Support function samples on the uniform angular grid ``k * 2*pi / N``.
 
     ``h`` is the support value, ``dh``/``d2h`` its first and second angular
-    derivatives at the grid angles; the curvature radius of the boundary at
-    normal ``theta`` is ``rho = h + d2h``, which is additive under Minkowski
-    sums.  ``flat[i]`` marks angles whose touching boundary point has zero
-    curvature (``rho`` infinite); ``d2h`` holds ``inf`` there, and ``dh``
-    belongs to whichever point of the flat piece the support inversion
-    returned: it is not a one-sided derivative of ``h``.
+    derivatives at the grid angles :attr:`theta`, ``N = h.size`` of them;
+    the curvature radius of the boundary at normal ``theta`` is
+    ``rho = h + d2h``, which is additive under Minkowski sums.  A normal
+    whose touching boundary point has zero curvature is flat: ``d2h`` is
+    ``+inf`` there (``rho`` infinite), and :attr:`flat` reads that mask off
+    ``d2h``.  At a flat normal ``dh`` belongs to whichever point of the
+    flat piece the support inversion returned: it is not a one-sided
+    derivative of ``h``.
 
     Every constructor maps the grid angles to the boundary points they
     touch and the curvature radii there, and hands both to one builder,
     :meth:`_from_points`; :meth:`grid` is the one sample-count check.
     """
 
-    theta: np.ndarray
     h: np.ndarray
     dh: np.ndarray
     d2h: np.ndarray
-    flat: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.theta) != 1:
-            raise ArgumentError(f"theta must be a 1-D grid, got shape {np.shape(self.theta)}")
-        n = self.theta.size
-        if not np.max(np.abs(self.theta - self.grid(n))) <= 1e-12:
-            raise ArgumentError("theta must be the uniform grid k * 2*pi / N")
-        for arr in (self.h, self.dh, self.d2h, self.flat):
-            if arr.shape != (n,):
-                raise ArgumentError("support arrays must match the grid length")
-        # validate's comparisons pass a NaN silently; d2h is +inf where flat
-        if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.dh))) or np.any(np.isnan(self.d2h)):
-            raise ArgumentError("h and dh must be finite and d2h not NaN")
+        if np.ndim(self.h) != 1:
+            raise ArgumentError(f"h must be a 1-D array, got shape {np.shape(self.h)}")
+        n = self.h.size
+        _check_grid_n(n, 8)
+        if self.dh.shape != (n,) or self.d2h.shape != (n,):
+            raise ArgumentError("h, dh and d2h must have equal lengths")
+        # validate's comparisons pass a NaN silently, and d2h = -inf would be
+        # a curvature radius of -inf; d2h is +inf where flat
+        if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.dh)) and np.all(self.d2h > -math.inf)):
+            raise ArgumentError("h and dh must be finite and d2h neither NaN nor -inf")
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.grid(self.h.size)
+
+    @property
+    def flat(self) -> np.ndarray:
+        return np.isposinf(self.d2h)
 
     # -- constructors -----------------------------------------------------
 
@@ -637,26 +642,21 @@ class SupportFn:
         return np.arange(grid_n) * (TAU / grid_n)
 
     @classmethod
-    def _from_points(cls, theta, points, rho, flat) -> "SupportFn":
+    def _from_points(cls, theta, points, rho) -> "SupportFn":
         """Support data from the boundary point touched at each grid normal.
 
         ``points`` are complex boundary points and ``rho`` the curvature
-        radii there (arrays or scalars broadcast over ``theta``).  In the
-        frame of the normal, ``w = point * e^{-i theta}`` has ``h = Re w``
-        and ``h' = Im w``; then ``h'' = rho - h``.
+        radii there (arrays or scalars broadcast over ``theta``), ``inf``
+        at a flat normal.  In the frame of the normal,
+        ``w = point * e^{-i theta}`` has ``h = Re w`` and ``h' = Im w``;
+        then ``h'' = rho - h``.
         """
         phase = np.exp(-1j * theta)
         w = points * phase
         h = np.real(w)
         with np.errstate(invalid="ignore"):
             d2h = rho - h
-        return cls(
-            theta=theta,
-            h=h,
-            dh=np.imag(w),
-            d2h=d2h,
-            flat=np.broadcast_to(flat, theta.shape).copy(),
-        )
+        return cls(h=h, dh=np.imag(w), d2h=d2h)
 
     @classmethod
     def ellipse(cls, a: float, b: float, *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -668,7 +668,7 @@ class SupportFn:
         he = np.hypot(a * c, b * s)
         pts = a * (a * c / he) + 1j * (b * (b * s / he))
         rho = (a / he) * (b / he) * (a * (b / he))
-        return cls._from_points(th, pts, rho, False)
+        return cls._from_points(th, pts, rho)
 
     @classmethod
     def from_curve(cls, curve: ConvexCurve, *, grid_n: int = 1 << 16) -> "SupportFn":
@@ -680,7 +680,7 @@ class SupportFn:
             )
         th = cls.grid(grid_n)
         data = curve.atlas.support_data(th)
-        return cls._from_points(th, data["point"], data["rho"], data["flat"])
+        return cls._from_points(th, data["point"], data["rho"])
 
     # -- calculus ----------------------------------------------------------
 
@@ -688,10 +688,9 @@ class SupportFn:
         return self.h + self.d2h
 
     def kappa(self) -> np.ndarray:
-        r = self.rho()
+        """Curvature ``1 / rho``: 0 at a flat normal, where ``rho`` is ``inf``."""
         with np.errstate(divide="ignore"):
-            k = np.where(self.flat, 0.0, 1.0 / np.where(self.flat, 1.0, r))
-        return k
+            return 1.0 / self.rho()
 
     def reconstruct(self) -> np.ndarray:
         """Boundary points h*u + h'*u_perp at every grid angle."""
@@ -709,16 +708,13 @@ class SupportFn:
 
 
 def minkowski_sum(a: SupportFn, b: SupportFn) -> SupportFn:
-    """Pointwise sum of support data; flat directions propagate by union."""
-    if a.theta.size != b.theta.size or np.max(np.abs(a.theta - b.theta)) > 1e-12:
+    """Pointwise sum of support data on one grid.
+
+    A flat direction of either summand is flat in the sum: ``inf + d2h = inf``.
+    """
+    if a.h.size != b.h.size:
         raise ArgumentError("support functions live on different angular grids")
-    return SupportFn(
-        theta=a.theta,
-        h=a.h + b.h,
-        dh=a.dh + b.dh,
-        d2h=a.d2h + b.d2h,
-        flat=a.flat | b.flat,
-    )
+    return SupportFn(h=a.h + b.h, dh=a.dh + b.dh, d2h=a.d2h + b.d2h)
 
 
 @dataclass(frozen=True)
@@ -747,13 +743,14 @@ def curvature_transfer_check(a: SupportFn, b: SupportFn, theta) -> TransferRepor
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.all(np.isfinite(th)):
         raise ArgumentError("normal angles must be finite")
-    n = a.theta.size
+    n = a.h.size
     stepw = TAU / n
     # reduce before the cast: a huge angle overflows the integer index
     idx = np.mod(np.round(np.mod(th, TAU) / stepw).astype(int), n)
     snapped = a.theta[idx]
+    # a flat normal has kappa 0
     ka = a.kappa()[idx]
-    if np.any(a.flat[idx]) or np.any(ka <= 0.0):
+    if np.any(ka <= 0.0):
         raise HypothesisError(
             "first body must have strictly positive curvature at the "
             "requested angles"
@@ -766,7 +763,8 @@ def curvature_transfer_check(a: SupportFn, b: SupportFn, theta) -> TransferRepor
     # independent second-difference probe of the summed support values
     ip, im = np.mod(idx + 1, n), np.mod(idx - 1, n)
     d2_disc = (s.h[ip] - 2.0 * s.h[idx] + s.h[im]) / stepw**2
-    ok_disc = finite & ~s.flat[np.mod(idx + 1, n)] & ~s.flat[im]
+    s_flat = s.flat
+    ok_disc = finite & ~s_flat[ip] & ~s_flat[im]
     discrete = float(np.max(np.abs(d2_disc - s.d2h[idx])[ok_disc], initial=0.0))
     transfer_ok = bool(np.all((ks == 0.0) == (kb == 0.0)))
     return TransferReport(

@@ -215,7 +215,7 @@ def angular_resolution_arc(curve, grid_n):
 def point_support(p, *, grid_n):
     """Support data of the one-point body ``{p}``: ``h(theta) = <p, u(theta)>``, curvature radius 0."""
     th = SupportFn.grid(grid_n)
-    return SupportFn._from_points(th, complex(p[0], p[1]), 0.0, False)
+    return SupportFn._from_points(th, complex(p[0], p[1]), 0.0)
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -442,16 +442,13 @@ def test_assemble_rejects_unnormalized_schedule(hinge_profile, hinge_schedule):
 
 def test_support_grid_must_be_uniform():
     n = 16
-    th = SupportFn.grid(n).copy()
     ones = np.ones(n)
-    SupportFn(th, ones, 0 * ones, 0 * ones, np.zeros(n, dtype=bool))
-    th[3] += 1e-6
+    s = SupportFn(ones, 0 * ones, 0 * ones)
+    np.testing.assert_array_equal(s.theta, SupportFn.grid(n))
     with pytest.raises(ArgumentError):
-        SupportFn(th, ones, 0 * ones, 0 * ones, np.zeros(n, dtype=bool))
+        SupportFn(np.ones(4), np.zeros(4), np.zeros(4))
     with pytest.raises(ArgumentError):
-        SupportFn(SupportFn.grid(4), np.ones(4), np.zeros(4), np.zeros(4), np.zeros(4, dtype=bool))
-    with pytest.raises(ArgumentError):
-        SupportFn(SupportFn.grid(n), np.ones(n - 1), 0 * ones, 0 * ones, np.zeros(n, dtype=bool))
+        SupportFn(np.ones(n - 1), 0 * ones, 0 * ones)
 
 
 def test_disk_support_and_reconstruction():
@@ -516,10 +513,10 @@ def test_point_summand_translates():
             SupportFn.ellipse(2.0, 1.0, grid_n=64), SupportFn.ellipse(1.0, 1.0, grid_n=64), [math.inf]
         ),
         lambda: bare_atlas().support_data([math.nan, 0.3]),
-        lambda: SupportFn(np.full(64, math.nan), np.ones(64), np.zeros(64), np.zeros(64), np.zeros(64, bool)),
-        lambda: SupportFn(SupportFn.grid(64), np.full(64, math.nan), np.zeros(64), np.zeros(64), np.zeros(64, bool)),
-        lambda: SupportFn(SupportFn.grid(64), np.ones(64), np.full(64, math.inf), np.zeros(64), np.zeros(64, bool)),
-        lambda: SupportFn(SupportFn.grid(64), np.ones(64), np.zeros(64), np.full(64, math.nan), np.ones(64, bool)),
+        lambda: SupportFn(np.full(64, math.nan), np.zeros(64), np.zeros(64)),
+        lambda: SupportFn(np.ones(64), np.full(64, math.inf), np.zeros(64)),
+        lambda: SupportFn(np.ones(64), np.zeros(64), np.full(64, math.nan)),
+        lambda: SupportFn(np.ones(64), np.zeros(64), np.full(64, -math.inf)),
     ],
     ids=[
         "ellipse-nan",
@@ -532,10 +529,10 @@ def test_point_summand_translates():
         "transfer-nan",
         "transfer-inf",
         "support-data-nan",
-        "support-theta-nan",
         "support-h-nan",
         "support-dh-inf",
         "support-d2h-nan",
+        "support-d2h-neg-inf",
     ],
 )
 def test_non_finite_parameters_raise_argument_error(call):
@@ -574,15 +571,9 @@ def test_non_integer_grid_n_raises_argument_error():
         SupportFn.ellipse(1.0, 1.0, grid_n=64.5)
 
 
-def test_support_fn_with_a_two_dimensional_theta_raises_argument_error():
-    with pytest.raises(ArgumentError, match="theta"):
-        SupportFn(
-            theta=np.zeros((8, 8)),
-            h=np.zeros(8),
-            dh=np.zeros(8),
-            d2h=np.zeros(8),
-            flat=np.zeros(8, dtype=bool),
-        )
+def test_support_fn_with_a_two_dimensional_h_raises_argument_error():
+    with pytest.raises(ArgumentError, match="1-D"):
+        SupportFn(h=np.zeros((8, 8)), dh=np.zeros(8), d2h=np.zeros(8))
 
 
 @pytest.mark.parametrize("th", [1e19, 1e300])
