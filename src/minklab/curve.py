@@ -781,10 +781,11 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
     """Grid angles whose rotation of the first zero set misses the second.
 
     Both arguments may be :class:`GaussZeroSet` or plain interval sets.  The
-    test runs in floats for every angle at once: the first set's endpoints
-    are translated by each grid angle, reduced mod 2*pi as :func:`wrap_mod`
-    reduces them (an interval at least 2*pi long blocks the angle), and
-    every piece is looked up in the wrapped second set.  A non-finite grid
+    test runs in floats for every angle at once: each grid angle is reduced
+    mod 2*pi, the first set's endpoints are translated by it and reduced
+    mod 2*pi as :func:`wrap_mod` reduces them (an interval at least 2*pi
+    long blocks the angle), and every piece is looked up in the wrapped
+    second set.  A non-finite grid
     angle raises :class:`ArgumentError`.
     """
     za = z_a.Z if isinstance(z_a, GaussZeroSet) else z_a
@@ -799,7 +800,8 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
     avoids = np.empty(grid.size, dtype=bool)
     rows = max(1, _SWEEP_BLOCK_ELEMS // alo.size)
     for start in range(0, grid.size, rows):
-        delta = grid[start : start + rows, None]
+        # reduce before the add: a huge angle would round the endpoints away
+        delta = np.mod(grid[start : start + rows, None], TAU)
         # one statement each, so the last block's arrays go before these come
         lo = alo + delta
         hi = ahi + delta

@@ -873,6 +873,19 @@ def test_rotation_sweep_across_block_seams():
     np.testing.assert_array_equal(np.isin(grid, out)[~near], avoids[~near])
 
 
+@pytest.mark.parametrize("turns", [1e9, 1e12, 1e15])
+def test_far_rotation_angle_is_reduced_before_the_translate(turns):
+    # an angle added to the set's endpoints before its reduction rounds
+    # their digits away: the verdicts must be those of the reduced angles
+    z = build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), Fraction(3, 5), 9))
+    far = np.random.default_rng(7).uniform(0.0, TAU, 2000) + TAU * turns
+    near = np.mod(far, TAU)
+    got = np.isin(far, rotations_avoiding_zero_sets(z, z, far))
+    np.testing.assert_array_equal(got, np.isin(near, rotations_avoiding_zero_sets(z, z, near)))
+    avoids, close = difference_set_verdicts(z, z, near)
+    np.testing.assert_array_equal(got[~close], avoids[~close])
+
+
 def test_sweep_memory_is_a_few_blocks():
     # each block holds about four arrays of its size at once; the wrapped
     # second set and the float ends, made once a call, come to about eight
