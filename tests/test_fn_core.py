@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minklab import jets
-from minklab.cantor import CantorSpec
-from minklab.curve import SupportFn
+from minklab.cantor import CantorSpec, IntervalSet
+from minklab.curve import ConvexCurve, GaussZeroSet, SupportFn
 from minklab.errors import ArgumentError, CapabilityError, RootBracketError, ValidationError
 from minklab.fn_core import (
     GridIntegratedFn,
@@ -213,10 +214,11 @@ def test_non_integer_sample_count_raises_argument_error(call, n):
         lambda: _QUAD.eval(0.5, 1.0),
         lambda: _QUAD.eval(np.array([0.5]), np.float64(1.0)),
         lambda: SmoothFn((0.0, 1.0), 2.5, None),
+        lambda: SmoothFn((0.0, 1.0), -1, None),
     ],
     ids=[
         "jet", "eval", "eval-array",
-        "jet-float", "eval-float", "eval-np-float", "max-order-float",
+        "jet-float", "eval-float", "eval-np-float", "max-order-float", "max-order-negative",
     ],
 )
 def test_negative_order_raises_argument_error(call):
@@ -236,6 +238,58 @@ def test_negative_order_raises_argument_error(call):
 )
 def test_non_integer_order_raises_argument_error(call, name):
     with pytest.raises(ArgumentError, match=f"^{name} must be an integer"):
+        call()
+
+
+def _unit_circle_with_normals(edit):
+    """A 64-gon on the unit circle whose normal angles ``edit`` changes in place."""
+    th = np.arange(64) * (2.0 * math.pi / 64)
+    gauss = th.copy()
+    edit(gauss)
+    return ConvexCurve(np.column_stack([np.cos(th), np.sin(th)]), gauss, np.ones(64), 1)
+
+
+def _swap_two(gauss):
+    gauss[[3, 4]] = gauss[[4, 3]]
+
+
+def _past_a_turn(gauss):
+    gauss[-1] = 2.0 * math.pi + 0.1
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: CantorSpec((1, 1), ()), ArgumentError, "base interval is empty"),
+        (lambda: CantorSpec.uniform((0, 1), Fraction(1, 3), -1), ArgumentError, "depth must be >= 0"),
+        (lambda: IntervalSet.from_pairs([(0.1, 0.2)]).as_fractions(), CapabilityError, "no exact endpoints"),
+        (lambda: _unit_circle_with_normals(_swap_two).validate(), ValidationError, "not non-decreasing"),
+        (lambda: _unit_circle_with_normals(_past_a_turn).validate(), ValidationError, "full revolution"),
+        (lambda: GaussZeroSet(IntervalSet.from_pairs([])).validate(), ValidationError, "zero set is empty"),
+        (
+            lambda: SupportFn(np.ones(16), np.zeros(16), np.full(16, -2.0)).validate(),
+            ValidationError,
+            "curvature radius",
+        ),
+        (lambda: SmoothFn.polynomial([1.0], ("a", 1.0)), ArgumentError, "not an interval"),
+        (lambda: SmoothFn.polynomial([1.0], (0.0, math.inf)), ArgumentError, "interval must be finite"),
+        (lambda: cr_norm(_QUAD, 1, (-2.0, 0.5)), ArgumentError, "not contained in domain"),
+    ],
+    ids=[
+        "cantor-empty-base",
+        "cantor-negative-depth",
+        "float-set-as-fractions",
+        "curve-normals-decrease",
+        "curve-normals-past-a-turn",
+        "zero-set-empty",
+        "support-negative-radius",
+        "interval-non-numeric",
+        "interval-infinite",
+        "cr-norm-outside-domain",
+    ],
+)
+def test_contract_check_raises_its_error(call, error, match):
+    with pytest.raises(error, match=match):
         call()
 
 
@@ -384,6 +438,10 @@ class TestGridIntegratedInputContract:
     def test_non_integer_nodes_per_piece(self):
         with pytest.raises(ArgumentError, match="nodes_per_piece"):
             GridIntegratedFn([0.0, 1.0], self._d2_never_called, nodes_per_piece=16.0)
+
+    def test_odd_nodes_per_piece(self):
+        with pytest.raises(ArgumentError, match="nodes_per_piece must be even"):
+            GridIntegratedFn([0.0, 1.0], self._d2_never_called, nodes_per_piece=15)
 
     def test_overflowing_integral(self):
         with pytest.raises(ValidationError, match="piece 0"):

@@ -341,6 +341,22 @@ class TestRouteEquivalence:
         gap, _ = self.pair_gap(f, g, (-1.25, 1.25))
         assert gap <= 1e-6
 
+    def test_first_order_inputs(self):
+        # max_order 1: slope_rows has no derivative row, so the direct
+        # route's minimizer solve bisects, and the conjugate route has no
+        # f'' to bound its interpolation error by
+        pair = (([0.0, 0.1, 1.5], (-0.5, 0.5)), ([0.0, 0.0, 1.0, 0.0, 0.5], (-0.3, 0.3)))
+        full = [poly(c, dom) for c, dom in pair]
+        first = [SmoothFn.polynomial(c, dom, max_order=1) for c, dom in pair]
+        assert np.all(np.isnan(first[0].slope_rows(np.array([-0.2, 0.3]))[1]))
+        direct, reference = infconv_direct(*first), infconv_direct(*full)
+        assert direct.h.max_order == 0
+        atol = 4 * np.finfo(float).eps * float(np.max(np.abs(reference.values)))
+        np.testing.assert_allclose(direct.values, reference.values, rtol=0, atol=atol)
+        conj = infconv_conjugate(*first)
+        assert conj.error_bound is None
+        np.testing.assert_array_equal(conj.values, infconv_conjugate(*full).values)
+
 
 class TestEpigraphSums:
     def test_vertex_sum_hull_matches_conjugate_arithmetic(self, rng, monkeypatch):
