@@ -16,11 +16,10 @@ smoothing's exact ``F''`` is certified positive when it is built
 (:func:`~minklab.hinge.build_smoothing`); the sampled polyline is checked
 only for convexity, turning, monotone normals and symmetry.
 
-:class:`SupportFn` samples support functions on the uniform angular grid
-``k * 2*pi / N`` with exact first/second data (curvature radius
-``rho = h + h''``), which makes Minkowski sums pointwise additions.  A flat
-normal direction is one where ``h''`` is ``+inf``, and ``inf + x = inf``
-carries it exactly through sums.
+:class:`SupportFn` samples support functions on the grid ``k * 2*pi / N``
+with exact first/second data (curvature radius ``rho = h + h''``), which
+makes Minkowski sums pointwise additions; a flat normal has ``h'' = +inf``,
+and ``inf + x = inf`` carries it exactly through sums.
 """
 
 from __future__ import annotations
@@ -596,18 +595,18 @@ class SupportFn:
     """Support function samples on the uniform angular grid ``k * 2*pi / N``.
 
     ``h`` is the support value, ``dh``/``d2h`` its first and second angular
-    derivatives at the grid angles :attr:`theta`, ``N = h.size`` of them;
-    the curvature radius of the boundary at normal ``theta`` is
-    ``rho = h + d2h``, which is additive under Minkowski sums.  A normal
-    whose touching boundary point has zero curvature is flat: ``d2h`` is
-    ``+inf`` there (``rho`` infinite), and :attr:`flat` reads that mask off
-    ``d2h``.  At a flat normal ``dh`` belongs to whichever point of the
-    flat piece the support inversion returned: it is not a one-sided
-    derivative of ``h``.
+    derivatives at the ``N = h.size`` grid angles :attr:`theta`; the
+    curvature radius of the boundary at normal ``theta`` is
+    ``rho = h + d2h``, which is additive under Minkowski sums.  At a flat
+    normal, where the touching boundary point has zero curvature, ``d2h``
+    is ``+inf`` (:attr:`flat` reads it off); ``dh`` there belongs to
+    whichever point of the flat piece the support inversion returned, not
+    to a one-sided derivative of ``h``.
 
     Every constructor maps the grid angles to the boundary points they
     touch and the curvature radii there, and hands both to one builder,
-    :meth:`_from_points`; :meth:`grid` is the one sample-count check.
+    :meth:`_from_points`; ``_check_grid_n(N, 8)`` is the one sample-count
+    check.
     """
 
     h: np.ndarray
@@ -646,8 +645,8 @@ class SupportFn:
         """Support data from the boundary point touched at each grid normal.
 
         ``points`` are complex boundary points and ``rho`` the curvature
-        radii there (arrays or scalars broadcast over ``theta``), ``inf``
-        at a flat normal.  In the frame of the normal,
+        radii there, ``inf`` at a flat normal (arrays or scalars broadcast
+        over ``theta``).  In the frame of the normal,
         ``w = point * e^{-i theta}`` has ``h = Re w`` and ``h' = Im w``;
         then ``h'' = rho - h``.
         """
@@ -708,10 +707,7 @@ class SupportFn:
 
 
 def minkowski_sum(a: SupportFn, b: SupportFn) -> SupportFn:
-    """Pointwise sum of support data on one grid.
-
-    A flat direction of either summand is flat in the sum: ``inf + d2h = inf``.
-    """
+    """Pointwise sum of support data; ``inf + d2h = inf`` keeps either summand's flat normals."""
     if a.h.size != b.h.size:
         raise ArgumentError("support functions live on different angular grids")
     return SupportFn(h=a.h + b.h, dh=a.dh + b.dh, d2h=a.d2h + b.d2h)
@@ -785,8 +781,7 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
     mod 2*pi, the first set's endpoints are translated by it and reduced
     mod 2*pi as :func:`wrap_mod` reduces them (an interval at least 2*pi
     long blocks the angle), and every piece is looked up in the wrapped
-    second set.  A non-finite grid
-    angle raises :class:`ArgumentError`.
+    second set.  A non-finite grid angle raises :class:`ArgumentError`.
     """
     za = z_a.Z if isinstance(z_a, GaussZeroSet) else z_a
     zb = z_b.Z if isinstance(z_b, GaussZeroSet) else z_b
