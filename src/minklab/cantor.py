@@ -18,6 +18,12 @@ int64 runs in floats.
 
 Middle-portion removal: one step with removal ratio ``r`` replaces each
 interval by its two outer parts of relative length ``s = (1 - r) / 2``.
+
+Minkowski sums take one of two paths, chosen by the data.  An exact set
+of depth ``m`` from :func:`build_cantor` is ``[lo_0, hi_0] + sum_l {0, t_l}``,
+so its sum with any exact set is ``m`` joins of two sorted runs (*level
+joins*).  Every other pair, and every float pair, is summed by forming all
+``|A| * |B|`` endpoint pairs in bounded chunks (*pair sums*).
 """
 
 from __future__ import annotations
@@ -47,9 +53,10 @@ __all__ = [
 MAX_DEPTH = 24
 _INT_LIMIT = 1 << 61  # headroom so a sum of two endpoints stays in int64
 _FLOAT_TOL = 1e-12
-# Endpoint pairs :func:`sum_sets` forms per merge, 1 MiB per end.  Each merge
-# still passes over the union so far: on the cantor_sweep self sums 2**14
-# and 2**15 pairs were slower, and 2**16 and 2**18 no faster
+# Endpoint pairs the pair sums of :func:`sum_sets` form per merge, 1 MiB per
+# end.  Each merge still passes over the union so far: on the self sums of the
+# ratio-1/3, 1/2 and 3/5 Cantor sets of depths 8-10, 2**14 and 2**15 pairs were
+# slower, and 2**16 and 2**18 no faster.  Those sums now take the level joins
 _CHUNK_PAIRS = 1 << 17
 
 Number = Union[int, float, Fraction]
@@ -291,9 +298,25 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
 def sum_sets(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """Exact Minkowski sum: union of ``[lo_a + lo_b, hi_a + hi_b]``.
 
-    Memory: one chunk of about ``_CHUNK_PAIRS`` pairs plus the union so far.
+    Level joins: when, on the common lattice, ``a`` (else ``b``) factors as
+    ``[lo_0, hi_0] + sum_l {0, t_l}`` (:func:`_level_steps`; every exact set
+    from :func:`build_cantor` does), the sum starts from the other set
+    widened by ``[lo_0, hi_0]`` and merged, ``T``, and joins
+    ``T <- T ∪ (T + t_l)`` level by level, finest first.  Each join writes
+    ``T`` and ``T + t_l`` into one new array and merges the two sorted runs
+    in linear time, so the cost is ``O(sum_l |T_l|)`` and the memory about
+    four times the endpoints of the largest ``T``.
+
+    Pair sums: any other pair, and every float pair, forms all
+    ``|a| * |b|`` endpoint sums, about ``_CHUNK_PAIRS`` at a time, and
+    merges each chunk after the union so far.  Memory: one chunk plus the
+    union so far.  Both paths return the same merged union, bit for bit.
     """
     a, b = _common_lattice(a, b)
+    for x, y in ((a, b), (b, a)):
+        steps = _level_steps(x)
+        if steps is not None:
+            return _join_levels(x, y, steps)
     rows_per_chunk = max(1, _CHUNK_PAIRS // max(1, b.lo.size))
     lo, hi = a.lo[:0], a.hi[:0]
     for start in range(0, a.lo.size, rows_per_chunk):
@@ -303,6 +326,50 @@ def sum_sets(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         hi = _then_pair_sums(hi, a.hi[sl], b.hi)
         lo, hi = _merge(lo, hi, a.exact)
     return IntervalSet(lo, hi, a.den)
+
+
+def _level_steps(a: IntervalSet) -> np.ndarray | None:
+    """The steps ``t_l`` of an exact ``a = [lo_0, hi_0] + sum_l {0, t_l}``, finest first; else None.
+
+    ``a`` factors iff it holds ``2**m`` intervals of one width and
+    rebuilding ``lo`` from ``lo_0`` by ``L <- concat(L, L + t)``, with
+    ``t = lo[2**k] - lo_0`` for ``k = 0 .. m-1``, gives ``lo``.  The rebuild
+    is checked half by half, ``lo[h:2h] == lo[:h] + t`` for ``h = 2**k``, on
+    the set's own entries, so no sum leaves int64.
+    """
+    lo, n = a.lo, a.lo.size
+    if not a.exact or n == 0 or n & (n - 1):
+        return None
+    width = a.hi - lo
+    if not np.all(width == width[0]):
+        return None
+    steps = lo[1 << np.arange(n.bit_length() - 1)] - lo[0]
+    for k, t in enumerate(steps):
+        h = 1 << k
+        if not np.array_equal(lo[h : 2 * h], lo[:h] + t):
+            return None
+    return steps
+
+
+def _join_levels(a: IntervalSet, b: IntervalSet, steps: np.ndarray) -> IntervalSet:
+    """``a + b`` for ``a = [lo_0, hi_0] + sum_l {0, t_l}`` with ``steps`` the ``t_l``."""
+    # b widened by a's first interval may overlap itself; with no level to
+    # join after it, only this merge would join them
+    lo, hi = _merge(b.lo + a.lo[0], b.hi + a.hi[0], True)
+    for t in steps:
+        # two rebindings, so each old run is freed before the merge
+        lo = _then_shifted(lo, t)
+        hi = _then_shifted(hi, t)
+        lo, hi = _merge(lo, hi, True)
+    return IntervalSet(lo, hi, a.den)
+
+
+def _then_shifted(acc: np.ndarray, t) -> np.ndarray:
+    """One new array: ``acc``, then ``acc + t``."""
+    buf = np.empty(2 * acc.size, dtype=acc.dtype)
+    buf[: acc.size] = acc
+    np.add(acc, t, out=buf[acc.size :])
+    return buf
 
 
 def _then_pair_sums(acc: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -605,8 +605,8 @@ class SupportFn:
 
     Every constructor maps the grid angles to the boundary points they
     touch and the curvature radii there, and hands both to one builder,
-    :meth:`_from_points`; ``_check_grid_n(N, 8)`` is the one sample-count
-    check.
+    :meth:`_from_points`; ``_check_grid_n`` with its floor of 8 is the one
+    sample-count check.
     """
 
     h: np.ndarray
@@ -617,7 +617,7 @@ class SupportFn:
         if np.ndim(self.h) != 1:
             raise ArgumentError(f"h must be a 1-D array, got shape {np.shape(self.h)}")
         n = self.h.size
-        _check_grid_n(n, 8)
+        _check_grid_n(n, 8, "h")
         if self.dh.shape != (n,) or self.d2h.shape != (n,):
             raise ArgumentError("h, dh and d2h must have equal lengths")
         # validate's comparisons pass a NaN silently, and d2h = -inf would be

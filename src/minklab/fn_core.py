@@ -82,10 +82,10 @@ def _finite(value, name: str) -> float:
     return x
 
 
-def _check_grid_n(grid_n: int, least: int = 2) -> None:
-    _check_int(grid_n, "grid_n")
+def _check_grid_n(grid_n: int, least: int = 2, name: str = "grid_n") -> None:
+    _check_int(grid_n, name)
     if grid_n < least:
-        raise ArgumentError(f"grid_n must be at least {least} samples, got {grid_n!r}")
+        raise ArgumentError(f"{name} must be at least {least} samples, got {grid_n!r}")
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:

@@ -37,6 +37,24 @@ def is_subset(inner: IntervalSet, outer: IntervalSet) -> bool:
     return all(covers(outer, pair).covered for pair in inner.as_fractions())
 
 
+def without_last(c: IntervalSet) -> IntervalSet:
+    """``c`` without its last interval: ``2**m - 1`` intervals do not factor."""
+    return IntervalSet(c.lo[:-1].copy(), c.hi[:-1].copy(), c.den)
+
+
+def count_pair_sums(monkeypatch) -> list:
+    """A list that gets one entry per ``_then_pair_sums`` call from now on."""
+    calls = []
+    pair_sums = cantor._then_pair_sums
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return pair_sums(*args)
+
+    monkeypatch.setattr(cantor, "_then_pair_sums", counted)
+    return calls
+
+
 class TestBuild:
     def test_depth_zero_identity(self):
         spec = CantorSpec.uniform((0, 1), THIRDS, 0)
@@ -115,10 +133,13 @@ class TestSum:
         assert left == right
 
     def test_chunked_matches_unchunked(self, monkeypatch):
-        a = build_cantor(CantorSpec.uniform((0, 1), THIRDS, 7))
+        # 127 intervals do not factor, so the sum takes the pair sums
+        a = without_last(build_cantor(CantorSpec.uniform((0, 1), THIRDS, 7)))
         big = sum_sets(a, a)
         monkeypatch.setattr(cantor, "_CHUNK_PAIRS", 64)
+        calls = count_pair_sums(monkeypatch)
         assert sum_sets(a, a) == big
+        assert len(calls) == 2 * 127  # one row per chunk, both ends
 
     @pytest.mark.parametrize("case", ["cantor", "tolerance-grows"])
     def test_float_chunked_matches_one_chunk(self, monkeypatch, case):
@@ -144,12 +165,13 @@ class TestSum:
             assert len(got) == 64  # 32 joined intervals near 0, 32 near 1000
 
     def test_memory_is_one_chunk_plus_the_union(self):
-        # the ratio-1/2 self sum: 2**20 pairs merge to 59,049 intervals
-        c = build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), Fraction(1, 2), 10))
+        # the ratio-1/2 set of depth 10 without its last interval does not
+        # factor: its self sum merges 1023**2 pairs to 59,038 intervals
+        c = without_last(build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), Fraction(1, 2), 10)))
         peak, s = traced_peak(sum_sets, c, c)
         rows = min(len(c), cantor._CHUNK_PAIRS // len(c))
         chunk_bytes = rows * len(c) * 16  # both ends, int64
-        assert len(s) == 59049
+        assert len(s) == 59038
         assert peak <= 1.5 * chunk_bytes + 5 * (s.lo.nbytes + s.hi.nbytes)
 
     @pytest.mark.parametrize("depth", [1, 4, 8])
@@ -165,6 +187,108 @@ class TestSum:
         assert rep.covered is expect
         if not expect:
             assert rep.gaps.size  # the verdict comes with explicit gap witnesses
+
+
+# removal ratio and depth of the three cantor_sweep sets, on the base (0, 22/7)
+SWEEP_CASES = [(Fraction(1, 3), 8), (Fraction(1, 2), 10), (Fraction(3, 5), 9)]
+SWEEP_BASE = (0, Fraction(22, 7))
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def spec_built_sets(draw):
+    """Exact sets from :func:`build_cantor` with per-level ratios, depth 0-7, maybe translated or negated."""
+    ratios = draw(st.lists(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8), max_denominator=8), max_size=7))
+    lo = draw(small_fractions)
+    width = draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+    c = build_cantor(CantorSpec((lo, lo + width), tuple(ratios)))
+    if draw(st.booleans()):
+        c = c.translate(draw(small_fractions))
+    return c.negate() if draw(st.booleans()) else c
+
+
+@st.composite
+def arbitrary_sets(draw):
+    """Up to 12 intervals between sorted points: points, touching and apart."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    ends = sorted(draw(st.lists(small_fractions, min_size=2 * n, max_size=2 * n)))
+    return IntervalSet.from_pairs(list(zip(ends[::2], ends[1::2])))
+
+
+def pair_sums_only(x: IntervalSet, y: IntervalSet) -> IntervalSet:
+    """``sum_sets`` with no argument taken to factor: the pair sums."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cantor, "_level_steps", lambda a: None)
+        return sum_sets(x, y)
+
+
+def one_unit_off(c: IntervalSet, how: str) -> IntervalSet:
+    """``c`` with its last interval shifted, or widened, by one lattice unit."""
+    lo, hi = c.lo.copy(), c.hi.copy()
+    hi[-1] += 1
+    if how == "shifted":
+        lo[-1] += 1
+    return IntervalSet(lo, hi, c.den)
+
+
+class TestLevelJoins:
+    @given(spec_built_sets(), arbitrary_sets())
+    def test_joins_match_the_pair_sums_bit_for_bit(self, a, b):
+        assert cantor._level_steps(a) is not None
+        for x, y in ((a, b), (b, a)):
+            got, want = sum_sets(x, y), pair_sums_only(x, y)
+            assert got.den == want.den
+            assert_same_bits(got.lo, want.lo)
+            assert_same_bits(got.hi, want.hi)
+
+    def test_one_interval_joins_the_widened_second_set(self):
+        # [0, 1] factors with no level: only the first merge joins the two
+        # widened points [0, 1] and [1/2, 3/2]
+        a = IntervalSet.from_pairs([(0, 1)])
+        b = IntervalSet.from_pairs([(0, 0), (Fraction(1, 2), Fraction(1, 2))])
+        assert len(cantor._level_steps(a)) == 0
+        assert sum_sets(a, b).as_fractions() == [(Fraction(0), Fraction(3, 2))]
+        assert sum_sets(a, b) == pair_sums_only(a, b)
+
+    @pytest.mark.parametrize("how", ["shifted", "widened"])
+    @pytest.mark.parametrize("ratio,depth", SWEEP_CASES)
+    def test_only_sets_off_the_factoring_take_the_pair_sums(self, monkeypatch, ratio, depth, how):
+        c = build_cantor(CantorSpec.uniform(SWEEP_BASE, ratio, depth))
+        off = one_unit_off(c, how)
+        calls = count_pair_sums(monkeypatch)
+        # the first argument factors, or else the second
+        for x, y in ((c, c), (c, c.negate()), (c.negate(), off), (off, c), (off, c.negate())):
+            sum_sets(x, y)
+        assert calls == []
+        sum_sets(off, off)
+        assert calls
+
+    @pytest.mark.parametrize("depth", [10, 12])
+    def test_ratio_half_self_sum_is_its_closed_form(self, depth):
+        # C = [0, L/4**m] + sum_i {0, 3L/4**i}, so C + C has 3**m intervals:
+        # lo = (3L/4**m) k for the base-4 k with digits 0-2, width 2L/4**m
+        length = SWEEP_BASE[1]
+        c = build_cantor(CantorSpec.uniform(SWEEP_BASE, Fraction(1, 2), depth))
+        s = sum_sets(c, c)
+        step, width = (Fraction(f * length, 4**depth) * s.den for f in (3, 2))
+        assert step.denominator == width.denominator == 1
+        k = np.zeros(1, dtype=np.int64)
+        for _ in range(depth):
+            k = (4 * k[:, None] + np.arange(3)).ravel()
+        assert k.size == 3**depth
+        np.testing.assert_array_equal(s.lo, k * int(step))
+        np.testing.assert_array_equal(s.hi, k * int(step) + int(width))
+        if depth == 10:
+            assert pair_sums_only(c, c) == s
+
+    def test_memory_is_a_few_results(self):
+        # the ratio-1/2 self sum at depth 10: measured 3.3 times the result's
+        # endpoint bytes (0.9 MiB), the last join's two runs and its merge
+        c = build_cantor(CantorSpec.uniform(SWEEP_BASE, Fraction(1, 2), 10))
+        peak, s = traced_peak(sum_sets, c, c)
+        assert len(s) == 59049
+        assert peak <= 4 * (s.lo.nbytes + s.hi.nbytes)
 
 
 class TestInputsStayIntact:
@@ -196,9 +320,11 @@ class TestInputsStayIntact:
         wrap_mod(a, period)
         covers(a, (0, 1))
         build_cantor(CantorSpec.uniform((0, 1), ratio_a, 5))
-        # ten merges: one per sum, one for the wrap, one for the target of
-        # covers, and the base and five levels of the build
-        assert len(built) == 2 * 10
+        # one merge for the wrap, one for the target of covers, and the base
+        # and five levels of the build; per sum, one for the pair sums of a
+        # float set, and 1 + 5 for the level joins of an exact one, whose
+        # first argument has five levels: 20 merges exact, 10 float
+        assert len(built) == 2 * (20 if exact else 10)
         for arr, old in zip(own, before):
             assert_same_bits(arr, old)
 

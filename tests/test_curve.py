@@ -451,6 +451,12 @@ def test_support_grid_must_be_uniform():
         SupportFn(np.ones(n - 1), 0 * ones, 0 * ones)
 
 
+def test_too_few_support_samples_name_h():
+    # a direct caller passes h, not grid_n
+    with pytest.raises(ArgumentError, match="^h must be at least 8 samples, got 4$"):
+        SupportFn(np.ones(4), np.zeros(4), np.zeros(4))
+
+
 def test_disk_support_and_reconstruction():
     s = minkowski_sum(SupportFn.ellipse(1.5, 1.5, grid_n=512), point_support((0.3, -0.2), grid_n=512))
     s.validate()
