@@ -399,7 +399,9 @@ def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
     divided by the denominator in one float division: correctly rounded
     while both are below 2**53 in magnitude, and off by up to an ulp or two
     above that.  Cost: two ``searchsorted`` calls (three for a target that short) and
-    one pass over the intervals that reach into the target.
+    one pass over the intervals that reach into the target.  Memory: the
+    gaps, a mask over the reached intervals and one column of gaps at a
+    time (plus a shifted copy of the reached ends in a float set).
     """
     t = IntervalSet.from_pairs([target])
     aa, tt = _common_lattice(a, t)
@@ -410,16 +412,27 @@ def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
     first, last = np.searchsorted(hi, (tlo, thi))
     stop = min(np.searchsorted(lo, thi, side="right"), last + 1)
     # hi increases, so the cursor before a reached interval is the previous
-    # one's end (tlo before the first); the last entry is the final cursor
-    cursor = np.concatenate([tt.lo, hi[first:stop]])
-    gap = lo[first:stop] > cursor[:-1] + tol
-    start, end = cursor[:-1][gap], lo[first:stop][gap]
+    # one's end (tlo before the first): slices compared in place, with no
+    # set-long cursor array
+    reached, before = lo[first:stop], hi[first : max(first, stop - 1)]
+    gap = np.empty(reached.size, dtype=bool)
+    gap[:1] = reached[:1] > tlo + tol
+    np.greater(reached[1:], before + tol if tol else before, out=gap[1:])
+    final = hi[stop - 1] if stop > first else tlo
     # a target no longer than tol has no gap but itself
     short = thi - tlo <= tol
     point_gap = short and not (lo.size and _meets(lo, hi, tlo - tol, thi + tol))
-    if cursor[-1] < thi - tol or point_gap:
-        start, end = np.append(start, cursor[-1]), np.append(end, thi)
-    gaps = np.stack([start, end], axis=1) / (aa.den or 1)
+    k = int(np.count_nonzero(gap))
+    tail = bool(final < thi - tol or point_gap)
+    gaps = np.empty((k + tail, 2))
+    head = int(gap[0]) if gap.size else 0
+    gaps[:head, 0] = tlo
+    gaps[head:k, 0] = before[gap[1:]]
+    gaps[:k, 1] = reached[gap]
+    if tail:
+        gaps[k] = final, thi
+    if aa.exact:
+        gaps /= aa.den
     return CoverReport(covered=not gaps.size, gaps=gaps)
 
 

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantor import IntervalSet, _float_ends, _meets, wrap_mod
+from .cantor import IntervalSet, _common_lattice, _float_ends, _level_steps, _meets, sum_sets, wrap_mod
 from .errors import (
     ArgumentError,
     CapabilityError,
@@ -68,9 +68,10 @@ _TURNING_TOL = 1e-6
 # count of the stage-monotonicity comparison.
 _BASE_EDGES = 512
 _STAGE_GRID_N = 4097
-# grid angles per sweep block times intervals of the rotated set: its float
-# temporaries are 64 KiB, under glibc's 128 KiB mmap threshold, above which
-# each would be page-faulted afresh; 2**12 pays more per-block overhead
+# grid angles per block of the blocked sweep (float sets and exact sets that
+# do not factor) times intervals of the rotated set: its float temporaries
+# are 64 KiB, under glibc's 128 KiB mmap threshold, above which each would
+# be page-faulted afresh; 2**12 pays more per-block overhead
 _SWEEP_BLOCK_ELEMS = 1 << 13
 
 
@@ -776,22 +777,72 @@ def curvature_transfer_check(a: SupportFn, b: SupportFn, theta) -> TransferRepor
 def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
     """Grid angles whose rotation of the first zero set misses the second.
 
-    Both arguments may be :class:`GaussZeroSet` or plain interval sets.  The
-    test runs in floats for every angle at once: each grid angle is reduced
-    mod 2*pi, the first set's endpoints are translated by it and reduced
-    mod 2*pi as :func:`wrap_mod` reduces them (an interval at least 2*pi
-    long blocks the angle), and every piece is looked up in the wrapped
-    second set.  A non-finite grid angle raises :class:`ArgumentError`.
+    Both arguments may be :class:`GaussZeroSet` or plain interval sets.
+    Rotating ``A`` by ``theta`` meets ``B`` iff ``theta`` lies in
+    ``(B - A) mod 2*pi``, and the test runs in floats for every angle at
+    once, by one of two routes chosen by the data:
+
+    * Difference route: an exact pair of which one set factors as
+      ``[lo_0, hi_0] + sum_l {0, t_l}`` (every set from
+      :func:`~minklab.cantor.build_cantor` does, also translated or negated)
+      forms ``D = B - A`` by :func:`~minklab.cantor.sum_sets`' level joins.
+      Each grid angle, reduced mod 2*pi, is looked up in ``D`` at each of
+      the ``K <= ceil(span D / 2*pi) + 2`` turns it can reach (4 for two
+      sets within ``[0, 2*pi]``).  Cost
+      ``O(sum_l |T_l| + K * angles * log|D|)``; memory that of the joins,
+      a few times ``D``'s endpoints.
+    * Blocked route: every other pair, which includes every float set and
+      so every ``GaussZeroSet``.  The first set's endpoints are translated
+      by each reduced grid angle and reduced mod 2*pi as
+      :func:`~minklab.cantor.wrap_mod` reduces them, and every piece is
+      looked up in the wrapped second set.  Cost
+      ``O(angles * |A| * log|B|)``; memory a few blocks of
+      ``_SWEEP_BLOCK_ELEMS`` elements.
+
+    An interval of ``A`` or of ``D`` at least 2*pi long blocks every angle.
+    A non-finite grid angle raises :class:`ArgumentError`.
     """
     za = z_a.Z if isinstance(z_a, GaussZeroSet) else z_a
     zb = z_b.Z if isinstance(z_b, GaussZeroSet) else z_b
     grid = np.asarray(angle_grid, dtype=float).ravel()
     if not np.all(np.isfinite(grid)):
         raise ArgumentError("rotation angles must be finite")
+    if len(za) == 0 or len(zb) == 0:
+        return grid.copy()
+    diff = _joined_difference(za, zb)
+    avoids = _avoids_in_blocks(za, zb, grid) if diff is None else _avoids_difference(diff, grid)
+    return grid[avoids]
+
+
+def _joined_difference(za: IntervalSet, zb: IntervalSet) -> IntervalSet | None:
+    """``zb - za`` when :func:`sum_sets` takes the level joins for it, else None."""
+    if not (za.exact and zb.exact):
+        return None
+    neg, b = _common_lattice(za.negate(), zb)
+    if not b.exact or (_level_steps(b) is None and _level_steps(neg) is None):
+        return None
+    return sum_sets(b, neg)
+
+
+def _avoids_difference(diff: IntervalSet, grid: np.ndarray) -> np.ndarray:
+    """Per grid angle: does it miss ``diff mod 2*pi``?"""
+    dlo, dhi = _float_ends(diff)
+    if np.any(dhi - dlo >= TAU):
+        return np.zeros(grid.size, dtype=bool)
+    # reduce before the subtraction: a huge angle would round its digits away
+    delta = np.mod(grid, TAU)
+    hits = np.zeros(grid.size, dtype=bool)
+    # delta - 2*pi*k meets diff only for k from this range
+    for k in range(math.floor(-dhi[-1] / TAU), math.floor(1.0 - dlo[0] / TAU) + 1):
+        at = delta - k * TAU
+        hits |= _meets(dlo, dhi, at, at)
+    return ~hits
+
+
+def _avoids_in_blocks(za: IntervalSet, zb: IntervalSet, grid: np.ndarray) -> np.ndarray:
+    """Per grid angle: does ``za`` rotated by it miss ``zb``?  In blocks of angles."""
     blo, bhi = _float_ends(wrap_mod(zb, TAU))
     alo, ahi = _float_ends(za)
-    if blo.size == 0 or alo.size == 0:
-        return grid.copy()
     avoids = np.empty(grid.size, dtype=bool)
     rows = max(1, _SWEEP_BLOCK_ELEMS // alo.size)
     for start in range(0, grid.size, rows):
@@ -811,5 +862,5 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
         hits = _meets(blo, bhi, lo, np.minimum(hi, TAU, out=hi))
         hits[wrap] |= _meets(blo, bhi, 0.0, over)
         avoids[start : start + rows] = ~(blocked | hits.any(axis=1))
-    return grid[avoids]
+    return avoids
 

@@ -3,11 +3,13 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from minklab.bumps import _scale_rows, psi_raw_jet
-from minklab.cantor import _FLOAT_TOL, CoverReport, IntervalSet, _common_lattice
+from minklab.cantor import _FLOAT_TOL, CantorSpec, CoverReport, IntervalSet, _common_lattice, build_cantor
 from minklab.curve import SupportFn
 from minklab.errors import ArgumentError
 from minklab.fn_core import SmoothFn, _cumulative_simpson, invert_monotone, newton_pair
@@ -286,3 +288,27 @@ def rolled_symmetry_gap(boundary, order):
     z = boundary[:, 0] + 1j * boundary[:, 1]
     rot = z * cmath.exp(1j * (2.0 * math.pi) / order)
     return float(np.max(np.abs(np.roll(z, -(n // order)) - rot)))
+
+
+# exact sets for the level joins and the difference sweep
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def spec_built_sets(draw):
+    """Exact sets from :func:`build_cantor` with per-level ratios, depth 0-7, maybe translated or negated."""
+    ratios = draw(st.lists(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8), max_denominator=8), max_size=7))
+    lo = draw(small_fractions)
+    width = draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+    c = build_cantor(CantorSpec((lo, lo + width), tuple(ratios)))
+    if draw(st.booleans()):
+        c = c.translate(draw(small_fractions))
+    return c.negate() if draw(st.booleans()) else c
+
+
+@st.composite
+def arbitrary_sets(draw):
+    """Up to 12 intervals between sorted points: points, touching and apart."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    ends = sorted(draw(st.lists(small_fractions, min_size=2 * n, max_size=2 * n)))
+    return IntervalSet.from_pairs(list(zip(ends[::2], ends[1::2])))

@@ -8,18 +8,29 @@ import numpy as np
 import pytest
 from helpers import (
     angular_resolution_arc,
+    arbitrary_sets,
     assert_same_bits,
     point_support,
     rolled_cross_and_length,
     rolled_edge_vectors,
     rolled_symmetry_gap,
     rolled_turning,
+    spec_built_sets,
     traced_peak,
 )
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minklab.cantor import CantorSpec, IntervalSet, build_cantor, covers, sum_sets, wrap_mod
+from minklab.cantor import (
+    CantorSpec,
+    IntervalSet,
+    _float_ends,
+    _level_steps,
+    build_cantor,
+    covers,
+    sum_sets,
+    wrap_mod,
+)
 from minklab.curve import (
     ConvexCurve,
     CurveAtlas,
@@ -834,6 +845,11 @@ def difference_set_verdicts(za, zb, grid):
     return ~meets, near
 
 
+def float_copy(z):
+    """The same intervals as a float set: the sweep takes its blocked route."""
+    return IntervalSet(*_float_ends(z), None)
+
+
 def test_rotations_of_distinct_cantor_sets_match_difference_set():
     za = build_cantor(CantorSpec((0, Fraction(22, 7)), tuple([Fraction(1, 3)] * 6)))
     zb = build_cantor(CantorSpec((1, 4), tuple([Fraction(3, 5)] * 7)))
@@ -873,7 +889,9 @@ def test_rotation_sweep_across_block_seams():
     z = build_cantor(CantorSpec((0, Fraction(22, 7)), tuple([Fraction(3, 5)] * 10)))
     grid = np.arange(700) * (TAU / 700) + 1e-3
     assert grid.size * len(z) > 2 * _SWEEP_BLOCK_ELEMS  # at least three blocks
-    out = rotations_avoiding_zero_sets(z, z, grid)
+    # the float copy takes the blocked route; the oracle reads the exact set
+    zf = float_copy(z)
+    out = rotations_avoiding_zero_sets(zf, zf, grid)
     avoids, near = difference_set_verdicts(z, z, grid)
     assert 0 < out.size < grid.size
     np.testing.assert_array_equal(np.isin(grid, out)[~near], avoids[~near])
@@ -892,16 +910,114 @@ def test_far_rotation_angle_is_reduced_before_the_translate(turns):
     np.testing.assert_array_equal(got[~close], avoids[~close])
 
 
+@pytest.mark.parametrize("turns", [1e9, 1e15])
+def test_far_rotation_angle_is_reduced_in_the_blocked_sweep(turns):
+    z = build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), Fraction(3, 5), 9))
+    far = np.random.default_rng(7).uniform(0.0, TAU, 2000) + TAU * turns
+    got = np.isin(far, rotations_avoiding_zero_sets(float_copy(z), float_copy(z), far))
+    avoids, close = difference_set_verdicts(z, z, np.mod(far, TAU))
+    np.testing.assert_array_equal(got[~close], avoids[~close])
+
+
 def test_sweep_memory_is_a_few_blocks():
     # each block holds about four arrays of its size at once; the wrapped
     # second set and the float ends, made once a call, come to about eight
     # copies of the set's own bytes
-    z = build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), Fraction(1, 2), 10))
+    z = float_copy(build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), Fraction(1, 2), 10)))
     grid = np.arange(512) * (TAU / 512) + 1e-3
     peak, _ = traced_peak(rotations_avoiding_zero_sets, z, z, grid)
     rows = min(grid.size, _SWEEP_BLOCK_ELEMS // len(z))
     block_bytes = rows * len(z) * 8  # one float64 per piece
     assert peak <= 5 * block_bytes + 8 * (z.lo.nbytes + z.hi.nbytes)
+
+
+def count_block_sweeps(monkeypatch) -> list:
+    """A list that gets one entry, its angle count, per blocked sweep from now on."""
+    from minklab import curve as curve_module
+
+    calls = []
+    blocked = curve_module._avoids_in_blocks
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return blocked(*args)
+
+    monkeypatch.setattr(curve_module, "_avoids_in_blocks", counted)
+    return calls
+
+
+def near_difference_ends(za, zb, grid, band=1e-9):
+    """Grid angles within ``band`` of an endpoint of ``(zb - za) mod 2*pi``, on the circle."""
+    ends = np.concatenate(_float_ends(sum_sets(zb, za.negate())))
+    off = np.mod(grid[:, None] - ends[None, :], TAU)
+    return np.any(np.minimum(off, TAU - off) <= band, axis=1)
+
+
+SWEEP_GRID = np.arange(97) * (TAU / 97) + 1e-3
+
+
+@given(spec_built_sets(), arbitrary_sets())
+def test_difference_route_matches_the_blocked_sweep(a, b):
+    assert _level_steps(a) is not None
+    for x, y in ((a, b), (b, a)):
+        got = np.isin(SWEEP_GRID, rotations_avoiding_zero_sets(x, y, SWEEP_GRID))
+        want = np.isin(SWEEP_GRID, rotations_avoiding_zero_sets(float_copy(x), float_copy(y), SWEEP_GRID))
+        if len(x) and len(y):
+            far = ~near_difference_ends(x, y, SWEEP_GRID)
+            np.testing.assert_array_equal(got[far], want[far])
+        else:
+            assert got.all() and want.all()
+
+
+# removal ratio and depth of the three cantor_sweep sets, on the base (0, 22/7)
+SWEEP_SETS = [
+    build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), ratio, depth))
+    for ratio, depth in [(Fraction(1, 3), 8), (Fraction(1, 2), 10), (Fraction(3, 5), 9)]
+]
+
+
+@pytest.mark.parametrize("z", SWEEP_SETS, ids=["1/3", "1/2", "3/5"])
+def test_only_pairs_that_do_not_factor_take_the_blocked_sweep(monkeypatch, z):
+    calls = count_block_sweeps(monkeypatch)
+    grid = np.arange(64) * (TAU / 64) + 1e-3
+    off = IntervalSet(z.lo[:-1].copy(), z.hi[:-1].copy(), z.den)  # 2**m - 1 intervals
+    for x, y in ((z, z), (z.negate(), z), (z.translate(3), z), (z, off), (off, z.negate())):
+        rotations_avoiding_zero_sets(x, y, grid)
+    assert calls == []
+    # a lattice past int64 sends the exact pair to floats
+    wide = IntervalSet.from_pairs([(0, Fraction(1, (1 << 61) - 1))])
+    for x, y in ((off, off), (float_copy(z), z), (z, float_copy(z)), (z, wide)):
+        rotations_avoiding_zero_sets(x, y, grid)
+    assert calls == [grid.size] * 4
+
+
+def test_a_full_turn_difference_interval_blocks_every_angle(monkeypatch):
+    # neither interval is 2*pi long, their difference [-4, 3] is
+    za, zb = IntervalSet.from_pairs([(0, 4)]), IntervalSet.from_pairs([(0, 3)])
+    calls = count_block_sweeps(monkeypatch)
+    grid = np.arange(16) * (TAU / 16)
+    assert rotations_avoiding_zero_sets(za, zb, grid).size == 0
+    assert calls == []
+    assert rotations_avoiding_zero_sets(float_copy(za), float_copy(zb), grid).size == 0
+
+
+@pytest.mark.parametrize("empty_first", [True, False])
+def test_every_rotation_avoids_an_empty_set_beside_a_factoring_one(empty_first):
+    args = (IntervalSet.from_pairs([]), SWEEP_SETS[0])
+    grid = np.arange(16) * (TAU / 16)
+    out = rotations_avoiding_zero_sets(*(args if empty_first else args[::-1]), grid)
+    np.testing.assert_array_equal(out, grid)
+
+
+def test_difference_sweep_memory_is_a_few_differences():
+    # the joins that build D = C - C peak at about 3.3 times its endpoint
+    # bytes (0.9 MiB for the ratio-1/2 depth-10 set), the float ends and the
+    # per-angle arrays come after them
+    z = SWEEP_SETS[1]
+    grid = np.arange(512) * (TAU / 512) + 1e-3
+    diff = sum_sets(z, z.negate())
+    peak, _ = traced_peak(rotations_avoiding_zero_sets, z, z, grid)
+    assert peak <= 4 * (diff.lo.nbytes + diff.hi.nbytes)
 
 
 def test_validate_takes_the_edge_vectors_once(monkeypatch):
