@@ -290,6 +290,10 @@ def rolled_symmetry_gap(boundary, order):
     return float(np.max(np.abs(np.roll(z, -(n // order)) - rot)))
 
 
+# removal ratio and depth of the three cantor_sweep sets, on the base (0, 22/7)
+SWEEP_CASES = [(Fraction(1, 3), 8), (Fraction(1, 2), 10), (Fraction(3, 5), 9)]
+SWEEP_BASE = (0, Fraction(22, 7))
+
 # exact sets for the level joins and the difference sweep
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 

@@ -23,6 +23,8 @@ from minklab.cantor import (
 from minklab.errors import ArgumentError, CapabilityError
 
 from helpers import (
+    SWEEP_BASE,
+    SWEEP_CASES,
     arbitrary_sets,
     assert_same_bits,
     covers_by_walk,
@@ -195,10 +197,6 @@ class TestSum:
         if not expect:
             assert rep.gaps.size  # the verdict comes with explicit gap witnesses
 
-
-# removal ratio and depth of the three cantor_sweep sets, on the base (0, 22/7)
-SWEEP_CASES = [(Fraction(1, 3), 8), (Fraction(1, 2), 10), (Fraction(3, 5), 9)]
-SWEEP_BASE = (0, Fraction(22, 7))
 
 def pair_sums_only(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     """``sum_sets`` with no argument taken to factor: the pair sums."""

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
+    SWEEP_BASE,
+    SWEEP_CASES,
     angular_resolution_arc,
     arbitrary_sets,
     assert_same_bits,
@@ -969,11 +971,7 @@ def test_difference_route_matches_the_blocked_sweep(a, b):
             assert got.all() and want.all()
 
 
-# removal ratio and depth of the three cantor_sweep sets, on the base (0, 22/7)
-SWEEP_SETS = [
-    build_cantor(CantorSpec.uniform((0, Fraction(22, 7)), ratio, depth))
-    for ratio, depth in [(Fraction(1, 3), 8), (Fraction(1, 2), 10), (Fraction(3, 5), 9)]
-]
+SWEEP_SETS = [build_cantor(CantorSpec.uniform(SWEEP_BASE, ratio, depth)) for ratio, depth in SWEEP_CASES]
 
 
 @pytest.mark.parametrize("z", SWEEP_SETS, ids=["1/3", "1/2", "3/5"])
