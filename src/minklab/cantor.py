@@ -298,8 +298,9 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
 def sum_sets(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """Exact Minkowski sum: union of ``[lo_a + lo_b, hi_a + hi_b]``.
 
-    Level joins: when, on the common lattice, ``a`` (else ``b``) factors as
-    ``[lo_0, hi_0] + sum_l {0, t_l}`` (:func:`_level_steps`; every exact set
+    Level joins (:func:`_joined_sum`): when, on the common lattice, ``a``
+    (else ``b``) factors as ``[lo_0, hi_0] + sum_l {0, t_l}``
+    (:func:`_level_steps`; every exact set
     from :func:`build_cantor` does), the sum starts from the other set
     widened by ``[lo_0, hi_0]`` and merged, ``T``, and joins
     ``T <- T ∪ (T + t_l)`` level by level, finest first.  Each join writes
@@ -312,11 +313,10 @@ def sum_sets(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     merges each chunk after the union so far.  Memory: one chunk plus the
     union so far.  Both paths return the same merged union, bit for bit.
     """
+    joined = _joined_sum(a, b)
+    if joined is not None:
+        return joined[0]
     a, b = _common_lattice(a, b)
-    for x, y in ((a, b), (b, a)):
-        steps = _level_steps(x)
-        if steps is not None:
-            return _join_levels(x, y, steps)
     rows_per_chunk = max(1, _CHUNK_PAIRS // max(1, b.lo.size))
     lo, hi = a.lo[:0], a.hi[:0]
     for start in range(0, a.lo.size, rows_per_chunk):
@@ -351,17 +351,37 @@ def _level_steps(a: IntervalSet) -> np.ndarray | None:
     return steps
 
 
-def _join_levels(a: IntervalSet, b: IntervalSet, steps: np.ndarray) -> IntervalSet:
-    """``a + b`` for ``a = [lo_0, hi_0] + sum_l {0, t_l}`` with ``steps`` the ``t_l``."""
-    # b widened by a's first interval may overlap itself; with no level to
-    # join after it, only this merge would join them
-    lo, hi = _merge(b.lo + a.lo[0], b.hi + a.hi[0], True)
-    for t in steps:
-        # two rebindings, so each old run is freed before the merge
-        lo = _then_shifted(lo, t)
-        hi = _then_shifted(hi, t)
-        lo, hi = _merge(lo, hi, True)
-    return IntervalSet(lo, hi, a.den)
+def _joined_sum(a: IntervalSet, b: IntervalSet, limit: int | None = None) -> tuple[IntervalSet, IntervalSet] | None:
+    """``a + b`` by level joins, as ``(part, rest)`` with ``a + b = part + rest``; None if neither set factors.
+
+    On the common lattice, when ``a`` (else ``b``) factors as
+    ``[lo_0, hi_0] + sum_l {0, t_l}``, ``part`` starts from the other set
+    widened by ``[lo_0, hi_0]`` and joins the levels finest first.  With a
+    ``limit`` the joins stop before one could make ``part`` longer than
+    ``limit`` intervals, so they hold a few times that many endpoints at
+    most.  ``rest`` is ``sum {0, t_l}`` over the levels left, as zero-width
+    intervals: ``{0}`` when every level joined.
+    """
+    a, b = _common_lattice(a, b)
+    for x, y in ((a, b), (b, a)):
+        steps = _level_steps(x)
+        if steps is None:
+            continue
+        # y widened by x's first interval may overlap itself; with no level
+        # to join after it, only this merge would join them
+        lo, hi = _merge(y.lo + x.lo[0], y.hi + x.hi[0], True)
+        joined = 0
+        while joined < steps.size and (limit is None or 2 * lo.size <= limit):
+            # two rebindings, so each old run is freed before the merge
+            lo = _then_shifted(lo, steps[joined])
+            hi = _then_shifted(hi, steps[joined])
+            lo, hi = _merge(lo, hi, True)
+            joined += 1
+        # x.lo[k] - lo_0 sums the t_l of the bits of k, so the multiples of
+        # 2**joined give the sums over the levels left, in increasing order
+        rest = x.lo[:: 1 << joined] - x.lo[0]
+        return IntervalSet(lo, hi, x.den), IntervalSet(rest, rest.copy(), x.den)
+    return None
 
 
 def _then_shifted(acc: np.ndarray, t) -> np.ndarray:

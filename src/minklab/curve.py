@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantor import IntervalSet, _common_lattice, _float_ends, _level_steps, _meets, sum_sets, wrap_mod
+from .cantor import IntervalSet, _float_ends, _joined_sum, _meets, wrap_mod
 from .errors import (
     ArgumentError,
     CapabilityError,
@@ -68,10 +68,11 @@ _TURNING_TOL = 1e-6
 # count of the stage-monotonicity comparison.
 _BASE_EDGES = 512
 _STAGE_GRID_N = 4097
-# grid angles per block of the blocked sweep (float sets and exact sets that
-# do not factor) times intervals of the rotated set: its float temporaries
-# are 64 KiB, under glibc's 128 KiB mmap threshold, above which each would
-# be page-faulted afresh; 2**12 pays more per-block overhead
+# grid angles per block of the rotation sweep times intervals of the rotated
+# set: its float temporaries are 64 KiB, under glibc's 128 KiB mmap
+# threshold, above which each would be page-faulted afresh; 2**12 pays more
+# per-block overhead.  The sweep's level joins may also grow the difference
+# set to this many intervals past the second set.
 _SWEEP_BLOCK_ELEMS = 1 << 13
 
 
@@ -779,25 +780,26 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
 
     Both arguments may be :class:`GaussZeroSet` or plain interval sets.
     Rotating ``A`` by ``theta`` meets ``B`` iff ``theta`` lies in
-    ``(B - A) mod 2*pi``, and the test runs in floats for every angle at
-    once, by one of two routes chosen by the data:
+    ``(B - A) mod 2*pi``.  The test runs in floats for every angle at once,
+    in blocks of angles: the first set's endpoints are translated by each
+    reduced grid angle and reduced mod 2*pi as
+    :func:`~minklab.cantor.wrap_mod` reduces them, and every piece is looked
+    up in the wrapped second set.  Cost ``O(angles * |A| * log|B|)``; memory
+    a few blocks of ``_SWEEP_BLOCK_ELEMS`` elements and a few copies of the
+    second set.
 
-    * Difference route: an exact pair of which one set factors as
-      ``[lo_0, hi_0] + sum_l {0, t_l}`` (every set from
-      :func:`~minklab.cantor.build_cantor` does, also translated or negated)
-      forms ``D = B - A`` by :func:`~minklab.cantor.sum_sets`' level joins.
-      Each grid angle, reduced mod 2*pi, is looked up in ``D`` at each of
-      the ``K <= ceil(span D / 2*pi) + 2`` turns it can reach (4 for two
-      sets within ``[0, 2*pi]``).  Cost
-      ``O(sum_l |T_l| + K * angles * log|D|)``; memory that of the joins,
-      a few times ``D``'s endpoints.
-    * Blocked route: every other pair, which includes every float set and
-      so every ``GaussZeroSet``.  The first set's endpoints are translated
-      by each reduced grid angle and reduced mod 2*pi as
-      :func:`~minklab.cantor.wrap_mod` reduces them, and every piece is
-      looked up in the wrapped second set.  Cost
-      ``O(angles * |A| * log|B|)``; memory a few blocks of
-      ``_SWEEP_BLOCK_ELEMS`` elements.
+    An exact pair of which one set factors as ``[lo_0, hi_0] + sum_l {0, t_l}``
+    (every set from :func:`~minklab.cantor.build_cantor` does, also
+    translated or negated) first joins levels of ``D = B - A`` as
+    :func:`~minklab.cantor.sum_sets` does, finest first, while ``D`` stays
+    within ``|B| + _SWEEP_BLOCK_ELEMS`` intervals.  With ``rest`` the points
+    ``sum {0, t_l}`` of the levels left, ``D = part + rest``, and the blocks
+    sweep ``-rest`` against ``part`` when ``rest`` has fewer points than
+    ``A`` has intervals: ``O(sum_l |T_l| + angles * |rest| * log|part|)``,
+    with ``|rest| = 1`` once every level joins.  Memory stays that of the blocked
+    sweep of a second set of at most ``|B| + _SWEEP_BLOCK_ELEMS`` intervals.
+    Float sets, so every ``GaussZeroSet``, and exact sets that do not
+    factor sweep as they are.
 
     An interval of ``A`` or of ``D`` at least 2*pi long blocks every angle.
     A non-finite grid angle raises :class:`ArgumentError`.
@@ -809,34 +811,12 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
         raise ArgumentError("rotation angles must be finite")
     if len(za) == 0 or len(zb) == 0:
         return grid.copy()
-    diff = _joined_difference(za, zb)
-    avoids = _avoids_in_blocks(za, zb, grid) if diff is None else _avoids_difference(diff, grid)
-    return grid[avoids]
-
-
-def _joined_difference(za: IntervalSet, zb: IntervalSet) -> IntervalSet | None:
-    """``zb - za`` when :func:`sum_sets` takes the level joins for it, else None."""
-    if not (za.exact and zb.exact):
-        return None
-    neg, b = _common_lattice(za.negate(), zb)
-    if not b.exact or (_level_steps(b) is None and _level_steps(neg) is None):
-        return None
-    return sum_sets(b, neg)
-
-
-def _avoids_difference(diff: IntervalSet, grid: np.ndarray) -> np.ndarray:
-    """Per grid angle: does it miss ``diff mod 2*pi``?"""
-    dlo, dhi = _float_ends(diff)
-    if np.any(dhi - dlo >= TAU):
-        return np.zeros(grid.size, dtype=bool)
-    # reduce before the subtraction: a huge angle would round its digits away
-    delta = np.mod(grid, TAU)
-    hits = np.zeros(grid.size, dtype=bool)
-    # delta - 2*pi*k meets diff only for k from this range
-    for k in range(math.floor(-dhi[-1] / TAU), math.floor(1.0 - dlo[0] / TAU) + 1):
-        at = delta - k * TAU
-        hits |= _meets(dlo, dhi, at, at)
-    return ~hits
+    if za.exact and zb.exact:
+        joined = _joined_sum(zb, za.negate(), _SWEEP_BLOCK_ELEMS + len(zb))
+        # B - A = part + rest, so A + theta meets B iff -rest + theta meets part
+        if joined is not None and len(joined[1]) < len(za):
+            za, zb = joined[1].negate(), joined[0]
+    return grid[_avoids_in_blocks(za, zb, grid)]
 
 
 def _avoids_in_blocks(za: IntervalSet, zb: IntervalSet, grid: np.ndarray) -> np.ndarray:

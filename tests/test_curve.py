@@ -934,14 +934,14 @@ def test_sweep_memory_is_a_few_blocks():
 
 
 def count_block_sweeps(monkeypatch) -> list:
-    """A list that gets one entry, its angle count, per blocked sweep from now on."""
+    """A list that gets one entry, the two sets it sweeps, per blocked sweep from now on."""
     from minklab import curve as curve_module
 
     calls = []
     blocked = curve_module._avoids_in_blocks
 
     def counted(*args):
-        calls.append(args[2].size)
+        calls.append(args[:2])
         return blocked(*args)
 
     monkeypatch.setattr(curve_module, "_avoids_in_blocks", counted)
@@ -958,44 +958,118 @@ def near_difference_ends(za, zb, grid, band=1e-9):
 SWEEP_GRID = np.arange(97) * (TAU / 97) + 1e-3
 
 
-@given(spec_built_sets(), arbitrary_sets())
-def test_difference_route_matches_the_blocked_sweep(a, b):
+@pytest.mark.parametrize("block", [_SWEEP_BLOCK_ELEMS, 1], ids=["joined", "stopped early"])
+@given(a=spec_built_sets(), b=arbitrary_sets())
+def test_difference_route_matches_the_blocked_sweep(block, a, b):
+    # a one-element block stops the joins after those that keep the
+    # difference within |B| + 1 intervals, so the sweep looks up many points
     assert _level_steps(a) is not None
-    for x, y in ((a, b), (b, a)):
-        got = np.isin(SWEEP_GRID, rotations_avoiding_zero_sets(x, y, SWEEP_GRID))
-        want = np.isin(SWEEP_GRID, rotations_avoiding_zero_sets(float_copy(x), float_copy(y), SWEEP_GRID))
-        if len(x) and len(y):
-            far = ~near_difference_ends(x, y, SWEEP_GRID)
-            np.testing.assert_array_equal(got[far], want[far])
-        else:
-            assert got.all() and want.all()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("minklab.curve._SWEEP_BLOCK_ELEMS", block)
+        for x, y in ((a, b), (b, a)):
+            got = np.isin(SWEEP_GRID, rotations_avoiding_zero_sets(x, y, SWEEP_GRID))
+            want = np.isin(SWEEP_GRID, rotations_avoiding_zero_sets(float_copy(x), float_copy(y), SWEEP_GRID))
+            if len(x) and len(y):
+                far = ~near_difference_ends(x, y, SWEEP_GRID)
+                np.testing.assert_array_equal(got[far], want[far])
+            else:
+                assert got.all() and want.all()
 
 
 SWEEP_SETS = [build_cantor(CantorSpec.uniform(SWEEP_BASE, ratio, depth)) for ratio, depth in SWEEP_CASES]
 
 
+def is_points(z) -> bool:
+    return bool(np.array_equal(z.lo, z.hi))
+
+
 @pytest.mark.parametrize("z", SWEEP_SETS, ids=["1/3", "1/2", "3/5"])
-def test_only_pairs_that_do_not_factor_take_the_blocked_sweep(monkeypatch, z):
+def test_factoring_pairs_sweep_fewer_points_than_the_first_set_has_intervals(monkeypatch, z):
     calls = count_block_sweeps(monkeypatch)
     grid = np.arange(64) * (TAU / 64) + 1e-3
     off = IntervalSet(z.lo[:-1].copy(), z.hi[:-1].copy(), z.den)  # 2**m - 1 intervals
-    for x, y in ((z, z), (z.negate(), z), (z.translate(3), z), (z, off), (off, z.negate())):
+    pairs = [(z, z), (z.negate(), z), (z.translate(3), z), (z, off), (off, z.negate())]
+    for x, y in pairs:
         rotations_avoiding_zero_sets(x, y, grid)
-    assert calls == []
+    for (x, y), (swept, part) in zip(pairs, calls):
+        assert is_points(swept) and len(swept) < len(x)
+        assert len(part) <= len(y) + _SWEEP_BLOCK_ELEMS
+    calls.clear()
     # a lattice past int64 sends the exact pair to floats
     wide = IntervalSet.from_pairs([(0, Fraction(1, (1 << 61) - 1))])
-    for x, y in ((off, off), (float_copy(z), z), (z, float_copy(z)), (z, wide)):
+    pairs = [(off, off), (float_copy(z), z), (z, float_copy(z)), (z, wide)]
+    for x, y in pairs:
         rotations_avoiding_zero_sets(x, y, grid)
-    assert calls == [grid.size] * 4
+    assert [(x, y) for x, y in calls] == pairs
+
+
+def test_joins_stop_before_the_difference_outgrows_a_block_plus_the_second_set(monkeypatch):
+    # ratio 1/2: each join grows B - A by half, to 3**m intervals in the end
+    calls = count_block_sweeps(monkeypatch)
+    grid = np.arange(16) * (TAU / 16) + 1e-3
+    z10 = SWEEP_SETS[1]
+    rotations_avoiding_zero_sets(z10, z10, grid)
+    (swept, part), = calls
+    assert len(sum_sets(z10, z10.negate())) > len(z10) + _SWEEP_BLOCK_ELEMS >= len(part)
+    assert 1 < len(swept) < len(z10)
+    # at depth 14 the first join would pass the limit: the sets sweep as they are
+    calls.clear()
+    z14 = build_cantor(CantorSpec.uniform(SWEEP_BASE, Fraction(1, 2), 14))
+    rotations_avoiding_zero_sets(z14, z14, grid)
+    assert calls == [(z14, z14)]
+
+
+def test_deep_spec_built_sweep_memory_is_a_few_blocks():
+    # the difference of a ratio-1/2 depth-14 set with itself has 3**14 = 4.8M
+    # intervals; the sweep holds what the blocked sweep of the set holds
+    z = build_cantor(CantorSpec.uniform(SWEEP_BASE, Fraction(1, 2), 14))
+    grid = np.arange(64) * (TAU / 64) + 1e-3
+    peak, out = traced_peak(rotations_avoiding_zero_sets, z, z, grid)
+    rows = max(1, _SWEEP_BLOCK_ELEMS // len(z))
+    block_bytes = rows * len(z) * 8  # one float64 per piece
+    assert peak <= 5 * block_bytes + 8 * (z.lo.nbytes + z.hi.nbytes)
+    want = rotations_avoiding_zero_sets(float_copy(z), float_copy(z), grid)
+    np.testing.assert_array_equal(out, want)
+
+
+def test_difference_sweep_memory_is_a_few_blocks():
+    # the sweep of rest against part is a blocked sweep of a second set of
+    # at most |B| + one block of intervals, and the joins that build part
+    # hold less than its wrap does
+    z = SWEEP_SETS[1]
+    grid = np.arange(512) * (TAU / 512) + 1e-3
+    peak, _ = traced_peak(rotations_avoiding_zero_sets, z, z, grid)
+    block_bytes = _SWEEP_BLOCK_ELEMS * 8
+    assert peak <= 5 * block_bytes + 8 * 16 * (len(z) + _SWEEP_BLOCK_ELEMS)
+
+
+@pytest.mark.parametrize(
+    "za, zb",
+    [
+        (IntervalSet.from_pairs([(0, 1)]), IntervalSet.from_pairs([(0, 1), (10**9, 10**9 + 1)])),
+        (build_cantor(CantorSpec((0, 10**6), (Fraction(9, 10),) * 5)),) * 2,
+    ],
+    ids=["one interval, wide partner", "wide spec-built"],
+)
+def test_a_difference_spanning_many_turns_sweeps_in_one_pass(monkeypatch, za, zb):
+    # D spans up to 1.6e8 turns of 2*pi; its wrap, not a loop over turns, meets the angles
+    calls = count_block_sweeps(monkeypatch)
+    grid = np.arange(512) * (TAU / 512) + 1e-3
+    got = np.isin(grid, rotations_avoiding_zero_sets(za, zb, grid))
+    assert len(calls) == 1
+    want = np.isin(grid, rotations_avoiding_zero_sets(float_copy(za), float_copy(zb), grid))
+    far = ~near_difference_ends(za, zb, grid)
+    np.testing.assert_array_equal(got[far], want[far])
 
 
 def test_a_full_turn_difference_interval_blocks_every_angle(monkeypatch):
-    # neither interval is 2*pi long, their difference [-4, 3] is
-    za, zb = IntervalSet.from_pairs([(0, 4)]), IntervalSet.from_pairs([(0, 3)])
+    # no interval is 2*pi long, the difference [-4, 3] is
+    za, zb = IntervalSet.from_pairs([(0, 4), (10, 14)]), IntervalSet.from_pairs([(0, 3)])
     calls = count_block_sweeps(monkeypatch)
     grid = np.arange(16) * (TAU / 16)
     assert rotations_avoiding_zero_sets(za, zb, grid).size == 0
-    assert calls == []
+    (swept, part), = calls
+    assert is_points(swept) and part.as_fractions() == [(-14, -7), (-4, 3)]
     assert rotations_avoiding_zero_sets(float_copy(za), float_copy(zb), grid).size == 0
 
 
@@ -1005,17 +1079,6 @@ def test_every_rotation_avoids_an_empty_set_beside_a_factoring_one(empty_first):
     grid = np.arange(16) * (TAU / 16)
     out = rotations_avoiding_zero_sets(*(args if empty_first else args[::-1]), grid)
     np.testing.assert_array_equal(out, grid)
-
-
-def test_difference_sweep_memory_is_a_few_differences():
-    # the joins that build D = C - C peak at about 3.3 times its endpoint
-    # bytes (0.9 MiB for the ratio-1/2 depth-10 set), the float ends and the
-    # per-angle arrays come after them
-    z = SWEEP_SETS[1]
-    grid = np.arange(512) * (TAU / 512) + 1e-3
-    diff = sum_sets(z, z.negate())
-    peak, _ = traced_peak(rotations_avoiding_zero_sets, z, z, grid)
-    assert peak <= 4 * (diff.lo.nbytes + diff.hi.nbytes)
 
 
 def test_validate_takes_the_edge_vectors_once(monkeypatch):
