@@ -796,8 +796,9 @@ def rotations_avoiding_zero_sets(z_a, z_b, angle_grid) -> np.ndarray:
     ``sum {0, t_l}`` of the levels left, ``D = part + rest``, and the blocks
     sweep ``-rest`` against ``part`` when ``rest`` has fewer points than
     ``A`` has intervals: ``O(sum_l |T_l| + angles * |rest| * log|part|)``,
-    with ``|rest| = 1`` once every level joins.  Memory stays that of the blocked
-    sweep of a second set of at most ``|B| + _SWEEP_BLOCK_ELEMS`` intervals.
+    with ``|rest| = 1`` once every level joins.  Memory stays that of the
+    blocked sweep of a second set of at most ``|B| + _SWEEP_BLOCK_ELEMS``
+    intervals.
     Float sets, so every ``GaussZeroSet``, and exact sets that do not
     factor sweep as they are.
 

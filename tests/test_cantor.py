@@ -224,6 +224,18 @@ class TestLevelJoins:
             assert_same_bits(got.lo, want.lo)
             assert_same_bits(got.hi, want.hi)
 
+    @given(spec_built_sets(), arbitrary_sets(), st.integers(min_value=0, max_value=40))
+    def test_stopped_joins_and_their_points_sum_to_the_whole(self, a, b, limit):
+        for x, y in ((a, b), (b, a)):
+            part, rest = cantor._joined_sum(x, y, limit)
+            whole = sum_sets(x, y)
+            assert np.array_equal(rest.lo, rest.hi)
+            assert len(part) <= max(limit, len(cantor._joined_sum(x, y, 0)[0]))
+            assert pair_sums_only(part, rest) == whole
+            if len(part) * 2 <= limit:
+                assert rest.as_fractions() == [(0, 0)]
+                assert part == whole
+
     def test_one_interval_joins_the_widened_second_set(self):
         # [0, 1] factors with no level: only the first merge joins the two
         # widened points [0, 1] and [1/2, 3/2]
