@@ -9,12 +9,15 @@ Its mode follows from the types of its data, never from their values:
   Exact endpoints whose common lattice does not fit int64 raise
   :class:`CapabilityError`.
 * Any float endpoint (Python ``float`` or ``numpy.floating``) makes the
-  set a *float* set, merged with a relative tolerance of 1e-12.
+  set a *float* set.
 
 The same rule applies to a translation, a removal ratio and a
 ``wrap_mod`` period: a float argument gives a float result.
 A binary operation on two exact sets whose common lattice overflows
 int64 runs in floats.
+
+Both modes merge by one rule: two intervals join only where they overlap
+or touch, so two float ends one ulp apart stay two intervals.
 
 Middle-portion removal: one step with removal ratio ``r`` replaces each
 interval by its two outer parts of relative length ``s = (1 - r) / 2``.
@@ -52,7 +55,6 @@ __all__ = [
 
 MAX_DEPTH = 24
 _INT_LIMIT = 1 << 61  # headroom so a sum of two endpoints stays in int64
-_FLOAT_TOL = 1e-12
 # Endpoint pairs the pair sums of :func:`sum_sets` form per merge, 1 MiB per
 # end.  Each merge still passes over the union so far: on the self sums of the
 # ratio-1/3, 1/2 and 3/5 Cantor sets of depths 8-10, 2**14 and 2**15 pairs were
@@ -89,10 +91,6 @@ class CantorSpec:
             raise CapabilityError(
                 f"depth {len(self.ratios)} exceeds the supported maximum {MAX_DEPTH}"
             )
-
-    @property
-    def depth(self) -> int:
-        return len(self.ratios)
 
     @property
     def side_ratios(self) -> tuple[Number, ...]:
@@ -137,13 +135,13 @@ class IntervalSet:
             hi = [int(fb * den) for _, fb in fracs]
             if any(abs(v) >= _INT_LIMIT for v in lo + hi):
                 raise CapabilityError("exact endpoints overflow the int64 lattice")
-            lo, hi = _merge(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), True)
+            lo, hi = _merge(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
             return IntervalSet(lo, hi, den)
         lo = np.array([float(a) for a, _ in pairs])
         hi = np.array([float(b) for _, b in pairs])
         if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
             raise ArgumentError("interval with hi < lo or a non-finite endpoint")
-        lo, hi = _merge(lo, hi, False)
+        lo, hi = _merge(lo, hi)
         return IntervalSet(lo, hi, None)
 
     # -- views -----------------------------------------------------------
@@ -225,31 +223,28 @@ def _meets(blo: np.ndarray, bhi: np.ndarray, lo, hi) -> np.ndarray:
     return (j >= 0) & (bhi[j] >= lo)
 
 
-def _merge(lo: np.ndarray, hi: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Sort and merge intervals; float ones closer than the float tolerance join.
+def _merge(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort and merge intervals; two join only where they overlap or touch.
 
     It takes its arguments over and sorts them in place, so callers pass
     arrays that they have just built and that no set holds.
 
     With ``L = sort(lo)`` and ``H = sort(hi)``, stable so that timsort merges
     the sorted runs callers lay out (the union so far, each row of pair
-    sums), a component starts at ``i`` iff ``L[i] > H[i-1]`` (plus the
-    tolerance) and ends at ``H[next start - 1]``.  That is the running-max
-    rule on the intervals sorted by ``lo``, bit for bit and with the same
-    rounding of ``reach + tol``: ``H[i-1]`` is at most the running max of
+    sums), a component starts at ``i`` iff ``L[i] > H[i-1]`` and ends at
+    ``H[next start - 1]``.  That is the running-max rule on the intervals
+    sorted by ``lo``, bit for bit: ``H[i-1]`` is at most the running max of
     the first ``i`` ends, and when ``L[i]`` exceeds it the ``i`` smallest
     ``hi`` lie below ``L[i]``, so they belong to the first ``i`` intervals
-    (each ``lo <= hi``) and the two reaches are equal.
+    (each ``lo <= hi``) and the two reaches are equal.  The rule compares
+    endpoints only, so it is the same for exact and float sets and needs
+    no temporary.
     """
     if lo.size == 0:
         return lo, hi
     lo.sort(kind="stable")
     hi.sort(kind="stable")
-    # an exact merge compares with no tolerance and so needs no temporary
-    reach = hi[:-1]
-    if not exact:
-        reach = reach + _FLOAT_TOL * max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    ends = np.flatnonzero(lo[1:] > reach)
+    ends = np.flatnonzero(lo[1:] > hi[:-1])
     return np.concatenate([lo[:1], lo[ends + 1]]), np.concatenate([hi[ends], hi[-1:]])
 
 
@@ -290,7 +285,7 @@ def build_cantor(spec: CantorSpec) -> IntervalSet:
             if not _fits(current, fs.denominator):
                 raise CapabilityError("lattice overflow; reduce depth or simplify ratios")
             lo, hi = lo * fs.denominator, hi * fs.denominator
-        lo, hi = _merge(np.concatenate([lo, hi - w]), np.concatenate([lo + w, hi]), exact)
+        lo, hi = _merge(np.concatenate([lo, hi - w]), np.concatenate([lo + w, hi]))
         current = IntervalSet(lo, hi, current.den * fs.denominator if exact else None)
     return current
 
@@ -324,7 +319,7 @@ def sum_sets(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         # two rebindings, not one tuple, so the old union is freed before the merge
         lo = _then_pair_sums(lo, a.lo[sl], b.lo)
         hi = _then_pair_sums(hi, a.hi[sl], b.hi)
-        lo, hi = _merge(lo, hi, a.exact)
+        lo, hi = _merge(lo, hi)
     return IntervalSet(lo, hi, a.den)
 
 
@@ -369,13 +364,13 @@ def _joined_sum(a: IntervalSet, b: IntervalSet, limit: int | None = None) -> tup
             continue
         # y widened by x's first interval may overlap itself; with no level
         # to join after it, only this merge would join them
-        lo, hi = _merge(y.lo + x.lo[0], y.hi + x.hi[0], True)
+        lo, hi = _merge(y.lo + x.lo[0], y.hi + x.hi[0])
         joined = 0
         while joined < steps.size and (limit is None or 2 * lo.size <= limit):
             # two rebindings, so each old run is freed before the merge
             lo = _then_shifted(lo, steps[joined])
             hi = _then_shifted(hi, steps[joined])
-            lo, hi = _merge(lo, hi, True)
+            lo, hi = _merge(lo, hi)
             joined += 1
         # x.lo[k] - lo_0 sums the t_l of the bits of k, so the multiples of
         # 2**joined give the sums over the levels left, in increasing order
@@ -412,21 +407,18 @@ def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
     ``gaps`` is a ``(k, 2)`` float64 array, one row per gap: the end of the
     covered part before it (or the target's start) and the next interval's
     start (or the target's end); the target is covered iff ``k = 0``.
-    Float sets ignore gaps within the float tolerance.  A target no longer
-    than that tolerance (for an exact set, a zero-length target ``(t, t)``)
-    is covered iff it meets an interval within the tolerance; otherwise its
-    one gap is the target itself.  The gap ends are lattice integers
-    divided by the denominator in one float division: correctly rounded
-    while both are below 2**53 in magnitude, and off by up to an ulp or two
-    above that.  Cost: two ``searchsorted`` calls (three for a target that short) and
-    one pass over the intervals that reach into the target.  Memory: the
-    gaps, a mask over the reached intervals and one column of gaps at a
-    time (plus a shifted copy of the reached ends in a float set).
+    Endpoints are compared as they are, in both modes: a gap is any
+    positive distance, and a zero-length target ``(t, t)`` is covered iff
+    ``t`` lies in an interval, else its one gap is the target itself.  The
+    gap ends are lattice integers divided by the denominator in one float
+    division: correctly rounded while both are below 2**53 in magnitude,
+    and off by up to an ulp or two above that.  Cost: two ``searchsorted`` calls and one pass over the
+    intervals that reach into the target.  Memory: the gaps, a mask over the
+    reached intervals and one column of gaps at a time.
     """
     t = IntervalSet.from_pairs([target])
     aa, tt = _common_lattice(a, t)
     lo, hi, tlo, thi = aa.lo, aa.hi, tt.lo[0], tt.hi[0]
-    tol = 0 if aa.exact else _FLOAT_TOL * max(1.0, abs(float(tlo)), abs(float(thi)))
     # reached: from the first interval ending at or after tlo up to the first
     # ending at or after thi, short of the first starting after thi
     first, last = np.searchsorted(hi, (tlo, thi))
@@ -436,14 +428,12 @@ def covers(a: IntervalSet, target: tuple[Number, Number]) -> CoverReport:
     # set-long cursor array
     reached, before = lo[first:stop], hi[first : max(first, stop - 1)]
     gap = np.empty(reached.size, dtype=bool)
-    gap[:1] = reached[:1] > tlo + tol
-    np.greater(reached[1:], before + tol if tol else before, out=gap[1:])
+    gap[:1] = reached[:1] > tlo
+    np.greater(reached[1:], before, out=gap[1:])
     final = hi[stop - 1] if stop > first else tlo
-    # a target no longer than tol has no gap but itself
-    short = thi - tlo <= tol
-    point_gap = short and not (lo.size and _meets(lo, hi, tlo - tol, thi + tol))
     k = int(np.count_nonzero(gap))
-    tail = bool(final < thi - tol or point_gap)
+    # a target that reaches no interval is one gap, also when it is a point
+    tail = bool(final < thi or stop == first)
     gaps = np.empty((k + tail, 2))
     head = int(gap[0]) if gap.size else 0
     gaps[:head, 0] = tlo
@@ -500,6 +490,5 @@ def _split_at_period(lo, hi, shift, p, den) -> IntervalSet:
     lo, hi = _merge(
         np.concatenate([lo, np.zeros(np.count_nonzero(wrap), dtype=lo.dtype)]),
         np.concatenate([np.minimum(hi, p), hi[wrap] - p]),
-        den is not None,
     )
     return IntervalSet(lo, hi, den)

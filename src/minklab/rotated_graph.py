@@ -93,15 +93,12 @@ def rotate_graph(f: SmoothFn, phi: float) -> SmoothFn:
     def jet_fn(u, order):
         # one jet of f per step gives R and R' to the Newton steps
         x = invert_monotone(*newton_pair(r_rows), u, lo, hi, rtol=1e-14)
-        if order == 0:
-            return (x * s + f.eval(x) * c)[None]
-        m = order
-        fc = jets.derivs_to_jet(f.jet(x, m))
-        xj = jets.jet_var(x, m)
-        ij = xj * s + fc * c
-        lift = np.arange(1, m + 1).reshape((m,) + (1,) * (fc.ndim - 1))
+        fc = jets.derivs_to_jet(f.jet(x, order))
+        ij = jets.jet_var(x, order) * s + fc * c
+        lift = np.arange(1, order + 1).reshape((order,) + (1,) * (fc.ndim - 1))
         rpj = -s * (fc[1:] * lift)
-        rpj[0] += c
+        # at order 0 the jet of R' is empty and the quotient is ``ij`` itself
+        rpj[:1] += c
         return jets.quotient_derivs(ij, rpj)
 
     return SmoothFn((u_lo, u_hi), f.max_order, jet_fn, name=f"rot[{f.name or 'f'}, {phi:g}]")

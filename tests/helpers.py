@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from minklab.bumps import _scale_rows, psi_raw_jet
-from minklab.cantor import _FLOAT_TOL, CantorSpec, CoverReport, IntervalSet, _common_lattice, build_cantor
+from minklab.cantor import CantorSpec, CoverReport, IntervalSet, _common_lattice, build_cantor
 from minklab.curve import SupportFn
 from minklab.errors import ArgumentError
 from minklab.fn_core import SmoothFn, _cumulative_simpson, invert_monotone, newton_pair
@@ -85,19 +85,16 @@ def central_fd(fn, x, order, h):
     raise ValueError(f"unsupported order {order}")
 
 
-def merge_by_running_max(lo, hi, exact):
+def merge_by_running_max(lo, hi):
     """Oracle for ``cantor._merge``: sort by ``lo``, then split where ``lo`` passes the running max of ``hi``."""
     if lo.size == 0:
         return lo, hi
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     run_hi = np.maximum.accumulate(hi)
-    reach = run_hi[:-1]
-    if not exact:
-        reach = reach + _FLOAT_TOL * max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
     starts = np.empty(lo.size, dtype=bool)
     starts[0] = True
-    starts[1:] = lo[1:] > reach
+    starts[1:] = lo[1:] > run_hi[:-1]
     idx = np.flatnonzero(starts)
     return lo[idx], np.maximum.reduceat(run_hi, idx)
 
@@ -155,7 +152,6 @@ def covers_by_walk(a, target):
     t = IntervalSet.from_pairs([target])
     aa, tt = _common_lattice(a, t)
     tlo, thi = tt.lo[0], tt.hi[0]
-    tol = 0 if aa.exact else _FLOAT_TOL * max(1.0, abs(float(tlo)), abs(float(thi)))
     gaps = []
     cursor = tlo
     den = aa.den if aa.exact else 1
@@ -164,12 +160,12 @@ def covers_by_walk(a, target):
             if lo > thi:
                 break
             continue
-        if lo > cursor + tol:
+        if lo > cursor:
             gaps.append((cursor / den, min(lo, thi) / den))
         cursor = max(cursor, hi)
         if cursor >= thi:
             break
-    if cursor < thi - tol:
+    if cursor < thi:
         gaps.append((cursor / den, thi / den))
     return CoverReport(covered=not gaps, gaps=np.array(gaps, dtype=float).reshape(-1, 2))
 

@@ -150,13 +150,12 @@ class TestSum:
         assert sum_sets(a, a) == big
         assert len(calls) == 2 * 127  # one row per chunk, both ends
 
-    @pytest.mark.parametrize("case", ["cantor", "tolerance-grows"])
+    @pytest.mark.parametrize("case", ["cantor", "near-touching"])
     def test_float_chunked_matches_one_chunk(self, monkeypatch, case):
         if case == "cantor":
             a = b = build_cantor(CantorSpec.uniform((0.0, 1.0), 0.3, 6))
         else:
-            # gaps of 1e-10 in b: apart under the first row's tolerance
-            # (1e-12 times 9.6), joined under the last row's (1e-12 times 1000)
+            # b's gaps of 1e-10 stay gaps in every chunk, near 0 and near 1000
             a = IntervalSet.from_pairs([(0.0, 0.0), (1000.0, 1000.0)])
             b = IntervalSet.from_pairs(
                 [(0.3 * k, 0.3 * k + 0.1) for k in range(32)]
@@ -171,7 +170,7 @@ class TestSum:
         assert_same_bits(got.lo, one.lo)
         assert_same_bits(got.hi, one.hi)
         if case != "cantor":
-            assert len(got) == 64  # 32 joined intervals near 0, 32 near 1000
+            assert len(got) == 128  # b's 64 intervals near 0 and again near 1000
 
     def test_memory_is_one_chunk_plus_the_union(self):
         # the ratio-1/2 set of depth 10 without its last interval does not
@@ -302,9 +301,9 @@ class TestInputsStayIntact:
         built = []  # every array _merge has returned: the sets made so far
         merge = cantor._merge
 
-        def checked_merge(lo, hi, exact):
+        def checked_merge(lo, hi):
             assert not any(np.shares_memory(arg, arr) for arg in (lo, hi) for arr in own + built)
-            out = merge(lo, hi, exact)
+            out = merge(lo, hi)
             built.extend(out)
             return out
 
@@ -422,16 +421,14 @@ def test_length_identity_random(depth, ratio):
 
 
 class TestMode:
-    def test_near_touching_floats_merge_in_float_mode(self):
-        s = IntervalSet.from_pairs([(0.0, 1.0), (1.0 + 1e-13, 2.0)])
-        assert not s.exact
-        assert s.as_floats() == [(0.0, 2.0)]
-
-    def test_near_touching_fractions_stay_apart(self):
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_near_touching_ends_stay_apart(self, exact):
+        # one merge rule in both modes: only overlapping or touching ends join
         pairs = [(0.0, 1.0), (1.0 + 1e-13, 2.0)]
-        s = IntervalSet.from_pairs([(Fraction(a), Fraction(b)) for a, b in pairs])
-        assert s.exact
+        s = IntervalSet.from_pairs([(Fraction(a), Fraction(b)) for a, b in pairs] if exact else pairs)
+        assert s.exact is exact
         assert len(s) == 2
+        assert not covers(s, (0.0, 2.0)).covered
 
     def test_numpy_integer_endpoints_are_exact(self):
         s = IntervalSet.from_pairs([(np.int64(1), np.int64(3)), (np.int32(5), 7)])
@@ -468,7 +465,7 @@ class TestMode:
 
 
 def _merge_cases(exact: bool, rng: np.random.Generator) -> dict:
-    """Named interval lists for the merge oracle; float lists get tolerance-scale gaps."""
+    """Named interval lists for the merge oracle; float lists get near-touching gaps."""
     cases = {
         "duplicates": [(0, 3), (5, 9), (5, 9), (0, 3), (2, 4)],
         "points": [(1, 1), (1, 1), (4, 4), (0, 2), (2, 2), (7, 7)],
@@ -482,14 +479,13 @@ def _merge_cases(exact: bool, rng: np.random.Generator) -> dict:
     if not exact:
         cases = {name: [(a / 8, b / 8) for a, b in pairs] for name, pairs in cases.items()}
         for scale in (1.0, 1e3):
-            # the largest endpoint is ``scale``, so the tolerance is ``tol``:
-            # gaps of 0.5 and 0.999 of it join, gaps of 1.001 and 2 do not
-            tol = 1e-12 * scale
+            # gaps of 0.5 to 2 times 1e-12 times the largest endpoint ``scale``
+            near = 1e-12 * scale
             lo = np.array([0.0, 0.2, 0.4, 0.6, 0.8]) * scale
             hi = np.append(lo[1:], scale)
-            lo[1:] += np.array([0.5, 0.999, 1.001, 2.0])[rng.permutation(4)] * tol
+            lo[1:] += np.array([0.5, 0.999, 1.001, 2.0])[rng.permutation(4)] * near
             order = rng.permutation(5)
-            cases[f"tolerance x{scale:g}"] = list(zip(lo[order].tolist(), hi[order].tolist()))
+            cases[f"near touch x{scale:g}"] = list(zip(lo[order].tolist(), hi[order].tolist()))
     return cases
 
 
@@ -503,19 +499,19 @@ class TestMergeOracle:
                 order = rng.permutation(len(pairs))
                 lo = np.array([pairs[i][0] for i in order], dtype=dtype)
                 hi = np.array([pairs[i][1] for i in order], dtype=dtype)
-                got = _merge(lo.copy(), hi.copy(), exact)
-                want = merge_by_running_max(lo, hi, exact)
+                got = _merge(lo.copy(), hi.copy())
+                want = merge_by_running_max(lo, hi)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype == dtype, name
                     assert np.array_equal(g, w), name
 
-    def test_float_join_follows_the_tolerance(self):
-        # the tolerance is 1e-12 times the largest endpoint, here 3
-        lo = np.array([0.0, 1.0 + 0.999 * 3e-12, 2.0 + 1.001 * 3e-12])
-        hi = np.array([1.0, 2.0, 3.0])
-        got_lo, got_hi = _merge(lo, hi, False)
-        assert got_lo.tolist() == [0.0, lo[2]]
-        assert got_hi.tolist() == [2.0, 3.0]
+    def test_float_ends_join_only_where_they_touch(self):
+        # gaps of 0.999 and 1.001 times 3e-12 stay apart; ends that touch join
+        lo = np.array([0.0, 1.0 + 0.999 * 3e-12, 2.0 + 1.001 * 3e-12, 3.0])
+        hi = np.array([1.0, 2.0, 3.0, 4.0])
+        got_lo, got_hi = _merge(lo.copy(), hi.copy())
+        assert got_lo.tolist() == lo[:3].tolist()
+        assert got_hi.tolist() == [1.0, 2.0, 4.0]
 
 
 def _cover_points(s: IntervalSet, extra) -> list:
@@ -547,8 +543,7 @@ class TestCoversOracle:
     COVER_SETS = {
         "exact den 27": build_cantor(CantorSpec.uniform((0, 1), THIRDS, 3)),
         "exact den 1": IntervalSet.from_pairs([(-3, -1), (0, 2), (4, 4), (6, 9)]),
-        # gaps of 1.5e-12 and 3e-12 survive the merge; a target reaching past
-        # |2| has a tolerance of more than 2e-12, one inside [-1, 1] of 1e-12
+        # gaps of 1.5e-12 and 3e-12: each is a gap of every target across it
         "float near tol": IntervalSet.from_pairs(
             [(0.0, 0.25), (0.25 + 1.5e-12, 0.5), (0.5 + 3e-12, 0.75), (0.875, 1.0)]
         ),
@@ -583,19 +578,21 @@ class TestCoversPoint:
         for t in (0, Fraction(9, 4), 5):
             assert_report(covers(s, (t, t)), False, [(float(t), float(t))])
 
-    def test_float_point_is_covered_within_the_tolerance(self):
+    def test_float_point_is_covered_iff_it_lies_in_an_interval(self):
         s = IntervalSet.from_pairs([(0.0, 1.0), (2.0, 3.0)])
-        for t in (0.5, 1.0 + 0.5e-12, 2.0 - 0.5e-12, 3.0):
+        for t in (0.0, 0.5, 1.0, 2.0, 3.0):
             assert_report(covers(s, (t, t)), True, [])
-        for t in (1.0 + 1e-9, 1.5, 2.0 - 1e-9, -1.0):
+        # a point 1e-13 off an interval is one gap, as one 1e-9 off is
+        for t in (1.0 + 1e-13, 2.0 - 1e-13, 1.0 + 1e-9, 1.5, -1.0):
             assert_report(covers(s, (t, t)), False, [(t, t)])
 
-    def test_float_target_shorter_than_the_tolerance_is_a_point(self):
+    def test_short_float_target_off_an_interval_is_one_gap(self):
         s = IntervalSet.from_pairs([(0.0, 1.0)])
-        far = (5.0, 5.0 + 1e-13)
-        assert_report(covers(s, far), False, [far])
-        for target in ((0.5, 0.5 + 1e-13), (1.0 + 0.5e-12, 1.0 + 0.6e-12)):
-            assert_report(covers(s, target), True, [])
+        assert_report(covers(s, (0.5, 0.5 + 1e-13)), True, [])
+        for target in ((5.0, 5.0 + 1e-13), (1.0 + 0.5e-12, 1.0 + 0.6e-12)):
+            assert_report(covers(s, target), False, [target])
+        # a target reaching 1e-13 past the interval has that reach as its gap
+        assert_report(covers(s, (0.5, 1.0 + 1e-13)), False, [(1.0, 1.0 + 1e-13)])
 
     @pytest.mark.parametrize("t", [3, 0.5, Fraction(1, 3)])
     def test_empty_set_covers_no_point(self, t):

@@ -402,10 +402,25 @@ def test_second_body_closes_at_depth_seven(second_profile):
     The closing edge is about 7e-6 long here, so a seam off by 4e-14 (what
     translating each copy by the recursive copy sum leaves) reads a cross
     ratio of -5e-9, beyond the 1e-9 tolerance.
+
+    Its level-7 junction pairs lie 8.9e-13 apart.  The sweep keeps both
+    points of each pair, so a rotation that takes one junction to the
+    middle of a pair, and no junction onto another, avoids the set.
     """
     hs = schedule_smoothings(second_profile.f, 7)
     _, zset = assemble_curve(second_profile.f, hs, m_max=7)
     assert len(zset.Z) == 2 * (2**7 - 1) * 2 * hs.n == 16_256
+    assert len(wrap_mod(zset.Z, TAU)) == 16_256
+    z = np.sort(np.mod(np.asarray(zset.Z.as_floats())[:, 0], TAU))
+    pairs = np.flatnonzero(np.diff(z) < 2e-12)
+    j = pairs[:: pairs.size // 16][:16]
+    probes = (z[j] + z[j + 1]) / 2 - z[j[::-1]]
+    # each probe's least circular distance from a rotated junction to a junction
+    moved = np.mod(z[None, :] + probes[:, None], TAU)
+    idx = np.searchsorted(z, moved)
+    gap = np.minimum(np.abs(moved - z[idx - 1]), np.abs(moved - z[idx % z.size]))
+    assert np.all(np.minimum(gap, TAU - gap).min(axis=1) > 0.0)
+    np.testing.assert_array_equal(rotations_avoiding_zero_sets(zset, zset, probes), probes)
 
 
 def test_assembly_holds_at_most_three_times_its_curve_arrays(hinge_profile, hinge_schedule, assembled):

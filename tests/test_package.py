@@ -66,17 +66,17 @@ def test_importing_every_module_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
-def _loads(node):
-    """Names that ``node`` reads, as a name or as an attribute."""
+def _loads(node, kinds=(ast.Name, ast.Attribute)):
+    """Names that ``node`` loads as one of ``kinds``: as a name or as an attribute by default."""
     return {
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        if isinstance(n, kinds) and isinstance(n.ctx, ast.Load)
     }
 
 
-def _references(text):
-    """Names read in ``text``, leaving out each definition's reads of its own name.
+def _references(text, kinds=(ast.Name, ast.Attribute)):
+    """Names read in ``text`` as ``_loads`` reads them, leaving out each definition's reads of its own name.
 
     A top-level function or class may read its own name, and so may a
     method inside its own body: neither read is a caller.
@@ -86,11 +86,11 @@ def _references(text):
         own = {getattr(stmt, "name", None)}
         if isinstance(stmt, ast.ClassDef):
             for part in stmt.decorator_list + stmt.bases + stmt.keywords:
-                refs |= _loads(part) - own
+                refs |= _loads(part, kinds) - own
             for member in stmt.body:
-                refs |= _loads(member) - own - {getattr(member, "name", None)}
+                refs |= _loads(member, kinds) - own - {getattr(member, "name", None)}
         else:
-            refs |= _loads(stmt) - own
+            refs |= _loads(stmt, kinds) - own
     return refs
 
 
@@ -137,27 +137,34 @@ def _caller_guard(defining, reading, kept, readers):
 
     ``defining`` and ``reading`` map a module name to its source text.  A
     name that one public name alone has counts as read when any text of
-    ``reading`` loads it as a name or an attribute.  A name that two or more
-    public names share counts as read only for the keys that ``readers``
-    lists, each with a definition in ``reading`` that loads it.
+    ``reading`` loads it: a module-level name as a name or an attribute, a
+    method or property as an attribute only, so a local variable of the
+    same name is no read.  A name that two or more public names share
+    counts as read only for the keys that ``readers`` lists, each with a
+    definition in ``reading`` that loads it as an attribute.
     ``uncalled`` are the unread names that ``kept`` does not list,
     ``kept_but_read`` the names ``kept`` lists although they are read, and
     ``wrong_readers`` the keys of ``readers`` that share no name or whose
     listed definition does not load it.
     """
     refs = set().union(*map(_references, reading.values()))
+    attr_refs = set().union(*(_references(text, ast.Attribute) for text in reading.values()))
     public = {key: name for module, text in defining.items() for key, name in _public_names(module, text).items()}
     shared = {name for name, count in collections.Counter(public.values()).items() if count > 1}
 
     def read_by(key, where):
         node = _definition(reading, where)
-        return public.get(key) in shared and node is not None and public[key] in _loads(node)
+        return public.get(key) in shared and node is not None and public[key] in _loads(node, ast.Attribute)
+
+    def unread(key, name):
+        # a member's key is ``module.Class.name``; a module-level name's ``module.name``
+        return name not in (attr_refs if key.count(".") == 2 else refs)
 
     wrong = {key for key, where in readers.items() if not read_by(key, where)}
     uncalled = {
         key
         for key, name in public.items()
-        if ((key not in readers or key in wrong) if name in shared else name not in refs)
+        if ((key not in readers or key in wrong) if name in shared else unread(key, name))
     }
     return sorted(uncalled - kept.keys()), sorted(kept.keys() - uncalled), sorted(wrong)
 
@@ -204,17 +211,23 @@ def test_the_caller_guard_reports_an_uncalled_method_and_a_kept_name_with_a_read
             "        return 1.0\n"
             "    def _scale(self):\n"
             "        return 2.0\n"
+            "    @property\n"
+            "    def depth(self):\n"
+            "        return 3\n"
             "def area(s):\n"
             "    return s.width ** 2\n"
         )
     }
-    reading = {"shapes": defining["shapes"], "main": "from shapes import Square, area\nprint(area(Square()))\n"}
-    # side reads only itself, width is read by area, and area is read by
-    # the second text although it is kept
+    reading = {
+        "shapes": defining["shapes"],
+        "main": "from shapes import Square, area\ndepth = 2\nprint(area(Square()), depth)\n",
+    }
+    # side reads only itself, width is read by area, depth only as a bare
+    # local, and area is read by the second text although it is kept
     kept = {"shapes.area": 0}
-    assert _caller_guard(defining, reading, kept, {}) == (["shapes.Square.side"], ["shapes.area"], [])
+    assert _caller_guard(defining, reading, kept, {}) == (["shapes.Square.depth", "shapes.Square.side"], ["shapes.area"], [])
     assert _caller_guard(defining, {"shapes": reading["shapes"]}, kept, {}) == (
-        ["shapes.Square", "shapes.Square.side"],
+        ["shapes.Square", "shapes.Square.depth", "shapes.Square.side"],
         [],
         [],
     )
